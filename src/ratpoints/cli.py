@@ -2,7 +2,9 @@
 
 Subcommands: count, slice, conic-param, project, detmethod, fit.  All
 output is CSV or JSON with sorted keys so reruns are byte-identical.
-Environment overrides: RATPOINTS_THREADS, RATPOINTS_SEED.
+Environment override: RATPOINTS_SEED.  A bad input (an unparsable
+polynomial, a non-prime filter modulus, ...) prints one line
+``ratpoints: error: <message>`` to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -12,17 +14,18 @@ import json
 import os
 import sys
 
-from .curves import EmptyParam, conic_parameterize, count_class_points, plane_eliminate
+from .curves import (EmptyParam, conic_parameterize, conic_points,
+                     count_class_points, plane_eliminate, tangency_rank)
 from .detmethod import (AuxiliaryForm, build_determinant,
                         curve_section_degree, extract_auxiliary_form,
                         partition_by_residue, prime_window, select_monomials)
-from .enumeration import count_affine_surface
+from .enumeration import (CountSeries, ResidueFilter, count_affine,
+                          count_affine_surface, count_projective,
+                          enumerate_projective_variety, slice_form)
 from .geometry import (build_projection_setup, find_projection_center,
                        project_point, sample_birationality_check)
-from .enumeration import enumerate_projective_variety
 from .harness import ExperimentConfig, fit_exponent, run_experiment
-from .enumeration import CountSeries
-from .poly import parse_poly, format_poly
+from .poly import format_poly, parse_poly
 
 
 def _read_poly_arg(text: str) -> str:
@@ -56,7 +59,6 @@ def main(argv=None) -> int:
     p_count.add_argument("--out", default=None)
     p_count.add_argument("--points", action="store_true",
                          help="also write points.csv with the points at bmax")
-    p_count.add_argument("--threads", type=int, default=1)
     p_count.add_argument("--seed", type=int, default=0)
     p_count.add_argument("--target", type=float, default=None)
     p_count.add_argument("--tol", type=float, default=0.25)
@@ -94,19 +96,14 @@ def main(argv=None) -> int:
     p_fit.add_argument("--tol", type=float, default=0.25)
 
     args = parser.parse_args(argv)
-    if args.command == "count":
-        return _cmd_count(args)
-    if args.command == "slice":
-        return _cmd_slice(args)
-    if args.command == "conic-param":
-        return _cmd_conic(args)
-    if args.command == "project":
-        return _cmd_project(args)
-    if args.command == "detmethod":
-        return _cmd_detmethod(args)
-    if args.command == "fit":
-        return _cmd_fit(args)
-    return 2
+    command = {"count": _cmd_count, "slice": _cmd_slice,
+               "conic-param": _cmd_conic, "project": _cmd_project,
+               "detmethod": _cmd_detmethod, "fit": _cmd_fit}[args.command]
+    try:
+        return command(args)
+    except (ValueError, OSError) as err:
+        print(f"ratpoints: error: {err}", file=sys.stderr)
+        return 2
 
 
 def _cmd_count(args) -> int:
@@ -114,7 +111,7 @@ def _cmd_count(args) -> int:
     if args.grid:
         kind, _, num = args.grid.partition(":")
         if kind != "geometric":
-            raise SystemExit(f"unsupported grid {args.grid!r}")
+            raise ValueError(f"unsupported grid {args.grid!r}")
         grid_count = int(num or 5)
     filters = []
     for spec in args.filter:
@@ -128,17 +125,13 @@ def _cmd_count(args) -> int:
         grid_count=grid_count,
         filters=filters,
         out_dir=args.out,
-        threads=args.threads,
         seed=args.seed,
         target_exponent=args.target,
         tolerance=args.tol,
     )
     report = run_experiment(config)
     if args.points and args.out:
-        from .enumeration import ResidueFilter, count_affine, count_projective
-        from .poly import parse_poly as _pp
-
-        F = _pp(config.poly)
+        F = parse_poly(config.poly)
         if config.function == "N":
             _, pts = count_projective(F, config.bmax, collect=True)
         elif config.function == "M":
@@ -155,8 +148,6 @@ def _cmd_count(args) -> int:
 
 def _cmd_slice(args) -> int:
     F = parse_poly(_read_poly_arg(args.form))
-    from .enumeration import slice_form
-
     sliced = slice_form(F, args.b)
     print(format_poly(sliced, "t") if not sliced.is_zero() else "0")
     return 0
@@ -176,8 +167,6 @@ def _cmd_conic(args) -> int:
         out["verdict"] = "not integral: singular ternary form"
         _emit(out, args.out)
         return 0
-    from .curves import tangency_rank
-
     rank = tangency_rank(data.q)
     out["tangency_rank"] = rank
     if rank != 1:
@@ -204,8 +193,6 @@ def _cmd_conic(args) -> int:
             }
             for cls in param.classes
         ]
-        from .curves import conic_points
-
         out["count"] = len(conic_points(param, args.bound))
     _emit(out, args.out)
     return 0

@@ -15,9 +15,9 @@ predictor and in logged bound values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, log
+from math import ceil, comb, log
 
-from .exact import valuation
+from .exact import is_prime, valuation
 from .geometry import classify_point
 from .linalg import det_bareiss, nullspace_int, rank_sparse
 from .poly import IntPoly, graded_piece_basis, monomials_of_degree, poly_divides
@@ -37,27 +37,14 @@ class PrimeWindow:
     excluded: int | None = None
 
 
-def _sieve(limit: int):
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    i = 2
-    while i * i <= limit:
-        if flags[i]:
-            flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
-        i += 1
-    return [n for n, f in enumerate(flags) if f]
-
-
 def _window_primes(low: float, min_count: int, exclude=None):
     """Primes in [low, C*low] with C doubled from 2 until min_count appear."""
     C = 2.0
     low = max(low, 2.0)
     while True:
         high = C * low
-        primes = [p for p in _sieve(int(high) + 1)
-                  if p >= low and p != exclude]
+        primes = [p for p in range(ceil(low), int(high) + 2)
+                  if p != exclude and is_prime(p)]
         if len(primes) >= min_count:
             return primes, (low, high)
         C *= 2.0

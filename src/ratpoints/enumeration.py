@@ -15,13 +15,14 @@ returned in lexicographic order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
 
 from . import uniroots
-from .exact import gcd_all, normalize_primitive
+from .exact import gcd_all, is_prime, normalize_primitive
 from .poly import IntPoly
 
 INT64_LIMIT = 1 << 62
@@ -53,9 +54,7 @@ class ResidueFilter:
     residues: tuple
 
     def __post_init__(self):
-        from .poly import _is_prime
-
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError("filter modulus must be prime")
         if any(not 0 <= r < self.p for r in self.residues):
             raise ValueError("residues must be reduced mod p")
@@ -180,42 +179,21 @@ class _Hits:
             if self.collect:
                 self.points.extend(prefix + (v,) for v in range(-self.B, self.B + 1))
 
-    def add_vector(self, loop_prefix, u_vals, v_vals):
-        """u_vals, v_vals: int64 arrays of solved (u, v) pairs."""
-        if len(u_vals) == 0:
+    def add_solved(self, loop_prefix, *cols):
+        """cols: equal-length int64 arrays, one per solved trailing
+        coordinate, each row one point."""
+        if len(cols[0]) == 0:
             return
         if self.projective:
-            g = np.full(u_vals.shape, 0, dtype=np.int64)
-            for c in loop_prefix:
-                g = np.gcd(g, np.int64(abs(c)))
-            g = np.gcd(g, np.abs(u_vals))
-            g = np.gcd(g, np.abs(v_vals))
+            g = np.full(cols[0].shape, gcd_all(loop_prefix), dtype=np.int64)
+            for col in cols:
+                g = np.gcd(g, np.abs(col))
             keep = g == 1
-            u_vals, v_vals = u_vals[keep], v_vals[keep]
-        self.count += len(u_vals)
+            cols = [col[keep] for col in cols]
+        self.count += len(cols[0])
         if self.collect:
-            self.points.extend(
-                loop_prefix + (int(u), int(v)) for u, v in zip(u_vals, v_vals)
-            )
-
-    def add_grid(self, loop_prefix, a_vals, b_vals, v_vals):
-        if len(a_vals) == 0:
-            return
-        if self.projective:
-            g = np.full(a_vals.shape, 0, dtype=np.int64)
-            for c in loop_prefix:
-                g = np.gcd(g, np.int64(abs(c)))
-            g = np.gcd(g, np.abs(a_vals))
-            g = np.gcd(g, np.abs(b_vals))
-            g = np.gcd(g, np.abs(v_vals))
-            keep = g == 1
-            a_vals, b_vals, v_vals = a_vals[keep], b_vals[keep], v_vals[keep]
-        self.count += len(a_vals)
-        if self.collect:
-            self.points.extend(
-                loop_prefix + (int(a), int(b), int(v))
-                for a, b, v in zip(a_vals, b_vals, v_vals)
-            )
+            self.points.extend(loop_prefix + row
+                               for row in zip(*(c.tolist() for c in cols)))
 
 
 def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
@@ -224,12 +202,7 @@ def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
     hits = _Hits(projective, collect, B)
     if nv == 1:
         coeffs = [f.terms.get((j,), 0) for j in range(max(f.degree, 0) + 1)]
-        if uniroots.degree(coeffs) < 1:
-            if uniroots.degree(coeffs) == -1:
-                hits.add_full_range(())
-            return hits
-        for r in uniroots.integer_roots_in_box(coeffs, B):
-            hits.add_scalar((), r)
+        _solve_residual(coeffs, (), B, hits)
         return hits
 
     coeffs = _last_var_coefficients(f)
@@ -275,16 +248,21 @@ def _iter_loop(nloop: int, B: int):
     return itertools.product(range(-B, B + 1), repeat=nloop)
 
 
-def _solve_scalar(coeffs, B, hits):
-    nfree = coeffs[0].num_vars
-    for prefix in _iter_loop(nfree, B):
-        residual = [c.evaluate(prefix) for c in coeffs]
-        if uniroots.degree(residual) < 1:
-            if uniroots.degree(residual) == -1:
-                hits.add_full_range(prefix)
-            continue
-        for r in uniroots.integer_roots_in_box(residual, B):
-            hits.add_scalar(prefix, r)
+def _solve_residual(residual, prefix, B, hits):
+    """Solve the last variable once all the others are fixed to prefix."""
+    if uniroots.degree(residual) < 1:
+        if uniroots.degree(residual) == -1:
+            hits.add_full_range(prefix)
+        return
+    for r in uniroots.integer_roots_in_box(residual, B):
+        hits.add_scalar(prefix, r)
+
+
+def _solve_scalar(coeffs, B, hits, outer=()):
+    """Big-int loop over the free variables not already fixed in outer."""
+    for rest in _iter_loop(coeffs[0].num_vars - len(outer), B):
+        prefix = outer + rest
+        _solve_residual([c.evaluate(prefix) for c in coeffs], prefix, B, hits)
 
 
 def _eval_on_vector(c: IntPoly, prefix, u: np.ndarray):
@@ -330,7 +308,7 @@ def _solve_vector(coeffs, B, hits):
             safe = np.where(deg1, c1, 1)
             q = -c0 // safe
             good = deg1 & (q * safe == -c0) & (np.abs(q) <= B)
-            hits.add_vector(prefix, u[good], q[good])
+            hits.add_solved(prefix, u[good], q[good])
             handled |= deg1
         # degree 2: quadratic formula with exact square detection
         if K >= 2:
@@ -356,7 +334,7 @@ def _solve_vector(coeffs, B, hits):
                     good = is_sq & (q * den == num) & (np.abs(q) <= B)
                     if sign == -1:
                         good &= root != 0  # avoid double counting double roots
-                    hits.add_vector(prefix, u[good], q[good])
+                    hits.add_solved(prefix, u[good], q[good])
                 handled |= deg2
         # higher degrees: pure powers vectorize, the rest drop to scalar
         for k in range(3, K + 1):
@@ -375,10 +353,10 @@ def _solve_vector(coeffs, B, hits):
                 cnt, root = _np_kth_roots(np.where(divis, q, 1), k, B)
                 cnt = np.where(divis, cnt, 0)
                 one = divis & (cnt >= 1)
-                hits.add_vector(prefix, u[one], root[one])
+                hits.add_solved(prefix, u[one], root[one])
                 if k % 2 == 0:
                     two = divis & (cnt == 2)
-                    hits.add_vector(prefix, u[two], -root[two])
+                    hits.add_solved(prefix, u[two], -root[two])
                 handled |= pure
             rest = degk & ~pure
             for uu in u[rest]:
@@ -428,7 +406,7 @@ def _solve_grid(coeffs, B, hits):
     for prefix in _iter_loop(nloop, B):
         top = coeffs[K].evaluate(prefix + (0, 0)) if K else 0
         if K == 0 or top == 0:
-            _solve_vector_for_assignment(coeffs, B, hits, prefix)
+            _solve_scalar(coeffs, B, hits, prefix)
             continue
         c0 = eval_grid(coeffs[0], prefix)
         q = -c0 // top
@@ -436,7 +414,7 @@ def _solve_grid(coeffs, B, hits):
         if K == 1:
             good = divis & (np.abs(q) <= B)
             ai, bi = np.nonzero(good)
-            hits.add_grid(prefix, axis[ai], axis[bi], q[good])
+            hits.add_solved(prefix, axis[ai], axis[bi], q[good])
         else:
             divis &= np.abs(q) <= max_rhs
             ai, bi = np.nonzero(divis)
@@ -444,25 +422,10 @@ def _solve_grid(coeffs, B, hits):
                 continue
             cnt, root = _np_kth_roots(q[divis], K, B)
             one = cnt >= 1
-            hits.add_grid(prefix, axis[ai][one], axis[bi][one], root[one])
+            hits.add_solved(prefix, axis[ai][one], axis[bi][one], root[one])
             if K % 2 == 0:
                 two = cnt == 2
-                hits.add_grid(prefix, axis[ai][two], axis[bi][two], -root[two])
-
-
-def _solve_vector_for_assignment(coeffs, B, hits, prefix2):
-    """Plain scalar handling of the two grid variables for one assignment
-    of the outer loop variables (used when the grid path degenerates)."""
-    for a in range(-B, B + 1):
-        assignment = prefix2 + (a,)
-        for b in range(-B, B + 1):
-            residual = [c.evaluate(assignment + (b,)) for c in coeffs]
-            if uniroots.degree(residual) < 1:
-                if uniroots.degree(residual) == -1:
-                    hits.add_full_range(assignment + (b,))
-                continue
-            for r in uniroots.integer_roots_in_box(residual, B):
-                hits.add_scalar(assignment + (b,), r)
+                hits.add_solved(prefix, axis[ai][two], axis[bi][two], -root[two])
 
 
 # ---------------------------------------------------------------------
@@ -604,9 +567,17 @@ def count_roots_bounded(p, T: int):
         raise ValueError("T must be >= 1")
     exact = uniroots.count_abs_le(coeffs, T)
     lead = abs(coeffs[-1])
-    bound = delta * (3.0 + 2.0 * (T / lead) ** (1.0 / delta))
-    assert exact <= bound, f"cluster bound violated: {exact} > {bound}"
-    return exact, bound
+    # exact <= delta*(3 + 2L), in integers: with r = exact - 3*delta > 0
+    # it reads lead * r^delta <= (2*delta)^delta * T
+    r = exact - 3 * delta
+    assert r <= 0 or lead * r**delta <= (2 * delta) ** delta * T, \
+        f"cluster bound violated: {exact} points, T={T}"
+    try:
+        radius = (T / lead) ** (1.0 / delta)
+    except OverflowError:  # T/lead is past the float range; ln(float max) > 709
+        log_radius = (math.log(T) - math.log(lead)) / delta
+        radius = math.exp(log_radius) if log_radius < 709 else math.inf
+    return exact, delta * (3.0 + 2.0 * radius)
 
 
 def enumerate_projective_variety(gens, B: int):

@@ -1,4 +1,5 @@
-"""Exact integer kernels: primitive vectors, projective points, heights.
+"""Exact integer kernels: primitive vectors, projective points, heights,
+the extended gcd and primality.
 
 Everything here is arbitrary-precision Python int; nothing ever rounds.
 All values are immutable and freely shareable across threads.
@@ -105,7 +106,7 @@ def unimodular_complete(a: int, b: int) -> tuple[int, int]:
         # b = +-1 and -b*g = 1
         return (-b, 0)
     # extended gcd: a*u + b*v = 1, so (g, d) = (-v, u) solves a*d - b*g = 1
-    u, v = _xgcd(a, b)
+    _, u, v = xgcd(a, b)
     g, d = -v, u
     # shift (g, d) -> (g + a*t, d + b*t) to land g in [0, |a|)
     g0 = g % abs(a)
@@ -113,8 +114,8 @@ def unimodular_complete(a: int, b: int) -> tuple[int, int]:
     return (g0, d + b * t)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int]:
-    """Coefficients (u, v) with a*u + b*v = gcd(a, b)."""
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(a, b) >= 0 and a*u + b*v = g."""
     old_r, r = a, b
     old_u, u = 1, 0
     old_v, v = 0, 1
@@ -124,8 +125,24 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
         old_u, u = u, old_u - q * u
         old_v, v = v, old_v - q * v
     if old_r < 0:
-        old_u, old_v = -old_u, -old_v
-    return old_u, old_v
+        old_r, old_u, old_v = -old_r, -old_u, -old_v
+    return old_r, old_u, old_v
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division; the moduli here are small."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def valuation(n: int, p: int):

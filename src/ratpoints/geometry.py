@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .exact import ProjPoint, gcd_all, normalize_primitive, primitive_vector
+from .exact import ProjPoint, gcd_all, normalize_primitive, primitive_vector, xgcd
 from .irreducibility import Irreducibility, is_absolutely_irreducible
 from .linalg import invert_unimodular, nullspace_int, rank_dense
 from .poly import IntPoly
@@ -30,43 +30,8 @@ class Classification(Enum):
     NOT_IN_U = "not_in_U"
 
 
-@dataclass
-class TangentData:
-    """Gradient, Hessian, the six spanning tangent vectors and their
-    quadratic values at a surface point."""
-
-    gradient: tuple
-    hessian: list
-    spanning: list        # y_1 .. y_6
-    quad_values: list     # y^T M y for each spanning vector
-
-
 def _coords(x):
     return tuple(x.coords) if isinstance(x, ProjPoint) else tuple(x)
-
-
-def tangent_data(F: IntPoly, x) -> TangentData:
-    """Exact tangent data at an integer point of the surface F = 0."""
-    xs = _coords(x)
-    if F.num_vars != 4 or len(xs) != 4:
-        raise ValueError("tangent data lives on surfaces in P^3")
-    if F.evaluate(xs) != 0:
-        raise ValueError("point not on surface")
-    g = tuple(F.partial(i).evaluate(xs) for i in range(4))
-    M = [[F.partial(i).partial(j).evaluate(xs) for j in range(4)] for i in range(4)]
-    g0, g1, g2, g3 = g
-    spanning = [
-        (g1, -g0, 0, 0),
-        (g2, 0, -g0, 0),
-        (g3, 0, 0, -g0),
-        (0, g2, -g1, 0),
-        (0, g3, 0, -g1),
-        (0, 0, g3, -g2),
-    ]
-    values = []
-    for y in spanning:
-        values.append(sum(y[i] * M[i][j] * y[j] for i in range(4) for j in range(4)))
-    return TangentData(gradient=g, hessian=M, spanning=spanning, quad_values=values)
 
 
 def classify_point(F: IntPoly, x, p: int | None = None) -> Classification:
@@ -160,7 +125,7 @@ def complete_to_unimodular(a):
     for i in range(n - 1):
         if w[i] == 0:
             continue
-        g, x, y = _xgcd2(w[n - 1], w[i])
+        g, x, y = xgcd(w[n - 1], w[i])
         wi_g = w[i] // g
         wn_g = w[n - 1] // g
         for row in U:
@@ -170,20 +135,6 @@ def complete_to_unimodular(a):
         w[i], w[n - 1] = 0, g
     assert w == [0] * (n - 1) + [1]
     return invert_unimodular(U)
-
-
-def _xgcd2(a, b):
-    old_r, r = a, b
-    old_x, xx = 1, 0
-    old_y, yy = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, xx = xx, old_x - q * xx
-        old_y, yy = yy, old_y - q * yy
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 Configs are JSON with polynomials in the text grammar.  B-grids are
 geometric (powers of two ending at bmax by default) because exponent
-fitting wants evenly spaced logs.  Grid points fan out over a thread pool
-and are merged by bound, so outputs are byte-identical across reruns and
-across thread counts; zero counts are excluded from fits, never imputed.
+fitting wants evenly spaced logs.  Grid points are counted in order, so
+outputs are byte-identical across reruns; zero counts are excluded from
+fits, never imputed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .enumeration import (CountSeries, ResidueFilter, count_affine,
@@ -26,14 +25,11 @@ class ExperimentConfig:
     function: str                 # "N" | "M" | "Naff"
     bmax: int
     degree: int | None = None
-    dim: int | None = None
-    integral: bool = True
     grid_count: int = 5
     grid: list = field(default_factory=list)
     filters: list = field(default_factory=list)   # [(p, (r1, r2, r3)), ...]
     out_dir: str | None = None
     seed: int = 0
-    threads: int = 1
     target_exponent: float | None = None
     tolerance: float = 0.25
     name: str = "experiment"
@@ -116,21 +112,14 @@ def _count_one(config: ExperimentConfig, F, B: int) -> int:
 
 
 def build_series(config: ExperimentConfig) -> CountSeries:
-    """Counting function sampled over the grid, fanned out over threads."""
+    """Counting function sampled over the grid."""
     F = parse_poly(config.poly)
     if config.degree is not None and F.degree != config.degree:
         raise ValueError(
             f"declared degree {config.degree} != parsed degree {F.degree}"
         )
     grid = config.resolved_grid()
-    threads = int(os.environ.get("RATPOINTS_THREADS", config.threads))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = dict(zip(grid, pool.map(
-                lambda b: _count_one(config, F, b), grid)))
-    else:
-        counts = {b: _count_one(config, F, b) for b in grid}
-    entries = [(b, counts[b]) for b in grid]
+    entries = [(b, _count_one(config, F, b)) for b in grid]
     return CountSeries(tag=f"{config.function}:{config.poly}", entries=entries)
 
 
@@ -138,7 +127,7 @@ def run_experiment(config: ExperimentConfig):
     """Run the counting campaign, write series.csv and report.json.
 
     Outputs are reproducible: same config and seed give byte-identical
-    files regardless of the thread count.
+    files.
     """
     seed = int(os.environ.get("RATPOINTS_SEED", config.seed))
     series = build_series(config)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from fractions import Fraction
 
 from .linalg import rank_dense
 from .poly import IntPoly
@@ -115,30 +114,6 @@ def _x_coeffs(f: IntPoly):
     return [uniroots.trim(c) for c in out]
 
 
-def _upoly_gcd(a, b):
-    """Primitive gcd of two integer coefficient lists (may be empty)."""
-    a, b = uniroots.trim(a), uniroots.trim(b)
-    if not a:
-        return _primitive_upoly(b)
-    if not b:
-        return _primitive_upoly(a)
-    return uniroots._int_gcd_poly(a, b)
-
-
-def _primitive_upoly(c):
-    c = uniroots.trim(c)
-    if not c:
-        return []
-    from .exact import clear_denominators
-
-    prim = list(clear_denominators([Fraction(x) for x in c]))
-    while prim and prim[-1] == 0:
-        prim.pop()
-    if prim[-1] < 0:
-        prim = [-x for x in prim]
-    return prim
-
-
 def _swap_vars(f: IntPoly) -> IntPoly:
     return IntPoly(2, {(e[1], e[0]): c for e, c in f.terms.items()})
 
@@ -163,7 +138,7 @@ def _biv_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
         A, B = B, A
     cont_a = _content_y(A)
     cont_b = _content_y(B)
-    c = _upoly_gcd(cont_a, cont_b)
+    c = uniroots.int_gcd_poly(cont_a, cont_b)
     A = _divide_content(A, cont_a)
     B = _divide_content(B, cont_b)
     while any(B):
@@ -177,14 +152,14 @@ def _biv_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
         if not any(B):
             break
     gcd_pp = A
-    result = _from_x_coeffs([_upoly_mul(c, col) for col in gcd_pp])
+    result = _from_x_coeffs([uniroots.poly_mul(c, col) for col in gcd_pp])
     return result
 
 
 def _content_y(A):
     cont = []
     for col in A:
-        cont = _upoly_gcd(cont, col)
+        cont = uniroots.int_gcd_poly(cont, col)
         if cont == [1]:
             break
     return cont if cont else [1]
@@ -193,27 +168,7 @@ def _content_y(A):
 def _divide_content(A, cont):
     if cont == [1] or not any(A):
         return [uniroots.trim(c) for c in A]
-    return [_upoly_divexact(col, cont) for col in A]
-
-
-def _upoly_divexact(a, b):
-    a = [Fraction(x) for x in uniroots.trim(a)]
-    b = [Fraction(x) for x in uniroots.trim(b)]
-    if not a:
-        return []
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    while a and len(a) >= len(b):
-        f = a[-1] / b[-1]
-        q[len(a) - len(b)] = f
-        for i, bc in enumerate(b):
-            a[i + len(a) - len(b)] -= f * bc
-        a = uniroots.trim(a)
-    assert not a, "inexact content division"
-    return [int(x) for x in q]
-
-
-def _upoly_mul(a, b):
-    return uniroots._poly_mul(list(a), list(b))
+    return [uniroots.divexact_poly(col, cont) for col in A]
 
 
 def _pseudo_rem(A, B):
@@ -230,9 +185,9 @@ def _pseudo_rem(A, B):
             A.pop()
             continue
         shift = len(A) - 1 - db
-        A = [_upoly_mul(c, lead_b) for c in A]
+        A = [uniroots.poly_mul(c, lead_b) for c in A]
         for i, bc in enumerate(B):
-            prod = _upoly_mul(bc, lead_a)
+            prod = uniroots.poly_mul(bc, lead_a)
             col = [x - y for x, y in
                    _zip_pad(A[i + shift], prod)]
             A[i + shift] = col
@@ -282,7 +237,7 @@ def bivariate_absolutely_irreducible(f: IntPoly) -> Irreducibility:
     if m == 1 or n == 1:
         g = f if n == 1 else _swap_vars(f)
         cols = _x_coeffs(_swap_vars(g))  # coefficients of y^0, y^1 as x-polys
-        content = _upoly_gcd(cols[0] if len(cols) > 0 else [],
+        content = uniroots.int_gcd_poly(cols[0] if len(cols) > 0 else [],
                              cols[1] if len(cols) > 1 else [])
         return (Irreducibility.YES if uniroots.degree(content) < 1
                 else Irreducibility.NO)

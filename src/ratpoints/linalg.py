@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import primitive_vector
+from .exact import clear_denominators
 
 
 def det_bareiss(m) -> int:
@@ -100,27 +100,8 @@ def nullspace_int(rows, ncols=None):
         vec[free] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r][free]
-        basis.append(primitive_vector_from_fractions(vec))
+        basis.append(clear_denominators(vec))
     return basis
-
-
-def primitive_vector_from_fractions(vec):
-    lcm = 1
-    for f in vec:
-        f = Fraction(f)
-        d = f.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(Fraction(f) * lcm) for f in vec]
-    if all(x == 0 for x in ints):
-        return tuple(ints)
-    return primitive_vector(ints)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rank_sparse(rows, ncols):

@@ -182,6 +182,7 @@ class IntPoly:
         return total
 
     def evaluate_mod(self, point, p: int) -> int:
+        """Value at an integer point of the reduction mod p, in [0, p)."""
         total = 0
         for e, c in self.terms.items():
             v = c % p
@@ -261,83 +262,6 @@ class IntPoly:
 
     def to_text(self, style: str = "x") -> str:
         return format_poly(self, style)
-
-
-@dataclass(frozen=True)
-class FpPoly:
-    """Polynomial over a prime field, coefficients reduced to [0, p)."""
-
-    modulus: int
-    num_vars: int
-    terms: dict
-
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def evaluate(self, point) -> int:
-        p = self.modulus
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, q in zip(point, e):
-                if q:
-                    v = v * pow(x % p, q, p) % p
-            total += v
-        return total % p
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = (out.get(e, 0) + c) % self.modulus
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return FpPoly(self.modulus, self.num_vars, out)
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = (out.get(e, 0) + c1 * c2) % self.modulus
-        return FpPoly(self.modulus, self.num_vars,
-                      {e: c for e, c in out.items() if c})
-
-
-def reduce_mod_p(F: IntPoly, p: int) -> FpPoly:
-    """Coefficientwise reduction modulo a prime; the degree may drop."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    out = {}
-    for e, c in F.terms.items():
-        r = c % p
-        if r:
-            out[e] = r
-    return FpPoly(p, F.num_vars, out)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 # -- spec operations on polynomials -----------------------------------

@@ -12,7 +12,9 @@ evaluation loops.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
+
+from .exact import gcd_all
 
 
 def trim(coeffs):
@@ -39,21 +41,12 @@ def derivative(coeffs):
     return [i * a for i, a in enumerate(coeffs)][1:]
 
 
-def _content(coeffs) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _primitive(coeffs):
     """Divide by the content; sign of the leading coefficient is kept."""
     c = trim(coeffs)
     if not c:
         return []
-    g = _content(c)
+    g = gcd_all(c)
     return [x // g for x in c]
 
 
@@ -72,13 +65,13 @@ def _pseudo_rem(a, b):
             a[i + shift] -= la * bc
         a = trim(a)
         if a:
-            g = _content(a)
+            g = gcd_all(a)
             if g > 1:
                 a = [x // g for x in a]
     return a
 
 
-def _int_gcd_poly(a, b):
+def int_gcd_poly(a, b):
     """Primitive gcd of two integer polynomials by a primitive PRS."""
     a, b = _primitive(a), _primitive(b)
     while b:
@@ -88,22 +81,22 @@ def _int_gcd_poly(a, b):
     return a
 
 
-def _divexact_poly(a, b):
-    """Exact quotient a / b in Q[t], scaled to primitive integers."""
-    a = [Fraction(x) for x in trim(a)]
-    b = [Fraction(x) for x in trim(b)]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    while a and len(a) >= len(b):
-        f = a[-1] / b[-1]
-        q[len(a) - len(b)] = f
+def divexact_poly(a, b):
+    """Exact quotient a / b in Z[t]; ValueError when b does not divide a."""
+    a, b = trim(a), trim(b)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        f, r = divmod(a[-1], b[-1])
+        if r:
+            break
+        q[shift] = f
         for i, bc in enumerate(b):
-            a[i + len(a) - len(b)] -= f * bc
+            a[i + shift] -= f * bc
         a = trim(a)
-    assert not a, "inexact polynomial division"
-    lcm = 1
-    for f in q:
-        lcm = lcm // gcd(lcm, f.denominator) * f.denominator
-    return _primitive([int(f * lcm) for f in q])
+    if a:
+        raise ValueError("inexact polynomial division")
+    return q
 
 
 def squarefree_part(coeffs):
@@ -111,10 +104,10 @@ def squarefree_part(coeffs):
     c = _primitive(coeffs)
     if len(c) <= 1:
         return c
-    g = _int_gcd_poly(c, derivative(c))
+    g = int_gcd_poly(c, derivative(c))
     if len(g) <= 1:
         return c
-    return _divexact_poly(c, g)
+    return _primitive(divexact_poly(c, g))
 
 
 def _pseudo_rem_positive(a, b):
@@ -134,7 +127,7 @@ def _pseudo_rem_positive(a, b):
             a[i + shift] -= lb * la * bc
         a = trim(a)
         if a:
-            g = _content(a)
+            g = gcd_all(a)
             if g > 1:
                 a = [x // g for x in a]
     return a
@@ -355,7 +348,7 @@ def count_abs_le(coeffs, T) -> int:
     minus[0] -= T
     plus = list(c)
     plus[0] += T
-    g = _poly_mul(minus, plus)
+    g = poly_mul(minus, plus)
     sf = squarefree_part(g)
     chain = sturm_chain(sf)
     records = isolate_real_roots(g)
@@ -395,7 +388,7 @@ def count_abs_le(coeffs, T) -> int:
     return count
 
 
-def _poly_mul(a, b):
+def poly_mul(a, b):
     a, b = trim(a), trim(b)
     if not a or not b:
         return []

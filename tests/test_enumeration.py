@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -157,6 +158,17 @@ def test_count_roots_bounded_examples():
     assert exact2 == 5
     with pytest.raises(ValueError):
         count_roots_bounded([7], 10)
+
+
+def test_count_roots_bounded_huge_T():
+    # T/lead past the float range: the certificate is checked in integers
+    T = 10**400
+    exact, bound = count_roots_bounded([1, 0, 1], T)
+    assert exact == 2 * math.isqrt(T - 1) + 1
+    assert math.isclose(bound, 2 * (3.0 + 2.0 * 1e200))
+    exact, bound = count_roots_bounded([5, 3], T)
+    assert exact == (T - 5) // 3 + (T + 5) // 3 + 1
+    assert bound == math.inf
 
 
 def test_count_roots_bounded_random_certified():

@@ -109,3 +109,34 @@ def test_quintic_pure_power_vector_case():
     g = parse_poly("t2^6 - t1^2")
     assert count_affine(g, 8) == brute_affine(g, 8)
     assert count_affine(g, 40) == count_affine(g, 40, order="loop")
+
+
+def test_int64_switch_sits_at_its_limit(monkeypatch):
+    # a form whose value bound sits just under 2^62 takes the numpy path,
+    # one whose bound equals it takes the big-int path; both count exactly
+    assert en.INT64_LIMIT == 1 << 62
+    taken = []
+
+    def spy(name):
+        real = getattr(en, name)
+
+        def call(*args):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(en, name, call)
+
+    spy("_solve_vector")
+    spy("_solve_scalar")
+    B = 2
+    at = (en.INT64_LIMIT - B * B) // B
+    for C, path in ((at - 1, "_solve_vector"), (at, "_solve_scalar")):
+        # (C - t1)*(t1 - t2): the 2B+1 zeros t1 = t2
+        f = IntPoly(2, {(1, 0): C, (2, 0): -1, (0, 1): -C, (1, 1): 1})
+        bound = max(en._poly_value_bound(c, B)
+                    for c in en._last_var_coefficients(f))
+        assert bound == (en.INT64_LIMIT if C == at else en.INT64_LIMIT - B)
+        taken.clear()
+        n = count_affine(f, B)
+        assert taken == [path]
+        assert n == count_affine(f, B, order="loop") == brute_affine(f, B)
+        assert n == 2 * B + 1

@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
-from ratpoints.exact import (ProjPoint, clear_denominators, normalize_primitive,
-                             height, primitive_vector, unimodular_complete,
-                             valuation)
+from ratpoints.exact import (ProjPoint, clear_denominators, height, is_prime,
+                             normalize_primitive, primitive_vector,
+                             unimodular_complete, valuation, xgcd)
 
 
 def test_normalize_examples():
@@ -81,3 +82,14 @@ def test_valuation():
     assert valuation(250, 5) == 3
     assert valuation(-12, 2) == 2
     assert valuation(7, 5) == 0
+
+
+def test_xgcd_and_is_prime():
+    rng = random.Random(8)
+    for _ in range(200):
+        a, b = rng.randint(-500, 500), rng.randint(-500, 500)
+        g, u, v = xgcd(a, b)
+        assert g == math.gcd(a, b) and a * u + b * v == g
+    assert [n for n in range(-3, 40) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert not is_prime(6) and not is_prime(1 << 20) and is_prime(1000003)

@@ -11,7 +11,7 @@ from ratpoints.geometry import (Classification,
                                 find_projection_center, find_U_point,
                                 project_point, restrict_to_hyperplane,
                                 sample_birationality_check,
-                                scan_projective_points, tangent_data)
+                                scan_projective_points)
 from ratpoints.irreducibility import Irreducibility, is_absolutely_irreducible
 from ratpoints.linalg import det_bareiss
 from ratpoints.poly import parse_poly
@@ -55,18 +55,6 @@ def test_classification_agrees_with_rationals_for_good_primes():
             assert classify_point(F, t, p=p) is verdict
             checked += 1
     assert checked >= 5
-
-
-def test_tangent_data_invariants():
-    td = tangent_data(QUADRIC, (1, 0, 0, 0))
-    g = td.gradient
-    assert g == (0, 0, 0, 1)
-    assert td.spanning[0] == (g[1], -g[0], 0, 0)
-    assert td.spanning[5] == (0, 0, g[3], -g[2])
-    for y, val in zip(td.spanning, td.quad_values):
-        assert sum(a * b for a, b in zip(g, y)) == 0
-        assert val == sum(y[i] * td.hessian[i][j] * y[j]
-                          for i in range(4) for j in range(4))
 
 
 def test_find_u_point_matches_scan_oracle():

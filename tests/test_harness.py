@@ -52,13 +52,13 @@ def test_config_validation():
         ExperimentConfig(poly="x0", function="N", bmax=0).resolved_grid()
 
 
-def test_run_experiment_deterministic_across_threads(tmp_path):
+def test_run_experiment_deterministic_across_reruns(tmp_path):
     blobs = []
-    for threads in (1, 4):
-        out = tmp_path / f"run{threads}"
+    for run in (1, 2):
+        out = tmp_path / f"run{run}"
         cfg = ExperimentConfig(poly="x0*x2 - x1^2", function="N", bmax=64,
                                grid_count=4, out_dir=str(out),
-                               threads=threads, target_exponent=1.0)
+                               target_exponent=1.0)
         run_experiment(cfg)
         blobs.append(((out / "series.csv").read_bytes(),
                       (out / "report.json").read_bytes()))
@@ -158,6 +158,21 @@ def test_cli_count_points_csv(tmp_path):
 
     assert len(rows) == count_projective(parse_poly("x0*x2 - x1^2"), 16)
     assert all(len(row.split(",")) == 3 for row in rows)
+
+
+def test_cli_parse_error_is_one_line():
+    r = run_cli("count", "--variety", "x0^3+", "--bmax", "4")
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [
+        "ratpoints: error: expected a term at position 5"]
+
+
+def test_cli_bad_filter_is_one_line():
+    r = run_cli("count", "--variety", "x0^3 + x1^3 + x2^3 + x3^3",
+                "--function", "Naff", "--filter", "4:1,1,1", "--bmax", "4")
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [
+        "ratpoints: error: filter modulus must be prime"]
 
 
 def test_cli_detmethod(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from ratpoints.poly import (IntPoly, PolyParseError, coeff_height,
                             dehomogenize, format_poly, graded_piece_basis,
                             homogenize, leading_form, monomials_of_degree,
-                            parse_poly, poly_divides, reduce_mod_p)
+                            parse_poly, poly_divides)
 
 
 def test_parse_format_roundtrip():
@@ -89,15 +89,13 @@ def test_coeff_height():
 
 
 def test_reduce_mod_p():
-    assert reduce_mod_p(parse_poly("7*x0 + x1"), 7).terms == {(0, 1): 1}
-    f = parse_poly("x0^3 - 10*x1^3")
-    r = reduce_mod_p(f, 3)
-    assert r.terms == {(3, 0): 1, (0, 3): 2}
-    # idempotent: reducing the lift again changes nothing
-    lift = IntPoly(2, r.terms)
-    assert reduce_mod_p(lift, 3).terms == r.terms
-    with pytest.raises(ValueError):
-        reduce_mod_p(f, 6)
+    # evaluate_mod reads off the coefficientwise reduction mod p
+    grid = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+    for a, b in grid:
+        assert parse_poly("7*x0 + x1").evaluate_mod((a, b), 7) == b % 7
+        f = parse_poly("x0^3 - 10*x1^3")
+        assert f.evaluate_mod((a, b), 3) == (a**3 + 2 * b**3) % 3
+        assert f.evaluate_mod((a, b), 3) == f.evaluate((a, b)) % 3
 
 
 def test_reduce_is_ring_homomorphism():
@@ -110,16 +108,19 @@ def test_reduce_is_ring_homomorphism():
                     tuple(rng.randint(0, 2) for _ in range(nv)): rng.randint(-9, 9)
                     for _ in range(rng.randint(1, 4))})
             f, g = rand(), rand()
-            assert reduce_mod_p(f + g, p).terms == (
-                reduce_mod_p(f, p) + reduce_mod_p(g, p)).terms
-            assert reduce_mod_p(f * g, p).terms == (
-                reduce_mod_p(f, p) * reduce_mod_p(g, p)).terms
+            x = (rng.randint(-20, 20), rng.randint(-20, 20))
+            fx, gx = f.evaluate_mod(x, p), g.evaluate_mod(x, p)
+            assert (f + g).evaluate_mod(x, p) == (fx + gx) % p
+            assert (f * g).evaluate_mod(x, p) == fx * gx % p
 
 
 def test_fp_degree_drop():
+    # 7*x0^3 + x1 is the linear form x1 over F_7
     f = parse_poly("7*x0^3 + x1")
     assert f.degree == 3
-    assert reduce_mod_p(f, 7).degree == 1
+    for a in range(7):
+        for b in range(7):
+            assert f.evaluate_mod((a, b), 7) == b
 
 
 def test_graded_piece_examples():
