@@ -22,7 +22,7 @@ from math import gcd, isqrt, log
 
 from .exact import ProjPoint, gcd_all, primitive_vector, unimodular_complete
 from .linalg import det_bareiss
-from .poly import IntPoly
+from .poly import IntPoly, pad_vars, substitute_linear
 
 
 # ---------------------------------------------------------------------
@@ -219,8 +219,6 @@ def plane_eliminate(plane, Q: IntPoly) -> PlaneConicData:
         raise ValueError("plane is X0=0; conic lies at infinity")
     a = primitive_vector(a)
     if Q.num_vars < 4:
-        from .poly import pad_vars
-
         Q = pad_vars(Q, 4)
     if Q.num_vars != 4 or Q.degree != 2 or not Q.is_homogeneous():
         raise ValueError("need a homogeneous quadratic in four variables")
@@ -228,23 +226,15 @@ def plane_eliminate(plane, Q: IntPoly) -> PlaneConicData:
     kept = tuple(i for i in (1, 2, 3) if i != elim)
     ai = a[elim]
     # scale the kept variables by a_elim and substitute the linear form
-    subs = {}
     z0 = IntPoly.variable(3, 0)
     z1 = IntPoly.variable(3, 1)
     z2 = IntPoly.variable(3, 2)
-    subs[0] = ai * z0
-    subs[kept[0]] = ai * z1
-    subs[kept[1]] = ai * z2
-    subs[elim] = a[0] * z0 - a[kept[0]] * z1 - a[kept[1]] * z2
-    q = IntPoly.zero(3)
-    for e, c in Q.terms.items():
-        term = IntPoly.constant(3, c)
-        for v, p in enumerate(e):
-            if p:
-                term = term * subs[v] ** p
-        q = q + term
+    images = [ai * z0, None, None, None]
+    images[kept[0]] = ai * z1
+    images[kept[1]] = ai * z2
+    images[elim] = a[0] * z0 - a[kept[0]] * z1 - a[kept[1]] * z2
     # the scaling contributes a_elim^2 to the content
-    q = q.primitive_part()
+    q = substitute_linear(Q, images).primitive_part()
     gram = _ternary_gram(q)
     return PlaneConicData(plane=a, elim_index=elim, kept=kept, q=q,
                           gram_det=det_bareiss(gram))
@@ -357,8 +347,8 @@ def conic_parameterize(data: PlaneConicData, B: int):
     Y1 = IntPoly.variable(3, 1)
     Y2 = IntPoly.variable(3, 2)
     qprime = a * Y1**2 + e * Y0 * Y1 + f * Y0 * Y2 + d * Y0**2
-    subbed = _substitute_linear(q, [Y0, delta * Y1 - beta * Y2,
-                                    alpha * Y2 - gamma * Y1])
+    subbed = substitute_linear(q, [Y0, delta * Y1 - beta * Y2,
+                                   alpha * Y2 - gamma * Y1])
     assert subbed == qprime, "unimodular substitution identity failed"
 
     # affine parameterization by Y = Y1: Y2 = -(a*Y^2 + e*Y + d)/f
@@ -406,23 +396,11 @@ def conic_parameterize(data: PlaneConicData, B: int):
     for lam in _divisors(D):
         mu = D // lam
         cls = (0, 1)
-        ok = True
-        if mu > 1:
-            for i in range(3):
-                cl = (Cc[i] * lam) % mu
-                di = gcd(cl, mu)  # di = mu when cl == 0
-                if Bc[i] % di:
-                    ok = False
-                    break
-                mi = mu // di
-                if mi == 1:
-                    continue
-                wi = (-(Bc[i] // di) * pow((cl // di) % mi, -1, mi)) % mi
-                cls = _crt(cls, (wi, mi))
-                if cls is None:
-                    ok = False
-                    break
-        if not ok or cls is None:
+        for i in range(3):
+            cls = _merge_congruence(cls, Cc[i] * lam, -Bc[i], mu)
+            if cls is None:
+                break
+        if cls is None:
             continue
         w, mprime = cls
         z_lam = lam * w
@@ -444,17 +422,6 @@ def conic_parameterize(data: PlaneConicData, B: int):
         a=a, e=e, f=f, d=d, base_y=star, denominator=D, classes=classes,
         kappa_empirical=kappa,
     )
-
-
-def _substitute_linear(q: IntPoly, images):
-    out = IntPoly.zero(3)
-    for e, c in q.terms.items():
-        term = IntPoly.constant(3, c)
-        for v, p in enumerate(e):
-            if p:
-                term = term * images[v] ** p
-        out = out + term
-    return out
 
 
 def _quad_scale(num, factor, extra_lin):

@@ -19,7 +19,7 @@ from math import ceil, comb, log
 
 from .exact import is_prime, valuation
 from .geometry import classify_point
-from .linalg import det_bareiss, nullspace_int, rank_sparse
+from .linalg import det_bareiss, nullspace_int
 from .poly import IntPoly, graded_piece_basis, monomials_of_degree, poly_divides
 
 
@@ -187,30 +187,8 @@ def select_monomials(J, e: int, k: int, max_degree: int = 400
 def _confirm_independent(J, monomials, D):
     """Exact rank check: stacking the degree-D ideal piece with the chosen
     monomials must add exactly one rank per monomial."""
-    nv = J[0].num_vars
-    cols = monomials_of_degree(nv, D)
-    col_index = {e: i for i, e in enumerate(cols)}
-
-    def ideal_rows():
-        for g in J:
-            dg = g.degree
-            if dg > D:
-                continue
-            for m in monomials_of_degree(nv, D - dg):
-                yield {
-                    col_index[tuple(a + b for a, b in zip(e, m))]: c
-                    for e, c in g.terms.items()
-                }
-
-    base_rank, _ = rank_sparse(ideal_rows(), len(cols))
-
-    def all_rows():
-        yield from ideal_rows()
-        for mono in monomials:
-            e = next(iter(mono.terms))
-            yield {col_index[e]: 1}
-
-    full_rank, _ = rank_sparse(all_rows(), len(cols))
+    base_rank = graded_piece_basis(J, [], D).ideal_rank
+    full_rank = graded_piece_basis(J, monomials, D).ideal_rank
     if full_rank != base_rank + len(monomials):
         raise AssertionError("selected monomials are dependent mod the ideal")
 

@@ -2,11 +2,13 @@
 
 The driving strategy: iterate over all but the last variable and count the
 integer roots of the residual univariate polynomial exactly, falling back
-to a full range when the residual vanishes identically.  Inner loops are
-vectorized with numpy int64 whenever an a priori bound proves that no
-intermediate value can overflow; otherwise a pure-Python big-int path takes
-over.  Both paths are exact and they are cross-checked against each other
-and against full lattice scans in the tests.
+to a full range when the residual vanishes identically.  Two solvers do
+this.  The numpy kernel evaluates the residual coefficients on int64 tiles
+over two coordinates and solves linear, quadratic and pure-power residuals
+in closed form; it runs whenever an a priori bound proves that no
+intermediate value can overflow.  Otherwise the pure-Python big-int
+reference takes over.  Both are exact, and the tests cross-check them
+against each other and against full lattice scans.
 
 Counts of projective zeros include x and -x separately; point lists are
 returned in lexicographic order.
@@ -26,6 +28,7 @@ from .exact import gcd_all, is_prime, normalize_primitive
 from .poly import IntPoly
 
 INT64_LIMIT = 1 << 62
+TILE_CELLS = 1 << 17  # cells of one numpy tile chunk
 
 
 @dataclass
@@ -226,19 +229,8 @@ def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
         max(max(bounds), quad_bound, (B + 1) ** max(K, 1)) < INT64_LIMIT
     )
 
-    grid_ok = (
-        npsafe
-        and nv >= 3
-        and all(
-            max(c.variables_used(), default=-1) < nv - 3 for c in coeffs[1:]
-        )
-        and (K <= 1 or all(c.is_zero() for c in coeffs[1:K]))
-    )
-
-    if grid_ok:
-        _solve_grid(coeffs, B, hits)
-    elif npsafe:
-        _solve_vector(coeffs, B, hits)
+    if npsafe:
+        _solve_tiles(coeffs, B, hits)
     else:
         _solve_scalar(coeffs, B, hits)
     return hits
@@ -258,16 +250,16 @@ def _solve_residual(residual, prefix, B, hits):
         hits.add_scalar(prefix, r)
 
 
-def _solve_scalar(coeffs, B, hits, outer=()):
-    """Big-int loop over the free variables not already fixed in outer."""
-    for rest in _iter_loop(coeffs[0].num_vars - len(outer), B):
-        prefix = outer + rest
+def _solve_scalar(coeffs, B, hits):
+    """Big-int loop over every free variable: the exact reference."""
+    for prefix in _iter_loop(coeffs[0].num_vars, B):
         _solve_residual([c.evaluate(prefix) for c in coeffs], prefix, B, hits)
 
 
-def _eval_on_vector(c: IntPoly, prefix, u: np.ndarray):
-    """Evaluate a polynomial at (prefix..., u) for a numpy vector u."""
-    acc = np.zeros_like(u)
+def _eval_on_tile(c: IntPoly, prefix, grids):
+    """c at (prefix..., grids...): an int64 array broadcasting to the tile,
+    or an int64 scalar when no term involves the tile variables."""
+    acc = np.int64(0)
     for e, coeff in c.terms.items():
         v = coeff
         for x, p in zip(prefix, e):
@@ -275,157 +267,119 @@ def _eval_on_vector(c: IntPoly, prefix, u: np.ndarray):
                 v *= x**p
         if v == 0:
             continue
-        pu = e[-1] if len(e) > len(prefix) else 0
-        acc = acc + v * (u**pu if pu else 1)
+        for g, p in zip(grids, e[len(prefix):]):
+            if p:
+                v = v * g**p
+        acc = acc + v
     return acc
 
 
-def _solve_vector(coeffs, B, hits):
-    """Python loop over all but the last free variable, numpy over that one."""
-    nfree = coeffs[0].num_vars
-    nloop = nfree - 1
-    u = np.arange(-B, B + 1, dtype=np.int64)
-    K = len(coeffs) - 1
-    for prefix in _iter_loop(nloop, B):
-        arrays = [_eval_on_vector(c, prefix, u) for c in coeffs]
-        handled = np.zeros(u.shape, dtype=bool)
-        # effective degree of the residual at each u
-        eff = np.zeros(u.shape, dtype=np.int64)
-        for j in range(1, K + 1):
-            eff = np.where(arrays[j] != 0, j, eff)
-        # degree 0: zero residual means the solved variable is free
-        deg0 = ~handled & (eff == 0)
-        if deg0.any():
-            zero_res = deg0 & (arrays[0] == 0)
-            for uu in u[zero_res]:
-                hits.add_full_range(prefix + (int(uu),))
-            handled |= deg0
-        # degree 1: exact divisibility
-        deg1 = ~handled & (eff == 1)
-        if deg1.any():
-            c1 = arrays[1]
-            c0 = arrays[0]
-            safe = np.where(deg1, c1, 1)
-            q = -c0 // safe
-            good = deg1 & (q * safe == -c0) & (np.abs(q) <= B)
-            hits.add_solved(prefix, u[good], q[good])
-            handled |= deg1
-        # degree 2: quadratic formula with exact square detection
-        if K >= 2:
-            deg2 = ~handled & (eff == 2)
-            if deg2.any():
-                a = np.where(deg2, arrays[2], 1)
-                b = arrays[1]
-                c = arrays[0]
-                disc = b * b - 4 * a * c
-                nonneg = deg2 & (disc >= 0)
-                root = np.zeros_like(disc)
-                s = np.rint(np.sqrt(np.where(nonneg, disc, 0).astype(np.float64))).astype(np.int64)
-                is_sq = np.zeros(u.shape, dtype=bool)
-                for adj in (-1, 0, 1):
-                    cand = np.maximum(s + adj, 0)
-                    ok = nonneg & (cand * cand == disc)
-                    root = np.where(ok & ~is_sq, cand, root)
-                    is_sq |= ok
-                for sign in (1, -1):
-                    num = -b + sign * root
-                    den = 2 * a
-                    q = num // np.where(deg2, den, 1)
-                    good = is_sq & (q * den == num) & (np.abs(q) <= B)
-                    if sign == -1:
-                        good &= root != 0  # avoid double counting double roots
-                    hits.add_solved(prefix, u[good], q[good])
-                handled |= deg2
-        # higher degrees: pure powers vectorize, the rest drop to scalar
-        for k in range(3, K + 1):
-            degk = ~handled & (eff == k)
-            if not degk.any():
-                continue
-            middle_zero = degk
-            for j in range(1, k):
-                middle_zero = middle_zero & (arrays[j] == 0)
-            pure = middle_zero
-            if pure.any():
-                ck = np.where(pure, arrays[k], 1)
-                c0 = arrays[0]
-                q = -c0 // ck
-                divis = pure & (q * ck == -c0)
-                cnt, root = _np_kth_roots(np.where(divis, q, 1), k, B)
-                cnt = np.where(divis, cnt, 0)
-                one = divis & (cnt >= 1)
-                hits.add_solved(prefix, u[one], root[one])
-                if k % 2 == 0:
-                    two = divis & (cnt == 2)
-                    hits.add_solved(prefix, u[two], -root[two])
-                handled |= pure
-            rest = degk & ~pure
-            for uu in u[rest]:
-                residual = [int(arr[uu + B]) for arr in arrays]
-                for r in uniroots.integer_roots_in_box(residual, B):
-                    hits.add_scalar(prefix + (int(uu),), r)
-            handled |= degk
+def _and(x, y):
+    """x & y for boolean masks, either of which may be a numpy scalar;
+    numpy combines an array with a scalar far slower than two arrays."""
+    if np.ndim(x) == 0:
+        x, y = y, x
+    if np.ndim(y) == 0:
+        return x if y else np.False_
+    return x & y
 
 
-def _solve_grid(coeffs, B, hits):
-    """Python loop over all but the last two free variables, 2-D numpy grid
-    over those, for residuals whose positive-degree coefficients do not
-    involve the grid variables."""
+def _cells(axes, mask):
+    """Coordinates of the tile cells where mask holds, one array per axis;
+    mask may have any shape that broadcasts to the tile."""
+    mask = np.broadcast_to(mask, tuple(map(len, axes)))
+    return [ax[i] for ax, i in zip(axes, np.nonzero(mask))]
+
+
+def _solve_tiles(coeffs, B, hits):
+    """The numpy kernel: solve every residual sum_j c_j t^j over int64 tiles.
+
+    A Python loop runs over all but the last two free variables.  The
+    coefficients c_j are evaluated on a tile over those two (over the only
+    one when one is free), cut into row chunks of at most TILE_CELLS cells.
+    Cells are classed by the effective degree of their residual: linear,
+    quadratic and pure-power residuals are solved in closed form on the
+    whole tile, the rest go to _solve_residual one cell at a time, and a
+    residual that vanishes identically leaves t free.
+    """
     nfree = coeffs[0].num_vars
-    nloop = nfree - 2
-    K = len(coeffs) - 1
+    ntile = min(nfree, 2)
     axis = np.arange(-B, B + 1, dtype=np.int64)
-    apow = {0: None, 1: axis[:, None]}
-    bpow = {0: None, 1: axis[None, :]}
-
-    def _pow(cache, e):
-        if e not in cache:
-            cache[e] = cache[1] ** e
-        return cache[e]
-
-    def eval_grid(c: IntPoly, prefix):
-        acc = np.zeros((len(axis), len(axis)), dtype=np.int64)
-        for e, coeff in c.terms.items():
-            v = coeff
-            for x, p in zip(prefix, e):
-                if p:
-                    v *= x**p
-            if v == 0:
-                continue
-            ea, eb = e[nloop], e[nloop + 1]
-            if ea and eb:
-                acc += v * (_pow(apow, ea) * _pow(bpow, eb))
-            elif ea:
-                acc += v * _pow(apow, ea)
-            elif eb:
-                acc += v * _pow(bpow, eb)
-            else:
-                acc += v
-        return acc
-
-    max_rhs = (B + 1) ** K if K else 0
-    for prefix in _iter_loop(nloop, B):
-        top = coeffs[K].evaluate(prefix + (0, 0)) if K else 0
-        if K == 0 or top == 0:
-            _solve_scalar(coeffs, B, hits, prefix)
-            continue
-        c0 = eval_grid(coeffs[0], prefix)
-        q = -c0 // top
-        divis = q * top == -c0
-        if K == 1:
-            good = divis & (np.abs(q) <= B)
-            ai, bi = np.nonzero(good)
-            hits.add_solved(prefix, axis[ai], axis[bi], q[good])
-        else:
-            divis &= np.abs(q) <= max_rhs
-            ai, bi = np.nonzero(divis)
-            if len(ai) == 0:
-                continue
-            cnt, root = _np_kth_roots(q[divis], K, B)
-            one = cnt >= 1
-            hits.add_solved(prefix, axis[ai][one], axis[bi][one], root[one])
-            if K % 2 == 0:
-                two = cnt == 2
-                hits.add_solved(prefix, axis[ai][two], axis[bi][two], -root[two])
+    step = max(1, TILE_CELLS // len(axis) ** (ntile - 1))
+    # tiles hold rhs = -c_0 and c_1, ..., c_K: sum_{j>0} c_j t^j = rhs
+    polys = [-coeffs[0]] + coeffs[1:]
+    # One loop body rather than a function per tile: a tile's arrays stay
+    # alive until the next tile's replace them, so the allocator reuses
+    # their memory instead of trimming it after every tile and faulting it
+    # back in; with a function per tile, page faults doubled the time of
+    # the Fermat cubic at B=128.
+    for prefix in _iter_loop(nfree - ntile, B):
+        for start in range(0, len(axis), step):
+            axes = (axis[start:start + step],) + (axis,) * (ntile - 1)
+            shape = tuple(map(len, axes))
+            arrays = [_eval_on_tile(c, prefix, np.ix_(*axes)) for c in polys]
+            rhs = arrays[0]
+            # masks stay numpy scalars while the coefficients that decide
+            # them are constant on the tile
+            open_ = np.True_
+            for k in range(len(arrays) - 1, 0, -1):
+                at = _and(open_, arrays[k] != 0)  # cells of effective degree k
+                if not at.any():
+                    continue
+                open_ = _and(open_, ~at)
+                ck = arrays[k]
+                if np.ndim(ck):
+                    ck = np.where(at, ck, 1)  # a nonzero divisor everywhere
+                if k == 1:
+                    q = np.broadcast_to(rhs // ck, shape)
+                    good = _and(at, (q * ck == rhs) & (np.abs(q) <= B))
+                    hits.add_solved(prefix, *_cells(axes, good), q[good])
+                elif k == 2:
+                    # quadratic formula with exact square detection
+                    b = arrays[1]
+                    disc = b * b + 4 * ck * rhs
+                    nonneg = _and(at, disc >= 0)
+                    s = np.sqrt(np.where(nonneg, disc, 0).astype(np.float64))
+                    s = np.rint(s).astype(np.int64)
+                    root = np.zeros(shape, dtype=np.int64)
+                    is_sq = np.zeros(shape, dtype=bool)
+                    for adj in (-1, 0, 1):
+                        cand = np.maximum(s + adj, 0)
+                        ok = nonneg & (cand * cand == disc)
+                        root = np.where(ok & ~is_sq, cand, root)
+                        is_sq |= ok
+                    for sign in (1, -1):
+                        num = -b + sign * root
+                        q = num // (2 * ck)
+                        good = is_sq & (q * 2 * ck == num) & (np.abs(q) <= B)
+                        if sign == -1:
+                            good &= root != 0  # avoid double counting double roots
+                        hits.add_solved(prefix, *_cells(axes, good), q[good])
+                else:
+                    # pure powers c_k t^k = rhs in closed form
+                    pure = at
+                    for j in range(1, k):
+                        pure = _and(pure, arrays[j] == 0)
+                    if pure.any():
+                        q = np.broadcast_to(rhs // ck, shape)
+                        divis = _and(pure, (q * ck == rhs) & (np.abs(q) <= B**k))
+                        cnt, root = _np_kth_roots(q[divis], k, B)
+                        solved = _cells(axes, divis)
+                        for sign, got in ((1, cnt >= 1), (-1, cnt == 2)):
+                            hits.add_solved(prefix, *(w[got] for w in solved),
+                                            sign * root[got])
+                    rest = _and(at, ~pure)
+                    if rest.any():
+                        rest = np.broadcast_to(rest, shape)
+                        residuals = zip(*(np.broadcast_to(a, shape)[rest].tolist()
+                                          for a in arrays))
+                        cells = zip(*(w.tolist() for w in _cells(axes, rest)))
+                        for cell, (r, *c) in zip(cells, residuals):
+                            _solve_residual([-r, *c], prefix + cell, B, hits)
+            zero = _and(open_, rhs == 0)  # a zero residual leaves t free
+            if zero.any():
+                for cell in zip(*(w.tolist() for w in _cells(axes, zero))):
+                    hits.add_full_range(prefix + cell)
 
 
 # ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ from enum import Enum
 from .exact import ProjPoint, gcd_all, normalize_primitive, primitive_vector, xgcd
 from .irreducibility import Irreducibility, is_absolutely_irreducible
 from .linalg import invert_unimodular, nullspace_int, rank_dense
-from .poly import IntPoly
+from .poly import IntPoly, substitute_linear
 
 
 class Classification(Enum):
@@ -115,9 +115,9 @@ def find_U_point(F: IntPoly, height_cap: int):
 # hyperplane sections
 
 
-def complete_to_unimodular(a):
-    """Integer matrix with determinant +-1 whose last row is the primitive
-    vector a (column gcd reduction, then an exact inverse)."""
+def _column_reduce(a):
+    """Unimodular U with a U = (0, ..., 0, 1) for the primitive vector of a,
+    by column gcd reduction; U^-1 then has last row a."""
     a = primitive_vector(a)
     n = len(a)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -134,7 +134,13 @@ def complete_to_unimodular(a):
             row[i] = -wi_g * cn + wn_g * ci
         w[i], w[n - 1] = 0, g
     assert w == [0] * (n - 1) + [1]
-    return invert_unimodular(U)
+    return U
+
+
+def complete_to_unimodular(a):
+    """Integer matrix with determinant +-1 whose last row is the primitive
+    vector a (column gcd reduction, then an exact inverse)."""
+    return invert_unimodular(_column_reduce(a))
 
 
 @dataclass
@@ -155,8 +161,8 @@ def restrict_to_hyperplane(F: IntPoly, a):
     Returns (M, section) where section is F(M^-1 (y, 0)) in n variables.
     """
     n = F.num_vars
-    M = complete_to_unimodular(a)
-    Minv = invert_unimodular(M)
+    Minv = _column_reduce(a)
+    M = invert_unimodular(Minv)
     images = []
     for i in range(n):
         terms = {}
@@ -166,14 +172,7 @@ def restrict_to_hyperplane(F: IntPoly, a):
                 e[j] = 1
                 terms[tuple(e)] = Minv[i][j]
         images.append(IntPoly(n - 1, terms))
-    out = IntPoly.zero(n - 1)
-    for e, c in F.terms.items():
-        term = IntPoly.constant(n - 1, c)
-        for v, pexp in enumerate(e):
-            if pexp:
-                term = term * images[v] ** pexp
-        out = out + term
-    return M, out
+    return M, substitute_linear(F, images)
 
 
 def find_integral_section(F: IntPoly, height_cap: int = 3,

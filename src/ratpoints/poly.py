@@ -277,6 +277,19 @@ def pad_vars(f: IntPoly, num_vars: int) -> IntPoly:
     return IntPoly(num_vars, {e + extra: c for e, c in f.terms.items()})
 
 
+def substitute_linear(f: IntPoly, images) -> IntPoly:
+    """f(images[0], ..., images[n-1]) for images in one common ring."""
+    nv = images[0].num_vars
+    out = IntPoly.zero(nv)
+    for e, c in f.terms.items():
+        term = IntPoly.constant(nv, c)
+        for image, p in zip(images, e):
+            if p:
+                term = term * image**p
+        out = out + term
+    return out
+
+
 def homogenize(f: IntPoly, delta: int) -> IntPoly:
     """Homogenize to degree delta with a new first variable.
 

@@ -188,7 +188,11 @@ def isolate_real_roots(coeffs):
     sf = squarefree_part(coeffs)
     if len(sf) <= 1:
         return []
-    chain = sturm_chain(sf)
+    return _isolate(sf, sturm_chain(sf))
+
+
+def _isolate(sf, chain):
+    """isolate_real_roots for a nonconstant squarefree sf and its chain."""
     M = root_bound(sf)
     records = []
 
@@ -282,7 +286,7 @@ def integer_roots(coeffs):
         else:
             sf = squarefree_part(c)
             chain = sturm_chain(sf)
-            for rec in isolate_real_roots(c):
+            for rec in _isolate(sf, chain):
                 k = _root_integer_neighbourhood(sf, chain, rec)[2]
                 if k is not None and evaluate(c, k) == 0:
                     roots.add(k)
@@ -351,7 +355,7 @@ def count_abs_le(coeffs, T) -> int:
     g = poly_mul(minus, plus)
     sf = squarefree_part(g)
     chain = sturm_chain(sf)
-    records = isolate_real_roots(g)
+    records = _isolate(sf, chain)
 
     def inside(x) -> bool:
         x = Fraction(x)

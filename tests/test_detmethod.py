@@ -78,6 +78,16 @@ def test_select_monomials_line():
         "x0^4", "x0^3*x1", "x0^2*x1^2", "x0*x1^3", "x1^4"]
 
 
+def test_confirm_independent_rejects_dependent_monomials():
+    from ratpoints.detmethod import _confirm_independent
+
+    _confirm_independent(LINE, [X[0] ** 2, X[0] * X[1], X[1] ** 2], 2)
+    # x0*x2 lies in the ideal, and x1^2 repeated adds one rank, not two
+    for monos in ([X[0] * X[2]], [X[1] ** 2, X[1] ** 2]):
+        with pytest.raises(AssertionError):
+            _confirm_independent(LINE, monos, 2)
+
+
 def test_select_monomials_conic():
     sel = select_monomials(CONIC, 2, 4)
     assert sel.stable_from == 1

@@ -49,7 +49,7 @@ def test_scalar_path_matches_default(force_scalar):
         assert count_affine(f, B) == brute_affine(f, B), (f.to_text(), B)
 
 
-def test_forced_scalar_agrees_with_vector_paths():
+def mixed_forms():
     rng = random.Random(92)
     polys = []
     for _ in range(15):
@@ -60,15 +60,47 @@ def test_forced_scalar_agrees_with_vector_paths():
     polys.append((parse_poly("x0^3 + x1^3 + x2^3 + x3^3"), 4))
     polys.append((parse_poly("x0^4 + x1^4 - x2^4 - x3^4"), 3))
     polys.append((parse_poly("x0*x2 - x1^2"), 12))
-    for F, B in polys:
+    # residuals with coefficients constant on each (x1, x2) tile
+    for text in ("x1^3 + x2^3 + x0^2*x3 + x3^3", "x0^2 - x3^2", "x0*x3 - x0^2",
+                 "x0^2*x3 + x3^3 - x0^3", "x0^2*x3^2 + x0^3*x3 - 2*x0^4"):
+        polys.append((parse_poly(text), 3))
+    return polys
+
+
+def forced_scalar(count, *args):
+    limit = en.INT64_LIMIT
+    try:
+        en.INT64_LIMIT = 0
+        return count(*args, collect=True)
+    finally:
+        en.INT64_LIMIT = limit
+
+
+def test_forced_scalar_agrees_with_vector_paths():
+    for F, B in mixed_forms():
         fast = count_projective(F, B, collect=True)
-        limit = en.INT64_LIMIT
-        try:
-            en.INT64_LIMIT = 0
-            slow = count_projective(F, B, collect=True)
-        finally:
-            en.INT64_LIMIT = limit
-        assert fast == slow, (F.to_text(), B)
+        assert fast == forced_scalar(count_projective, F, B), (F.to_text(), B)
+
+
+def test_ragged_tiles_agree_with_scalar_and_oracles(monkeypatch):
+    # tiles two rows high: the 2B+1 rows of a prefix end in a shorter chunk
+    heights = set()
+    real = en._eval_on_tile
+
+    def spy(c, prefix, grids):
+        heights.add(len(grids[0]))
+        return real(c, prefix, grids)
+    monkeypatch.setattr(en, "_eval_on_tile", spy)
+    for F, B in mixed_forms():
+        # a tile row holds 2B+1 cells, or one when a single variable is free
+        cells = 2 * (2 * B + 1) if F.num_vars >= 3 else 2
+        monkeypatch.setattr(en, "TILE_CELLS", cells)
+        for count, oracle in ((count_projective, brute_projective),
+                              (count_affine, brute_affine)):
+            n, pts = count(F, B, collect=True)
+            assert (n, pts) == forced_scalar(count, F, B), (F.to_text(), B)
+            assert n == len(pts) == oracle(F, B), (F.to_text(), B)
+    assert {1, 2} <= heights
 
 
 def test_grid_path_point_collection():
@@ -125,11 +157,11 @@ def test_int64_switch_sits_at_its_limit(monkeypatch):
             return real(*args)
         monkeypatch.setattr(en, name, call)
 
-    spy("_solve_vector")
+    spy("_solve_tiles")
     spy("_solve_scalar")
     B = 2
     at = (en.INT64_LIMIT - B * B) // B
-    for C, path in ((at - 1, "_solve_vector"), (at, "_solve_scalar")):
+    for C, path in ((at - 1, "_solve_tiles"), (at, "_solve_scalar")):
         # (C - t1)*(t1 - t2): the 2B+1 zeros t1 = t2
         f = IntPoly(2, {(1, 0): C, (2, 0): -1, (0, 1): -C, (1, 1): 1})
         bound = max(en._poly_value_bound(c, B)

@@ -64,3 +64,22 @@ def test_isolation_finds_all_real_roots():
     recs = U.isolate_real_roots(coeffs)
     assert len(recs) == 3
     assert U.integer_roots(coeffs) == [3]
+
+
+def test_sturm_data_computed_once_per_call(monkeypatch):
+    # the squarefree part and its Sturm chain are built once and shared
+    # with root isolation, not rebuilt inside it
+    calls = []
+    for name in ("squarefree_part", "sturm_chain"):
+        real = getattr(U, name)
+
+        def spy(coeffs, real=real, name=name):
+            calls.append(name)
+            return real(coeffs)
+        monkeypatch.setattr(U, name, spy)
+    for run in (lambda: U.count_abs_le([3, -1, 4, 1, 5], 10**6),
+                lambda: U.integer_roots([-6, 11, -6, 1])):
+        calls.clear()
+        run()
+        assert sorted(calls) == ["squarefree_part", "sturm_chain"]
+    assert U.integer_roots([-6, 11, -6, 1]) == [1, 2, 3]
