@@ -369,7 +369,8 @@ def count_abs_le(coeffs, T) -> int:
         return abs(acc) <= T * d**deg
 
     if not records:
-        assert not inside(0), "a nonconstant polynomial escapes every bound"
+        if inside(0):
+            raise AssertionError("a nonconstant polynomial escapes every bound")
         return 0
 
     neigh = [_root_integer_neighbourhood(sf, chain, rec) for rec in records]
@@ -382,7 +383,8 @@ def count_abs_le(coeffs, T) -> int:
     last = records[-1][1] if records[-1][0] == "exact" else records[-1][2]
     samples.append(Fraction(last) + 1)
 
-    assert not inside(samples[0]) and not inside(samples[-1])
+    if inside(samples[0]) or inside(samples[-1]):
+        raise AssertionError("p stays within T past its outermost boundary roots")
     for j in range(1, len(records)):
         if inside(samples[j]):
             lo = neigh[j - 1][1]  # smallest integer strictly above left root

@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import ratpoints
 from oracles import brute_affine, brute_projective
 from ratpoints.enumeration import (CountSeries, ResidueFilter, count_affine,
                                    count_affine_surface, count_projective,
@@ -169,6 +173,26 @@ def test_count_roots_bounded_huge_T():
     exact, bound = count_roots_bounded([5, 3], T)
     assert exact == (T - 5) // 3 + (T + 5) // 3 + 1
     assert bound == math.inf
+
+
+def test_cluster_certificate_survives_python_O():
+    # under python -O an assert would be stripped; the certificate must
+    # still raise on a count the cluster bound rules out (the script's
+    # own assert fails unless -O has stripped it)
+    script = (
+        "import ratpoints.enumeration as en\n"
+        "assert False, 'asserts are live'\n"
+        "en.uniroots.count_abs_le = lambda coeffs, T: 10**6\n"
+        "try:\n"
+        "    en.count_roots_bounded([1, 0, 1], 4)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ratpoints.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "raised: cluster bound violated: 1000000 points, T=4\n"
 
 
 def test_count_roots_bounded_random_certified():

@@ -64,6 +64,9 @@ def mixed_forms():
     for text in ("x1^3 + x2^3 + x0^2*x3 + x3^3", "x0^2 - x3^2", "x0*x3 - x0^2",
                  "x0^2*x3 + x3^3 - x0^3", "x0^2*x3^2 + x0^3*x3 - 2*x0^4"):
         polys.append((parse_poly(text), 3))
+    # a dense cubic: its residuals are non-pure cubics, scanned on the tile
+    polys.append((parse_poly("x0^3 - x1^3 + 2*x2^3 + x0*x3^2 - x1*x2*x3"
+                             " + x2*x3^2 + x3^3"), 3))
     return polys
 
 
@@ -83,7 +86,9 @@ def test_forced_scalar_agrees_with_vector_paths():
 
 
 def test_ragged_tiles_agree_with_scalar_and_oracles(monkeypatch):
-    # tiles two rows high: the 2B+1 rows of a prefix end in a shorter chunk
+    # tiles two rows high: the 2B+1 rows of a prefix end in a shorter chunk;
+    # residual scans two cells at a time end in one cell when their count
+    # is odd
     heights = set()
     real = en._eval_on_tile
 
@@ -95,6 +100,7 @@ def test_ragged_tiles_agree_with_scalar_and_oracles(monkeypatch):
         # a tile row holds 2B+1 cells, or one when a single variable is free
         cells = 2 * (2 * B + 1) if F.num_vars >= 3 else 2
         monkeypatch.setattr(en, "TILE_CELLS", cells)
+        monkeypatch.setattr(en, "SCAN_CELLS", 2 * (2 * B + 1))
         for count, oracle in ((count_projective, brute_projective),
                               (count_affine, brute_affine)):
             n, pts = count(F, B, collect=True)
@@ -172,3 +178,42 @@ def test_int64_switch_sits_at_its_limit(monkeypatch):
         assert taken == [path]
         assert n == count_affine(f, B, order="loop") == brute_affine(f, B)
         assert n == 2 * B + 1
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """Names of the enumeration solvers called, in call order."""
+    names = []
+    for name in ("_solve_tiles", "_solve_scalar", "_solve_residual"):
+        def call(*args, _real=getattr(en, name), _name=name):
+            names.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(en, name, call)
+    return names
+
+
+def test_int64_scan_switch_sits_at_the_value_bound(taken):
+    # a non-pure cubic residual is scanned by Horner, so the numpy kernel
+    # also needs the value bound of the whole form below 2^62
+    B = 2
+    at = (en.INT64_LIMIT - B - B**3) // (B + 1)
+    for C, path in ((at - 1, "_solve_tiles"), (at, "_solve_scalar")):
+        # C*(t1 - 1) + t2^3 - t2: the zeros t2 in {-1, 0, 1} at t1 = 1
+        f = IntPoly(2, {(1, 0): C, (0, 0): -C, (0, 3): 1, (0, 1): -1})
+        coeffs = en._last_var_coefficients(f)
+        assert len(coeffs) - 1 == 3
+        assert max(en._poly_value_bound(c, B) for c in coeffs) < en.INT64_LIMIT
+        bound = en._poly_value_bound(f, B)
+        assert bound == (en.INT64_LIMIT if C == at else en.INT64_LIMIT - B - 1)
+        taken.clear()
+        n = count_affine(f, B)
+        assert [name for name in taken if name != "_solve_residual"] == [path]
+        assert n == count_affine(f, B, order="loop") == brute_affine(f, B)
+        assert n == 3
+
+
+def test_generic_cubic_is_scanned_on_the_tile(taken):
+    # every residual of this cubic is a non-pure cubic in x3
+    F = parse_poly("x0^3 + 2*x1^3 + 3*x2^2*x3 - x1*x2*x3 + x3^3")
+    assert [count_projective(F, B) for B in (16, 32)] == [62, 122]
+    assert taken == ["_solve_tiles"] * 2
