@@ -1,17 +1,17 @@
 """Exact root machinery for univariate integer polynomials.
 
-Coefficient lists run low degree to high.  Real roots are isolated with
-Sturm chains and refined by bisection; every sign decision is an exact
-integer comparison.  Chain members are rescaled to primitive integer
-coefficients (a positive rescaling, which preserves sign variations), and
-signs at a rational n/d are read off the homogenized integer value
-sum a_i n^i d^(deg-i), so no Fraction arithmetic survives into the hot
-evaluation loops.
+Coefficient lists run low degree to high.  Every question asked here has
+an integer answer (the integer roots of p, the count of integers t with
+|p(t)| <= T), so real roots are never isolated to rational brackets:
+Sturm's theorem counts the roots in an integer interval (a, b], and
+bisection at integer midpoints cuts the Cauchy interval into pieces that
+either hold no root or hold one integer.  Chain members are rescaled to
+primitive integer coefficients (a positive rescaling, which preserves
+sign variations), so every sign decision is an exact integer comparison.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from .exact import gcd_all
@@ -50,32 +50,11 @@ def _primitive(coeffs):
     return [x // g for x in c]
 
 
-def _pseudo_rem(a, b):
-    """A nonzero multiple of rem(a, b) over Z (content-reduced steps);
-    only used where the overall sign is irrelevant."""
-    a = trim(a)
-    b = trim(b)
-    db = len(b) - 1
-    lb = b[-1]
-    while a and len(a) - 1 >= db:
-        shift = len(a) - 1 - db
-        la = a[-1]
-        a = [lb * x for x in a]
-        for i, bc in enumerate(b):
-            a[i + shift] -= la * bc
-        a = trim(a)
-        if a:
-            g = gcd_all(a)
-            if g > 1:
-                a = [x // g for x in a]
-    return a
-
-
 def int_gcd_poly(a, b):
     """Primitive gcd of two integer polynomials by a primitive PRS."""
     a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _primitive(_pseudo_rem(a, b))
+        a, b = b, _primitive(_pseudo_rem_positive(a, b))
     if a and a[-1] < 0:
         a = [-x for x in a]
     return a
@@ -148,25 +127,8 @@ def sturm_chain(coeffs):
     return chain
 
 
-def _sign_at(coeffs, num: int, den: int) -> int:
-    """Sign of p(num/den) for den >= 1, via the homogenized integer value."""
-    d = len(coeffs) - 1
-    acc = 0
-    dp = 1
-    for i in range(d, -1, -1):
-        acc = acc * num + coeffs[i] * dp
-        dp *= den
-    return (acc > 0) - (acc < 0)
-
-
-def sign_variations(chain, x) -> int:
-    x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    signs = []
-    for p in chain:
-        s = _sign_at(p, num, den)
-        if s:
-            signs.append(s)
+def sign_variations(chain, x: int) -> int:
+    signs = [v > 0 for v in (evaluate(p, x) for p in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -178,89 +140,26 @@ def root_bound(coeffs) -> int:
     return 1 + (m + lead - 1) // lead + 1
 
 
-def isolate_real_roots(coeffs):
-    """Isolating records for the real roots of a nonzero polynomial.
+def _integer_pieces(chain, M):
+    """Cut (-M, M] into integer pieces (a, b], in increasing order.
 
-    Returns a sorted list of ("exact", r) with r a Fraction, or
-    ("bracket", lo, hi) with exactly one simple root strictly inside
-    (lo, hi) and a nonzero value at the upper endpoint.
+    Each piece holds no root of chain[0] or is a single integer b.  For a
+    squarefree chain[0], V(a) - V(b) counts its distinct roots in (a, b],
+    also when a or b is a root, so a piece with V(a) == V(b) is root-free.
+    The stack replaces recursion: a huge M splits about log2(M) deep.
     """
-    sf = squarefree_part(coeffs)
-    if len(sf) <= 1:
-        return []
-    return _isolate(sf, sturm_chain(sf))
-
-
-def _isolate(sf, chain):
-    """isolate_real_roots for a nonconstant squarefree sf and its chain."""
-    M = root_bound(sf)
-    records = []
-
-    def value_sign(x: Fraction):
-        return _sign_at(sf, x.numerator, x.denominator)
-
-    def recurse(a, b, va, vb):
-        n = va - vb
-        if n == 0:
-            return
-        if value_sign(b) == 0:
-            if n == 1:
-                records.append(("exact", Fraction(b)))
-                return
-        elif n == 1:
-            records.append(("bracket", Fraction(a), Fraction(b)))
-            return
-        mid = (Fraction(a) + Fraction(b)) / 2
+    pieces = []
+    stack = [(-M, M, sign_variations(chain, -M), sign_variations(chain, M))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va == vb or b - a == 1:
+            pieces.append((a, b))
+            continue
+        mid = (a + b) // 2
         vm = sign_variations(chain, mid)
-        recurse(a, mid, va, vm)
-        recurse(mid, b, vm, vb)
-
-    recurse(Fraction(-M), Fraction(M),
-            sign_variations(chain, -M), sign_variations(chain, M))
-    records.sort(key=lambda r: r[1])
-    return records
-
-
-def _refine_bracket(chain, lo, hi, v_lo, v_hi):
-    """One Sturm-certified bisection step; the root stays in (lo, hi]."""
-    mid = (lo + hi) / 2
-    vm = sign_variations(chain, mid)
-    if v_lo - vm == 1:
-        return lo, mid, v_lo, vm
-    return mid, hi, vm, v_hi
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _root_integer_neighbourhood(sf, chain, rec):
-    """(floor_strict, ceil_strict, integer_value) around one isolated root.
-
-    floor_strict is the largest integer strictly below the root and
-    ceil_strict the smallest strictly above; integer_value is the root
-    itself when it is an integer, else None.
-    """
-    if rec[0] == "exact":
-        r = rec[1]
-        if r.denominator == 1:
-            k = int(r)
-            return k - 1, k + 1, k
-        return _floor(r), _floor(r) + 1, None
-    lo, hi = rec[1], rec[2]
-    v_lo = sign_variations(chain, lo)
-    v_hi = sign_variations(chain, hi)
-    # shrink below unit width: then (lo, hi] holds at most one integer
-    while hi - lo >= 1:
-        lo, hi, v_lo, v_hi = _refine_bracket(chain, lo, hi, v_lo, v_hi)
-    k = _floor(hi)
-    if lo < k <= hi and evaluate(sf, k) == 0:
-        return k - 1, k + 1, k
-    # the root is not an integer, so this terminates
-    while _floor(lo) != _floor(hi):
-        lo, hi, v_lo, v_hi = _refine_bracket(chain, lo, hi, v_lo, v_hi)
-    k = _floor(lo)
-    return k, k + 1, None
+        stack.append((mid, b, vm, vb))
+        stack.append((a, mid, va, vm))
+    return pieces
 
 
 def integer_roots(coeffs):
@@ -285,11 +184,9 @@ def integer_roots(coeffs):
             roots.update(quadratic_integer_roots(c[2], c[1], c[0]))
         else:
             sf = squarefree_part(c)
-            chain = sturm_chain(sf)
-            for rec in _isolate(sf, chain):
-                k = _root_integer_neighbourhood(sf, chain, rec)[2]
-                if k is not None and evaluate(c, k) == 0:
-                    roots.add(k)
+            for _, b in _integer_pieces(sturm_chain(sf), root_bound(sf)):
+                if evaluate(c, b) == 0:
+                    roots.add(b)
     return sorted(roots)
 
 
@@ -320,26 +217,6 @@ def integer_roots_in_box(coeffs, B):
     return [r for r in integer_roots(c) if abs(r) <= B]
 
 
-def _sample_between(chain, rec_a, rec_b):
-    """A rational point strictly between the roots of consecutive records."""
-    hi_a = rec_a[1] if rec_a[0] == "exact" else rec_a[2]
-    lo_b = rec_b[1]
-    if hi_a < lo_b:
-        return (hi_a + lo_b) / 2
-    if rec_a[0] == "bracket":
-        # bracket upper endpoints are never roots, the shared point works
-        return hi_a
-    # exact root r = hi_a = lo_b: bisect towards r until no root of the
-    # squarefree part lies in (r, q], certified by Sturm variations
-    r = hi_a
-    q = rec_b[2] if rec_b[0] == "bracket" else rec_b[1]
-    v_r = sign_variations(chain, r)
-    while True:
-        q = (r + q) / 2
-        if v_r - sign_variations(chain, q) == 0:
-            return q
-
-
 def count_abs_le(coeffs, T) -> int:
     """Exact #{t in Z : |p(t)| <= T} for a nonconstant integer polynomial."""
     c = trim(coeffs)
@@ -352,46 +229,17 @@ def count_abs_le(coeffs, T) -> int:
     minus[0] -= T
     plus = list(c)
     plus[0] += T
-    g = poly_mul(minus, plus)
-    sf = squarefree_part(g)
+    sf = squarefree_part(poly_mul(minus, plus))
     chain = sturm_chain(sf)
-    records = _isolate(sf, chain)
-
-    def inside(x) -> bool:
-        x = Fraction(x)
-        n, d = x.numerator, x.denominator
-        deg = len(c) - 1
-        acc = 0
-        dp = 1
-        for i in range(deg, -1, -1):
-            acc = acc * n + c[i] * dp
-            dp *= d
-        return abs(acc) <= T * d**deg
-
-    if not records:
-        if inside(0):
-            raise AssertionError("a nonconstant polynomial escapes every bound")
-        return 0
-
-    neigh = [_root_integer_neighbourhood(sf, chain, rec) for rec in records]
-    # every boundary root satisfies |p| = T, so integer roots count
-    count = sum(1 for n in neigh if n[2] is not None)
-
-    samples = [Fraction(records[0][1]) - 1]
-    for a, b in zip(records, records[1:]):
-        samples.append(_sample_between(chain, a, b))
-    last = records[-1][1] if records[-1][0] == "exact" else records[-1][2]
-    samples.append(Fraction(last) + 1)
-
-    if inside(samples[0]) or inside(samples[-1]):
-        raise AssertionError("p stays within T past its outermost boundary roots")
-    for j in range(1, len(records)):
-        if inside(samples[j]):
-            lo = neigh[j - 1][1]  # smallest integer strictly above left root
-            hi = neigh[j][0]      # largest integer strictly below right root
-            if hi >= lo:
-                count += hi - lo + 1
-    return count
+    M = root_bound(sf)
+    # p^2 - T^2 keeps one sign on t <= -M and on t >= M, which the pieces
+    # leave uncounted; |p| <= T there would hold for infinitely many t
+    if abs(evaluate(c, -M)) <= T or abs(evaluate(c, M)) <= T:
+        raise AssertionError("p stays within T outside the root bound of p^2 - T^2")
+    # p^2 - T^2 keeps one sign on a root-free piece, and a unit piece is
+    # its one integer b, so each piece is decided at b
+    return sum(b - a for a, b in _integer_pieces(chain, M)
+               if abs(evaluate(c, b)) <= T)
 
 
 def poly_mul(a, b):

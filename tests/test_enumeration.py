@@ -174,6 +174,18 @@ def test_count_roots_bounded_huge_T():
     assert exact == (T - 5) // 3 + (T + 5) // 3 + 1
     assert bound == math.inf
 
+    def icbrt(n):
+        # largest r >= 0 with r^3 <= n, by Newton's method from above
+        r = 1 << -(-n.bit_length() // 3)
+        while True:
+            s = (2 * r + n // (r * r)) // 3
+            if s >= r:
+                return r
+            r = s
+    # 1 + t^3 in [-T, T] for -icbrt(T + 1) <= t <= icbrt(T - 1)
+    exact, _ = count_roots_bounded([1, 0, 0, 1], T)
+    assert exact == icbrt(T - 1) + icbrt(T + 1) + 1
+
 
 def test_cluster_certificate_survives_python_O():
     # under python -O an assert would be stripped; the certificate must

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ratpoints
 from ratpoints import uniroots as U
 
 
@@ -61,8 +66,10 @@ def test_errors():
 def test_isolation_finds_all_real_roots():
     # (t^2 - 2)(t - 3): irrational pair plus an integer root
     coeffs = [6, -2, -3, 1]
-    recs = U.isolate_real_roots(coeffs)
-    assert len(recs) == 3
+    sf = U.squarefree_part(coeffs)
+    chain = U.sturm_chain(sf)
+    M = U.root_bound(sf)
+    assert U.sign_variations(chain, -M) - U.sign_variations(chain, M) == 3
     assert U.integer_roots(coeffs) == [3]
 
 
@@ -83,3 +90,59 @@ def test_sturm_data_computed_once_per_call(monkeypatch):
         run()
         assert sorted(calls) == ["squarefree_part", "sturm_chain"]
     assert U.integer_roots([-6, 11, -6, 1]) == [1, 2, 3]
+
+
+def _radius(coeffs, T):
+    """R with |p(t)| > T for every integer |t| >= R: there |t| > 2S/L, so
+    |p(t)| >= |t|^d (L - S/|t|) > L |t|^d / 2, and |t|^d > 2T/L."""
+    *low, lead = coeffs
+    L, d, S = abs(lead), len(low), sum(abs(a) for a in low)
+    r = 0
+    while (r + 1) ** d <= 2 * T // L:
+        r += 1
+    return max(1, 2 * S // L + 1, r + 1)
+
+
+@st.composite
+def products(draw):
+    """lead * prod (t - r_i) with repeats, optionally times an irreducible
+    quadratic t^2 + b t + c."""
+    pool = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=3))
+    roots = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    coeffs = [draw(st.sampled_from([1, -1, 2, -3, 6]))]
+    for r in roots:
+        coeffs = U.poly_mul(coeffs, [-r, 1])
+    if draw(st.booleans()):
+        b = draw(st.integers(-5, 5))
+        c = draw(st.integers(b * b // 4 + 1, b * b // 4 + 12))
+        coeffs = U.poly_mul(coeffs, [c, b, 1])
+    return coeffs
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(products(), st.sampled_from([0, 1, 7, 3000]))
+def test_roots_and_counts_match_a_scan_within_the_cauchy_radius(coeffs, T):
+    # T = 0 makes every root of p a double root of p^2 - T^2
+    R = _radius(coeffs, T)
+    values = [(t, U.evaluate(coeffs, t)) for t in range(-R, R + 1)]
+    assert U.integer_roots(coeffs) == [t for t, v in values if v == 0]
+    assert U.count_abs_le(coeffs, T) == sum(1 for _, v in values if abs(v) <= T)
+
+
+def test_count_abs_le_certificate_survives_python_O():
+    # a root bound that leaves |p| <= T outside it must raise, also under
+    # python -O (the script's own assert fails unless -O has stripped it)
+    script = (
+        "import ratpoints.uniroots as U\n"
+        "assert False, 'asserts are live'\n"
+        "U.root_bound = lambda coeffs: 1\n"
+        "try:\n"
+        "    U.count_abs_le([0, 1], 5)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ratpoints.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "raised: p stays within T outside the root bound of p^2 - T^2\n"
