@@ -22,6 +22,7 @@ from .detmethod import (AuxiliaryForm, build_determinant,
 from .enumeration import (CountSeries, ResidueFilter, count_affine,
                           count_affine_surface, count_projective,
                           enumerate_projective_variety, slice_form)
+from .exact import CertificateError
 from .geometry import (build_projection_setup, find_projection_center,
                        project_point, sample_birationality_check)
 from .harness import ExperimentConfig, fit_exponent, run_experiment
@@ -287,7 +288,7 @@ def _delta_stats(F, G, members, p):
             "vp": cert.vp,
             "beta_required": cert.beta_required,
         }
-    except (ValueError, AssertionError) as err:
+    except (ValueError, CertificateError) as err:
         return {"error": str(err)}
 
 

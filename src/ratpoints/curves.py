@@ -12,15 +12,20 @@ a denominator D.  The classes are built from the rank-1 factorization, a
 unimodular change of variables, a base integer solution, and congruence
 solving modulo the divisors of D; completeness of the union is exact and
 is tested against brute-force enumeration.
+
+The base solution is the smallest |Y| <= (|alpha| + |beta|)*B, found in
+integers: the coordinates are N_i(Y)/L, integral only on the residues r mod
+L with every N_i(r) = 0 (mod L), and |N_i(Y)| <= L*B is solved exactly by
+isqrt as at most two intervals.  Certificates raise CertificateError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, isqrt, log
 
-from .exact import ProjPoint, gcd_all, primitive_vector, unimodular_complete
+from .exact import (CertificateError, ProjPoint, gcd_all, primitive_vector,
+                    unimodular_complete)
 from .linalg import det_bareiss
 from .poly import IntPoly, pad_vars, substitute_linear
 
@@ -42,8 +47,6 @@ class LinePointsResult:
     param: LineParam | None
     points: list
     count: int
-    bound_constant: int = 2
-    bound_value: float = 0.0
 
 
 def line_points(p1, p2, B: int) -> LinePointsResult:
@@ -78,24 +81,23 @@ def line_points(p1, p2, B: int) -> LinePointsResult:
     w0, m = cls
     base = tuple((q[i + 1] + w0 * s[i]) // q0 for i in range(3))
     step = tuple(m * s[i] // q0 for i in range(3))
-    assert all((q[i + 1] + w0 * s[i]) % q0 == 0 for i in range(3))
-    assert all(m * s[i] % q0 == 0 for i in range(3))
+    if any((q[i + 1] + w0 * s[i]) % q0 or m * s[i] % q0 for i in range(3)):
+        raise CertificateError("line progression is not integral")
     step = primitive_step(step)
-    lo, hi = _progression_range(base, step, B)
-    if lo is None:
-        return LinePointsResult(None, [], 0)
+    # n-range with every |base_i + n*step_i| <= B
+    pieces = _abs_le_pieces([(0, st, b) for b, st in zip(base, step)], B)
     pts = [
         (1,) + tuple(b + n * st for b, st in zip(base, step))
-        for n in range(lo, hi + 1)
+        for lo, hi in pieces for n in range(lo, hi + 1)
     ]
     count = len(pts)
     snorm = max(abs(v) for v in step)
-    bound = 2.0 * (1.0 + B / snorm)
-    assert count <= bound
+    if count * snorm > 2 * (snorm + B):
+        raise CertificateError(f"line count {count} above 2*(1 + {B}/{snorm})")
     param = None
     if count >= 2:
         param = LineParam(base=pts[0][1:], step=step)
-    return LinePointsResult(param, pts, count, 2, bound)
+    return LinePointsResult(param, pts, count)
 
 
 def primitive_step(step):
@@ -121,14 +123,6 @@ def _merge_congruence(cls, coeff, rhs, modulus):
     return _crt(cls, (w2, m2))
 
 
-def _frac_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def _crt(a, b):
     """Merge residue classes (r1, m1), (r2, m2); None when incompatible."""
     r1, m1 = a
@@ -140,31 +134,6 @@ def _crt(a, b):
     # solve r1 + m1*k = r2 (mod m2)
     k = ((r2 - r1) // g) * pow(m1 // g, -1, m2 // g) % (m2 // g) if m2 // g > 1 else 0
     return ((r1 + m1 * k) % lcm, lcm)
-
-
-def _progression_range(base, step, B: int):
-    """Integer n-range with |base + n*step| <= B in every coordinate."""
-    lo, hi = None, None
-    for b, s in zip(base, step):
-        if s == 0:
-            if abs(b) > B:
-                return None, None
-            continue
-        # -B <= b + n*s <= B
-        nlo = -Fraction(B + b, s)
-        nhi = Fraction(B - b, s)
-        if s < 0:
-            nlo, nhi = nhi, nlo
-        nlo = _frac_ceil(nlo)
-        nhi = _frac_floor(nhi)
-        lo = nlo if lo is None else max(lo, nlo)
-        hi = nhi if hi is None else min(hi, nhi)
-    if lo is None:
-        # step is zero in all coordinates: impossible for a primitive step
-        raise AssertionError("degenerate step")
-    if lo > hi:
-        return None, None
-    return lo, hi
 
 
 # ---------------------------------------------------------------------
@@ -329,9 +298,9 @@ def conic_parameterize(data: PlaneConicData, B: int):
         beta = b12 // (2 * a * alpha)
     else:
         beta = isqrt(b22 // a)
-    assert a * alpha * alpha == b11 and a * beta * beta == b22
-    assert 2 * a * alpha * beta == b12
-    assert gcd(alpha, beta) == 1
+    if (a * alpha * alpha, 2 * a * alpha * beta, a * beta * beta) != (
+            b11, b12, b22) or gcd(alpha, beta) != 1:
+        raise CertificateError("q(0, Y, Z) is not a*(alpha*Y + beta*Z)^2")
     gamma, delta = unimodular_complete(alpha, beta)
 
     b = q.terms.get((1, 1, 0), 0)
@@ -349,48 +318,45 @@ def conic_parameterize(data: PlaneConicData, B: int):
     qprime = a * Y1**2 + e * Y0 * Y1 + f * Y0 * Y2 + d * Y0**2
     subbed = substitute_linear(q, [Y0, delta * Y1 - beta * Y2,
                                    alpha * Y2 - gamma * Y1])
-    assert subbed == qprime, "unimodular substitution identity failed"
+    if subbed != qprime:
+        raise CertificateError("unimodular substitution identity failed")
 
-    # affine parameterization by Y = Y1: Y2 = -(a*Y^2 + e*Y + d)/f
-    num = (Fraction(a), Fraction(e), Fraction(d))  # quad, lin, const
-    kept1 = _quad_scale(num, Fraction(beta, f), extra_lin=Fraction(delta))
-    kept2 = _quad_scale(num, Fraction(-alpha, f), extra_lin=Fraction(-gamma))
+    # affine parameterization by Y = Y1: Y2 = -(a*Y^2 + e*Y + d)/f, so
+    # f*X_kept = these integer quadratics (quad, lin, const) in Y
+    p0 = (beta * a, beta * e + f * delta, beta * d)
+    p1 = (-alpha * a, -alpha * e - f * gamma, -alpha * d)
     aa = data.plane
-    elim_quad = tuple(
-        (Fraction(aa[0]) * (1 if k == 2 else 0)
-         - aa[data.kept[0]] * kept1[k] - aa[data.kept[1]] * kept2[k])
-        / aa[data.elim_index]
-        for k in range(3)
-    )
-    by_coord = {data.kept[0]: kept1, data.kept[1]: kept2,
-                data.elim_index: elim_quad}
-    coord_polys = [by_coord[i] for i in (1, 2, 3)]
+    ae = aa[data.elim_index]
+    by_coord = {
+        data.kept[0]: tuple(ae * c for c in p0),
+        data.kept[1]: tuple(ae * c for c in p1),
+        data.elim_index: tuple(
+            f * aa[0] * (k == 2) - aa[data.kept[0]] * u - aa[data.kept[1]] * v
+            for k, (u, v) in enumerate(zip(p0, p1))),
+    }
+    # X_i = N_i(Y)/L with L the least common denominator
+    M = f * ae
+    g = gcd(M, *(c for p in by_coord.values() for c in p))
+    L = abs(M) // g
+    nums = [tuple(c * L // M for c in by_coord[i]) for i in (1, 2, 3)]
 
     # base integer solution: |Y| <= (|alpha| + |beta|) * B covers every
     # affine integral point of height <= B since Y = alpha*x_k1 + beta*x_k2
     window = (abs(alpha) + abs(beta)) * B
-    star = None
-    for mag in range(window + 1):
-        for y in ((mag,) if mag == 0 else (mag, -mag)):
-            vals = [_quad_eval(p, y) for p in coord_polys]
-            if all(v.denominator == 1 and abs(v) <= B for v in vals):
-                star = y
-                break
-        if star is not None:
-            break
+    star = _base_point(nums, L, B, window)
     if star is None:
         return EmptyParam(search_window=window)
 
-    # shift to Q_i(Z) = q_i(Y* + Z) = A_i + (B_i Z + C_i Z^2)/D
-    shifted = [_quad_shift(p, star) for p in coord_polys]
-    D = 1
-    for c2, c1, c0 in shifted:
-        assert c0.denominator == 1
-        for fr in (c1, c2):
-            D = D // gcd(D, fr.denominator) * fr.denominator
-    A = [int(p[2]) for p in shifted]
-    Bc = [int(p[1] * D) for p in shifted]
-    Cc = [int(p[0] * D) for p in shifted]
+    # shift to X_i = N_i(Y* + Z)/L = A_i + (B_i Z + C_i Z^2)/D.  D = L:
+    # the N_i have coefficient gcd 1 with L, the shift keeps that gcd, and
+    # every N_i(Y*) = 0 (mod L)
+    A = [_quad_value(p, star) for p in nums]
+    if any(v % L for v in A):
+        raise CertificateError("base point is not integral")
+    A = [v // L for v in A]
+    D = L
+    Bc = [2 * p[0] * star + p[1] for p in nums]
+    Cc = [p[0] for p in nums]
 
     classes = []
     for lam in _divisors(D):
@@ -407,12 +373,12 @@ def conic_parameterize(data: PlaneConicData, B: int):
         d_lam = lam * mprime
         two_r = []
         for i in range(3):
-            c2 = Fraction(Cc[i] * d_lam * d_lam, D)
-            c1 = Fraction(Bc[i] * d_lam + 2 * Cc[i] * z_lam * d_lam, D)
-            c0 = Fraction(A[i] * D + Bc[i] * z_lam + Cc[i] * z_lam * z_lam, D)
-            coeffs = [2 * c0, 2 * c1, 2 * c2]
-            assert all(x.denominator == 1 for x in coeffs), "2R not integral"
-            two_r.append(IntPoly(1, {(k,): int(x) for k, x in enumerate(coeffs)}))
+            coeffs = (2 * (A[i] * D + Bc[i] * z_lam + Cc[i] * z_lam * z_lam),
+                      2 * (Bc[i] + 2 * Cc[i] * z_lam) * d_lam,
+                      2 * Cc[i] * d_lam * d_lam)
+            if any(c % D for c in coeffs):
+                raise CertificateError("2R not integral")
+            two_r.append(IntPoly(1, {(k,): c // D for k, c in enumerate(coeffs)}))
         classes.append(ConicClass(lam=lam, modulus=d_lam, base=z_lam,
                                   double_r=tuple(two_r)))
 
@@ -424,18 +390,64 @@ def conic_parameterize(data: PlaneConicData, B: int):
     )
 
 
-def _quad_scale(num, factor, extra_lin):
-    """factor*(a*Y^2 + e*Y + d) + extra_lin*Y as (quad, lin, const)."""
-    return (num[0] * factor, num[1] * factor + extra_lin, num[2] * factor)
+def _quad_value(p, y):
+    return (p[0] * y + p[1]) * y + p[2]
 
 
-def _quad_eval(p, y):
-    return p[0] * y * y + p[1] * y + p[2]
+def _base_point(nums, L, B, window):
+    """Smallest |y| <= window, +y before -y, with every N_i(y)/L an integer
+    of absolute value <= B; None when there is none."""
+    ys = range(L) if L <= window else range(-window, window + 1)
+    good = {y % L for y in ys if all(_quad_value(p, y) % L == 0 for p in nums)}
+    pieces = _abs_le_pieces(nums, L * B, [(-window, window)]) if good else []
+    found = []
+    for lo, hi in pieces:
+        up, down = max(lo, 0), min(hi, 0)
+        for r in good:
+            # the y = r (mod L) nearest 0 in [up, hi] and in [lo, down]
+            found += [y for y in (up + (r - up) % L, down - (down - r) % L)
+                      if lo <= y <= hi]
+    return min(found, key=lambda y: (abs(y), y < 0), default=None)
 
 
-def _quad_shift(p, s):
-    """Coefficients of p(s + Z) as (quad, lin, const)."""
-    return (p[0], 2 * p[0] * s + p[1], _quad_eval(p, s))
+def _abs_le_pieces(polys, K, pieces=None):
+    """The integers y of pieces (sorted disjoint intervals, None for all of
+    Z) with |p(y)| <= K for every quadratic p = (quad, lin, const), as
+    sorted disjoint intervals, some possibly empty; None when no p bounds
+    y and pieces is None."""
+    for p in polys:
+        if p[0] < 0 or (p[0] == 0 and p[1] < 0):
+            p = tuple(-c for c in p)
+        c2, c1, c0 = p
+        if c2 == 0 and c1 == 0:
+            if abs(c0) <= K:
+                continue
+            return []
+        if c2 == 0:
+            new = [(-((K + c0) // c1), (K - c0) // c1)]
+        else:
+            below = _le_interval(p, K)
+            hole = _le_interval(p, -K - 1)  # p(y) < -K, inside below
+            new = ([] if below is None else [below] if hole is None else
+                   [(below[0], hole[0] - 1), (hole[1] + 1, below[1])])
+        pieces = new if pieces is None else [
+            (max(lo, lo2), min(hi, hi2)) for lo, hi in pieces
+            for lo2, hi2 in new if max(lo, lo2) <= min(hi, hi2)]
+    return pieces
+
+
+def _le_interval(p, K):
+    """The integer interval {y : p(y) <= K} for p with a positive quadratic
+    coefficient, or None when it is empty."""
+    c2, c1, c0 = p
+    disc = c1 * c1 - 4 * c2 * (c0 - K)
+    if disc < 0:
+        return None
+    # for integer y: p(y) <= K iff (2*c2*y + c1)^2 <= disc iff
+    # |2*c2*y + c1| <= isqrt(disc)
+    s = isqrt(disc)
+    lo, hi = -((c1 + s) // (2 * c2)), (s - c1) // (2 * c2)
+    return (lo, hi) if lo <= hi else None
 
 
 def _divisors(n: int):
@@ -455,26 +467,10 @@ def class_r_values(cls: ConicClass, t: int):
     vals = []
     for two_r in cls.double_r:
         v = two_r.evaluate((t,))
-        assert v % 2 == 0, "R value not integral"
+        if v % 2:
+            raise CertificateError("R value not integral")
         vals.append(v // 2)
     return tuple(vals)
-
-
-def class_t_range(cls: ConicClass, B: int):
-    """A finite range certainly containing every t with all |R_i(t)| <= B."""
-    best = None
-    for two_r in cls.double_r:
-        c = [two_r.terms.get((k,), 0) for k in range(3)]
-        if c[2] != 0:
-            m = (2 * abs(c[1]) + isqrt(4 * abs(c[2]) * (2 * B + abs(c[0])))) // (
-                2 * abs(c[2])
-            ) + 2
-        elif c[1] != 0:
-            m = (2 * B + abs(c[0])) // abs(c[1]) + 2
-        else:
-            continue
-        best = m if best is None else min(best, m)
-    return best
 
 
 def count_class_points(cls_or_r, B: int) -> int:
@@ -484,36 +480,25 @@ def count_class_points(cls_or_r, B: int) -> int:
     constant map), guarded to the height condition.
     """
     cls = cls_or_r
-    m = class_t_range(cls, B)
-    if m is None:
-        vals = class_r_values(cls, 0)
-        return 1 if all(abs(v) <= B for v in vals) else 0
-    count = 0
-    for t in range(-m, m + 1):
-        if all(abs(v) <= 2 * B for v in
-               (two_r.evaluate((t,)) for two_r in cls.double_r)):
-            count += 1
-    # certified cluster bound from the quadratic of largest leading term
+    count = len(class_points(cls, B))
+    # certified cluster bound from the quadratic of largest leading term:
+    # count <= 2*(3 + 2*sqrt(2B/lead)), in integers
     lead = max((abs(two_r.terms.get((2,), 0)) for two_r in cls.double_r),
                default=0)
-    if lead:
-        bound = 2 * (3.0 + 2.0 * (2.0 * B / lead) ** 0.5)
-        assert count <= bound, f"class count {count} above bound {bound}"
+    if lead and count > 6 and (count - 6) ** 2 * lead > 32 * B:
+        raise CertificateError(f"class count {count} above the cluster bound")
     return count
 
 
 def class_points(cls: ConicClass, B: int):
-    """The parameterized points of height <= B for one class, sorted by t."""
-    m = class_t_range(cls, B)
-    if m is None:
-        vals = class_r_values(cls, 0)
-        return [(1,) + vals] if all(abs(v) <= B for v in vals) else []
-    pts = []
-    for t in range(-m, m + 1):
-        vals = class_r_values(cls, t)
-        if all(abs(v) <= B for v in vals):
-            pts.append((1,) + vals)
-    return pts
+    """The parameterized points of height <= B for one class, sorted by t:
+    the t with every |2*R_i(t)| <= 2*B, or t = 0 for a constant class."""
+    polys = [tuple(r.terms.get((k,), 0) for k in (2, 1, 0))
+             for r in cls.double_r]
+    pieces = _abs_le_pieces(polys, 2 * B)
+    ts = (0,) if pieces is None else [
+        t for lo, hi in pieces for t in range(lo, hi + 1)]
+    return [(1,) + class_r_values(cls, t) for t in ts]
 
 
 def conic_points(param: ConicParam, B: int):

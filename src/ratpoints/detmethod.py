@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, comb, log
 
-from .exact import is_prime, valuation
+from .exact import CertificateError, is_prime, valuation
 from .geometry import classify_point
 from .linalg import det_bareiss, nullspace_int
 from .poly import IntPoly, graded_piece_basis, monomials_of_degree, poly_divides
@@ -166,7 +166,8 @@ def select_monomials(J, e: int, k: int, max_degree: int = 400
         for m in per_degree[dd]:
             if len(chosen) < k:
                 chosen.append((dd, m))
-    assert len(chosen) == k
+    if len(chosen) != k:
+        raise CertificateError(f"selected {len(chosen)} monomials, need {k}")
     monomials = []
     affine_degrees = []
     for dd, m in chosen:
@@ -190,7 +191,7 @@ def _confirm_independent(J, monomials, D):
     base_rank = graded_piece_basis(J, [], D).ideal_rank
     full_rank = graded_piece_basis(J, monomials, D).ideal_rank
     if full_rank != base_rank + len(monomials):
-        raise AssertionError("selected monomials are dependent mod the ideal")
+        raise CertificateError("selected monomials are dependent mod the ideal")
 
 
 # ---------------------------------------------------------------------
@@ -234,8 +235,8 @@ def build_determinant(points, sel: MonomialSelection, p: int | None = None,
     for i in range(1, sel.k + 1):
         bound *= i
     bound *= B ** sel.degree_sum
-    if det != 0:
-        assert abs(det) <= bound, "determinant exceeded its size bound"
+    if det != 0 and abs(det) > bound:
+        raise CertificateError("determinant exceeded its size bound")
     cert = DetCertificate(
         points=points, k=sel.k, det=det,
         beta_required=sel.k * (sel.k - 1) // 2,
@@ -391,8 +392,8 @@ def extract_auxiliary_form(points, degree_or_basis, F: IntPoly,
         if G.is_zero():
             continue
         if not poly_divides(F, G):
-            for pt in points:
-                assert G.evaluate(pt) == 0
+            if any(G.evaluate(pt) != 0 for pt in points):
+                raise CertificateError("auxiliary form misses a class point")
             return AuxiliaryForm(form=G, degree=D, p=p, residue=residue,
                                  rank=rank, basis_size=len(basis))
     raise ValueError(

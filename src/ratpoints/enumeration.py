@@ -25,7 +25,7 @@ from math import gcd
 import numpy as np
 
 from . import uniroots
-from .exact import gcd_all, is_prime, normalize_primitive
+from .exact import CertificateError, gcd_all, is_prime, normalize_primitive
 from .poly import IntPoly
 
 INT64_LIMIT = 1 << 62
@@ -494,7 +494,7 @@ def verify_slicing(F: IntPoly, B: int):
         else:
             rhs += count_affine(fb, B)
     if not lhs <= rhs:
-        raise AssertionError(f"slicing inequality violated: {lhs} > {rhs}")
+        raise CertificateError(f"slicing inequality violated: {lhs} > {rhs}")
     return lhs, rhs
 
 
@@ -547,7 +547,7 @@ def count_roots_bounded(p, T: int):
     # it reads lead * r^delta <= (2*delta)^delta * T
     r = exact - 3 * delta
     if not (r <= 0 or lead * r**delta <= (2 * delta) ** delta * T):
-        raise AssertionError(f"cluster bound violated: {exact} points, T={T}")
+        raise CertificateError(f"cluster bound violated: {exact} points, T={T}")
     try:
         radius = (T / lead) ** (1.0 / delta)
     except OverflowError:  # T/lead is past the float range; ln(float max) > 709

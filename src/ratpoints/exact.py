@@ -1,5 +1,6 @@
 """Exact integer kernels: primitive vectors, projective points, heights,
-the extended gcd and primality.
+the extended gcd and primality, and the CertificateError that every
+certificate in the package raises.
 
 Everything here is arbitrary-precision Python int; nothing ever rounds.
 All values are immutable and freely shareable across threads.
@@ -14,6 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+
+class CertificateError(AssertionError):
+    """An exact certificate failed.  Raised explicitly, never by `assert`,
+    so that `python -O` keeps every check."""
 
 
 def gcd_all(values) -> int:

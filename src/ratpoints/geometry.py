@@ -18,7 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .exact import ProjPoint, gcd_all, normalize_primitive, primitive_vector, xgcd
+from .exact import (CertificateError, ProjPoint, gcd_all, normalize_primitive,
+                    primitive_vector, xgcd)
 from .irreducibility import Irreducibility, is_absolutely_irreducible
 from .linalg import invert_unimodular, nullspace_int, rank_dense
 from .poly import IntPoly, substitute_linear
@@ -133,7 +134,8 @@ def _column_reduce(a):
             row[n - 1] = x * cn + y * ci
             row[i] = -wi_g * cn + wn_g * ci
         w[i], w[n - 1] = 0, g
-    assert w == [0] * (n - 1) + [1]
+    if w != [0] * (n - 1) + [1]:
+        raise CertificateError("column reduction did not reach e_n")
     return U
 
 
@@ -216,10 +218,6 @@ class ProjectionSetup:
     lam_partial: list         # products leaving out one factor
     c: int                    # height inflation constant
 
-    @property
-    def target_dim(self) -> int:
-        return self.ambient_dim - len(self.h_list)
-
 
 def build_projection_setup(h_list) -> ProjectionSetup:
     """Dual vectors by exact nullspace: g_i . h_j = 0 for i != j and
@@ -245,11 +243,10 @@ def build_projection_setup(h_list) -> ProjectionSetup:
             raise ValueError("no dual vector: spanning points degenerate")
         gs.append(primitive_vector(g))
     diag = [_dot(g, h) for g, h in zip(gs, hs)]
-    assert all(d != 0 for d in diag)
-    for i, g in enumerate(gs):
-        for j, h in enumerate(hs):
-            if i != j:
-                assert _dot(g, h) == 0
+    if any(d == 0 for d in diag) or any(
+            _dot(g, h) != 0 for i, g in enumerate(gs)
+            for j, h in enumerate(hs) if i != j):
+        raise CertificateError("dual vectors are not dual to the center")
     lam = 1
     for d in diag:
         lam *= d
@@ -279,10 +276,12 @@ def project_point(setup: ProjectionSetup, x) -> ProjPoint:
     if all(val == 0 for val in v):
         raise ValueError("center of projection")
     image = normalize_primitive(v)
-    for g in setup.g_list:
-        assert _dot(g, image.coords) == 0
+    if any(_dot(g, image.coords) != 0 for g in setup.g_list):
+        raise CertificateError("image lies off the target plane")
     hx = max(abs(val) for val in xs)
-    assert image.height <= setup.c * hx
+    if image.height > setup.c * hx:
+        raise CertificateError(
+            f"image height {image.height} above {setup.c} * {hx}")
     return image
 
 

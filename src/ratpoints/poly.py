@@ -237,13 +237,6 @@ class IntPoly:
                     out[key] = out.get(key, 0) + c * mult
         return IntPoly(self.num_vars, out)
 
-    def mul_monomial(self, exp) -> "IntPoly":
-        exp = tuple(exp)
-        return IntPoly(
-            self.num_vars,
-            {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms.items()},
-        )
-
     # -- univariate views ----------------------------------------------
 
     def univariate_coeffs(self) -> list[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .exact import gcd_all
+from .exact import CertificateError, gcd_all
 
 
 def trim(coeffs):
@@ -235,7 +235,7 @@ def count_abs_le(coeffs, T) -> int:
     # p^2 - T^2 keeps one sign on t <= -M and on t >= M, which the pieces
     # leave uncounted; |p| <= T there would hold for infinitely many t
     if abs(evaluate(c, -M)) <= T or abs(evaluate(c, M)) <= T:
-        raise AssertionError("p stays within T outside the root bound of p^2 - T^2")
+        raise CertificateError("p stays within T outside the root bound of p^2 - T^2")
     # p^2 - T^2 keeps one sign on a root-free piece, and a unit piece is
     # its one integer b, so each piece is decided at b
     return sum(b - a for a, b in _integer_pieces(chain, M)

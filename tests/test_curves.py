@@ -1,14 +1,20 @@
+import os
 import random
-from math import gcd, log
+import subprocess
+import sys
+from fractions import Fraction
+from math import gcd, isqrt, lcm, log
 
 import pytest
 
+import ratpoints
 from oracles import conic_affine_points
 from ratpoints.curves import (ConicClass, EmptyParam, class_r_values,
                               conic_parameterize, conic_points,
                               count_class_points, line_points,
                               plane_eliminate, plane_from_three_points,
                               tangency_rank)
+from ratpoints.exact import unimodular_complete
 from ratpoints.poly import IntPoly, parse_poly
 
 
@@ -298,3 +304,149 @@ def test_plane_from_three_points():
     assert all(a2[0] * p[0] == sum(a2[i] * p[i] for i in (1, 2, 3)) for p in pts)
     assert abs(a2[0]) <= 6 * B**3
     assert all(abs(a2[i]) <= 6 * B**2 for i in (1, 2, 3))
+
+
+def window_scan_referee(data, B):
+    """The Fraction window scan that conic_parameterize ran before its
+    residue-class search, kept as a referee.
+
+    Returns (L, window, result): L is the lcm of the denominators of the
+    three coordinate quadratics, and result is (search_window,) for an
+    empty conic and (base_y, denominator, records) otherwise.  Each record
+    is (lambda, modulus, base, 2R coefficients low to high); the class
+    congruences are solved by scanning every residue, not by CRT.
+    """
+    q = data.q.terms
+    b11, b12, b22 = (q.get(e, 0) for e in ((0, 2, 0), (0, 1, 1), (0, 0, 2)))
+    g = gcd(gcd(b11, b12), b22)
+    a = g if (b11 or b22) > 0 else -g
+    alpha = isqrt(b11 // a)
+    beta = b12 // (2 * a * alpha) if alpha else isqrt(b22 // a)
+    gamma, delta = unimodular_complete(alpha, beta)
+    b, c, d = (q.get(e, 0) for e in ((1, 1, 0), (1, 0, 1), (2, 0, 0)))
+    e, f = b * delta - c * gamma, c * alpha - b * beta
+    # (quad, lin, const) in Y of Y2 = -(a*Y^2 + e*Y + d)/f, then of the
+    # kept coordinates delta*Y - beta*Y2 and alpha*Y2 - gamma*Y
+    y2 = [Fraction(-a, f), Fraction(-e, f), Fraction(-d, f)]
+    k0 = [-beta * y2[0], delta - beta * y2[1], -beta * y2[2]]
+    k1 = [alpha * y2[0], alpha * y2[1] - gamma, alpha * y2[2]]
+    pl = data.plane
+    el = [(pl[0] * (k == 2) - pl[data.kept[0]] * k0[k]
+           - pl[data.kept[1]] * k1[k]) / pl[data.elim_index] for k in range(3)]
+    by_coord = {data.kept[0]: k0, data.kept[1]: k1, data.elim_index: el}
+    polys = [by_coord[i] for i in (1, 2, 3)]
+    L = lcm(*(x.denominator for p in polys for x in p))
+
+    def val(p, y):
+        return p[0] * y * y + p[1] * y + p[2]
+
+    window = (abs(alpha) + abs(beta)) * B
+    for y in sorted(range(-window, window + 1), key=lambda y: (abs(y), y < 0)):
+        if all(v.denominator == 1 and abs(v) <= B
+               for v in (val(p, y) for p in polys)):
+            break
+    else:
+        return L, window, (window,)
+    lin = [2 * p[0] * y + p[1] for p in polys]
+    D = lcm(*(x.denominator for x in lin + [p[0] for p in polys]))
+    records = []
+    for lam in (k for k in range(1, D + 1) if D % k == 0):
+        mu = D // lam
+        ws = [w for w in range(mu)
+              if all((p[0] * lam * w + l) * D % mu == 0
+                     for p, l in zip(polys, lin))]
+        if not ws:
+            continue
+        z, step = lam * ws[0], lam * (ws[1] - ws[0] if len(ws) > 1 else mu)
+        two_r = tuple(
+            tuple(2 * x for x in (val(p, y + z), (2 * p[0] * (y + z) + p[1])
+                                  * step, p[0] * step * step))
+            for p in polys)
+        assert all(x.denominator == 1 for r in two_r for x in r)
+        records.append((lam, step, z,
+                        tuple(tuple(int(x) for x in r) for r in two_r)))
+    return L, window, (y, D, records)
+
+
+def residue_class_result(data, B):
+    """conic_parameterize in the referee's shape, without the leading L."""
+    out = conic_parameterize(data, B)
+    if isinstance(out, EmptyParam):
+        return (out.search_window,)
+    records = [(cls.lam, cls.modulus, cls.base,
+                tuple(tuple(r.terms.get((k,), 0) for k in range(3))
+                      for r in cls.double_r))
+               for cls in out.classes]
+    return out.base_y, out.denominator, records
+
+
+def random_tangent_conic(rng):
+    """A tangent conic on a random plane, with the eliminated coordinate
+    chosen at random so that L picks up the plane's coefficient."""
+    while True:
+        s = rng.choice([-3, -2, -1, 1, 2, 3])
+        alpha, beta = rng.randint(0, 4), rng.randint(-4, 4)
+        if gcd(alpha, abs(beta)) != 1:
+            continue
+        b, c, d = (rng.randint(-9, 9) for _ in range(3))
+        elim = rng.randint(1, 3)
+        plane = [rng.randint(-4, 4) if i < elim else 0 for i in range(4)]
+        plane[elim] = rng.choice([-6, -5, -3, -2, -1, 1, 2, 3, 4, 5, 7])
+        k0, k1 = (i for i in (1, 2, 3) if i != elim)
+        # q(X0, X_k0, X_k1) = s*(alpha*X_k0 + beta*X_k1)^2 + X0*(b*X_k0 +
+        # c*X_k1 + d*X0), placed in the kept variables of P^3
+        terms = {}
+        for exp, coef in (((0, 2, 0), s * alpha * alpha),
+                          ((0, 1, 1), 2 * s * alpha * beta),
+                          ((0, 0, 2), s * beta * beta),
+                          ((1, 1, 0), b), ((1, 0, 1), c), ((2, 0, 0), d)):
+            full = [0, 0, 0, 0]
+            full[0], full[k0], full[k1] = exp
+            terms[tuple(full)] = coef
+        data = plane_eliminate(tuple(plane), IntPoly(4, terms))
+        if data.is_integral and tangency_rank(data.q) == 1:
+            return data
+
+
+def test_residue_class_search_matches_window_scan():
+    cases = [(data, B) for data in corpus() for B in (1, 10, 100, 1000)]
+    rng = random.Random(8128)
+    cases += [(random_tangent_conic(rng), rng.choice((1, 1, 2, 7, 60)))
+              for _ in range(400)]
+    seen = {"empty": 0, "param": 0, "L > window": 0, "B = 1": 0}
+    for data, B in cases:
+        L, window, want = window_scan_referee(data, B)
+        assert residue_class_result(data, B) == want, (
+            data.plane, data.q.to_text(), B)
+        seen["empty" if len(want) == 1 else "param"] += 1
+        seen["L > window"] += L > window
+        seen["B = 1"] += B == 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_curves_and_geometry_certificates_survive_python_O():
+    # the script's own assert fails unless -O has stripped it; the
+    # certificates must raise CertificateError all the same
+    script = (
+        "import ratpoints.curves as cv, ratpoints.geometry as geo\n"
+        "from ratpoints.exact import CertificateError\n"
+        "from ratpoints.poly import IntPoly\n"
+        "assert False, 'asserts are live'\n"
+        "cv.class_points = lambda cls, B: [(1, 0, 0, 0)] * 100\n"
+        "r = IntPoly(1, {(2,): 2})\n"
+        "cls = cv.ConicClass(1, 1, 0, (r, r, r))\n"
+        "setup = geo.build_projection_setup([(0, 0, 0, 1)])\n"
+        "setup.c = 0\n"
+        "for check in (lambda: cv.count_class_points(cls, 1),\n"
+        "              lambda: geo.project_point(setup, (1, 1, 1, 1))):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except CertificateError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ratpoints.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == ("raised: class count 100 above the cluster bound\n"
+                   "raised: image height 1 above 0 * 1\n")
