@@ -14,8 +14,8 @@ import json
 import os
 import sys
 
-from .curves import (EmptyParam, conic_parameterize, conic_points,
-                     count_class_points, plane_eliminate, tangency_rank)
+from .curves import (EmptyParam, certified_class_points, conic_parameterize,
+                     conic_points, plane_eliminate, tangency_rank)
 from .detmethod import (AuxiliaryForm, build_determinant,
                         curve_section_degree, extract_auxiliary_form,
                         partition_by_residue, prime_window, select_monomials)
@@ -184,17 +184,20 @@ def _cmd_conic(args) -> int:
         out["verdict"] = "parameterized"
         out["denominator"] = param.denominator
         out["kappa_empirical"] = param.kappa_empirical
+        # one walk per class serves both its count and the union
+        per_class = [certified_class_points(cls, args.bound)
+                     for cls in param.classes]
         out["classes"] = [
             {
                 "lambda": cls.lam,
                 "modulus": cls.modulus,
                 "base": cls.base,
                 "double_r": [format_poly(p, "t") for p in cls.double_r],
-                "count": count_class_points(cls, args.bound),
+                "count": len(pts),
             }
-            for cls in param.classes
+            for cls, pts in zip(param.classes, per_class)
         ]
-        out["count"] = len(conic_points(param, args.bound))
+        out["count"] = len(conic_points(param, args.bound, per_class))
     _emit(out, args.out)
     return 0
 
@@ -231,6 +234,7 @@ def _cmd_detmethod(args) -> int:
     window = prime_window(args.bound, F.degree, args.epsilon, args.min_primes)
     _, points = count_affine_surface(F, args.bound)
     records = []
+    sections = {}
     for p in window.primes[: args.min_primes]:
         classes = partition_by_residue(points, p, F)
         for residue, (members, classification) in classes.items():
@@ -258,7 +262,8 @@ def _cmd_detmethod(args) -> int:
                     rec["aux_form"] = format_poly(outcome.form)
                     rec["aux_degree"] = outcome.degree
                     rec["rank"] = outcome.rank
-                    rec["delta"] = _delta_stats(F, outcome.form, members, p)
+                    rec["delta"] = _delta_stats(F, outcome.form, members, p,
+                                                sections)
             records.append(rec)
     out = {
         "form": format_poly(F),
@@ -272,24 +277,37 @@ def _cmd_detmethod(args) -> int:
     return 0
 
 
-def _delta_stats(F, G, members, p):
+def _delta_stats(F, G, members, p, sections):
     """Exact determinant statistics for the curve cut by F and the class's
-    auxiliary form, at the first few class points."""
+    auxiliary form, at the first few class points.
+
+    ``sections`` maps (G, k) to the curve's section degree and monomial
+    selection, or to the error computing them raised; it is filled once
+    per distinct auxiliary form and k, and lives for one op.
+    """
+    k = min(len(members), 4)
+    key = (format_poly(G), k)
+    if key not in sections:
+        try:
+            e, _ = curve_section_degree([F, G])
+            sections[key] = (e, select_monomials([F, G], e, k))
+        except (ValueError, CertificateError) as err:
+            sections[key] = err
+    section = sections[key]
+    if isinstance(section, Exception):
+        return {"error": str(section)}
+    e, sel = section
     try:
-        gens = [F, G]
-        e, _ = curve_section_degree(gens)
-        k = min(len(members), 4)
-        sel = select_monomials(gens, e, k)
         cert = build_determinant(members[:k], sel, p=p)
-        return {
-            "k": k,
-            "curve_degree": e,
-            "det_zero": cert.det == 0,
-            "vp": cert.vp,
-            "beta_required": cert.beta_required,
-        }
     except (ValueError, CertificateError) as err:
         return {"error": str(err)}
+    return {
+        "k": k,
+        "curve_degree": e,
+        "det_zero": cert.det == 0,
+        "vp": cert.vp,
+        "beta_required": cert.beta_required,
+    }
 
 
 def _cmd_fit(args) -> int:

@@ -479,15 +479,19 @@ def count_class_points(cls_or_r, B: int) -> int:
     All-constant classes count a single point (the parameterization is a
     constant map), guarded to the height condition.
     """
-    cls = cls_or_r
-    count = len(class_points(cls, B))
-    # certified cluster bound from the quadratic of largest leading term:
-    # count <= 2*(3 + 2*sqrt(2B/lead)), in integers
+    return len(certified_class_points(cls_or_r, B))
+
+
+def certified_class_points(cls: ConicClass, B: int):
+    """class_points behind the certified cluster bound from the quadratic
+    of largest leading term: count <= 2*(3 + 2*sqrt(2B/lead)), in integers."""
+    pts = class_points(cls, B)
+    count = len(pts)
     lead = max((abs(two_r.terms.get((2,), 0)) for two_r in cls.double_r),
                default=0)
     if lead and count > 6 and (count - 6) ** 2 * lead > 32 * B:
         raise CertificateError(f"class count {count} above the cluster bound")
-    return count
+    return pts
 
 
 def class_points(cls: ConicClass, B: int):
@@ -501,9 +505,12 @@ def class_points(cls: ConicClass, B: int):
     return [(1,) + class_r_values(cls, t) for t in ts]
 
 
-def conic_points(param: ConicParam, B: int):
-    """Union of the class parameterizations, deduplicated and sorted."""
-    pts = set()
-    for cls in param.classes:
-        pts.update(class_points(cls, B))
-    return sorted(pts)
+def conic_points(param: ConicParam, B: int, per_class=None):
+    """Union of the class parameterizations, deduplicated and sorted.
+
+    ``per_class``, when given, holds each class's class_points, already
+    computed, in the order of param.classes.
+    """
+    if per_class is None:
+        per_class = [class_points(cls, B) for cls in param.classes]
+    return sorted(set().union(*per_class))

@@ -13,7 +13,6 @@ can be compared directly and each point is stored once instead of as +-x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -48,18 +47,6 @@ def primitive_vector(v) -> tuple[int, ...]:
                 w = tuple(-x for x in w)
             break
     return w
-
-
-def clear_denominators(fracs) -> tuple[int, ...]:
-    """Primitive integer vector proportional to a vector of Fractions."""
-    fracs = [Fraction(f) for f in fracs]
-    if all(f == 0 for f in fracs):
-        raise ValueError("zero vector has no projective point")
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    return primitive_vector(f.numerator * (lcm // f.denominator) for f in fracs)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,22 @@
 """Exact linear algebra over Q and Z shared across the package.
 
-Dense routines run on Fraction entries (inputs may be ints); the sparse
-eliminator keeps dict-backed rows and is what makes large graded pieces
-tractable: rows coming from monomial or binomial generators never grow
-past two entries during elimination.  Integer determinants use Bareiss
-fraction-free elimination, so every division is exact.
+Every routine takes integer matrices and eliminates in integers only; no
+rational number is ever built.  The dense echelon routine and the sparse
+eliminator clear a column by cross-multiplying two rows and divide the
+result by its content, so every row stays primitive, and the rational
+RREF is the integer one with each row divided by its pivot entry.  The
+sparse eliminator keeps dict-backed rows and is what makes large graded
+pieces tractable: rows coming from monomial or binomial generators never
+grow past two entries during elimination.  Integer determinants use
+Bareiss fraction-free elimination, so every division is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
+from operator import index
 
-from .exact import clear_denominators
+from .exact import primitive_vector
 
 
 def det_bareiss(m) -> int:
@@ -42,37 +47,44 @@ def det_bareiss(m) -> int:
 
 
 def rref_dense(rows):
-    """Reduced row echelon form over Q.
+    """Integer reduced row echelon form.
 
-    Returns (pivot_cols, rref_rows) where rref_rows spans the row space of
-    the input with leading 1s at pivot_cols.
+    Returns (pivot_cols, red) where the integer rows red span the row space
+    of the integer input over Q.  Each row of red is primitive, has a
+    positive entry at its own pivot column and 0 at every other pivot
+    column; dividing each row by its pivot entry gives the rational RREF.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+    work = [row for row in (list(map(index, r)) for r in rows) if any(row)]
+    pivots, red = [], []
+    for c in range(len(work[0]) if work else 0):
+        i = next((i for i, row in enumerate(work) if row[c]), None)
+        if i is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        prow = _primitive(work.pop(i))
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        red = [_clear(row, prow, c) if row[c] else row for row in red]
+        work = [row for row in (_clear(row, prow, c) if row[c] else row
+                                for row in work) if any(row)]
         pivots.append(c)
-        r += 1
-        if r == len(work):
+        red.append(prow)
+        if not work:
             break
-    return pivots, work[: len(pivots)]
+    return pivots, red
+
+
+def _clear(row, prow, c):
+    """row with column c cleared against prow (prow[c] > 0), made primitive;
+    a positive multiple of row minus a multiple of prow."""
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    return _primitive([a * x - b * y for x, y in zip(row, prow)])
+
+
+def _primitive(row):
+    """Row divided by the gcd of its entries (a positive divisor)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def rank_dense(rows) -> int:
@@ -80,7 +92,7 @@ def rank_dense(rows) -> int:
 
 
 def nullspace_int(rows, ncols=None):
-    """Primitive integer basis of the right nullspace of a rational matrix.
+    """Primitive integer basis of the right nullspace of an integer matrix.
 
     Each basis vector is scaled to coprime integers with first nonzero
     entry positive; the basis order follows the free columns left to right.
@@ -91,60 +103,73 @@ def nullspace_int(rows, ncols=None):
             raise ValueError("cannot infer column count of an empty matrix")
         ncols = len(rows[0])
     pivots, red = rref_dense(rows)
+    # L times the rational RREF row r is (L // pivot_r) * red[r]
+    L = lcm(*(row[pc] for pc, row in zip(pivots, red)))
+    scaled = [(pc, row, L // row[pc]) for pc, row in zip(pivots, red)]
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][free]
-        basis.append(clear_denominators(vec))
+        vec = [0] * ncols
+        vec[free] = L
+        for pc, row, s in scaled:
+            vec[pc] = -row[free] * s
+        basis.append(primitive_vector(vec))
     return basis
 
 
 def rank_sparse(rows, ncols):
-    """Rank and canonical pivot-column set of a sparse rational matrix.
+    """Rank and canonical pivot-column set of a sparse integer matrix.
 
     ``rows`` is an iterable of {col: coeff} dicts.  Each incoming row is
-    reduced at its leading column against the pivots found so far; the
-    resulting pivot set is the canonical one (leading columns of the row
-    space), independent of row order.  Rows with at most two entries stay
-    that short throughout, which keeps graded-piece computations fast.
+    reduced at its leading column against the pivots found so far, by
+    cross-multiplying and dividing by the content; the resulting pivot set
+    is the canonical one (leading columns of the row space), independent of
+    row order.  Rows with at most two entries stay that short throughout,
+    which keeps graded-piece computations fast.
     """
-    pivot_rows: dict[int, dict[int, Fraction]] = {}
+    pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v != 0}
+        row = _primitive_sparse({c: v for c, v in row.items() if v})
         while row:
             lead = min(row)
             piv = pivot_rows.get(lead)
             if piv is None:
                 pivot_rows[lead] = row
                 break
-            f = row[lead] / piv[lead]
+            g = gcd(piv[lead], row[lead])
+            a, b = piv[lead] // g, row[lead] // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
             for c, v in piv.items():
-                nv = row.get(c, 0) - f * v
-                if nv == 0:
-                    row.pop(c, None)
-                else:
+                nv = row.get(c, 0) - b * v
+                if nv:
                     row[c] = nv
+                else:
+                    row.pop(c, None)
+            row = _primitive_sparse(row)
         # empty row: linearly dependent, nothing to record
     return len(pivot_rows), set(pivot_rows)
+
+
+def _primitive_sparse(row):
+    """A {col: coeff} row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g <= 1 else {c: v // g for c, v in row.items()}
 
 
 def invert_unimodular(m):
     """Exact inverse of an integer matrix with determinant +-1."""
     n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     pivots, red = rref_dense(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     inv = []
-    for i in range(n):
-        row = red[i][n:]
-        if any(f.denominator != 1 for f in row):
+    for i, row in enumerate(red):
+        # the inverse is integral exactly when the determinant is +-1
+        if any(x % row[i] for x in row[n:]):
             raise ValueError("matrix is not unimodular")
-        inv.append([int(f) for f in row])
+        inv.append([x // row[i] for x in row[n:]])
     return inv

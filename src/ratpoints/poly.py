@@ -18,7 +18,7 @@ at the top of that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 
 from .exact import gcd_all
 from .linalg import rank_sparse
@@ -321,27 +321,36 @@ def poly_divides(F: IntPoly, G: IntPoly) -> bool:
 
     Single-divisor division by leading terms: the remainder vanishes if
     and only if F | G, so this is a sound and complete divisibility test.
+    The division is integer pseudo-division: the remainder is multiplied
+    by the leading coefficient of F rather than divided, then divided by
+    its content, which scales it without changing whether F divides it.
     """
     if F.is_zero():
         raise ValueError("division by the zero polynomial")
     if G.is_zero():
         return True
     lead = F.leading_exponent()
-    lead_c = Fraction(F.terms[lead])
-    rem = {e: Fraction(c) for e, c in G.terms.items()}
+    lead_c = F.terms[lead]
+    rem = dict(G.terms)
     while rem:
         e = max(rem, key=grlex_key)
         quot = tuple(a - b for a, b in zip(e, lead))
         if any(q < 0 for q in quot):
             return False
-        f = rem[e] / lead_c
+        g = gcd(lead_c, rem[e])
+        a, b = lead_c // g, rem[e] // g
+        if a != 1:
+            rem = {te: a * c for te, c in rem.items()}
         for fe, fc in F.terms.items():
-            te = tuple(a + b for a, b in zip(fe, quot))
-            nv = rem.get(te, Fraction(0)) - f * fc
-            if nv == 0:
-                rem.pop(te, None)
-            else:
+            te = tuple(x + y for x, y in zip(fe, quot))
+            nv = rem.get(te, 0) - b * fc
+            if nv:
                 rem[te] = nv
+            else:
+                rem.pop(te, None)
+        g = gcd(*rem.values())
+        if g > 1:
+            rem = {te: c // g for te, c in rem.items()}
     return True
 
 

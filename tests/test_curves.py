@@ -429,6 +429,7 @@ def test_curves_and_geometry_certificates_survive_python_O():
     # certificates must raise CertificateError all the same
     script = (
         "import ratpoints.curves as cv, ratpoints.geometry as geo\n"
+        "from ratpoints import cli\n"
         "from ratpoints.exact import CertificateError\n"
         "from ratpoints.poly import IntPoly\n"
         "assert False, 'asserts are live'\n"
@@ -437,7 +438,10 @@ def test_curves_and_geometry_certificates_survive_python_O():
         "cls = cv.ConicClass(1, 1, 0, (r, r, r))\n"
         "setup = geo.build_projection_setup([(0, 0, 0, 1)])\n"
         "setup.c = 0\n"
+        "conic = ['conic-param', '--plane', '1,0,0,1', '--quadric',\n"
+        "         'x1^2 + x0*x2', '--bound', '1']\n"
         "for check in (lambda: cv.count_class_points(cls, 1),\n"
+        "              lambda: cli.main(conic),\n"
         "              lambda: geo.project_point(setup, (1, 1, 1, 1))):\n"
         "    try:\n"
         "        check()\n"
@@ -449,4 +453,5 @@ def test_curves_and_geometry_certificates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == ("raised: class count 100 above the cluster bound\n"
+                   "raised: class count 100 above the cluster bound\n"
                    "raised: image height 1 above 0 * 1\n")

@@ -1,7 +1,13 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import ratpoints
+from ratpoints import cli
 from ratpoints.detmethod import (AuxiliaryForm, RankFull, bezout_bound,
                                  build_determinant, divisibility_check,
                                  extract_auxiliary_form, partition_by_residue,
@@ -10,7 +16,8 @@ from ratpoints.detmethod import (AuxiliaryForm, RankFull, bezout_bound,
                                  vanishing_test, vanishing_threshold)
 from ratpoints.enumeration import count_affine_surface
 from ratpoints.geometry import Classification
-from ratpoints.poly import IntPoly, parse_poly, poly_divides
+from ratpoints.exact import CertificateError
+from ratpoints.poly import IntPoly, format_poly, parse_poly, poly_divides
 
 X = [IntPoly.variable(4, i) for i in range(4)]
 LINE = [X[2], X[3]]
@@ -247,3 +254,82 @@ def test_degree_sum_asymptotics():
         sel80 = select_monomials(gens, e, 80)
         ratio = sel80.degree_sum * 2 * e / 80**2
         assert 0.8 <= ratio <= 1.2, (e, ratio)
+
+
+def test_detmethod_certificates_survive_python_O():
+    # dependent monomials and a determinant above its size bound must raise
+    # CertificateError also under python -O (the script's own assert fails
+    # unless -O has stripped it)
+    script = (
+        "import ratpoints.detmethod as dm\n"
+        "from ratpoints.exact import CertificateError\n"
+        "from ratpoints.poly import IntPoly\n"
+        "assert False, 'asserts are live'\n"
+        "X = [IntPoly.variable(4, i) for i in range(4)]\n"
+        "line = [X[2], X[3]]\n"
+        "sel = dm.select_monomials(line, 1, 2)\n"
+        "sel.degree_sum = 0\n"
+        "for check in (\n"
+        "        lambda: dm._confirm_independent(line, [X[0] * X[2]], 2),\n"
+        "        lambda: dm.build_determinant([(1, 0, 0, 0), (1, 5, 0, 0)],\n"
+        "                                     sel)):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except CertificateError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ratpoints.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == ("raised: selected monomials are dependent mod the ideal\n"
+                   "raised: determinant exceeded its size bound\n")
+
+
+def _delta_stats_referee(F, G, members, p):
+    """The determinant statistics computed afresh for every class."""
+    try:
+        gens = [F, G]
+        e, _ = cli.curve_section_degree(gens)
+        k = min(len(members), 4)
+        sel = cli.select_monomials(gens, e, k)
+        cert = build_determinant(members[:k], sel, p=p)
+        return {"k": k, "curve_degree": e, "det_zero": cert.det == 0,
+                "vp": cert.vp, "beta_required": cert.beta_required}
+    except (ValueError, CertificateError) as err:
+        return {"error": str(err)}
+
+
+def test_detmethod_section_computed_once_per_aux_form(monkeypatch, capsys):
+    # at epsilon 0.35 the primes are 73, 79 and 83, so the points of
+    # x0 + x1 = x2 + x3 = 0 fall into classes of 2 and 3 with one aux form
+    argv = ["detmethod", "--form", "x0^3 + x1^3 + x2^3 + x3^3",
+            "--bound", "100", "--epsilon", "0.35"]
+    calls = {"curve_section_degree": [], "select_monomials": []}
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def counted(gens, *args):
+            calls[name].append((format_poly(gens[1]),) + args[1:])
+            return real(gens, *args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, spy(name))
+    assert cli.main(argv) == 0
+    memo = capsys.readouterr().out
+    classes = json.loads(memo)["classes"]
+    pairs = {(rec["aux_form"], min(rec["class_size"], 4))
+             for rec in classes if rec.get("aux_form")}
+    assert any((form, 2) in pairs and (form, 3) in pairs for form, _ in pairs)
+    assert sorted(calls["select_monomials"]) == sorted(pairs)
+    assert len(calls["curve_section_degree"]) == len(pairs)
+    assert sorted(set(calls["curve_section_degree"])) == \
+        sorted({(form,) for form, _ in pairs})
+
+    monkeypatch.setattr(cli, "_delta_stats",
+                        lambda F, G, members, p, sections:
+                        _delta_stats_referee(F, G, members, p))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == memo

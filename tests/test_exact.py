@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ratpoints.exact import (ProjPoint, clear_denominators, height, is_prime,
+from ratpoints.exact import (ProjPoint, height, is_prime,
                              normalize_primitive, primitive_vector,
                              unimodular_complete, valuation, xgcd)
 
@@ -70,10 +70,7 @@ def test_unimodular_not_coprime():
         unimodular_complete(2, 4)
 
 
-def test_clear_denominators():
-    from fractions import Fraction
-
-    assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
+def test_primitive_vector():
     assert primitive_vector((6, -9)) == (2, -3)
 
 

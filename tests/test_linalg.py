@@ -1,6 +1,9 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from ratpoints.linalg import (det_bareiss, invert_unimodular, nullspace_int,
                               rank_dense, rank_sparse, rref_dense)
@@ -24,6 +27,18 @@ def test_det_against_laplace():
         assert det_bareiss(m) == laplace_det(m)
 
 
+def _rational_rref(piv, red):
+    """(pivots, rows) of the rational RREF read off the integer one."""
+    return tuple(piv), [[Fraction(x, row[c]) for x in row]
+                        for c, row in zip(piv, red)]
+
+
+def _sympy_rref(m):
+    red, piv = sympy.Matrix(m).rref()
+    return tuple(piv), [[Fraction(int(x.p), int(x.q)) for x in red.row(k)]
+                        for k in range(len(piv))]
+
+
 def test_rref_structure_and_nullspace():
     rng = random.Random(7)
     for _ in range(200):
@@ -31,8 +46,9 @@ def test_rref_structure_and_nullspace():
         cols = rng.randint(1, 6)
         m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         piv, red = rref_dense(m)
+        assert _rational_rref(piv, red) == _sympy_rref(m)
         for k, c in enumerate(piv):
-            assert red[k][c] == 1
+            assert red[k][c] > 0
             assert all(red[kk][c] == 0 for kk in range(len(piv)) if kk != k)
         null = nullspace_int(m, cols)
         assert len(null) == cols - rank_dense(m)
@@ -67,3 +83,59 @@ def test_invert_unimodular():
         invert_unimodular([[2, 0], [0, 1]])
     with pytest.raises(ValueError):
         invert_unimodular([[1, 1], [1, 1]])
+
+
+def _random_matrix(rng, rows, cols, scale):
+    """Seeded integer matrix: some zero entries, and in most draws a row
+    that is a combination of the others, so the rank drops."""
+    m = [[rng.randint(-scale, scale) if rng.random() < 0.7 else 0
+          for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and rng.random() < 0.6:
+        i = rng.randrange(rows)
+        m[i] = [sum(rng.randint(-3, 3) * m[k][j] for k in range(rows) if k != i)
+                for j in range(cols)]
+    return m
+
+
+def _shapes():
+    # zero, tall, wide and square shapes, entries up to 300^3 as in the
+    # detmethod value matrices
+    rng = random.Random(2024)
+    yield [[0, 0, 0], [0, 0, 0]]
+    yield [[0] * 5]
+    for _ in range(120):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        scale = rng.choice((1, 9, 300**3))
+        yield _random_matrix(rng, rows, cols, scale)
+    # class-shaped value matrices: monomials of degree D in (1, x, y, z) at
+    # points of height <= 300; degree 2 gives tall ones
+    for D, most in ((3, 12), (2, 14)):
+        monos = [(a, b, c) for a in range(D + 1) for b in range(D + 1 - a)
+                 for c in range(D + 1 - a - b)]
+        for _ in range(10):
+            pts = [tuple(rng.randint(-300, 300) for _ in range(3))
+                   for _ in range(rng.randint(2, most))]
+            yield [[x**a * y**b * z**c for a, b, c in monos]
+                   for x, y, z in pts]
+
+
+def test_linalg_against_sympy():
+    for m in _shapes():
+        cols = len(m[0])
+        M = sympy.Matrix(m)
+        assert rank_dense(m) == M.rank()
+        piv, red = rref_dense(m)
+        assert _rational_rref(piv, red) == _sympy_rref(m)
+        ours = nullspace_int(m, cols)
+        theirs = M.nullspace()
+        assert len(ours) == len(theirs)
+        for v, w in zip(ours, theirs):
+            # both bases follow the free columns left to right, so each of
+            # ours is sympy's scaled to coprime integers, first nonzero > 0
+            w = [Fraction(int(x.p), int(x.q)) for x in w]
+            scale = next(Fraction(x) / y for x, y in zip(v, w) if y)
+            assert [x * scale for x in w] == [Fraction(x) for x in v]
+            assert math.gcd(*v) == 1 and next(x for x in v if x) > 0
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
+        rank, pivots = rank_sparse(sparse, cols)
+        assert rank == M.rank() and sorted(pivots) == list(piv)

@@ -158,6 +158,11 @@ def test_poly_divides():
     cub = parse_poly("x0^3 + x1^3 + x2^3 + x3^3")
     assert poly_divides(cub, cub * parse_poly("x0 - 5*x3"))
     assert not poly_divides(cub, parse_poly("x0*x2 - x1^2", num_vars=4))
+    # leading coefficients of F that do not divide those of the remainder
+    assert poly_divides(parse_poly("4*x1 + 2*x0"), parse_poly("2*x1 + x0"))
+    quad = parse_poly("6*x1^2 + x0*x1 - 2*x0^2")
+    assert poly_divides(quad, quad * parse_poly("5*x1 - 7*x0"))
+    assert not poly_divides(parse_poly("3*x1 + x0"), parse_poly("x1^2 + x0^2"))
 
 
 def test_monomial_order_matches_convention():
