@@ -27,7 +27,7 @@ from math import gcd, isqrt, log
 from .exact import (CertificateError, ProjPoint, gcd_all, primitive_vector,
                     unimodular_complete)
 from .linalg import det_bareiss
-from .poly import IntPoly, pad_vars, substitute_linear
+from .poly import IntPoly, gram_matrix, pad_vars, substitute_linear
 
 
 # ---------------------------------------------------------------------
@@ -204,23 +204,8 @@ def plane_eliminate(plane, Q: IntPoly) -> PlaneConicData:
     images[elim] = a[0] * z0 - a[kept[0]] * z1 - a[kept[1]] * z2
     # the scaling contributes a_elim^2 to the content
     q = substitute_linear(Q, images).primitive_part()
-    gram = _ternary_gram(q)
     return PlaneConicData(plane=a, elim_index=elim, kept=kept, q=q,
-                          gram_det=det_bareiss(gram))
-
-
-def _ternary_gram(q: IntPoly):
-    c = {e: v for e, v in q.terms.items()}
-    def cf(i, j):
-        e = [0, 0, 0]
-        e[i] += 1
-        e[j] += 1
-        return c.get(tuple(e), 0)
-    return [
-        [2 * cf(0, 0), cf(0, 1), cf(0, 2)],
-        [cf(0, 1), 2 * cf(1, 1), cf(1, 2)],
-        [cf(0, 2), cf(1, 2), 2 * cf(2, 2)],
-    ]
+                          gram_det=det_bareiss(gram_matrix(q)))
 
 
 def tangency_rank(q: IntPoly) -> int:

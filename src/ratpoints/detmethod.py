@@ -20,7 +20,8 @@ from math import ceil, comb, log
 from .exact import CertificateError, is_prime, valuation
 from .geometry import classify_point
 from .linalg import det_bareiss, nullspace_int
-from .poly import IntPoly, graded_piece_basis, monomials_of_degree, poly_divides
+from .poly import (IntPoly, dehomogenize, graded_piece_basis,
+                   monomials_of_degree, poly_divides)
 
 
 # ---------------------------------------------------------------------
@@ -118,7 +119,7 @@ class MonomialSelection:
     sum_constant: float    # C with degree_sum <= k^2/(2e) + C*k
 
     def affine_monomials(self):
-        return [m.substitute_value(0, 1, drop=True) for m in self.monomials]
+        return [dehomogenize(m) for m in self.monomials]
 
 
 def select_monomials(J, e: int, k: int, max_degree: int = 400
@@ -136,7 +137,7 @@ def select_monomials(J, e: int, k: int, max_degree: int = 400
         raise ValueError("curve ideals live in four variables")
     # the quotient by (J, X0) in degree delta is the quotient of the
     # three-variable ring by the image of J at X0 = 0
-    J0 = [g.substitute_value(0, 0, drop=True) for g in J]
+    J0 = [g.substitute_value(0, 0) for g in J]
     J0 = [g for g in J0 if not g.is_zero()]
     per_degree = {}
     stable_from = None
@@ -361,10 +362,10 @@ class RankFull:
     basis_size: int
 
 
-def extract_auxiliary_form(points, degree_or_basis, F: IntPoly,
+def extract_auxiliary_form(points, D: int, F: IntPoly,
                            p: int | None = None, residue=None):
-    """A primitive integer form vanishing at every class point and not
-    divisible by F, from the exact nullspace of the value matrix.
+    """A primitive integer form of degree D vanishing at every class point
+    and not divisible by F, from the exact nullspace of the value matrix.
 
     Returns RankFull when the matrix has full column rank (the basis is
     too small); raises when every nullspace vector is divisible by F.
@@ -372,12 +373,7 @@ def extract_auxiliary_form(points, degree_or_basis, F: IntPoly,
     points = [tuple(pt) for pt in points]
     if not points:
         raise ValueError("empty point class")
-    if isinstance(degree_or_basis, int):
-        D = degree_or_basis
-        basis = [IntPoly(4, {e: 1}) for e in monomials_of_degree(4, D)]
-    else:
-        basis = list(degree_or_basis)
-        D = basis[0].degree
+    basis = [IntPoly(4, {e: 1}) for e in monomials_of_degree(4, D)]
     rows = [[m.evaluate(pt) for m in basis] for pt in points]
     vectors = nullspace_int(rows, len(basis))
     rank = len(basis) - len(vectors)
@@ -408,7 +404,7 @@ def curve_section_degree(J, max_degree: int = 40):
     agree; returns (value, first degree where it is attained).
     """
     J = list(J)
-    J0 = [g.substitute_value(0, 0, drop=True) for g in J]
+    J0 = [g.substitute_value(0, 0) for g in J]
     J0 = [g for g in J0 if not g.is_zero()]
     prev = None
     for delta in range(max_degree + 1):

@@ -11,6 +11,10 @@ whenever an a priori bound proves that no intermediate value can overflow
 pure-Python big-int reference takes over.  Both are exact, and the tests
 cross-check them against each other and against full lattice scans.
 
+A variety of any codimension is enumerated on the same two solvers: an
+integer point is a zero of every generator g_i exactly when it is a zero
+of the single polynomial sum g_i^2.
+
 Counts of projective zeros include x and -x separately; point lists are
 returned in lexicographic order.
 """
@@ -25,8 +29,9 @@ from math import gcd
 import numpy as np
 
 from . import uniroots
-from .exact import CertificateError, gcd_all, is_prime, normalize_primitive
-from .poly import IntPoly
+from .exact import (CertificateError, ProjPoint, gcd_all, is_prime,
+                    normalize_primitive)
+from .poly import IntPoly, dehomogenize
 
 INT64_LIMIT = 1 << 62
 TILE_CELLS = 1 << 17  # cells of one numpy tile chunk
@@ -170,22 +175,15 @@ class _Hits:
             self.points.append(prefix + (v,))
 
     def add_full_range(self, prefix):
-        if self.projective:
-            g0 = gcd_all(prefix)
-            if self.collect or g0 > 1:
-                if self.collect:
-                    for v in range(-self.B, self.B + 1):
-                        if gcd(g0, v) == 1:
-                            self.count += 1
-                            self.points.append(prefix + (v,))
-                else:
-                    self.count += _coprime_count_in_box(g0, self.B)
-            else:
-                self.count += _coprime_count_in_box(g0, self.B)
+        """Every v in [-B, B] completes prefix (coprime to it if projective)."""
+        g0 = gcd_all(prefix) if self.projective else 1
+        if self.collect:
+            new = [prefix + (v,) for v in range(-self.B, self.B + 1)
+                   if gcd(g0, v) == 1]
+            self.count += len(new)
+            self.points.extend(new)
         else:
-            self.count += 2 * self.B + 1
-            if self.collect:
-                self.points.extend(prefix + (v,) for v in range(-self.B, self.B + 1))
+            self.count += _coprime_count_in_box(g0, self.B)
 
     def add_solved(self, loop_prefix, *cols):
         """cols: equal-length int64 arrays, one per solved trailing
@@ -480,7 +478,7 @@ def count_projective(F: IntPoly, B: int, collect: bool = False):
 
 def slice_form(F: IntPoly, b: int) -> IntPoly:
     """Substitute b for the first variable: the slice F(b, T1, ..., Tn)."""
-    return F.substitute_value(0, b, drop=True)
+    return F.substitute_value(0, b)
 
 
 def verify_slicing(F: IntPoly, B: int):
@@ -508,7 +506,7 @@ def count_affine_surface(F: IntPoly, B: int, filters=(), collect: bool = True):
         raise ValueError("need a nonzero homogeneous form of degree >= 1")
     if F.num_vars != 4:
         raise ValueError("affine surface counting expects 4 variables")
-    f = F.substitute_value(0, 1, drop=True)
+    f = dehomogenize(F)
     if f.is_zero():
         # the whole affine chart lies on the surface
         pts = [
@@ -559,61 +557,25 @@ def count_roots_bounded(p, T: int):
 def enumerate_projective_variety(gens, B: int):
     """All projective points of height <= B on the common zero locus.
 
-    Solves one generator for one variable whenever a specialization becomes
-    univariate, otherwise scans a coordinate; every candidate is verified
-    against every generator, so the output is exact.  Points come back as
+    An integer point is a zero of every generator exactly when it is a zero
+    of S = sum g_i^2, so the points are the primitive zeros of S, which the
+    enumeration solvers find exactly.  S need not be homogeneous, so
+    generators of different degrees need no weighting.  Points come back as
     normalized ProjPoint values in lexicographic order.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ValueError("need at least one nonzero generator")
+    gens = list(gens)
+    if not gens or any(g.is_zero() for g in gens):
+        raise ValueError("generators must be nonzero")
     nv = gens[0].num_vars
     if any(g.num_vars != nv for g in gens):
         raise ValueError("generators must share one variable count")
-    found = set()
-
-    def admissible(assign):
-        return all(g.evaluate(assign) == 0 for g in gens)
-
-    def recurse(idx_values):
-        missing = [i for i in range(nv) if i not in idx_values]
-        if not missing:
-            full = tuple(idx_values[i] for i in range(nv))
-            if any(full) and admissible(full):
-                found.add(normalize_primitive(full).coords)
-            return
-        # look for a generator that is univariate in one missing variable
-        for g in gens:
-            spec = g
-            # substitute known values without dropping slots
-            for i, v in idx_values.items():
-                spec = spec.substitute_value(i, v, drop=False)
-            used = spec.variables_used()
-            if len(used) == 1 and used[0] in idx_values:
-                continue
-            if len(used) == 0:
-                if not spec.is_zero():
-                    return  # contradiction: prune this branch
-                continue
-            if len(used) == 1:
-                var = used[0]
-                coeffs = [0] * (spec.degree + 1)
-                for e, c in spec.terms.items():
-                    coeffs[e[var]] += c
-                if uniroots.degree(coeffs) < 1:
-                    if uniroots.degree(coeffs) == -1:
-                        continue
-                    return
-                for r in uniroots.integer_roots_in_box(coeffs, B):
-                    nxt = dict(idx_values)
-                    nxt[var] = r
-                    recurse(nxt)
-                return
-        var = missing[0]
-        for v in range(-B, B + 1):
-            nxt = dict(idx_values)
-            nxt[var] = v
-            recurse(nxt)
-
-    recurse({})
-    return [normalize_primitive(c) for c in sorted(found)]
+    if not all(g.is_homogeneous() for g in gens):
+        raise ValueError("generators must be homogeneous")
+    if B < 1:
+        raise ValueError("B must be >= 1")
+    S = IntPoly.zero(nv)
+    for g in gens:
+        S = S + g * g
+    hits = _solve_zeros(S, B, projective=True, collect=True)
+    found = {normalize_primitive(x).coords for x in hits.points}
+    return [ProjPoint(c) for c in sorted(found)]

@@ -16,7 +16,7 @@ import random
 from enum import Enum
 
 from .linalg import rank_dense
-from .poly import IntPoly
+from .poly import IntPoly, gram_matrix, homogenize, substitute_linear
 from . import uniroots
 
 
@@ -51,7 +51,10 @@ def is_absolutely_irreducible(F: IntPoly, max_tries: int = 12,
             (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-2, 2))
             for _ in range(F.num_vars)
         ]
-        restricted = _restrict_to_plane(F, rows)
+        # x_i = a_i*s + b_i*u + c_i, a polynomial in (s, u)
+        images = [IntPoly(2, {(1, 0): a, (0, 1): b, (0, 0): c})
+                  for a, b, c in rows]
+        restricted = substitute_linear(F, images)
         if restricted.degree != d or len(restricted.variables_used()) < 2:
             continue
         if bivariate_absolutely_irreducible(restricted) is Irreducibility.YES:
@@ -68,36 +71,11 @@ def _project_to(F: IntPoly, used):
     return IntPoly(len(used), out)
 
 
-def _restrict_to_plane(F: IntPoly, rows) -> IntPoly:
-    """Substitute x_i = a_i*s + b_i*u + c_i, returning a polynomial in (s, u)."""
-    subs = [IntPoly(2, {(1, 0): a, (0, 1): b, (0, 0): c}) for a, b, c in rows]
-    result = IntPoly.zero(2)
-    for e, coeff in F.terms.items():
-        term = IntPoly.constant(2, coeff)
-        for i, p in enumerate(e):
-            if p:
-                term = term * subs[i] ** p
-        result = result + term
-    return result
-
-
 def _quadratic_verdict(F: IntPoly) -> Irreducibility:
     """Gram-rank criterion: a quadric is absolutely irreducible iff the
     symmetric matrix of its homogenization has rank at least 3."""
-    from .poly import homogenize
-
     G = F if F.is_homogeneous() else homogenize(F, 2)
-    n = G.num_vars
-    gram = [[0] * n for _ in range(n)]
-    for e, c in G.terms.items():
-        idx = [i for i, p in enumerate(e) for _ in range(p)]
-        i, j = idx[0], idx[1]
-        if i == j:
-            gram[i][i] = 2 * c
-        else:
-            gram[i][j] += c
-            gram[j][i] += c
-    rank = rank_dense(gram)
+    rank = rank_dense(gram_matrix(G))
     return Irreducibility.YES if rank >= 3 else Irreducibility.NO
 
 

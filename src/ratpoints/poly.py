@@ -149,8 +149,9 @@ class IntPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -192,17 +193,13 @@ class IntPoly:
             total += v
         return total % p
 
-    def substitute_value(self, index: int, value: int, drop: bool = True) -> "IntPoly":
-        """Set variable ``index`` to an integer; by default drop the slot."""
+    def substitute_value(self, index: int, value: int) -> "IntPoly":
+        """Set variable ``index`` to an integer and drop its slot."""
         out = {}
         for e, c in self.terms.items():
-            coeff = c * value ** e[index]
-            if drop:
-                ne = e[:index] + e[index + 1 :]
-            else:
-                ne = e[:index] + (0,) + e[index + 1 :]
-            out[ne] = out.get(ne, 0) + coeff
-        return IntPoly(self.num_vars - (1 if drop else 0), out)
+            ne = e[:index] + e[index + 1 :]
+            out[ne] = out.get(ne, 0) + c * value ** e[index]
+        return IntPoly(self.num_vars - 1, out)
 
     def partial(self, index: int) -> "IntPoly":
         out = {}
@@ -301,7 +298,19 @@ def homogenize(f: IntPoly, delta: int) -> IntPoly:
 
 def dehomogenize(F: IntPoly) -> IntPoly:
     """Substitute 1 for the first variable and drop it."""
-    return F.substitute_value(0, 1, drop=True)
+    return F.substitute_value(0, 1)
+
+
+def gram_matrix(Q: IntPoly):
+    """Symmetric integer matrix M of a quadratic form, with Q(x) = x^T M x / 2:
+    twice the square coefficients on the diagonal, the cross terms off it."""
+    n = Q.num_vars
+    gram = [[0] * n for _ in range(n)]
+    for e, c in Q.terms.items():
+        i, j = [i for i, p in enumerate(e) for _ in range(p)]
+        gram[i][j] += c
+        gram[j][i] += c
+    return gram
 
 
 def leading_form(g: IntPoly) -> IntPoly:
@@ -457,23 +466,16 @@ def parse_poly(text: str, num_vars: int | None = None) -> IntPoly:
     largest index unless ``num_vars`` forces a larger ring.
     """
     tokens = _tokenize(text)
-    parser = _Parser(tokens, text)
-    terms, maxvar, style = parser.parse()
-    nv = maxvar + 1
-    if num_vars is not None:
-        if num_vars < nv:
-            raise PolyParseError(
-                f"polynomial uses {nv} variables, {num_vars} declared", 0
-            )
-        nv = num_vars
-    out = {}
-    for exp_map, coeff in terms:
-        e = [0] * nv
-        for idx, p in exp_map.items():
-            e[idx] += p
-        key = tuple(e)
-        out[key] = out.get(key, 0) + coeff
-    return IntPoly(nv, out)
+    # the ring is fixed from the variable tokens before parsing, so every
+    # subexpression is an IntPoly, whose arithmetic combines like terms
+    used = 1 + max((v[1] - (v[0] == "t") for kind, v, _ in tokens
+                    if kind == "var"), default=-1)
+    f = _Parser(tokens, max(used, num_vars or 0)).parse()
+    if num_vars is not None and num_vars < used:
+        raise PolyParseError(
+            f"polynomial uses {used} variables, {num_vars} declared", 0
+        )
+    return f
 
 
 def _tokenize(text: str):
@@ -510,13 +512,14 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive descent over +, -, *, ^ with parentheses."""
+    """Recursive descent over +, -, *, ^ with parentheses, building IntPoly
+    values in a ring of ``num_vars`` variables."""
 
-    def __init__(self, tokens, text):
+    def __init__(self, tokens, num_vars: int):
         self.tokens = tokens
         self.pos = 0
+        self.num_vars = num_vars
         self.style = None
-        self.maxvar = -1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -527,33 +530,32 @@ class _Parser:
         return t
 
     def parse(self):
-        terms = self.expr()
+        f = self.expr()
         kind, _, loc = self.peek()
         if kind != "end":
             raise PolyParseError("trailing input", loc)
-        return terms, self.maxvar, self.style
+        return f
 
     def expr(self):
-        kind, _, _ = self.peek()
+        # one dict for the whole sum: adding IntPoly values would copy the
+        # partial sum at every term, quadratic in the number of terms
+        out = {}
         sign = 1
-        if kind in "+-":
+        if self.peek()[0] in "+-":
             sign = -1 if self.take()[0] == "-" else 1
-        terms = self.scale(self.term(), sign)
-        while self.peek()[0] in "+-":
-            op = self.take()[0]
-            nxt = self.term()
-            terms = terms + self.scale(nxt, -1 if op == "-" else 1)
-        return terms
+        while True:
+            for e, c in self.term().terms.items():
+                out[e] = out.get(e, 0) + sign * c
+            if self.peek()[0] not in "+-":
+                return IntPoly(self.num_vars, out)
+            sign = -1 if self.take()[0] == "-" else 1
 
     def term(self):
-        factors = [self.factor()]
+        f = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            factors.append(self.factor())
-        result = factors[0]
-        for f in factors[1:]:
-            result = self.multiply(result, f)
-        return result
+            f = f * self.factor()
+        return f
 
     def factor(self):
         base = self.atom()
@@ -562,16 +564,13 @@ class _Parser:
             kind, val, loc = self.take()
             if kind != "int":
                 raise PolyParseError("exponent must be an integer literal", loc)
-            result = [({}, 1)]
-            for _ in range(val):
-                result = self.multiply(result, base)
-            return result
+            return base**val
         return base
 
     def atom(self):
         kind, val, loc = self.take()
         if kind == "int":
-            return [({}, val)]
+            return IntPoly.constant(self.num_vars, val)
         if kind == "var":
             fam, idx = val
             if self.style is None:
@@ -582,8 +581,7 @@ class _Parser:
                 if idx < 1:
                     raise PolyParseError("t-variables start at t1", loc)
                 idx -= 1
-            self.maxvar = max(self.maxvar, idx)
-            return [({idx: 1}, 1)]
+            return IntPoly.variable(self.num_vars, idx)
         if kind == "(":
             inner = self.expr()
             kind2, _, loc2 = self.take()
@@ -591,23 +589,8 @@ class _Parser:
                 raise PolyParseError("expected ')'", loc2)
             return inner
         if kind == "-":
-            return self.scale(self.factor(), -1)
+            return -self.factor()
         raise PolyParseError("expected a term", loc)
-
-    @staticmethod
-    def scale(terms, s):
-        return [(e, c * s) for e, c in terms]
-
-    @staticmethod
-    def multiply(a, b):
-        out = []
-        for ea, ca in a:
-            for eb, cb in b:
-                e = dict(ea)
-                for k, v in eb.items():
-                    e[k] = e.get(k, 0) + v
-                out.append((e, ca * cb))
-        return out
 
 
 def format_poly(f: IntPoly, style: str = "x") -> str:

@@ -14,7 +14,7 @@ from ratpoints.enumeration import (CountSeries, ResidueFilter, count_affine,
                                    enumerate_projective_variety, slice_form,
                                    verify_slicing)
 from ratpoints.exact import normalize_primitive
-from ratpoints.poly import IntPoly, monomials_of_degree, parse_poly
+from ratpoints.poly import IntPoly, monomials_of_degree, pad_vars, parse_poly
 
 
 def random_form(rng, nv, degree, spread=4):
@@ -234,18 +234,25 @@ def test_monotone_in_B():
 
 def test_enumerate_variety_matches_brute_force():
     import itertools
-    from math import gcd
 
     rng = random.Random(61)
-    for _ in range(12):
+    nonempty = without_x3 = 0
+    for _ in range(40):
         gens = []
         for _ in range(rng.randint(1, 3)):
-            g = random_form(rng, 4, rng.choice([1, 2]))
+            d = rng.randint(1, 3)
+            spread = rng.choice([1, 4])
+            if rng.random() < 0.25:
+                # a generator free of the last variable x3
+                g = pad_vars(random_form(rng, 3, d, spread), 4)
+            else:
+                g = random_form(rng, 4, d, spread)
             if not g.is_zero():
                 gens.append(g)
         if not gens:
             continue
-        B = rng.randint(1, 3)
+        without_x3 += any(3 not in g.variables_used() for g in gens)
+        B = rng.randint(1, 4)
         got = {p.coords for p in enumerate_projective_variety(gens, B)}
         oracle = set()
         for x in itertools.product(range(-B, B + 1), repeat=4):
@@ -255,6 +262,28 @@ def test_enumerate_variety_matches_brute_force():
                 oracle.add(normalize_primitive(x).coords)
         oracle = {c for c in oracle if max(abs(v) for v in c) <= B}
         assert got == oracle, ([g.to_text() for g in gens], B)
+        nonempty += bool(oracle)
+    assert nonempty >= 20 and without_x3 >= 10, (nonempty, without_x3)
+
+
+def test_enumerate_variety_rejects_bad_input(capsys):
+    from ratpoints import cli
+
+    conic = parse_poly("x0*x2 - x1^2", num_vars=4)
+    with pytest.raises(ValueError, match="homogeneous"):
+        enumerate_projective_variety(
+            [conic, parse_poly("x0*x2 - x1", num_vars=4)], 5)
+    with pytest.raises(ValueError, match="B must be >= 1"):
+        enumerate_projective_variety([conic], 0)
+    with pytest.raises(ValueError, match="nonzero"):
+        enumerate_projective_variety([conic, IntPoly.zero(4)], 5)
+    with pytest.raises(ValueError, match="variable count"):
+        enumerate_projective_variety([conic, parse_poly("x0 - x1")], 5)
+    assert cli.main(["project", "--gens", "x0*x2 - x1", "--bound", "5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "ratpoints: error: generators must be homogeneous"]
 
 
 def test_enumerate_variety_matches_parameterization():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -31,6 +32,17 @@ def test_parse_errors_report_position():
         parse_poly("x0 + t1")  # mixed families
     with pytest.raises(PolyParseError):
         parse_poly("x0 ^ x1")  # exponent must be a literal
+
+
+def test_parse_power_of_a_sum():
+    # powers are taken by IntPoly arithmetic, which combines like terms
+    f = parse_poly("(x0 + x1 + x2)^16")
+    s = sum((IntPoly.variable(3, i) for i in range(3)), IntPoly.zero(3))
+    assert f == s**16
+    assert len(f.terms) == 153
+    assert f.evaluate((1, 1, 1)) == 3**16
+    assert f.terms[(6, 5, 5)] == math.factorial(16) // (
+        math.factorial(6) * math.factorial(5) ** 2)
 
 
 def test_homogenize_examples():
@@ -76,7 +88,7 @@ def test_leading_form_via_homogenization():
         if f.is_zero():
             continue
         F = homogenize(f, f.degree)
-        at_infinity = F.substitute_value(0, 0, drop=True)
+        at_infinity = F.substitute_value(0, 0)
         assert at_infinity == leading_form(f)
 
 
