@@ -13,7 +13,9 @@ cross-check them against each other and against full lattice scans.
 
 A variety of any codimension is enumerated on the same two solvers: an
 integer point is a zero of every generator g_i exactly when it is a zero
-of the single polynomial sum g_i^2.
+of the single polynomial sum g_i^2.  Generators free of the last variable
+are solved first and the last variable only at their zeros, which keeps
+curves such as the twisted cubic at O(B^2) cells.
 
 Counts of projective zeros include x and -x separately; point lists are
 returned in lexicographic order.
@@ -239,7 +241,7 @@ def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
     if npsafe:
         _solve_tiles(coeffs, B, hits)
     else:
-        _solve_scalar(coeffs, B, hits)
+        _solve_scalar(coeffs, _iter_loop(nv - 1, B), B, hits)
     return hits
 
 
@@ -257,9 +259,10 @@ def _solve_residual(residual, prefix, B, hits):
         hits.add_scalar(prefix, r)
 
 
-def _solve_scalar(coeffs, B, hits):
-    """Big-int loop over every free variable: the exact reference."""
-    for prefix in _iter_loop(coeffs[0].num_vars, B):
+def _solve_scalar(coeffs, prefixes, B, hits):
+    """Big-int loop over the given values of the free variables: the exact
+    reference."""
+    for prefix in prefixes:
         _solve_residual([c.evaluate(prefix) for c in coeffs], prefix, B, hits)
 
 
@@ -554,13 +557,22 @@ def count_roots_bounded(p, T: int):
     return exact, delta * (3.0 + 2.0 * radius)
 
 
+def _sum_of_squares(polys):
+    """A polynomial whose integer zeros are the common zeros of polys."""
+    if len(polys) == 1:
+        return polys[0]
+    return sum((g * g for g in polys[1:]), polys[0] * polys[0])
+
+
 def enumerate_projective_variety(gens, B: int):
     """All projective points of height <= B on the common zero locus.
 
     An integer point is a zero of every generator exactly when it is a zero
-    of S = sum g_i^2, so the points are the primitive zeros of S, which the
-    enumeration solvers find exactly.  S need not be homogeneous, so
-    generators of different degrees need no weighting.  Points come back as
+    of S = sum g_i^2 (of g itself when there is one), so the points are the
+    primitive zeros of S, found exactly by the enumeration solvers; S need
+    not be homogeneous.  Generators free of the last variable are solved
+    first and S only at their zeros: the twisted cubic then takes O(B^2)
+    cells rather than the whole box's O(B^3).  Points come back as
     normalized ProjPoint values in lexicographic order.
     """
     gens = list(gens)
@@ -573,9 +585,15 @@ def enumerate_projective_variety(gens, B: int):
         raise ValueError("generators must be homogeneous")
     if B < 1:
         raise ValueError("B must be >= 1")
-    S = IntPoly.zero(nv)
-    for g in gens:
-        S = S + g * g
-    hits = _solve_zeros(S, B, projective=True, collect=True)
+    S = _sum_of_squares(gens)
+    # generators free of the last variable, in the other variables
+    inner = [c[0] for c in map(_last_var_coefficients, gens) if len(c) == 1]
+    if inner and nv > 1:
+        prefixes = _solve_zeros(_sum_of_squares(inner), B, projective=False,
+                                collect=True).points
+        hits = _Hits(True, True, B)
+        _solve_scalar(_last_var_coefficients(S), prefixes, B, hits)
+    else:
+        hits = _solve_zeros(S, B, projective=True, collect=True)
     found = {normalize_primitive(x).coords for x in hits.points}
     return [ProjPoint(c) for c in sorted(found)]

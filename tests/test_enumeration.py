@@ -301,3 +301,31 @@ def test_enumerate_variety_matches_parameterization():
                     oracle.add(p.coords)
     assert {p.coords for p in pts} == oracle
     assert all(g.evaluate(p.coords) == 0 for p in pts for g in tc)
+
+
+def test_enumerate_variety_solves_only_projected_prefixes(monkeypatch):
+    # x0*x2 - x1^2 is free of x3, so x3 is solved only at its zeros in the
+    # box: 21377 prefixes at B = 1000 rather than the box's 2001^3
+    from ratpoints import enumeration
+
+    tc = [parse_poly(s, num_vars=4)
+          for s in ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")]
+    B = 1000
+    solved = []
+    solve = enumeration._solve_residual
+
+    def spy(residual, prefix, bound, hits):
+        solved.append(prefix)
+        # fail at once rather than walk the box
+        assert len(solved) < 30 * B
+        assert len(prefix) == 3 and tc[0].evaluate(prefix + (0,)) == 0
+        solve(residual, prefix, bound, hits)
+
+    monkeypatch.setattr(enumeration, "_solve_residual", spy)
+    pts = enumerate_projective_variety(tc, B)
+    assert solved
+    # the coprime (s, t) with max(|s|, |t|)^3 <= B give every point once
+    oracle = {normalize_primitive((s**3, s * s * t, s * t * t, t**3)).coords
+              for s in range(-10, 11) for t in range(-10, 11)
+              if math.gcd(s, t) == 1}
+    assert {p.coords for p in pts} == oracle
