@@ -2,9 +2,10 @@
 
 Subcommands: count, slice, conic-param, project, detmethod, fit.  All
 output is CSV or JSON with sorted keys so reruns are byte-identical.
-Environment override: RATPOINTS_SEED.  A bad input (an unparsable
-polynomial, a non-prime filter modulus, ...) prints one line
-``ratpoints: error: <message>`` to stderr and exits with status 2.
+Environment override: RATPOINTS_SEED, a label copied into report.json
+(nothing is random).  A bad input (an unparsable polynomial, a non-prime
+filter modulus, ...) prints one line ``ratpoints: error: <message>`` to
+stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from .curves import (EmptyParam, certified_class_points, conic_parameterize,
 from .detmethod import (AuxiliaryForm, build_determinant,
                         curve_section_degree, extract_auxiliary_form,
                         partition_by_residue, prime_window, select_monomials)
-from .enumeration import (CountSeries, ResidueFilter, count_affine,
-                          count_affine_surface, count_projective,
+from .enumeration import (CountSeries, count_affine_surface,
                           enumerate_projective_variety, slice_form)
 from .exact import CertificateError
 from .geometry import (build_projection_setup, find_projection_center,
                        project_point, sample_birationality_check)
-from .harness import ExperimentConfig, fit_exponent, run_experiment
+from .harness import (ExperimentConfig, _count_one, fit_exponent,
+                      run_experiment)
 from .poly import format_poly, parse_poly
 
 
@@ -108,6 +109,9 @@ def main(argv=None) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.points and not args.out:
+        raise ValueError("--points needs --out, the directory that "
+                         "points.csv is written to")
     grid_count = 5
     if args.grid:
         kind, _, num = args.grid.partition(":")
@@ -131,15 +135,9 @@ def _cmd_count(args) -> int:
         tolerance=args.tol,
     )
     report = run_experiment(config)
-    if args.points and args.out:
+    if args.points:
         F = parse_poly(config.poly)
-        if config.function == "N":
-            _, pts = count_projective(F, config.bmax, collect=True)
-        elif config.function == "M":
-            _, pts = count_affine(F, config.bmax, collect=True)
-        else:
-            flts = [ResidueFilter(p, rs) for p, rs in config.filters]
-            _, pts = count_affine_surface(F, config.bmax, filters=flts)
+        _, pts = _count_one(config, F, config.bmax, collect=True)
         with open(os.path.join(args.out, "points.csv"), "w") as fh:
             for pt in pts:
                 fh.write(",".join(str(c) for c in pt) + "\n")
@@ -248,8 +246,7 @@ def _cmd_detmethod(args) -> int:
                 outcome = None
                 try:
                     for D in range(2, args.max_aux_degree + 1):
-                        result = extract_auxiliary_form(members, D, F, p=p,
-                                                        residue=residue)
+                        result = extract_auxiliary_form(members, D, F)
                         if isinstance(result, AuxiliaryForm):
                             outcome = result
                             break
@@ -319,16 +316,7 @@ def _cmd_fit(args) -> int:
                 b, c = line.strip().split(",")
                 entries.append((int(b), int(c)))
     series = CountSeries(tag=args.series, entries=entries)
-    fit = fit_exponent(series, args.target, args.tol)
-    _emit({
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "points_used": fit.points_used,
-        "target": fit.target,
-        "margin": fit.margin,
-        "verdict": fit.verdict,
-    })
+    _emit(fit_exponent(series, args.target, args.tol).record())
     return 0
 
 

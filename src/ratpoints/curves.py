@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, isqrt, log
 
-from .exact import (CertificateError, ProjPoint, gcd_all, primitive_vector,
+from .exact import (CertificateError, gcd_all, primitive_vector,
                     unimodular_complete)
 from .linalg import det_bareiss
 from .poly import IntPoly, gram_matrix, pad_vars, substitute_linear
@@ -56,8 +56,8 @@ def line_points(p1, p2, B: int) -> LinePointsResult:
     progression with minimal step; the count obeys
     count <= 2 * (1 + B/|step|).
     """
-    c1 = tuple(p1.coords if isinstance(p1, ProjPoint) else p1)
-    c2 = tuple(p2.coords if isinstance(p2, ProjPoint) else p2)
+    c1 = tuple(p1)
+    c2 = tuple(p2)
     if len(c1) != 4 or len(c2) != 4:
         raise ValueError("line points live in P^3")
     n1 = primitive_vector(c1)
@@ -161,7 +161,7 @@ def plane_from_three_points(points):
     Coefficients are exact 3x3 minors of the point matrix, made primitive;
     returns None when the points are collinear (no unique plane).
     """
-    pts = [tuple(p.coords if isinstance(p, ProjPoint) else p) for p in points]
+    pts = [tuple(p) for p in points]
     if len(pts) != 3 or any(len(p) != 4 for p in pts):
         raise ValueError("need three points of P^3")
     cof = []

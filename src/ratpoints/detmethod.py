@@ -8,8 +8,8 @@ determinant and divisibility by high prime powers (guaranteed for points
 sharing a nonsingular reduction) force the determinant to vanish, which
 yields an auxiliary form vanishing on the whole class without being
 divisible by the surface form.  Everything here is exact integer or
-rational arithmetic; the only floats are in the advisory vanishing
-predictor and in logged bound values.
+rational arithmetic; the only floats are in the prime windows and the
+advisory vanishing predictor.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import ceil, comb, log
 from .exact import CertificateError, is_prime, valuation
 from .geometry import classify_point
 from .linalg import det_bareiss, nullspace_int
-from .poly import (IntPoly, dehomogenize, graded_piece_basis,
+from .poly import (IntPoly, graded_piece_basis, monomial_rows,
                    monomials_of_degree, poly_divides)
 
 
@@ -30,12 +30,9 @@ from .poly import (IntPoly, dehomogenize, graded_piece_basis,
 
 @dataclass
 class PrimeWindow:
-    B: int
     exponent: float
-    epsilon: float
     primes: list
     window: tuple          # (low, high) actually used
-    excluded: int | None = None
 
 
 def _window_primes(low: float, min_count: int, exclude=None):
@@ -59,8 +56,7 @@ def prime_window(B: int, d: int, epsilon: float, min_count: int) -> PrimeWindow:
     a = 1.0 / d**0.5 + epsilon
     low = float(B) ** a
     primes, window = _window_primes(low, min_count)
-    return PrimeWindow(B=B, exponent=a, epsilon=epsilon, primes=primes,
-                       window=window)
+    return PrimeWindow(exponent=a, primes=primes, window=window)
 
 
 def second_prime_window(B: int, d: int, e: int, exclude: int,
@@ -73,8 +69,7 @@ def second_prime_window(B: int, d: int, e: int, exclude: int,
     a = 1.0 / e - 1.0 / ((e - 1) * d**0.5)
     low = float(B) ** a
     primes, window = _window_primes(low, min_count, exclude=exclude)
-    return PrimeWindow(B=B, exponent=a, epsilon=0.0, primes=primes,
-                       window=window, excluded=exclude)
+    return PrimeWindow(exponent=a, primes=primes, window=window)
 
 
 # ---------------------------------------------------------------------
@@ -108,18 +103,12 @@ class MonomialSelection:
     """Monomials of one degree D, no combination of which lies in the
     curve ideal, with small affine degree sum."""
 
-    ideal: list
-    curve_degree: int
     k: int
     D: int
-    monomials: list        # IntPoly monomials of degree D
+    monomials: list        # exponent tuples of degree D in four variables
     affine_degrees: list   # degrees after setting the first variable to 1
     degree_sum: int
     stable_from: int       # first degree with Hilbert value e
-    sum_constant: float    # C with degree_sum <= k^2/(2e) + C*k
-
-    def affine_monomials(self):
-        return [dehomogenize(m) for m in self.monomials]
 
 
 def select_monomials(J, e: int, k: int, max_degree: int = 400
@@ -132,8 +121,7 @@ def select_monomials(J, e: int, k: int, max_degree: int = 400
     J = list(J)
     if not J:
         raise ValueError("need curve generators")
-    nv = J[0].num_vars
-    if nv != 4:
+    if J[0].num_vars != 4:
         raise ValueError("curve ideals live in four variables")
     # the quotient by (J, X0) in degree delta is the quotient of the
     # three-variable ring by the image of J at X0 = 0
@@ -169,28 +157,22 @@ def select_monomials(J, e: int, k: int, max_degree: int = 400
                 chosen.append((dd, m))
     if len(chosen) != k:
         raise CertificateError(f"selected {len(chosen)} monomials, need {k}")
-    monomials = []
-    affine_degrees = []
-    for dd, m in chosen:
-        exp = next(iter(m.terms))  # exponents in (X1, X2, X3)
-        lifted = (D - dd,) + exp
-        monomials.append(IntPoly(nv, {lifted: 1}))
-        affine_degrees.append(dd)
-    degree_sum = sum(affine_degrees)
+    # the basis exponents are in (X1, X2, X3); X0 lifts them to degree D
+    monomials = [(D - dd,) + m for dd, m in chosen]
+    affine_degrees = [dd for dd, _ in chosen]
     _confirm_independent(J, monomials, D)
-    sum_constant = max(0.0, (degree_sum - k * k / (2 * e)) / k)
     return MonomialSelection(
-        ideal=J, curve_degree=e, k=k, D=D, monomials=monomials,
-        affine_degrees=affine_degrees, degree_sum=degree_sum,
-        stable_from=stable_from, sum_constant=sum_constant,
+        k=k, D=D, monomials=monomials, affine_degrees=affine_degrees,
+        degree_sum=sum(affine_degrees), stable_from=stable_from,
     )
 
 
 def _confirm_independent(J, monomials, D):
     """Exact rank check: stacking the degree-D ideal piece with the chosen
-    monomials must add exactly one rank per monomial."""
+    monomials (exponent tuples) must add exactly one rank per monomial."""
     base_rank = graded_piece_basis(J, [], D).ideal_rank
-    full_rank = graded_piece_basis(J, monomials, D).ideal_rank
+    extra = [IntPoly(len(m), {m: 1}) for m in monomials]
+    full_rank = graded_piece_basis(J, extra, D).ideal_rank
     if full_rank != base_rank + len(monomials):
         raise CertificateError("selected monomials are dependent mod the ideal")
 
@@ -209,8 +191,6 @@ class DetCertificate:
     p: int | None = None
     q: int | None = None
     beta_required: int = 0         # k(k-1)/2
-    alpha_proxy: int | None = None  # observed v_p, reported not asserted
-    log_det_bound: float = 0.0     # k log k + degree_sum * log B
     duplicate_points: bool = False
 
 
@@ -218,16 +198,17 @@ def build_determinant(points, sel: MonomialSelection, p: int | None = None,
                       q: int | None = None) -> DetCertificate:
     """Exact determinant of affine monomial values at k points.
 
-    Attaches exact valuations at the supplied primes and the logged size
-    bound |det| <= k! * B^(degree sum), asserted whenever det != 0.
+    Every point has first coordinate 1, so each selected monomial takes
+    the value of its affine (dehomogenized) monomial there.  Attaches exact
+    valuations at the supplied primes and checks the size bound
+    |det| <= k! * B^(degree sum) whenever det != 0.
     """
     points = [tuple(pt) for pt in points]
     if len(points) != sel.k:
         raise ValueError(f"need exactly k = {sel.k} points")
     if any(pt[0] != 1 for pt in points):
         raise ValueError("points must be affine, first coordinate 1")
-    affine = sel.affine_monomials()
-    matrix = [[m.evaluate(pt[1:]) for pt in points] for m in affine]
+    matrix = monomial_rows(sel.monomials, points)
     duplicate = len(set(points)) < len(points)
     det = det_bareiss(matrix)
     B = max((max(abs(c) for c in pt) for pt in points), default=1)
@@ -241,13 +222,11 @@ def build_determinant(points, sel: MonomialSelection, p: int | None = None,
     cert = DetCertificate(
         points=points, k=sel.k, det=det,
         beta_required=sel.k * (sel.k - 1) // 2,
-        log_det_bound=sel.k * log(max(sel.k, 2)) + sel.degree_sum * log(B),
         duplicate_points=duplicate,
     )
     if p is not None:
         cert.p = p
         cert.vp = valuation(det, p)
-        cert.alpha_proxy = cert.vp
     if q is not None:
         cert.q = q
         cert.vq = valuation(det, q)
@@ -350,20 +329,15 @@ def vanishing_threshold(B: int, p: int, q: int, e: int, d: int,
 class AuxiliaryForm:
     form: IntPoly
     degree: int
-    p: int | None
-    residue: tuple | None
     rank: int
-    basis_size: int
 
 
 @dataclass
 class RankFull:
     rank: int
-    basis_size: int
 
 
-def extract_auxiliary_form(points, D: int, F: IntPoly,
-                           p: int | None = None, residue=None):
+def extract_auxiliary_form(points, D: int, F: IntPoly):
     """A primitive integer form of degree D vanishing at every class point
     and not divisible by F, from the exact nullspace of the value matrix.
 
@@ -373,25 +347,20 @@ def extract_auxiliary_form(points, D: int, F: IntPoly,
     points = [tuple(pt) for pt in points]
     if not points:
         raise ValueError("empty point class")
-    basis = [IntPoly(4, {e: 1}) for e in monomials_of_degree(4, D)]
-    rows = [[m.evaluate(pt) for m in basis] for pt in points]
+    basis = monomials_of_degree(4, D)
+    rows = monomial_rows(basis, points)
     vectors = nullspace_int(rows, len(basis))
     rank = len(basis) - len(vectors)
     if not vectors:
-        return RankFull(rank=rank, basis_size=len(basis))
+        return RankFull(rank=rank)
     for vec in vectors:
-        G = IntPoly.zero(4)
-        for coef, mono in zip(vec, basis):
-            if coef:
-                G = G + coef * mono
-        G = G.primitive_part().sign_normalized()
-        if G.is_zero():
-            continue
+        G = IntPoly(4, dict(zip(basis, vec))).primitive_part().sign_normalized()
         if not poly_divides(F, G):
-            if any(G.evaluate(pt) != 0 for pt in points):
+            # G is a nonzero multiple of vec, so it vanishes at a point
+            # exactly when the point's row is orthogonal to vec
+            if any(sum(c * v for c, v in zip(vec, row)) for row in rows):
                 raise CertificateError("auxiliary form misses a class point")
-            return AuxiliaryForm(form=G, degree=D, p=p, residue=residue,
-                                 rank=rank, basis_size=len(basis))
+            return AuxiliaryForm(form=G, degree=D, rank=rank)
     raise ValueError(
         "class lies in a smaller locus than basis captures; increase D"
     )

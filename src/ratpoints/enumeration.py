@@ -71,6 +71,9 @@ class ResidueFilter:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError("filter modulus must be prime")
+        if len(self.residues) != 3:
+            raise ValueError("a residue filter needs exactly three residues, "
+                             "for x1, x2 and x3")
         if any(not 0 <= r < self.p for r in self.residues):
             raise ValueError("residues must be reduced mod p")
 

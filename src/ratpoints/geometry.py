@@ -31,10 +31,6 @@ class Classification(Enum):
     NOT_IN_U = "not_in_U"
 
 
-def _coords(x):
-    return tuple(x.coords) if isinstance(x, ProjPoint) else tuple(x)
-
-
 def classify_point(F: IntPoly, x, p: int | None = None) -> Classification:
     """Classify a surface point; with p given, work over the prime field.
 
@@ -42,7 +38,7 @@ def classify_point(F: IntPoly, x, p: int | None = None) -> Classification:
     the tangent plane together with its pairwise sums, which decides
     whether Q restricts to zero in any characteristic.
     """
-    xs = _coords(x)
+    xs = tuple(x)
     if F.num_vars != 4 or len(xs) != 4:
         raise ValueError("classification lives on surfaces in P^3")
 
@@ -222,7 +218,7 @@ class ProjectionSetup:
 def build_projection_setup(h_list) -> ProjectionSetup:
     """Dual vectors by exact nullspace: g_i . h_j = 0 for i != j and
     g_i . h_i != 0, then the height-inflation constant."""
-    hs = [primitive_vector(_coords(h)) for h in h_list]
+    hs = [primitive_vector(tuple(h)) for h in h_list]
     if not hs:
         raise ValueError("need at least one spanning point")
     ncols = len(hs[0])
@@ -267,7 +263,7 @@ def _dot(a, b):
 def project_point(setup: ProjectionSetup, x) -> ProjPoint:
     """Image of x under the projection; exact, with the height contract
     H(image) <= c * H(x) asserted per point."""
-    xs = _coords(x)
+    xs = tuple(x)
     v = [setup.lam * xi for xi in xs]
     for lp, g, h in zip(setup.lam_partial, setup.g_list, setup.h_list):
         gx = _dot(g, xs)
@@ -303,7 +299,7 @@ def sample_birationality_check(setup: ProjectionSetup, points, d: int
     for x in points:
         total += 1
         img = project_point(setup, x).coords
-        fibers.setdefault(img, []).append(_coords(x))
+        fibers.setdefault(img, []).append(tuple(x))
     hist: dict = {}
     for img, members in fibers.items():
         n = len(members)
@@ -344,7 +340,7 @@ def find_projection_center(gens, d: int, height_cap: int, points):
 
 def detect_hyperplane(points):
     """A primitive vector a with a.x = 0 for every sample point, or None."""
-    rows = [_coords(p) for p in points]
+    rows = [tuple(p) for p in points]
     if not rows:
         return None
     basis = nullspace_int(rows, len(rows[0]))
@@ -364,6 +360,6 @@ def degenerate_reduction(points):
     drop = max(i for i, v in enumerate(a) if v != 0)
     reduced = []
     for p in points:
-        xs = _coords(p)
+        xs = tuple(p)
         reduced.append(normalize_primitive(xs[:drop] + xs[drop + 1:]))
     return reduced, drop, a

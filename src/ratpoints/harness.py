@@ -70,6 +70,13 @@ class FitReport:
     margin: float | None = None
     verdict: str | None = None
 
+    def record(self) -> dict:
+        """The fit as report.json and the ``fit`` command write it."""
+        return {"slope": self.slope, "intercept": self.intercept,
+                "residual": self.residual, "points_used": self.points_used,
+                "target": self.target, "margin": self.margin,
+                "verdict": self.verdict}
+
 
 def fit_exponent(series: CountSeries, target: float | None = None,
                  tolerance: float = 0.25) -> FitReport:
@@ -100,14 +107,16 @@ def fit_exponent(series: CountSeries, target: float | None = None,
     return report
 
 
-def _count_one(config: ExperimentConfig, F, B: int) -> int:
+def _count_one(config: ExperimentConfig, F, B: int, collect: bool = False):
+    """The configured counting function at B; with ``collect``, the pair
+    (count, sorted points)."""
     if config.function == "N":
-        return count_projective(F, B)
+        return count_projective(F, B, collect=collect)
     if config.function == "M":
-        return count_affine(F, B)
+        return count_affine(F, B, collect=collect)
     if config.function == "Naff":
         filters = [ResidueFilter(p, rs) for p, rs in config.filters]
-        return count_affine_surface(F, B, filters=filters, collect=False)
+        return count_affine_surface(F, B, filters=filters, collect=collect)
     raise ValueError(f"unknown counting function {config.function!r}")
 
 
@@ -118,6 +127,8 @@ def build_series(config: ExperimentConfig) -> CountSeries:
         raise ValueError(
             f"declared degree {config.degree} != parsed degree {F.degree}"
         )
+    if config.filters and config.function != "Naff":
+        raise ValueError("residue filters apply only to the Naff function")
     grid = config.resolved_grid()
     entries = [(b, _count_one(config, F, b)) for b in grid]
     return CountSeries(tag=f"{config.function}:{config.poly}", entries=entries)
@@ -140,16 +151,8 @@ def run_experiment(config: ExperimentConfig):
     }
     positive = sum(1 for _, c in series.entries if c > 0)
     if positive >= 3:
-        fit = fit_exponent(series, config.target_exponent, config.tolerance)
-        report["fit"] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "points_used": fit.points_used,
-            "target": fit.target,
-            "margin": fit.margin,
-            "verdict": fit.verdict,
-        }
+        report["fit"] = fit_exponent(series, config.target_exponent,
+                                     config.tolerance).record()
     else:
         report["fit"] = None
     if config.out_dir:

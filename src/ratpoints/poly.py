@@ -17,8 +17,10 @@ at the top of that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
+from itertools import accumulate
+from math import gcd, prod
+from operator import getitem, mul
 
 from .exact import gcd_all
 from .linalg import rank_sparse
@@ -387,6 +389,19 @@ def monomials_of_degree(num_vars: int, degree: int):
     return out
 
 
+def monomial_rows(exps, points):
+    """Values of the monomials with exponent tuples ``exps`` at each point:
+    one row per point, one column per monomial.  Each coordinate's powers
+    are computed once per point and shared by every monomial."""
+    exps = list(exps)
+    top = max((max(e, default=0) for e in exps), default=0)
+    rows = []
+    for pt in points:
+        powers = [list(accumulate([1] + [x] * top, mul)) for x in pt]
+        rows.append([prod(map(getitem, powers, e)) for e in exps])
+    return rows
+
+
 # -- graded pieces ------------------------------------------------------
 
 
@@ -395,10 +410,9 @@ class GradedPieceBasis:
     """Monomial basis of one graded piece of a quotient by an ideal."""
 
     degree: int
-    generators: list
-    monomials: list = field(default_factory=list)
-    dimension: int = 0
-    ideal_rank: int = 0
+    monomials: list        # exponent tuples, ascending grlex
+    dimension: int
+    ideal_rank: int
 
 
 def graded_piece_basis(ideal_gens, extra_gens, delta: int,
@@ -439,14 +453,8 @@ def graded_piece_basis(ideal_gens, extra_gens, delta: int,
     basis = [cols[i] for i in range(len(cols)) if i not in pivots]
     # report in ascending grlex, the order graded bases are usually listed in
     basis.sort(key=grlex_key)
-    monos = [IntPoly(nv, {e: 1}) for e in basis]
-    return GradedPieceBasis(
-        degree=delta,
-        generators=list(ideal_gens),
-        monomials=monos,
-        dimension=len(basis),
-        ideal_rank=rank,
-    )
+    return GradedPieceBasis(degree=delta, monomials=basis,
+                            dimension=len(basis), ideal_rank=rank)
 
 
 # -- text grammar --------------------------------------------------------

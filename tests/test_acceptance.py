@@ -150,8 +150,7 @@ def test_criterion_6_auxiliary_forms():
                 continue
             form = None
             for D in range(2, 7):
-                out = extract_auxiliary_form(members, D, FERMAT,
-                                             p=p, residue=residue)
+                out = extract_auxiliary_form(members, D, FERMAT)
                 if isinstance(out, AuxiliaryForm):
                     form = out
                     break

@@ -81,16 +81,18 @@ def test_select_monomials_line():
     assert sel.D == 4
     assert sel.affine_degrees == [0, 1, 2, 3, 4]
     assert sel.degree_sum == 10  # k(k-1)/2 for the line
-    assert [m.to_text() for m in sel.monomials] == [
-        "x0^4", "x0^3*x1", "x0^2*x1^2", "x0*x1^3", "x1^4"]
+    # x0^4, x0^3*x1, x0^2*x1^2, x0*x1^3, x1^4
+    assert sel.monomials == [(4, 0, 0, 0), (3, 1, 0, 0), (2, 2, 0, 0),
+                             (1, 3, 0, 0), (0, 4, 0, 0)]
 
 
 def test_confirm_independent_rejects_dependent_monomials():
     from ratpoints.detmethod import _confirm_independent
 
-    _confirm_independent(LINE, [X[0] ** 2, X[0] * X[1], X[1] ** 2], 2)
+    # x0^2, x0*x1, x1^2
+    _confirm_independent(LINE, [(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)], 2)
     # x0*x2 lies in the ideal, and x1^2 repeated adds one rank, not two
-    for monos in ([X[0] * X[2]], [X[1] ** 2, X[1] ** 2]):
+    for monos in ([(1, 0, 1, 0)], [(0, 2, 0, 0), (0, 2, 0, 0)]):
         with pytest.raises(AssertionError):
             _confirm_independent(LINE, monos, 2)
 
@@ -111,8 +113,7 @@ def test_select_monomials_surplus_drop():
     assert sel.affine_degrees == [1, 1, 1, 2, 2]
     assert sel.D == 2
     again = select_monomials(TWISTED, 3, 5)
-    assert [m.to_text() for m in again.monomials] == \
-        [m.to_text() for m in sel.monomials]  # deterministic choice
+    assert again.monomials == sel.monomials  # deterministic choice
 
 
 def test_curve_section_degree():
@@ -257,22 +258,28 @@ def test_degree_sum_asymptotics():
 
 
 def test_detmethod_certificates_survive_python_O():
-    # dependent monomials and a determinant above its size bound must raise
-    # CertificateError also under python -O (the script's own assert fails
-    # unless -O has stripped it)
+    # dependent monomials, a determinant above its size bound and an
+    # auxiliary form that misses a class point must raise CertificateError
+    # also under python -O (the script's own assert fails unless -O has
+    # stripped it); the last one comes from a nullspace patched to return
+    # x3^2, the first monomial of degree 2, which is 1 at (1, 0, 0, -1)
     script = (
         "import ratpoints.detmethod as dm\n"
         "from ratpoints.exact import CertificateError\n"
-        "from ratpoints.poly import IntPoly\n"
+        "from ratpoints.poly import IntPoly, parse_poly\n"
         "assert False, 'asserts are live'\n"
         "X = [IntPoly.variable(4, i) for i in range(4)]\n"
         "line = [X[2], X[3]]\n"
         "sel = dm.select_monomials(line, 1, 2)\n"
         "sel.degree_sum = 0\n"
+        "dm.nullspace_int = lambda rows, ncols: [[1] + [0] * (ncols - 1)]\n"
+        "fermat = parse_poly('x0^3 + x1^3 + x2^3 + x3^3')\n"
         "for check in (\n"
-        "        lambda: dm._confirm_independent(line, [X[0] * X[2]], 2),\n"
+        "        lambda: dm._confirm_independent(line, [(1, 0, 1, 0)], 2),\n"
         "        lambda: dm.build_determinant([(1, 0, 0, 0), (1, 5, 0, 0)],\n"
-        "                                     sel)):\n"
+        "                                     sel),\n"
+        "        lambda: dm.extract_auxiliary_form(\n"
+        "            [(1, -1, 0, 0), (1, 0, 0, -1)], 2, fermat)):\n"
         "    try:\n"
         "        check()\n"
         "    except CertificateError as exc:\n"
@@ -283,7 +290,8 @@ def test_detmethod_certificates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == ("raised: selected monomials are dependent mod the ideal\n"
-                   "raised: determinant exceeded its size bound\n")
+                   "raised: determinant exceeded its size bound\n"
+                   "raised: auxiliary form misses a class point\n")
 
 
 def _delta_stats_referee(F, G, members, p):

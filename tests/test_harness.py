@@ -147,17 +147,52 @@ def test_cli_conic_param_rejection_branches():
 
 
 def test_cli_count_points_csv(tmp_path):
-    out = tmp_path / "pts"
-    r = run_cli("count", "--variety", "x0*x2 - x1^2", "--function", "N",
-                "--bmax", "16", "--grid", "geometric:2", "--out", str(out),
-                "--points")
-    assert r.returncode == 0
-    rows = (out / "points.csv").read_text().strip().splitlines()
-    from ratpoints.enumeration import count_projective
+    from ratpoints.enumeration import (ResidueFilter, count_affine,
+                                       count_affine_surface, count_projective)
     from ratpoints.poly import parse_poly
 
-    assert len(rows) == count_projective(parse_poly("x0*x2 - x1^2"), 16)
-    assert all(len(row.split(",")) == 3 for row in rows)
+    fermat = "x0^3 + x1^3 + x2^3 + x3^3"
+    cases = [
+        ("x0*x2 - x1^2", "N", [], lambda F: count_projective(F, 16, True)),
+        ("t1 - t2^2", "M", [], lambda F: count_affine(F, 16, collect=True)),
+        (fermat, "Naff", ["--filter", "5:4,1,4"],
+         lambda F: count_affine_surface(
+             F, 16, filters=[ResidueFilter(5, (4, 1, 4))])),
+    ]
+    for text, function, extra, library in cases:
+        out = tmp_path / function
+        r = run_cli("count", "--variety", text, "--function", function,
+                    "--bmax", "16", "--grid", "geometric:2", "--out",
+                    str(out), "--points", *extra)
+        assert r.returncode == 0, r.stderr
+        rows = (out / "points.csv").read_text().splitlines()
+        count, points = library(parse_poly(text))
+        assert count > 0
+        assert rows == [",".join(map(str, pt)) for pt in points]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--points"], "--points needs --out, the directory that points.csv "
+                   "is written to"),
+    (["--function", "Naff", "--filter", "5:1,2"],
+     "a residue filter needs exactly three residues, for x1, x2 and x3"),
+    (["--function", "Naff", "--filter", "5:1,2,0,3"],
+     "a residue filter needs exactly three residues, for x1, x2 and x3"),
+    (["--function", "N", "--filter", "5:1,2,0"],
+     "residue filters apply only to the Naff function"),
+    (["--function", "M", "--filter", "5:1,2,0"],
+     "residue filters apply only to the Naff function"),
+])
+def test_cli_count_input_errors_are_one_line(tmp_path, args, message):
+    out = tmp_path / "out"
+    argv = ["count", "--variety", "x0^3 + x1^3 + x2^3 + x3^3",
+            "--bmax", "4", *args]
+    if "--points" not in args:
+        argv += ["--out", str(out)]
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [f"ratpoints: error: {message}"]
+    assert r.stdout == "" and not out.exists()
 
 
 def test_cli_parse_error_is_one_line():

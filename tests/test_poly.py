@@ -5,8 +5,8 @@ import pytest
 
 from ratpoints.poly import (IntPoly, PolyParseError, coeff_height,
                             dehomogenize, format_poly, graded_piece_basis,
-                            homogenize, leading_form, monomials_of_degree,
-                            parse_poly, poly_divides)
+                            homogenize, leading_form, monomial_rows,
+                            monomials_of_degree, parse_poly, poly_divides)
 
 
 def test_parse_format_roundtrip():
@@ -139,17 +139,36 @@ def test_graded_piece_examples():
     X = [IntPoly.variable(4, i) for i in range(4)]
     b = graded_piece_basis([X[2], X[3]], [X[0]], 4)
     assert b.dimension == 1
-    assert b.monomials == [parse_poly("x1^4", num_vars=4)]
+    assert b.monomials == [(0, 4, 0, 0)]  # x1^4
 
     b2 = graded_piece_basis([X[3], X[0] * X[2] - X[1] ** 2], [X[0]], 3)
     assert b2.dimension == 2
-    assert {m.to_text() for m in b2.monomials} == {"x1*x2^2", "x2^3"}
+    assert b2.monomials == [(0, 1, 2, 0), (0, 0, 3, 0)]  # x1*x2^2, x2^3
 
     b3 = graded_piece_basis([], [], 0, num_vars=4)
-    assert b3.dimension == 1 and b3.monomials[0] == IntPoly.constant(4, 1)
+    assert b3.dimension == 1 and b3.monomials == [(0, 0, 0, 0)]
 
     with pytest.raises(ValueError):
         graded_piece_basis([X[2]], [], -1)
+
+
+def test_monomial_rows_matches_evaluate():
+    # the generic evaluator is the referee for the shared-powers one
+    rng = random.Random(9)
+    for degree in range(7):
+        for nv in (1, 3, 4):
+            exps = monomials_of_degree(nv, degree)
+            points = [tuple(rng.choice((0, 0, 1, -1, rng.randint(-50, 50)))
+                            for _ in range(nv)) for _ in range(6)]
+            points.append((0,) * nv)
+            got = monomial_rows(exps, points)
+            assert got == [[IntPoly(nv, {e: 1}).evaluate(pt) for e in exps]
+                           for pt in points]
+    # mixed degrees, and no monomials or no points at all
+    exps = [(0, 0), (3, 1), (0, 5), (2, 0)]
+    assert monomial_rows(exps, [(-2, 3)]) == [[1, -24, 243, 4]]
+    assert monomial_rows([], [(1, 2)]) == [[]]
+    assert monomial_rows(exps, []) == []
 
 
 def test_graded_piece_stabilization():
