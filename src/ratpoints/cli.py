@@ -25,8 +25,7 @@ from .enumeration import (CountSeries, count_affine_surface,
 from .exact import CertificateError
 from .geometry import (build_projection_setup, find_projection_center,
                        project_point, sample_birationality_check)
-from .harness import (ExperimentConfig, _count_one, fit_exponent,
-                      run_experiment)
+from .harness import ExperimentConfig, fit_exponent, run_experiment
 from .poly import format_poly, parse_poly
 
 
@@ -134,13 +133,14 @@ def _cmd_count(args) -> int:
         target_exponent=args.target,
         tolerance=args.tol,
     )
-    report = run_experiment(config)
     if args.points:
-        F = parse_poly(config.poly)
-        _, pts = _count_one(config, F, config.bmax, collect=True)
+        # the series pass at bmax, the grid's largest B, lists the points
+        report, pts = run_experiment(config, collect=True)
         with open(os.path.join(args.out, "points.csv"), "w") as fh:
             for pt in pts:
                 fh.write(",".join(str(c) for c in pt) + "\n")
+    else:
+        report = run_experiment(config)
     _emit(report)
     return 0
 

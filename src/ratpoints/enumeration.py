@@ -17,6 +17,17 @@ of the single polynomial sum g_i^2.  Generators free of the last variable
 are solved first and the last variable only at their zeros, which keeps
 curves such as the twisted cubic at O(B^2) cells.
 
+Projective zeros are solved on half the box.  Every caller passes a form,
+or a sum of squares of forms, so all term degrees share one parity and
+x is a zero exactly when -x is: N(F; B) is twice the primitive zeros with
+1 <= x0 <= B plus N(F(0, x1, ..., xn); B), the slice found by recursion.
+The first free coordinate (the outer loop's, the tile's rows, the scalar
+prefixes') starts at 1.  Affine zeros keep the full box.
+
+Solved points are tallied as a histogram of heights max |x_i| over
+0..B, so one enumeration at B gives the count at every b <= B as a prefix
+sum; the harness samples a whole B-grid from one pass that way.
+
 Counts of projective zeros include x and -x separately; point lists are
 returned in lexicographic order.
 """
@@ -103,33 +114,13 @@ def _poly_value_bound(f: IntPoly, B: int) -> int:
     return sum(abs(c) * B ** sum(e) for e, c in f.terms.items())
 
 
-def _coprime_count_in_box(g0: int, B: int) -> int:
-    """#{v in [-B, B] : gcd(g0, v) == 1}; g0 == 0 counts units only."""
-    if g0 == 0:
-        return 2 if B >= 1 else 0
-    if g0 == 1:
-        return 2 * B + 1
-    primes = []
-    n = g0
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            primes.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        primes.append(n)
-    total = 0
-    for bits in range(1 << len(primes)):
-        d = 1
-        sign = 1
-        for i, p in enumerate(primes):
-            if bits >> i & 1:
-                d *= p
-                sign = -sign
-        total += sign * (2 * (B // d) + 1)
-    return total
+def _coprime_by_height(g0: int, B: int):
+    """#{v in [-B, B] : |v| = k, gcd(g0, v) == 1} for k = 0..B, as an
+    int64 array; g0 == 0 leaves the units only."""
+    v = np.arange(B + 1, dtype=np.int64)
+    by_height = np.where(np.gcd(v, g0) == 1, 2, 0)
+    by_height[0] //= 2
+    return by_height
 
 
 def _np_kth_roots(rhs, k: int, B: int):
@@ -162,33 +153,49 @@ def _np_kth_roots(rhs, k: int, B: int):
 
 
 class _Hits:
-    """Accumulates solved points; optionally materializes coordinates."""
+    """Accumulates solved points as a histogram of heights (the largest
+    |coordinate|, 0..B); optionally materializes coordinates."""
 
     def __init__(self, projective: bool, collect: bool, B: int):
         self.projective = projective
         self.collect = collect
         self.B = B
-        self.count = 0
+        self.hist = np.zeros(B + 1, dtype=np.int64)
         self.points = [] if collect else None
+
+    @property
+    def count(self) -> int:
+        return int(self.hist.sum())
 
     def add_scalar(self, prefix, v):
         if self.projective:
             if gcd_all(prefix + (v,)) != 1:
                 return
-        self.count += 1
+        self.hist[max(abs(x) for x in prefix + (v,))] += 1
         if self.collect:
             self.points.append(prefix + (v,))
 
     def add_full_range(self, prefix):
         """Every v in [-B, B] completes prefix (coprime to it if projective)."""
         g0 = gcd_all(prefix) if self.projective else 1
+        # (prefix, v) has height max(h, |v|)
+        h = max(map(abs, prefix), default=0)
+        by_v = _coprime_by_height(g0, self.B)
+        self.hist[h] += by_v[:h + 1].sum()
+        self.hist[h + 1:] += by_v[h + 1:]
         if self.collect:
-            new = [prefix + (v,) for v in range(-self.B, self.B + 1)
-                   if gcd(g0, v) == 1]
-            self.count += len(new)
-            self.points.extend(new)
-        else:
-            self.count += _coprime_count_in_box(g0, self.B)
+            self.points.extend(prefix + (v,) for v in range(-self.B, self.B + 1)
+                               if gcd(g0, v) == 1)
+
+    def add_free_last(self, sub):
+        """A free last variable on every point of sub: with S(k) of them of
+        height <= k, (2k + 1) * S(k) points of height <= k."""
+        if sub.collect:
+            for prefix in sub.points:
+                self.add_full_range(prefix)
+            return
+        upto = np.cumsum(sub.hist) * np.arange(1, 2 * self.B + 2, 2)
+        self.hist += np.diff(upto, prepend=0)
 
     def add_solved(self, loop_prefix, *cols):
         """cols: equal-length int64 arrays, one per solved trailing
@@ -201,34 +208,75 @@ class _Hits:
                 g = np.gcd(g, np.abs(col))
             keep = g == 1
             cols = [col[keep] for col in cols]
-        self.count += len(cols[0])
+        height = np.full(len(cols[0]), max(map(abs, loop_prefix), default=0))
+        for col in cols:
+            np.maximum(height, np.abs(col), out=height)
+        self.hist += np.bincount(height, minlength=self.B + 1)
         if self.collect:
             self.points.extend(loop_prefix + row
                                for row in zip(*(c.tolist() for c in cols)))
 
+    def add_slice(self, sub):
+        """The points of sub, the zeros of the slice x0 = 0, with x0 put
+        back in front."""
+        self.hist += sub.hist
+        if self.collect:
+            self.points.extend((0,) + p for p in sub.points)
+
+    def mirror(self):
+        """Add -x for every point x held: the points of the half box x0 >= 1
+        become those of both halves."""
+        self.hist *= 2
+        if self.collect:
+            self.points.extend([tuple(-c for c in p) for p in self.points])
+
 
 def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
-    """Count (and optionally list) integer zeros of f in the box |x| <= B."""
-    nv = f.num_vars
+    """Count (and optionally list) integer zeros of f in the box |x| <= B.
+
+    Projective zeros come from half the box.  All term degrees of f share
+    one parity, so f(-x) = +-f(x) and the primitive zeros with x0 != 0 are
+    twice those with 1 <= x0 <= B; the rest are the primitive zeros of the
+    slice f(0, x1, ..., xn), found by recursion.  In one variable only
+    x0 = +-1 is primitive, a zero exactly when f vanishes identically.
+    """
     hits = _Hits(projective, collect, B)
+    if not projective:
+        _solve_box(f, B, -B, hits)
+        return hits
+    if len({sum(e) % 2 for e in f.terms}) > 1:
+        raise ValueError("projective zeros need term degrees of one parity, "
+                         "so that x and -x are zeros together")
+    _solve_box(f, B, 1, hits)
+    hits.mirror()
+    if f.num_vars > 1:
+        hits.add_slice(_solve_zeros(f.substitute_value(0, 0), B, True, collect))
+    return hits
+
+
+def _solve_box(f: IntPoly, B: int, first: int, hits):
+    """Add the zeros of f with first <= x0 <= B and every other coordinate
+    in [-B, B] to hits."""
+    nv = f.num_vars
     if nv == 1:
         coeffs = [f.terms.get((j,), 0) for j in range(max(f.degree, 0) + 1)]
-        _solve_residual(coeffs, (), B, hits)
-        return hits
+        deg = uniroots.degree(coeffs)
+        roots = (range(first, B + 1) if deg == -1 else [] if deg == 0 else
+                 [r for r in uniroots.integer_roots_in_box(coeffs, B)
+                  if r >= first])
+        for r in roots:
+            hits.add_scalar((), r)
+        return
 
     coeffs = _last_var_coefficients(f)
     K = len(coeffs) - 1
     if K == 0:
         # f does not involve its last variable: solve the smaller problem
         # and let that variable range over the full box
-        sub = _solve_zeros(coeffs[0], B, projective=False,
-                           collect=collect or projective)
-        if collect or projective:
-            for prefix in sub.points:
-                hits.add_full_range(prefix)
-        else:
-            hits.count = sub.count * (2 * B + 1)
-        return hits
+        sub = _Hits(False, hits.collect or hits.projective, B)
+        _solve_box(coeffs[0], B, first, sub)
+        hits.add_free_last(sub)
+        return
     bounds = [_poly_value_bound(c, B) for c in coeffs]
     quad_bound = (
         bounds[1] ** 2 + 4 * bounds[2] * bounds[0] if K >= 2 else max(bounds)
@@ -242,14 +290,17 @@ def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
     )
 
     if npsafe:
-        _solve_tiles(coeffs, B, hits)
+        _solve_tiles(coeffs, B, first, hits)
     else:
-        _solve_scalar(coeffs, _iter_loop(nv - 1, B), B, hits)
-    return hits
+        _solve_scalar(coeffs, _iter_loop(nv - 1, B, first), B, hits)
 
 
-def _iter_loop(nloop: int, B: int):
-    return itertools.product(range(-B, B + 1), repeat=nloop)
+def _iter_loop(nloop: int, B: int, first: int | None = None):
+    """Prefixes in [-B, B]^nloop whose first coordinate is >= first."""
+    ranges = [range(-B, B + 1)] * nloop
+    if nloop and first is not None:
+        ranges[0] = range(first, B + 1)
+    return itertools.product(*ranges)
 
 
 def _solve_residual(residual, prefix, B, hits):
@@ -304,12 +355,14 @@ def _cells(axes, mask):
     return [ax[i] for ax, i in zip(axes, np.nonzero(mask))]
 
 
-def _solve_tiles(coeffs, B, hits):
+def _solve_tiles(coeffs, B, first, hits):
     """The numpy kernel: solve every residual sum_j c_j t^j over int64 tiles.
 
     A Python loop runs over all but the last two free variables.  The
     coefficients c_j are evaluated on a tile over those two (over the only
     one when one is free), cut into row chunks of at most TILE_CELLS cells.
+    The first free variable, the loop's outermost or else the tile's rows,
+    runs from ``first`` to B.
     Cells are classed by the effective degree of their residual: linear,
     quadratic and pure-power residuals are solved in closed form on the
     whole tile, the rest are evaluated at every t in [-B, B] on a
@@ -319,6 +372,7 @@ def _solve_tiles(coeffs, B, hits):
     nfree = coeffs[0].num_vars
     ntile = min(nfree, 2)
     axis = np.arange(-B, B + 1, dtype=np.int64)
+    rows = axis[first + B:] if nfree == ntile else axis
     step = max(1, TILE_CELLS // len(axis) ** (ntile - 1))
     scan_rows = max(1, SCAN_CELLS // len(axis))  # cells per residual scan
     # tiles hold rhs = -c_0 and c_1, ..., c_K: sum_{j>0} c_j t^j = rhs
@@ -328,9 +382,9 @@ def _solve_tiles(coeffs, B, hits):
     # their memory instead of trimming it after every tile and faulting it
     # back in; with a function per tile, page faults doubled the time of
     # the Fermat cubic at B=128.
-    for prefix in _iter_loop(nfree - ntile, B):
-        for start in range(0, len(axis), step):
-            axes = (axis[start:start + step],) + (axis,) * (ntile - 1)
+    for prefix in _iter_loop(nfree - ntile, B, first):
+        for start in range(0, len(rows), step):
+            axes = (rows[start:start + step],) + (axis,) * (ntile - 1)
             shape = tuple(map(len, axes))
             arrays = [_eval_on_tile(c, prefix, np.ix_(*axes)) for c in polys]
             rhs = arrays[0]
@@ -411,12 +465,24 @@ def _solve_tiles(coeffs, B, hits):
 # public operations
 
 
-def count_affine(f: IntPoly, B: int, order: str = "solve", collect: bool = False):
+def _result(count, points, hist, collect, by_height):
+    """The count; with ``collect`` and ``by_height``, a tuple that follows
+    it with the sorted points and the height histogram (a list whose entry
+    h counts the points of height h), in that order."""
+    extra = (((sorted(points),) if collect else ())
+             + ((hist,) if by_height else ()))
+    return (count,) + extra if extra else count
+
+
+def count_affine(f: IntPoly, B: int, order: str = "solve", collect: bool = False,
+                 by_height: bool = False):
     """M(f; B): integer zeros of f in the box |t| <= B.
 
     ``order`` selects the enumeration strategy: "solve" iterates all but
     the last coordinate and solves the residual exactly, "loop" tests every
     lattice point.  Both are exact; their agreement is a test invariant.
+    ``by_height`` appends the histogram of heights max |t_i|, from which
+    M(f; b) for every b <= B is a prefix sum.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -428,9 +494,8 @@ def count_affine(f: IntPoly, B: int, order: str = "solve", collect: bool = False
         hits = _full_loop(f, B, collect=collect)
     else:
         raise ValueError(f"unknown order {order!r}")
-    if collect:
-        return hits.count, sorted(hits.points)
-    return hits.count
+    return _result(hits.count, hits.points, hits.hist.tolist(), collect,
+                   by_height)
 
 
 def _full_loop(f: IntPoly, B: int, collect: bool):
@@ -464,11 +529,13 @@ def _full_loop(f: IntPoly, B: int, collect: bool):
     return hits
 
 
-def count_projective(F: IntPoly, B: int, collect: bool = False):
+def count_projective(F: IntPoly, B: int, collect: bool = False,
+                     by_height: bool = False):
     """N(F; B): primitive integer zeros of a form with sup-norm at most B.
 
     x and -x are counted separately, so the projective point count is half
-    of this value.
+    of this value.  ``by_height`` appends the histogram of sup-norms, as
+    in count_affine.
     """
     if F.is_zero():
         raise ValueError("zero form")
@@ -477,9 +544,8 @@ def count_projective(F: IntPoly, B: int, collect: bool = False):
     if B < 1:
         raise ValueError("B must be >= 1")
     hits = _solve_zeros(F, B, projective=True, collect=collect)
-    if collect:
-        return hits.count, sorted(hits.points)
-    return hits.count
+    return _result(hits.count, hits.points, hits.hist.tolist(), collect,
+                   by_height)
 
 
 def slice_form(F: IntPoly, b: int) -> IntPoly:
@@ -502,11 +568,14 @@ def verify_slicing(F: IntPoly, B: int):
     return lhs, rhs
 
 
-def count_affine_surface(F: IntPoly, B: int, filters=(), collect: bool = True):
+def count_affine_surface(F: IntPoly, B: int, filters=(), collect: bool = True,
+                         by_height: bool = False):
     """Points [1, x1, x2, x3] of height <= B on the surface F = 0.
 
     ``filters`` is a list of ResidueFilter congruence conditions; with an
     empty list this counts every affine integral point of bounded height.
+    ``by_height`` appends the histogram of heights max |x_i|, as in
+    count_affine.
     """
     if F.is_zero() or not F.is_homogeneous() or F.degree < 1:
         raise ValueError("need a nonzero homogeneous form of degree >= 1")
@@ -522,10 +591,10 @@ def count_affine_surface(F: IntPoly, B: int, filters=(), collect: bool = True):
         _, pts3 = count_affine(f, B, collect=True)
         pts = [(1,) + t for t in pts3]
     pts = [p for p in pts if all(flt.accepts(p) for flt in filters)]
-    pts.sort()
-    if collect:
-        return len(pts), pts
-    return len(pts)
+    hist = [0] * (B + 1)
+    for p in pts:
+        hist[max(map(abs, p[1:]))] += 1
+    return _result(len(pts), pts, hist, collect, by_height)
 
 
 def count_roots_bounded(p, T: int):

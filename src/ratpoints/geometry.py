@@ -14,6 +14,7 @@ inflation of every projected point, and fiber sizes are sample-checked.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,6 +30,16 @@ class Classification(Enum):
     SINGULAR = "singular"
     IN_U = "in_U"
     NOT_IN_U = "not_in_U"
+
+
+@functools.lru_cache(maxsize=16)
+def _derivatives(F: IntPoly):
+    """The partials of a quaternary F and its divided second derivatives
+    with their index pairs i <= j, built once per F; tuples, since every
+    caller shares them."""
+    return (tuple(F.partial(i) for i in range(4)),
+            tuple(((i, j), F.hasse_second(i, j)) for i in range(4)
+                  for j in range(i, 4)))
 
 
 def classify_point(F: IntPoly, x, p: int | None = None) -> Classification:
@@ -47,14 +58,12 @@ def classify_point(F: IntPoly, x, p: int | None = None) -> Classification:
 
     if ev(F) != 0:
         raise ValueError("point not on surface")
-    g = [ev(F.partial(i)) for i in range(4)]
+    partials, seconds = _derivatives(F)
+    g = [ev(d) for d in partials]
     if all(v == 0 for v in g):
         return Classification.SINGULAR
     # quadratic Taylor coefficients via divided second derivatives
-    c = {}
-    for i in range(4):
-        for j in range(i, 4):
-            c[(i, j)] = ev(F.hasse_second(i, j))
+    c = {ij: ev(d) for ij, d in seconds}
 
     def qval(y):
         total = 0

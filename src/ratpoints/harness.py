@@ -2,13 +2,16 @@
 
 Configs are JSON with polynomials in the text grammar.  B-grids are
 geometric (powers of two ending at bmax by default) because exponent
-fitting wants evenly spaced logs.  Grid points are counted in order, so
-outputs are byte-identical across reruns; zero counts are excluded from
-fits, never imputed.
+fitting wants evenly spaced logs.  Every grid point comes from one
+enumeration pass at the largest grid B: the pass tallies its points by
+height, and the count at b is the number of height <= b.  Outputs are
+byte-identical across reruns; zero counts are excluded from fits, never
+imputed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -107,21 +110,26 @@ def fit_exponent(series: CountSeries, target: float | None = None,
     return report
 
 
-def _count_one(config: ExperimentConfig, F, B: int, collect: bool = False):
-    """The configured counting function at B; with ``collect``, the pair
-    (count, sorted points)."""
+def _count_one(config: ExperimentConfig, F, B: int, collect: bool = False,
+               by_height: bool = False):
+    """The configured counting function at B; ``collect`` appends the
+    sorted points and ``by_height`` the histogram of heights, as the
+    enumeration entry points do."""
     if config.function == "N":
-        return count_projective(F, B, collect=collect)
+        return count_projective(F, B, collect=collect, by_height=by_height)
     if config.function == "M":
-        return count_affine(F, B, collect=collect)
+        return count_affine(F, B, collect=collect, by_height=by_height)
     if config.function == "Naff":
         filters = [ResidueFilter(p, rs) for p, rs in config.filters]
-        return count_affine_surface(F, B, filters=filters, collect=collect)
+        return count_affine_surface(F, B, filters=filters, collect=collect,
+                                    by_height=by_height)
     raise ValueError(f"unknown counting function {config.function!r}")
 
 
-def build_series(config: ExperimentConfig) -> CountSeries:
-    """Counting function sampled over the grid."""
+def build_series(config: ExperimentConfig, collect: bool = False):
+    """Counting function sampled over the grid, from one enumeration pass
+    at the largest grid B; with ``collect``, the pair (series, sorted
+    points of height at most that B)."""
     F = parse_poly(config.poly)
     if config.degree is not None and F.degree != config.degree:
         raise ValueError(
@@ -130,18 +138,26 @@ def build_series(config: ExperimentConfig) -> CountSeries:
     if config.filters and config.function != "Naff":
         raise ValueError("residue filters apply only to the Naff function")
     grid = config.resolved_grid()
-    entries = [(b, _count_one(config, F, b)) for b in grid]
-    return CountSeries(tag=f"{config.function}:{config.poly}", entries=entries)
+    lowest = 1 if config.function == "N" else 0
+    if grid[0] < lowest:
+        raise ValueError(f"B must be >= {lowest}")
+    result = _count_one(config, F, grid[-1], collect=collect, by_height=True)
+    upto = list(itertools.accumulate(result[-1]))
+    series = CountSeries(tag=f"{config.function}:{config.poly}",
+                         entries=[(b, upto[b]) for b in grid])
+    return (series, result[1]) if collect else series
 
 
-def run_experiment(config: ExperimentConfig):
-    """Run the counting campaign, write series.csv and report.json.
+def run_experiment(config: ExperimentConfig, collect: bool = False):
+    """Run the counting campaign, write series.csv and report.json; with
+    ``collect``, the pair (report, sorted points at the largest grid B).
 
     Outputs are reproducible: same config and seed give byte-identical
     files.
     """
     seed = int(os.environ.get("RATPOINTS_SEED", config.seed))
-    series = build_series(config)
+    result = build_series(config, collect=collect)
+    series, points = result if collect else (result, None)
     report = {
         "name": config.name,
         "poly": config.poly,
@@ -166,4 +182,4 @@ def run_experiment(config: ExperimentConfig):
         with open(json_path, "w") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    return report
+    return (report, points) if collect else report

@@ -12,16 +12,22 @@ from math import gcd
 from ratpoints.uniroots import quadratic_integer_roots
 
 
-def brute_projective(F, B):
-    """Primitive zeros of F with sup norm <= B by scanning every tuple."""
-    count = 0
+def brute_projective_points(F, B):
+    """Primitive zeros of F with sup norm <= B by scanning every tuple, in
+    lexicographic order."""
+    points = []
     for x in itertools.product(range(-B, B + 1), repeat=F.num_vars):
         g = 0
         for c in x:
             g = gcd(g, c)
         if g == 1 and F.evaluate(x) == 0:
-            count += 1
-    return count
+            points.append(x)
+    return points
+
+
+def brute_projective(F, B):
+    """The number of primitive zeros of F with sup norm <= B."""
+    return len(brute_projective_points(F, B))
 
 
 def brute_affine(f, B):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 import ratpoints.enumeration as en
-from oracles import brute_affine, brute_projective
-from ratpoints.enumeration import (_coprime_count_in_box, count_affine,
+from oracles import brute_affine, brute_projective, brute_projective_points
+from ratpoints.enumeration import (_coprime_by_height, count_affine,
                                    count_projective)
 from ratpoints.poly import IntPoly, monomials_of_degree, parse_poly
 
@@ -17,15 +17,16 @@ def force_scalar(monkeypatch):
     monkeypatch.setattr(en, "INT64_LIMIT", 0)
 
 
-def test_coprime_count_in_box():
+def test_coprime_by_height():
     from math import gcd
 
     rng = random.Random(6)
     for _ in range(120):
         g0 = rng.randint(0, 400)
         B = rng.randint(0, 60)
-        brute = sum(1 for v in range(-B, B + 1) if gcd(g0, v) == 1)
-        assert _coprime_count_in_box(g0, B) == brute, (g0, B)
+        brute = [sum(1 for v in {-k, k} if gcd(g0, v) == 1)
+                 for k in range(B + 1)]
+        assert _coprime_by_height(g0, B).tolist() == brute, (g0, B)
 
 
 def random_poly(rng, nv, degree):
@@ -216,4 +217,77 @@ def test_generic_cubic_is_scanned_on_the_tile(taken):
     # every residual of this cubic is a non-pure cubic in x3
     F = parse_poly("x0^3 + 2*x1^3 + 3*x2^2*x3 - x1*x2*x3 + x3^3")
     assert [count_projective(F, B) for B in (16, 32)] == [62, 122]
-    assert taken == ["_solve_tiles"] * 2
+    # per count: the half box x0 >= 1, then the slices x0 = 0 and
+    # x0 = x1 = 0; the last slice, x3^3, is solved without a tile
+    assert taken == ["_solve_tiles"] * 6
+
+
+def random_form(rng, nv, degree, drop=()):
+    """A random form of one degree, without the monomials in drop."""
+    terms = {e: rng.randint(-3, 3) for e in monomials_of_degree(nv, degree)
+             if e not in drop and rng.random() < 0.6}
+    return IntPoly(nv, terms)
+
+
+def half_box_forms():
+    """Seeded forms in 2, 3 and 4 variables of odd and even degree, plain,
+    divisible by x0, and vanishing at (0, ..., 0, 1), with their bounds."""
+    rng = random.Random(93)
+    out = []
+    for nv, B in ((2, 12), (3, 6), (4, 3)):
+        for degree in (1, 2, 3, 4):
+            last = (0,) * (nv - 1) + (degree,)
+            x0 = IntPoly(nv, {(1,) + (0,) * (nv - 1): 1})
+            for F in (random_form(rng, nv, degree),
+                      x0 * random_form(rng, nv, degree - 1),
+                      random_form(rng, nv, degree, drop={last})):
+                if not F.is_zero():
+                    out.append((F, B))
+    return out + mixed_forms()
+
+
+def test_half_box_point_lists_match_brute_oracle():
+    forms = half_box_forms()
+    assert sum(1 for F, _ in forms if F.terms and all(
+        e[0] for e in F.terms)) >= 6  # divisible by x0
+    for F, B in forms:
+        want = brute_projective_points(F, B)
+        assert count_projective(F, B, collect=True) == (len(want), want), (
+            F.to_text(), B)
+        assert forced_scalar(count_projective, F, B) == (len(want), want)
+
+
+def test_half_box_on_ragged_tiles(monkeypatch):
+    # chunks two rows high over the rows x0 = 1..B, or over the tile rows
+    # of each outer x0 >= 1; odd B ends the rows in a one-row chunk
+    for F, B in half_box_forms():
+        rows = 2 * B + 1 if F.num_vars >= 3 else 1
+        monkeypatch.setattr(en, "TILE_CELLS", 2 * rows)
+        monkeypatch.setattr(en, "SCAN_CELLS", 2 * (2 * B + 1))
+        for b in (B, B - 1) if B > 1 else (B,):
+            want = brute_projective_points(F, b)
+            assert count_projective(F, b, collect=True) == (len(want), want), (
+                F.to_text(), b)
+
+
+def test_height_histogram_sums_to_counts_at_every_bound():
+    for F, B in half_box_forms()[::3]:
+        n, hist = count_projective(F, B, by_height=True)
+        assert len(hist) == B + 1 and sum(hist) == n
+        assert [sum(hist[:b + 1]) for b in range(1, B + 1)] == [
+            count_projective(F, b) for b in range(1, B + 1)], F.to_text()
+    f = parse_poly("t1*t2 - t3^2 + t1", num_vars=4)  # t4 is free
+    n, pts, hist = count_affine(f, 3, collect=True, by_height=True)
+    assert [sum(hist[:b + 1]) for b in range(4)] == [
+        count_affine(f, b) for b in range(4)]
+    assert count_affine(f, 3, by_height=True) == (n, hist)
+
+
+def test_projective_zeros_need_one_degree_parity():
+    with pytest.raises(ValueError, match="parity"):
+        en._solve_zeros(parse_poly("x0^2 - x1"), 3, projective=True,
+                        collect=False)
+    # even sums of squares of forms keep one parity
+    S = parse_poly("x0^2 + x1^2 - x2^2")
+    assert en._solve_zeros(S * S, 3, projective=True, collect=False).count == (
+        count_projective(S, 3))

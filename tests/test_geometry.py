@@ -202,3 +202,31 @@ def test_degenerate_detection():
     spanning = [normalize_primitive(v) for v in
                 [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]]
     assert detect_hyperplane(spanning) is None
+
+
+def test_classify_point_cached_derivatives_match_uncached(monkeypatch):
+    # every residue mod 5 and mod 7 on seeded cubic surfaces, classified
+    # with the per-form derivative cache and with derivatives rebuilt on
+    # every call
+    import itertools
+
+    import ratpoints.geometry as geometry
+    from ratpoints.poly import IntPoly, monomials_of_degree
+
+    rng = random.Random(57)
+    forms = [FERMAT, parse_poly("x0^3 + x1^3 - 2*x2^3 - 2*x3^3")]
+    for _ in range(3):
+        forms.append(IntPoly(4, {e: rng.randint(-3, 3)
+                                 for e in monomials_of_degree(4, 3)}))
+    seen = set()
+    for F in forms:
+        for p in (5, 7):
+            on = [x for x in itertools.product(range(p), repeat=4)
+                  if F.evaluate_mod(x, p) == 0]
+            cached = [classify_point(F, x, p) for x in on]
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_derivatives",
+                          geometry._derivatives.__wrapped__)
+                assert [classify_point(F, x, p) for x in on] == cached, p
+            seen.update(cached)
+    assert seen == set(C)

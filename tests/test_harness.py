@@ -218,3 +218,89 @@ def test_cli_detmethod(tmp_path):
     for rec in data["classes"]:
         if rec["class_size"] >= 2:
             assert rec["aux_form"]
+
+
+@pytest.fixture
+def entry_calls(monkeypatch):
+    """Names of the enumeration entry points the harness calls."""
+    import ratpoints.harness as harness
+
+    names = []
+    for name in ("count_projective", "count_affine", "count_affine_surface"):
+        def call(*args, _real=getattr(harness, name), _name=name, **kwargs):
+            names.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(harness, name, call)
+    return names
+
+
+FERMAT = "x0^3 + x1^3 + x2^3 + x3^3"
+FILTER = (5, (4, 1, 4))
+
+
+def _per_bound(function, text):
+    """The counting function at one bound, by a direct call."""
+    from ratpoints.enumeration import (ResidueFilter, count_affine,
+                                       count_affine_surface, count_projective)
+    from ratpoints.poly import parse_poly
+
+    F = parse_poly(text)
+    return {
+        "N": lambda b: count_projective(F, b),
+        "M": lambda b: count_affine(F, b),
+        "Naff": lambda b: count_affine_surface(
+            F, b, filters=[ResidueFilter(*FILTER)], collect=False),
+    }[function]
+
+
+@pytest.mark.parametrize("text, function", [
+    ("x0*x2 - x1^2", "N"), ("x0^3 - 2*x1^3 + x2^2*x3 - x3^3", "N"),
+    ("t1 - t2^2", "M"), ("t1*t2 - t3^2", "M"), (FERMAT, "Naff")])
+def test_series_equals_per_bound_counts_from_one_pass(entry_calls, text,
+                                                      function):
+    count_at = _per_bound(function, text)
+    filters = [FILTER] if function == "Naff" else []
+    for grid_spec in ({"bmax": 11}, {"bmax": 12}, {"bmax": 12, "grid": [3, 7, 10]}):
+        cfg = ExperimentConfig(poly=text, function=function, grid_count=4,
+                               filters=filters, **grid_spec)
+        entry_calls.clear()
+        series = build_series(cfg)
+        assert len(entry_calls) == 1
+        grid = cfg.resolved_grid()
+        assert series.entries == [(b, count_at(b)) for b in grid], grid_spec
+
+
+def test_series_rejects_bounds_below_the_function_minimum():
+    for function, low in (("N", 1), ("M", 0)):
+        cfg = ExperimentConfig(poly="x0*x2 - x1^2", function=function, bmax=4,
+                               grid=[low - 1, 2])
+        with pytest.raises(ValueError, match=f"B must be >= {low}"):
+            build_series(cfg)
+
+
+def test_cli_count_points_takes_one_enumeration_pass(tmp_path, entry_calls,
+                                                     capsys):
+    from ratpoints import cli
+    from ratpoints.enumeration import (ResidueFilter, count_affine,
+                                       count_affine_surface, count_projective)
+    from ratpoints.poly import parse_poly
+
+    cases = [
+        ("x0*x2 - x1^2", "N", [], lambda F: count_projective(F, 16, True)),
+        ("t1 - t2^2", "M", [], lambda F: count_affine(F, 16, collect=True)),
+        (FERMAT, "Naff", ["--filter", "5:4,1,4"],
+         lambda F: count_affine_surface(F, 16,
+                                        filters=[ResidueFilter(*FILTER)])),
+    ]
+    for text, function, extra, library in cases:
+        out = tmp_path / function
+        entry_calls.clear()
+        assert cli.main(["count", "--variety", text, "--function", function,
+                         "--bmax", "16", "--out", str(out), "--points",
+                         *extra]) == 0
+        assert len(entry_calls) == 1
+        series = json.loads(capsys.readouterr().out)["series"]
+        count, points = library(parse_poly(text))
+        assert series[-1] == [16, count]
+        rows = (out / "points.csv").read_text().splitlines()
+        assert rows == [",".join(map(str, pt)) for pt in points]
