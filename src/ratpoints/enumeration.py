@@ -26,7 +26,10 @@ prefixes') starts at 1.  Affine zeros keep the full box.
 
 Solved points are tallied as a histogram of heights max |x_i| over
 0..B, so one enumeration at B gives the count at every b <= B as a prefix
-sum; the harness samples a whole B-grid from one pass that way.
+sum; the harness samples a whole B-grid from one pass that way.  A
+prefix completed by every value of the last variable is only noted by its
+gcd and height, and all of them are spread over the histogram at the end,
+one O(B) pass per distinct gcd.
 
 Counts of projective zeros include x and -x separately; point lists are
 returned in lexicographic order.
@@ -160,42 +163,70 @@ class _Hits:
         self.projective = projective
         self.collect = collect
         self.B = B
-        self.hist = np.zeros(B + 1, dtype=np.int64)
+        self._hist = np.zeros(B + 1, dtype=np.int64)
+        # heights of the full-range prefixes, keyed by their gcd g0
+        self._full = {}
         self.points = [] if collect else None
+
+    @property
+    def hist(self):
+        self._spread_full_range()
+        return self._hist
 
     @property
     def count(self) -> int:
         return int(self.hist.sum())
 
+    def _spread_full_range(self):
+        """Add the points of the pending full-range prefixes: one of height
+        h has sum(by_v[:h+1]) completions of height h and by_v[k] of each
+        height k > h, so one pass per g0 adds them all."""
+        for g0, heights in self._full.items():
+            n = np.bincount(np.concatenate(heights), minlength=self.B + 1)
+            by_v = _coprime_by_height(g0, self.B)
+            self._hist += n * np.cumsum(by_v) + (np.cumsum(n) - n) * by_v
+        self._full.clear()
+
     def add_scalar(self, prefix, v):
         if self.projective:
             if gcd_all(prefix + (v,)) != 1:
                 return
-        self.hist[max(abs(x) for x in prefix + (v,))] += 1
+        self._hist[max(abs(x) for x in prefix + (v,))] += 1
         if self.collect:
             self.points.append(prefix + (v,))
 
-    def add_full_range(self, prefix):
-        """Every v in [-B, B] completes prefix (coprime to it if projective)."""
-        g0 = gcd_all(prefix) if self.projective else 1
-        # (prefix, v) has height max(h, |v|)
-        h = max(map(abs, prefix), default=0)
-        by_v = _coprime_by_height(g0, self.B)
-        self.hist[h] += by_v[:h + 1].sum()
-        self.hist[h + 1:] += by_v[h + 1:]
+    def add_full_range(self, loop_prefix, *cols):
+        """Every v in [-B, B] completes each prefix loop_prefix + row, for
+        the rows of the equal-length int64 arrays cols (loop_prefix alone
+        without them), coprime to the prefix if projective."""
+        n = len(cols[0]) if cols else 1
+        g = np.full(n, gcd_all(loop_prefix) if self.projective else 1,
+                    dtype=np.int64)
+        height = np.full(n, max(map(abs, loop_prefix), default=0),
+                         dtype=np.int64)
+        for col in cols:
+            if self.projective:
+                g = np.gcd(g, np.abs(col))
+            np.maximum(height, np.abs(col), out=height)
+        for g0 in set(g.tolist()):
+            self._full.setdefault(g0, []).append(height[g == g0])
         if self.collect:
-            self.points.extend(prefix + (v,) for v in range(-self.B, self.B + 1)
-                               if gcd(g0, v) == 1)
+            rows = zip(*(c.tolist() for c in cols)) if cols else [()]
+            for row, g0 in zip(rows, g.tolist()):
+                prefix = loop_prefix + row
+                self.points.extend(prefix + (v,)
+                                   for v in range(-self.B, self.B + 1)
+                                   if gcd(g0, v) == 1)
 
     def add_free_last(self, sub):
         """A free last variable on every point of sub: with S(k) of them of
         height <= k, (2k + 1) * S(k) points of height <= k."""
         if sub.collect:
-            for prefix in sub.points:
-                self.add_full_range(prefix)
+            if sub.points:
+                self.add_full_range((), *np.array(sub.points, dtype=np.int64).T)
             return
         upto = np.cumsum(sub.hist) * np.arange(1, 2 * self.B + 2, 2)
-        self.hist += np.diff(upto, prepend=0)
+        self._hist += np.diff(upto, prepend=0)
 
     def add_solved(self, loop_prefix, *cols):
         """cols: equal-length int64 arrays, one per solved trailing
@@ -211,7 +242,7 @@ class _Hits:
         height = np.full(len(cols[0]), max(map(abs, loop_prefix), default=0))
         for col in cols:
             np.maximum(height, np.abs(col), out=height)
-        self.hist += np.bincount(height, minlength=self.B + 1)
+        self._hist += np.bincount(height, minlength=self.B + 1)
         if self.collect:
             self.points.extend(loop_prefix + row
                                for row in zip(*(c.tolist() for c in cols)))
@@ -219,14 +250,15 @@ class _Hits:
     def add_slice(self, sub):
         """The points of sub, the zeros of the slice x0 = 0, with x0 put
         back in front."""
-        self.hist += sub.hist
+        self._hist += sub.hist
         if self.collect:
             self.points.extend((0,) + p for p in sub.points)
 
     def mirror(self):
         """Add -x for every point x held: the points of the half box x0 >= 1
         become those of both halves."""
-        self.hist *= 2
+        self._spread_full_range()
+        self._hist *= 2
         if self.collect:
             self.points.extend([tuple(-c for c in p) for p in self.points])
 
@@ -457,8 +489,7 @@ def _solve_tiles(coeffs, B, first, hits):
                                             axis[t])
             zero = _and(open_, rhs == 0)  # a zero residual leaves t free
             if zero.any():
-                for cell in zip(*(w.tolist() for w in _cells(axes, zero))):
-                    hits.add_full_range(prefix + cell)
+                hits.add_full_range(prefix, *_cells(axes, zero))
 
 
 # ---------------------------------------------------------------------

@@ -110,19 +110,18 @@ def fit_exponent(series: CountSeries, target: float | None = None,
     return report
 
 
-def _count_one(config: ExperimentConfig, F, B: int, collect: bool = False,
-               by_height: bool = False):
-    """The configured counting function at B; ``collect`` appends the
-    sorted points and ``by_height`` the histogram of heights, as the
-    enumeration entry points do."""
+def _count_one(config: ExperimentConfig, F, B: int, collect: bool = False):
+    """The configured counting function at B, with its histogram of
+    heights appended (and the sorted points before it with ``collect``),
+    as the enumeration entry points return it under ``by_height``."""
     if config.function == "N":
-        return count_projective(F, B, collect=collect, by_height=by_height)
+        return count_projective(F, B, collect=collect, by_height=True)
     if config.function == "M":
-        return count_affine(F, B, collect=collect, by_height=by_height)
+        return count_affine(F, B, collect=collect, by_height=True)
     if config.function == "Naff":
         filters = [ResidueFilter(p, rs) for p, rs in config.filters]
         return count_affine_surface(F, B, filters=filters, collect=collect,
-                                    by_height=by_height)
+                                    by_height=True)
     raise ValueError(f"unknown counting function {config.function!r}")
 
 
@@ -141,7 +140,7 @@ def build_series(config: ExperimentConfig, collect: bool = False):
     lowest = 1 if config.function == "N" else 0
     if grid[0] < lowest:
         raise ValueError(f"B must be >= {lowest}")
-    result = _count_one(config, F, grid[-1], collect=collect, by_height=True)
+    result = _count_one(config, F, grid[-1], collect=collect)
     upto = list(itertools.accumulate(result[-1]))
     series = CountSeries(tag=f"{config.function}:{config.poly}",
                          entries=[(b, upto[b]) for b in grid])

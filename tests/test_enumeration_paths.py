@@ -1,5 +1,6 @@
 """Cross-checks that force each enumeration tier onto the same inputs."""
 
+import itertools
 import random
 
 import pytest
@@ -281,6 +282,30 @@ def test_height_histogram_sums_to_counts_at_every_bound():
     assert [sum(hist[:b + 1]) for b in range(4)] == [
         count_affine(f, b) for b in range(4)]
     assert count_affine(f, 3, by_height=True) == (n, hist)
+
+
+def test_full_range_heights_match_brute_counts(monkeypatch):
+    # residuals that vanish on whole tile rows and planes, with prefixes of
+    # many gcds, and a free last variable: every completion is tallied at
+    # its own height, on the tile and on the big-int path
+    forms = ["x1*x3", "x0*(x1^2 - x2*x3)", "x1*x2*x3 - x0^2*x3",
+             "x0^2 + x1^2 - x2^2 + 0*x3"]
+    affine = ["t1*t4", "t1*t3 - t2*t3", "t1^2 - t2 + 0*t3"]
+    for limit in (en.INT64_LIMIT, 0):
+        monkeypatch.setattr(en, "INT64_LIMIT", limit)
+        for text in forms:
+            F = parse_poly(text, num_vars=4)
+            n, hist = count_projective(F, 5, by_height=True)
+            assert [sum(hist[:b + 1]) for b in range(1, 6)] == [
+                brute_projective(F, b) for b in range(1, 6)], (text, limit)
+        for text in affine:
+            f = parse_poly(text, num_vars=4 if "t4" in text else 3)
+            n, pts, hist = count_affine(f, 4, collect=True, by_height=True)
+            assert [sum(hist[:b + 1]) for b in range(5)] == [
+                brute_affine(f, b) for b in range(5)], (text, limit)
+            assert pts == [t for t in itertools.product(range(-4, 5),
+                                                        repeat=f.num_vars)
+                           if f.evaluate(t) == 0], (text, limit)
 
 
 def test_projective_zeros_need_one_degree_parity():
