@@ -11,7 +11,7 @@ whenever an a priori bound proves that no intermediate value can overflow
 pure-Python big-int reference takes over.  Both are exact, and the tests
 cross-check them against each other and against full lattice scans.
 
-A variety of any codimension is enumerated on the same two solvers: an
+A variety of any codimension is enumerated on the same solvers: an
 integer point is a zero of every generator g_i exactly when it is a zero
 of the single polynomial sum g_i^2.  Generators free of the last variable
 are solved first and the last variable only at their zeros, which keeps
@@ -23,6 +23,18 @@ x is a zero exactly when -x is: N(F; B) is twice the primitive zeros with
 1 <= x0 <= B plus N(F(0, x1, ..., xn); B), the slice found by recursion.
 The first free coordinate (the outer loop's, the tile's rows, the scalar
 prefixes') starts at 1.  Affine zeros keep the full box.
+
+A quaternary form that splits as G(x0, xi) - H(xj, xk), every term inside
+one of the two pairs, takes a third path instead, after D. J. Bernstein,
+"Enumerating solutions to p(a) + q(b) = r(c) + s(d)" (Math. Comp. 2001):
+its zeros are the pairs of points of [-B, B]^2 with G = H, which one sort
+of each side and a binary search of the other count in O(B^2 log B)
+rather than the kernel's O(B^3) cells.  The join covers the whole box at
+once, so it needs neither the mirror nor the slice.  It counts all zeros
+of each height, primitive or not; the zeros of a form are a cone, so
+Moebius inversion over the divisors of the height leaves the primitive
+ones.  It runs when its int64 keys value * (B + 1) + height provably fit,
+and every other form takes the paths above.
 
 Solved points are tallied as a histogram of heights max |x_i| over
 0..B, so one enumeration at B gives the count at every b <= B as a prefix
@@ -271,6 +283,8 @@ def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
     twice those with 1 <= x0 <= B; the rest are the primitive zeros of the
     slice f(0, x1, ..., xn), found by recursion.  In one variable only
     x0 = +-1 is primitive, a zero exactly when f vanishes identically.
+    A separable quaternary form takes the sorted join on the whole box
+    instead.
     """
     hits = _Hits(projective, collect, B)
     if not projective:
@@ -279,11 +293,118 @@ def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
     if len({sum(e) % 2 for e in f.terms}) > 1:
         raise ValueError("projective zeros need term degrees of one parity, "
                          "so that x and -x are zeros together")
+    split = _split_halves(f, B)
+    if split is not None:
+        _solve_split(*split, B, hits)
+        return hits
     _solve_box(f, B, 1, hits)
     hits.mirror()
     if f.num_vars > 1:
         hits.add_slice(_solve_zeros(f.substitute_value(0, 0), B, True, collect))
     return hits
+
+
+def _split_halves(f: IntPoly, B: int):
+    """(order, G, H) with f(x) = G(x_a, x_b) - H(x_c, x_d) for the variable
+    order (a, b, c, d) of a pairing {0, i} | rest that holds every term of
+    a quaternary form in one half; None when there is none, or when a key
+    value * (B + 1) + height of the join could leave int64."""
+    if f.num_vars != 4 or not f.is_homogeneous():
+        return None
+    for i in (1, 2, 3):
+        order = (0, i) + tuple(j for j in (1, 2, 3) if j != i)
+        halves = ({}, {})
+        for e, coeff in f.terms.items():
+            a, b, c, d = (e[j] for j in order)
+            if not (c or d):  # the constant term goes left
+                halves[0][a, b] = coeff
+            elif not (a or b):
+                halves[1][c, d] = -coeff
+            else:
+                break
+        else:
+            G, H = (IntPoly(2, h) for h in halves)
+            bound = max(_poly_value_bound(G, B), _poly_value_bound(H, B))
+            if (bound + 1) * (B + 1) >= INT64_LIMIT:
+                return None
+            return order, G, H
+    return None
+
+
+def _mobius(n: int):
+    """mu(0..n) as an int64 array, with mu(0) = 0."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    prime = np.ones(n + 1, dtype=bool)
+    for p in range(2, n + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+            mu[p::p] *= -1
+            mu[p * p::p * p] = 0
+    return mu
+
+
+def _solve_split(order, G, H, B: int, hits):
+    """All primitive zeros of G(x_a, x_b) = H(x_c, x_d) in [-B, B]^4, where
+    (a, b, c, d) = order, by a sorted meet-in-the-middle join.
+
+    Each side is a key value * (B + 1) + height over [-B, B]^2, sorted; a
+    zero is a pair of equal values, of height the larger of the two.  Each
+    left key counts the right keys of its value and height <= its own, and
+    each right key the left keys of its value and height < its own, so
+    every pair is binned once, at its height: Z[h] counts all zeros of
+    height h.  The zeros form a cone, so Z[h] = sum_{d | h} P[h / d] over
+    the primitive zeros P, and Moebius inversion gives P.  Searches run on
+    chunks of TILE_CELLS sorted queries.
+    """
+    width = 2 * B + 1
+    axis = np.arange(-B, B + 1, dtype=np.int64)
+    height = np.maximum.outer(np.abs(axis), np.abs(axis)).ravel()
+    sides = []
+    for p in (G, H):
+        key = np.empty((width, width), dtype=np.int64)
+        key[...] = _eval_on_tile(p, (), np.ix_(axis, axis))
+        key = key.ravel()
+        key *= B + 1
+        key += height
+        index = None
+        if hits.collect:
+            index = np.argsort(key)
+            key = key[index]
+        else:
+            key.sort()
+        sides.append((key, index))
+    zeros = np.zeros(B + 1, dtype=np.int64)
+    found = []  # primitive zeros, one (4, m) array per query chunk
+    (left, left_index), (right, right_index) = sides
+    for query, table, side in ((left, right, "right"), (right, left, "left")):
+        for lo in range(0, len(query), TILE_CELLS):
+            q = query[lo:lo + TILE_CELLS]
+            h = q % (B + 1)
+            group = np.searchsorted(table, q - h)  # first key of q's value
+            # int64 counts stay exact, where bincount's float weights would
+            # round past 2^53
+            np.add.at(zeros, h, np.searchsorted(table, q, side) - group)
+            if hits.collect and query is left:
+                n = np.searchsorted(table, q - h + B, "right") - group
+                li = np.repeat(left_index[lo:lo + TILE_CELLS], n)
+                ri = right_index[np.arange(n.sum()) + np.repeat(
+                    group - np.cumsum(n) + n, n)]
+                cols = [li // width - B, li % width - B,
+                        ri // width - B, ri % width - B]
+                g = np.gcd.reduce(np.abs(cols), axis=0)
+                pts = np.empty((4, int((g == 1).sum())), dtype=np.int64)
+                pts[list(order)] = np.array(cols)[:, g == 1]
+                found.append(pts)
+    if found:
+        # in lexicographic order, which the final sort then finds in one run
+        cols = np.concatenate(found, axis=1)
+        cols = cols[:, np.lexsort(cols[::-1])]
+        hits.points.extend(zip(*cols.tolist()))
+    zeros[0] = 0  # the zero vector, when a zero, is not primitive
+    mu = _mobius(B)
+    for d in np.nonzero(mu)[0].tolist():
+        hits._hist[d::d] += mu[d] * zeros[1:B // d + 1]
 
 
 def _solve_box(f: IntPoly, B: int, first: int, hits):

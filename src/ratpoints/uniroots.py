@@ -4,10 +4,11 @@ Coefficient lists run low degree to high.  Every question asked here has
 an integer answer (the integer roots of p, the count of integers t with
 |p(t)| <= T), so real roots are never isolated to rational brackets:
 Sturm's theorem counts the roots in an integer interval (a, b], and
-bisection at integer midpoints cuts the Cauchy interval into pieces that
-either hold no root or hold one integer.  Chain members are rescaled to
-primitive integer coefficients (a positive rescaling, which preserves
-sign variations), so every sign decision is an exact integer comparison.
+bisection at integer midpoints cuts the interval of Fujiwara's root bound
+into pieces that either hold no root or hold one integer.  Chain members
+are rescaled to primitive integer coefficients (a positive rescaling,
+which preserves sign variations), so every sign decision is an exact
+integer comparison.
 """
 
 from __future__ import annotations
@@ -132,12 +133,31 @@ def sign_variations(chain, x: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _ceil_root(n: int, k: int) -> int:
+    """The least r >= 0 with r**k >= n, for n >= 0, in integers."""
+    if n <= 1:
+        return n
+    r = 1 << -(-n.bit_length() // k)  # r**k > n
+    while True:  # Newton's step from above settles on the floor root
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k == n else r + 1
+
+
 def root_bound(coeffs) -> int:
-    """Integer M with every real root strictly inside (-M, M)."""
+    """Integer M with every real root strictly inside (-M, M).
+
+    Fujiwara's bound: every complex root has modulus at most
+    2 * max_i |a_{d-i} / a_d|^(1/i), which the exact integer ceilings here
+    only raise, and M exceeds it by one.
+    """
     c = trim(coeffs)
     lead = abs(c[-1])
-    m = max(abs(x) for x in c[:-1]) if len(c) > 1 else 0
-    return 1 + (m + lead - 1) // lead + 1
+    d = len(c) - 1
+    return 2 * max((_ceil_root(-(-abs(c[d - i]) // lead), i)
+                    for i in range(1, d + 1)), default=0) + 1
 
 
 def _integer_pieces(chain, M):

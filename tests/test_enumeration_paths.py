@@ -72,11 +72,11 @@ def mixed_forms():
     return polys
 
 
-def forced_scalar(count, *args):
+def forced_scalar(count, *args, **kwargs):
     limit = en.INT64_LIMIT
     try:
         en.INT64_LIMIT = 0
-        return count(*args, collect=True)
+        return count(*args, collect=True, **kwargs)
     finally:
         en.INT64_LIMIT = limit
 
@@ -316,3 +316,96 @@ def test_projective_zeros_need_one_degree_parity():
     S = parse_poly("x0^2 + x1^2 - x2^2")
     assert en._solve_zeros(S * S, 3, projective=True, collect=False).count == (
         count_projective(S, 3))
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The variable orders of the separable joins taken, in call order."""
+    orders = []
+
+    def call(order, *args, _real=en._solve_split):
+        orders.append(order)
+        return _real(order, *args)
+    monkeypatch.setattr(en, "_solve_split", call)
+    return orders
+
+
+def separable_forms():
+    """Seeded quaternary forms G(x0, xi) + H(rest) over the three pairings,
+    of odd and even degree, some with a common coefficient factor, and the
+    special cases, with their bounds."""
+    rng = random.Random(94)
+    out = []
+    for i in (1, 2, 3):
+        halves = ({0, i}, {1, 2, 3} - {i})
+        for degree in (1, 2, 3, 4):
+            terms = {e: rng.randint(-3, 3)
+                     for e in monomials_of_degree(4, degree)
+                     if any({j for j in range(4) if e[j]} <= h for h in halves)
+                     and rng.random() < 0.6}
+            F = IntPoly(4, terms)
+            if not F.is_zero():
+                out.append((F * rng.choice((1, 6)), rng.choice((1, 3))))
+    out += [(parse_poly("x0*x1 + x2*x3"), 3),
+            (parse_poly("x0^3 + x1^3", num_vars=4), 3),
+            (parse_poly("6*x0^3 + 6*x1^3 - 12*x2^3 + 6*x3^3"), 4),
+            (parse_poly("x0^2 + x1^2 - x2^2 - 2*x3^2"), 4),
+            (IntPoly(4, {(0, 0, 0, 0): 5}), 2),
+            (parse_poly("x0^3 + x1^3 + x2^3 + x3^3"), 1)]
+    return out
+
+
+def test_separable_split_matches_tiles_scalar_and_brute(monkeypatch, splits):
+    forms = separable_forms()
+    results = []
+    for F, B in forms:
+        results.append(count_projective(F, B, collect=True, by_height=True))
+    assert len(splits) == len(forms)
+    assert {order[1] for order in splits} == {1, 2, 3}
+    assert results[-5][0] == 290 and results[-2][0] == 0
+    splits.clear()
+    monkeypatch.setattr(en, "_split_halves", lambda f, B: None)
+    for (F, B), (n, pts, hist) in zip(forms, results):
+        want = brute_projective_points(F, B)
+        assert (n, pts) == (len(want), want), (F.to_text(), B)
+        assert (n, pts, hist) == count_projective(F, B, collect=True,
+                                                  by_height=True), F.to_text()
+        assert (n, pts, hist) == forced_scalar(count_projective, F, B,
+                                               by_height=True), F.to_text()
+        assert [sum(hist[:b + 1]) for b in range(1, B + 1)] == [
+            brute_projective(F, b) for b in range(1, B + 1)], F.to_text()
+    assert splits == []
+
+
+def test_forced_scalar_switches_the_split_off(force_scalar, splits):
+    F = parse_poly("x0^3 + x1^3 + x2^3 + x3^3")
+    assert count_projective(F, 3) == brute_projective(F, 3)
+    assert splits == []
+
+
+def test_non_separable_forms_never_split(taken, splits):
+    generic = parse_poly("x0^3 + 2*x1^3 + 3*x2^2*x3 - x1*x2*x3 + x3^3")
+    dense = parse_poly("x0^3 - x1^3 + 2*x2^3 + x0*x3^2 - x1*x2*x3"
+                       " + x2*x3^2 + x3^3")
+    chain = parse_poly("x0*x1 + x1*x2 + x2*x3")
+    for F in (generic, dense, chain):
+        assert en._split_halves(F, 4) is None
+        taken.clear()
+        assert count_projective(F, 4) == brute_projective(F, 4)
+        assert "_solve_tiles" in taken
+    assert splits == []
+
+
+def test_split_guard_sits_at_its_limit(splits):
+    # C*x0*x1 - x2*x3 at B = 3: the left side's value bound is 9C, and the
+    # keys need (9C + 1) * 4 < 2^62, which C = (2^60 - 1) / 9 just meets
+    B = 3
+    at = ((1 << 60) - 1) // 9
+    for C, split in ((at - 1, True), (at, False)):
+        F = IntPoly(4, {(1, 1, 0, 0): C, (0, 0, 1, 1): -1})
+        left = en._poly_value_bound(IntPoly(2, {(1, 1): C}), B)
+        assert (left + 1) * (B + 1) == en.INT64_LIMIT - 36 * (at - C)
+        splits.clear()
+        n, pts = count_projective(F, B, collect=True)
+        assert bool(splits) is split
+        assert (n, pts) == (len(pts), brute_projective_points(F, B))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import ratpoints
@@ -91,6 +92,38 @@ def test_sturm_data_computed_once_per_call(monkeypatch):
         assert sorted(calls) == ["squarefree_part", "sturm_chain"]
     assert U.integer_roots([-6, 11, -6, 1]) == [1, 2, 3]
 
+
+def test_fujiwara_bound_holds_every_real_root_strictly_inside():
+    rng = random.Random(29)
+    t = sympy.Symbol("t")
+    polys = [[-10**60, 0, 0, 1], [10**40 - 1, 0, -10**20, 0, 1], [0, 0, 1],
+             U.poly_mul([-(10**30), 1], [3, 0, -1])]
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        coeffs = [rng.randint(-10**rng.randint(0, 12), 10**rng.randint(0, 12))
+                  for _ in range(d)]
+        coeffs.append(rng.choice([c for c in range(-50, 51) if c]))
+        polys.append(coeffs)
+    for coeffs in polys:
+        M = U.root_bound(coeffs)
+        roots = sympy.real_roots(sympy.Poly(list(reversed(coeffs)), t))
+        assert all(-M < r < M for r in roots), (coeffs, M)
+    # the bound is not far off: t^3 - 10^60 has the root 10^20
+    assert U.root_bound([-10**60, 0, 0, 1]) == 2 * 10**20 + 1
+
+
+def test_huge_T_bisects_from_near_the_roots(monkeypatch):
+    # the roots of (t^2 + 1)^2 - T^2 lie near +-10^200; the Cauchy bound,
+    # about T^2, made 5317 sign_variations calls at T = 10^400
+    calls = []
+    real = U.sign_variations
+
+    def spy(chain, x):
+        calls.append(x)
+        return real(chain, x)
+    monkeypatch.setattr(U, "sign_variations", spy)
+    assert U.count_abs_le([1, 0, 1], 10**400) == 2 * U.isqrt(10**400 - 1) + 1
+    assert len(calls) < 1500
 
 def _radius(coeffs, T):
     """R with |p(t)| > T for every integer |t| >= R: there |t| > 2S/L, so
