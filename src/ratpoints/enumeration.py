@@ -354,19 +354,22 @@ def _solve_split(order, G, H, B: int, hits):
     each right key the left keys of its value and height < its own, so
     every pair is binned once, at its height: Z[h] counts all zeros of
     height h.  The zeros form a cone, so Z[h] = sum_{d | h} P[h / d] over
-    the primitive zeros P, and Moebius inversion gives P.  Searches run on
-    chunks of TILE_CELLS sorted queries.
+    the primitive zeros P, and Moebius inversion gives P.  Keys are built
+    and searched in chunks of at most TILE_CELLS cells, so that no
+    temporary is as large as a side.
     """
     width = 2 * B + 1
     axis = np.arange(-B, B + 1, dtype=np.int64)
-    height = np.maximum.outer(np.abs(axis), np.abs(axis)).ravel()
+    step = max(1, TILE_CELLS // width)
     sides = []
     for p in (G, H):
         key = np.empty((width, width), dtype=np.int64)
-        key[...] = _eval_on_tile(p, (), np.ix_(axis, axis))
+        for lo in range(0, width, step):
+            rows, part = axis[lo:lo + step], key[lo:lo + step]
+            part[...] = _eval_on_tile(p, (), np.ix_(rows, axis))
+            part *= B + 1
+            part += np.maximum.outer(np.abs(rows), np.abs(axis))
         key = key.ravel()
-        key *= B + 1
-        key += height
         index = None
         if hits.collect:
             index = np.argsort(key)

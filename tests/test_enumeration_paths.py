@@ -377,6 +377,21 @@ def test_separable_split_matches_tiles_scalar_and_brute(monkeypatch, splits):
     assert splits == []
 
 
+def test_separable_split_on_ragged_chunks(monkeypatch, splits):
+    # keys built two rows at a time and searched 2(2B + 1) queries at a
+    # time: 2B + 1 rows end in a one-row chunk, and (2B + 1)^2 keys in a
+    # chunk of 2B + 1
+    cells = en.TILE_CELLS
+    for F, B in separable_forms():
+        want = count_projective(F, B, collect=True, by_height=True)
+        monkeypatch.setattr(en, "TILE_CELLS", 2 * (2 * B + 1))
+        assert count_projective(F, B, collect=True, by_height=True) == want, (
+            F.to_text(), B)
+        assert count_projective(F, B, by_height=True) == (want[0], want[2])
+        monkeypatch.setattr(en, "TILE_CELLS", cells)
+    assert len(splits) == 3 * len(separable_forms())
+
+
 def test_forced_scalar_switches_the_split_off(force_scalar, splits):
     F = parse_poly("x0^3 + x1^3 + x2^3 + x3^3")
     assert count_projective(F, 3) == brute_projective(F, 3)
