@@ -259,7 +259,8 @@ def _cmd_detmethod(args) -> int:
                     rec["aux_form"] = format_poly(outcome.form)
                     rec["aux_degree"] = outcome.degree
                     rec["rank"] = outcome.rank
-                    rec["delta"] = _delta_stats(F, outcome.form, members, p,
+                    rec["delta"] = _delta_stats(F, outcome.form,
+                                                rec["aux_form"], members, p,
                                                 sections)
             records.append(rec)
     out = {
@@ -274,16 +275,16 @@ def _cmd_detmethod(args) -> int:
     return 0
 
 
-def _delta_stats(F, G, members, p, sections):
+def _delta_stats(F, G, G_text, members, p, sections):
     """Exact determinant statistics for the curve cut by F and the class's
-    auxiliary form, at the first few class points.
+    auxiliary form G, at the first few class points.
 
-    ``sections`` maps (G, k) to the curve's section degree and monomial
-    selection, or to the error computing them raised; it is filled once
-    per distinct auxiliary form and k, and lives for one op.
+    ``sections`` maps (G_text, k), G_text being G formatted, to the curve's
+    section degree and monomial selection, or to the error computing them
+    raised; it is filled once per distinct G and k, and lives for one op.
     """
     k = min(len(members), 4)
-    key = (format_poly(G), k)
+    key = (G_text, k)
     if key not in sections:
         try:
             e, _ = curve_section_degree([F, G])

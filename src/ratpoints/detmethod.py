@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, comb, log
+from operator import mul
 
 from .exact import CertificateError, is_prime, valuation
 from .geometry import classify_point
@@ -358,7 +359,7 @@ def extract_auxiliary_form(points, D: int, F: IntPoly):
         if not poly_divides(F, G):
             # G is a nonzero multiple of vec, so it vanishes at a point
             # exactly when the point's row is orthogonal to vec
-            if any(sum(c * v for c, v in zip(vec, row)) for row in rows):
+            if any(sum(map(mul, vec, row)) for row in rows):
                 raise CertificateError("auxiliary form misses a class point")
             return AuxiliaryForm(form=G, degree=D, rank=rank)
     raise ValueError(

@@ -36,17 +36,13 @@ def primitive_vector(v) -> tuple[int, ...]:
 
     Raises ValueError on the zero vector.
     """
-    v = tuple(int(c) for c in v)
-    g = gcd_all(v)
+    v = tuple(map(int, v))
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no projective point")
-    w = tuple(c // g for c in v)
-    for c in w:
-        if c != 0:
-            if c < 0:
-                w = tuple(-x for x in w)
-            break
-    return w
+    if next(c for c in v if c) < 0:
+        g = -g
+    return v if g == 1 else tuple(c // g for c in v)
 
 
 @dataclass(frozen=True)

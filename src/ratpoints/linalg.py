@@ -5,16 +5,19 @@ rational number is ever built.  The dense echelon routine and the sparse
 eliminator clear a column by cross-multiplying two rows and divide the
 result by its content, so every row stays primitive, and the rational
 RREF is the integer one with each row divided by its pivot entry.  The
-sparse eliminator keeps dict-backed rows and is what makes large graded
-pieces tractable: rows coming from monomial or binomial generators never
-grow past two entries during elimination.  Integer determinants use
-Bareiss fraction-free elimination, so every division is exact.
+dense routine inserts rows one at a time and drops a dependent row by dot
+products with the null vectors of the pivot rows so far.  The sparse
+eliminator keeps dict-backed rows and is what makes large graded pieces
+tractable: rows coming from monomial or binomial generators never grow
+past two entries during elimination.  Integer determinants use Bareiss
+fraction-free elimination, so every division is exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 
 from .exact import primitive_vector
 
@@ -53,22 +56,33 @@ def rref_dense(rows):
     of the integer input over Q.  Each row of red is primitive, has a
     positive entry at its own pivot column and 0 at every other pivot
     column; dividing each row by its pivot entry gives the rational RREF.
+
+    Rows are inserted one at a time, each cleared against the pivots so far.
+    After a row reduces to zero, the null vectors of the pivot rows are kept
+    until the next insertion; a row orthogonal to all of them lies in the
+    row span over Q and is skipped without elimination.
     """
-    work = [row for row in (list(map(index, r)) for r in rows) if any(row)]
-    pivots, red = [], []
-    for c in range(len(work[0]) if work else 0):
-        i = next((i for i, row in enumerate(work) if row[c]), None)
-        if i is None:
+    pivots, red, null = [], [], None
+    for row in rows:
+        row = list(map(index, row))
+        if null is not None and not any(sum(map(mul, v, row)) for v in null):
             continue
-        prow = _primitive(work.pop(i))
-        if prow[c] < 0:
-            prow = [-x for x in prow]
-        red = [_clear(row, prow, c) if row[c] else row for row in red]
-        work = [row for row in (_clear(row, prow, c) if row[c] else row
-                                for row in work) if any(row)]
-        pivots.append(c)
-        red.append(prow)
-        if not work:
+        for pc, prow in zip(pivots, red):
+            if row[pc]:
+                row = _clear(row, prow, pc)
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
+            null = _null_basis(pivots, red, len(row))
+            continue
+        row = _primitive(row)
+        if row[c] < 0:
+            row = [-x for x in row]
+        red = [_clear(prow, row, c) if prow[c] else prow for prow in red]
+        k = bisect(pivots, c)
+        pivots.insert(k, c)
+        red.insert(k, row)
+        null = None
+        if len(pivots) == len(row):
             break
     return pivots, red
 
@@ -87,6 +101,25 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
+def _null_basis(pivots, red, ncols):
+    """Primitive basis of the right nullspace of an integer RREF, one vector
+    per free column, left to right."""
+    # L times the rational RREF row r is (L // pivot_r) * red[r]
+    L = lcm(*(row[pc] for pc, row in zip(pivots, red)))
+    scaled = [(pc, row, L // row[pc]) for pc, row in zip(pivots, red)]
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[free] = L
+        for pc, row, s in scaled:
+            vec[pc] = -row[free] * s
+        basis.append(primitive_vector(vec))
+    return basis
+
+
 def rank_dense(rows) -> int:
     return len(rref_dense(rows)[0])
 
@@ -102,21 +135,7 @@ def nullspace_int(rows, ncols=None):
         if not rows:
             raise ValueError("cannot infer column count of an empty matrix")
         ncols = len(rows[0])
-    pivots, red = rref_dense(rows)
-    # L times the rational RREF row r is (L // pivot_r) * red[r]
-    L = lcm(*(row[pc] for pc, row in zip(pivots, red)))
-    scaled = [(pc, row, L // row[pc]) for pc, row in zip(pivots, red)]
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = L
-        for pc, row, s in scaled:
-            vec[pc] = -row[free] * s
-        basis.append(primitive_vector(vec))
-    return basis
+    return _null_basis(*rref_dense(rows), ncols)
 
 
 def rank_sparse(rows, ncols):

@@ -18,9 +18,9 @@ at the top of that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from math import gcd, prod
-from operator import getitem, mul
+from itertools import accumulate, repeat
+from math import gcd
+from operator import mul
 
 from .exact import gcd_all
 from .linalg import rank_sparse
@@ -391,15 +391,29 @@ def monomials_of_degree(num_vars: int, degree: int):
 
 def monomial_rows(exps, points):
     """Values of the monomials with exponent tuples ``exps`` at each point:
-    one row per point, one column per monomial.  Each coordinate's powers
-    are computed once per point and shared by every monomial."""
-    exps = list(exps)
-    top = max((max(e, default=0) for e in exps), default=0)
-    rows = []
-    for pt in points:
-        powers = [list(accumulate([1] + [x] * top, mul)) for x in pt]
-        rows.append([prod(map(getitem, powers, e)) for e in exps])
-    return rows
+    one row per point, one column per monomial, all exact ints.
+
+    Built a column at a time: each coordinate's power columns, up to its
+    highest exponent in ``exps``, are built once, and a monomial's column
+    is the elementwise product of the power columns it picks."""
+    exps, points = list(exps), list(points)
+    if not exps:
+        return [[] for _ in points]
+    ones = [1] * len(points)
+    powers = [list(accumulate(repeat(xs, top), _times, initial=ones))
+              for xs, top in zip(zip(*points), map(max, zip(*exps)))]
+    columns = []
+    for e in exps:
+        col = ones
+        for p, k in zip(powers, e):
+            if k:
+                col = p[k] if col is ones else _times(col, p[k])
+        columns.append(col)
+    return list(map(list, zip(*columns)))
+
+
+def _times(a, b):
+    return list(map(mul, a, b))
 
 
 # -- graded pieces ------------------------------------------------------

@@ -466,3 +466,38 @@ def test_curves_and_geometry_certificates_survive_python_O():
                    "raised: image lies off the target plane\n"
                    "raised: dual vectors are not dual to the center\n"
                    "raised: R value not integral\n")
+
+
+def test_conic_parameterize_certificates_survive_python_O():
+    # one helper at a time returns a wrong value; under -O each of the four
+    # conic_parameterize certificates must still raise CertificateError
+    script = (
+        "import ratpoints.curves as cv\n"
+        "from ratpoints.exact import CertificateError\n"
+        "from ratpoints.poly import parse_poly\n"
+        "assert False, 'asserts are live'\n"
+        "data = cv.plane_eliminate((1, 0, 0, 1), parse_poly(\n"
+        "    'x1^2 + 4*x1*x2 + 4*x2^2 + 2*x0*x1 - x0*x2 + 5*x0^2'))\n"
+        "isqrt = cv.isqrt\n"
+        "fakes = (('isqrt', lambda n: isqrt(n) + 1),\n"
+        "         ('unimodular_complete', lambda a, b: (0, 0)),\n"
+        "         ('_base_point', lambda *args: 1),\n"
+        "         ('_merge_congruence', lambda cls, c, r, m: (1, m)))\n"
+        "for name, fake in fakes:\n"
+        "    real = getattr(cv, name)\n"
+        "    setattr(cv, name, fake)\n"
+        "    try:\n"
+        "        cv.conic_parameterize(data, 100)\n"
+        "    except CertificateError as exc:\n"
+        "        print('raised:', exc)\n"
+        "    setattr(cv, name, real)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ratpoints.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    # the conic's denominator is 5, so a wrong base point or class shows
+    assert out == ("raised: q(0, Y, Z) is not a*(alpha*Y + beta*Z)^2\n"
+                   "raised: unimodular substitution identity failed\n"
+                   "raised: base point is not integral\n"
+                   "raised: 2R not integral\n")

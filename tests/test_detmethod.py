@@ -337,7 +337,7 @@ def test_detmethod_section_computed_once_per_aux_form(monkeypatch, capsys):
         sorted({(form,) for form, _ in pairs})
 
     monkeypatch.setattr(cli, "_delta_stats",
-                        lambda F, G, members, p, sections:
+                        lambda F, G, G_text, members, p, sections:
                         _delta_stats_referee(F, G, members, p))
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == memo

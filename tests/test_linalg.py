@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from ratpoints import linalg
 from ratpoints.linalg import (det_bareiss, invert_unimodular, nullspace_int,
                               rank_dense, rank_sparse, rref_dense)
 
@@ -117,6 +118,80 @@ def _shapes():
                    for _ in range(rng.randint(2, most))]
             yield [[x**a * y**b * z**c for a, b, c in monos]
                    for x, y, z in pts]
+    yield from _insertion_shapes(rng)
+
+
+def _insertion_shapes(rng):
+    """Row orders where inserting rows one at a time can go wrong."""
+    # a dependent row, then an independent one, then rows in the larger
+    # span only
+    yield _SPAN_ROWS
+    yield [_U, _mix(-4, 0, 0), _V, _mix(1, 1, 0), _W, _mix(3, 0, 2),
+           [0, 0, 0, 0, 1]]
+    for _ in range(40):
+        rank, cols = rng.randint(1, 5), rng.randint(2, 7)
+        basis = [[rng.randint(-9, 9) for _ in range(cols)]
+                 for _ in range(rank)]
+        rows, used = [], []
+        for r in basis:
+            used.append(r)
+            rows.append(r)
+            for _ in range(rng.randint(0, 3)):
+                rows.append([sum(rng.randint(-3, 3) * u[j] for u in used)
+                             for j in range(cols)])
+        yield rows
+    # leading zero rows and duplicated rows
+    yield [[0, 0, 0], [0, 0, 0], [1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 7],
+           [2, 4, 7], [1, 2, 3]]
+    yield [[0, 0, 0, 0]] * 3 + [[0, 0, 5, 0]] * 2 + [[0, 3, 1, 0]]
+    # rank reaches the column count with rows left over
+    yield [[1, 0, 0], [0, 2, 0], [0, 0, 3], [5, 6, 7], [0, 0, 0], [1, 1, 1]]
+    yield [[2, 4], [1, 2], [3, 1], [7, -7], [0, 1]]
+    # class-shaped D = 2 value matrices: collinear points, so rank 3, and a
+    # point off the line placed last
+    monos = [(a, b, c) for a in range(3) for b in range(3 - a)
+             for c in range(3 - a - b)]
+    for _ in range(10):
+        x0, y0, z0 = (rng.randint(-300, 300) for _ in range(3))
+        dx, dy, dz = rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9)
+        pts = [(x0 + t * dx, y0 + t * dy, z0 + t * dz)
+               for t in rng.sample(range(-30, 30), rng.randint(3, 20))]
+        # dx != 0, so a step along z alone leaves the line
+        pts.append((x0, y0, z0 + rng.randint(1, 5)))
+        yield [[x**a * y**b * z**c for a, b, c in monos] for x, y, z in pts]
+
+
+_U, _V, _W = [1, 2, 0, -3, 5], [0, 3, 1, 1, -2], [2, -1, 4, 0, 7]
+
+
+def _mix(k, l, m):
+    return [k * a + l * b + m * c for a, b, c in zip(_U, _V, _W)]
+
+
+# u, v, a row in their span, w, then rows in the span of u, v, w only
+_SPAN_ROWS = [_U, _V, _mix(2, -3, 0), _W, _mix(1, 0, 1), _mix(0, 5, -2),
+              _mix(1, 1, 1)]
+
+
+def test_rref_drops_dependent_rows_without_elimination(monkeypatch):
+    # once a row has reduced to zero, rows in the span of the pivots so far
+    # cost no _clear call, also after a later insertion
+    real = linalg._clear
+
+    def clears(rows):
+        calls = []
+        monkeypatch.setattr(linalg, "_clear",
+                            lambda *args: calls.append(1) or real(*args))
+        return rref_dense(rows), len(calls)
+
+    assert clears(_SPAN_ROWS) == clears(_SPAN_ROWS[:5])
+    # collinear points span 3 of the 10 degree-2 monomial columns; every
+    # row after the fourth is dropped by dot products alone
+    pts = [(2 + t, 3 - 2 * t, 5 + 3 * t) for t in range(12)]
+    rows = [[x**a * y**b * z**c for a in range(3) for b in range(3 - a)
+             for c in range(3 - a - b)] for x, y, z in pts]
+    assert clears(rows) == clears(rows[:4])
+    assert len(clears(rows)[0][0]) == 3
 
 
 def test_linalg_against_sympy():

@@ -169,6 +169,14 @@ def test_monomial_rows_matches_evaluate():
     assert monomial_rows(exps, [(-2, 3)]) == [[1, -24, 243, 4]]
     assert monomial_rows([], [(1, 2)]) == [[]]
     assert monomial_rows(exps, []) == []
+    # points as a generator and as lists; x0 and x2 reach their top power
+    # in one monomial only, and the constant monomial sits among the others
+    exps = [(1, 0, 2), (0, 0, 0), (4, 1, 0), (0, 3, 1), (2, 0, 0)]
+    points = [(3, -1, 2), (0, 5, -7), (-2, 0, 1), (1, 1, 1)]
+    want = [[IntPoly(3, {e: 1}).evaluate(pt) for e in exps] for pt in points]
+    assert monomial_rows(iter(exps), (pt for pt in points)) == want
+    assert monomial_rows(exps, [list(pt) for pt in points]) == want
+    assert monomial_rows([(0, 0, 0)], points) == [[1]] * 4
 
 
 def test_graded_piece_stabilization():
