@@ -2,7 +2,7 @@
 
 Subpackages cover primitive-vector kernels (exact), integer polynomials
 (poly, irreducibility), brute-force and residue-filtered enumeration
-(enumeration), line/conic parameterization (curves), tangent-plane
+(enumeration), tangent-conic parameterization (curves), tangent-plane
 classification and birational projection (geometry), the two-prime
 determinant method (detmethod), and the experiment harness (harness).
 """

@@ -1,14 +1,9 @@
-"""Exact point counting on lines and conics inside a surface.
+"""Exact point counting on tangent conics inside a surface.
 
-Lines: the affine integral points of a rational line form an arithmetic
-progression (1, t + n*s) with a minimal step s, found by solving the
-coordinate congruences exactly.
-
-Tangent conics: a conic cut out by a plane a0*X0 = a1*X1 + a2*X2 + a3*X3
-and a quadric is eliminated to a ternary quadratic q; when q(0, Y, Z) has
-rank 1 the affine integral points are covered by finitely many integer
-parameterizations t -> (1, R1(t), R2(t), R3(t)), one per residue class of
-a denominator D.  The classes are built from the rank-1 factorization, a
+A conic cut out by a plane a0*X0 = a1*X1 + a2*X2 + a3*X3 and a quadric is
+eliminated to a ternary quadratic q; when q(0, Y, Z) has rank 1 the affine
+integral points are covered by finitely many integer parameterizations
+t -> (1, R1(t), R2(t), R3(t)), one per residue class of a denominator D.  The classes are built from the rank-1 factorization, a
 unimodular change of variables, a base integer solution, and congruence
 solving modulo the divisors of D; completeness of the union is exact and
 is tested against brute-force enumeration.
@@ -31,81 +26,7 @@ from .poly import IntPoly, gram_matrix, pad_vars, substitute_linear
 
 
 # ---------------------------------------------------------------------
-# lines
-
-
-@dataclass(frozen=True)
-class LineParam:
-    """Affine integral points (1, base + n*step) of a line, n in Z."""
-
-    base: tuple
-    step: tuple
-
-
-@dataclass
-class LinePointsResult:
-    param: LineParam | None
-    points: list
-    count: int
-
-
-def line_points(p1, p2, B: int) -> LinePointsResult:
-    """S(L;B): affine integral points of height <= B on the line p1 p2.
-
-    The points, when there are at least two, are exactly an arithmetic
-    progression with minimal step; the count obeys
-    count <= 2 * (1 + B/|step|).
-    """
-    c1 = tuple(p1)
-    c2 = tuple(p2)
-    if len(c1) != 4 or len(c2) != 4:
-        raise ValueError("line points live in P^3")
-    n1 = primitive_vector(c1)
-    n2 = primitive_vector(c2)
-    if n1 == n2:
-        raise ValueError("need two distinct points to span a line")
-    if c1[0] == 0 and c2[0] == 0:
-        return LinePointsResult(None, [], 0)  # line at infinity
-    raw = tuple(c2[0] * a - c1[0] * b for a, b in zip(c1, c2))
-    if all(v == 0 for v in raw):
-        raise ValueError("need two distinct points to span a line")
-    q = c1 if c1[0] != 0 else c2
-    q0 = q[0]
-    s = primitive_vector(raw[1:])
-    # integral points: t = (q_sp + w*s)/q0 with s_i*w = -q_i (mod q0), w in Z
-    cls = (0, 1)  # residue, modulus
-    for i in range(3):
-        cls = _merge_congruence(cls, s[i], -q[i + 1], abs(q0))
-        if cls is None:
-            return LinePointsResult(None, [], 0)
-    w0, m = cls
-    base = tuple((q[i + 1] + w0 * s[i]) // q0 for i in range(3))
-    step = tuple(m * s[i] // q0 for i in range(3))
-    if any((q[i + 1] + w0 * s[i]) % q0 or m * s[i] % q0 for i in range(3)):
-        raise CertificateError("line progression is not integral")
-    step = primitive_step(step)
-    # n-range with every |base_i + n*step_i| <= B
-    pieces = _abs_le_pieces([(0, st, b) for b, st in zip(base, step)], B)
-    pts = [
-        (1,) + tuple(b + n * st for b, st in zip(base, step))
-        for lo, hi in pieces for n in range(lo, hi + 1)
-    ]
-    count = len(pts)
-    snorm = max(abs(v) for v in step)
-    if count * snorm > 2 * (snorm + B):
-        raise CertificateError(f"line count {count} above 2*(1 + {B}/{snorm})")
-    param = None
-    if count >= 2:
-        param = LineParam(base=pts[0][1:], step=step)
-    return LinePointsResult(param, pts, count)
-
-
-def primitive_step(step):
-    """Canonical sign for a progression step: first nonzero positive."""
-    for v in step:
-        if v:
-            return step if v > 0 else tuple(-x for x in step)
-    raise ValueError("zero step")
+# congruences
 
 
 def _merge_congruence(cls, coeff, rhs, modulus):
@@ -153,25 +74,6 @@ class PlaneConicData:
     @property
     def is_integral(self) -> bool:
         return self.gram_det != 0
-
-
-def plane_from_three_points(points):
-    """Plane a0*X0 = a1*X1 + a2*X2 + a3*X3 through three points of P^3.
-
-    Coefficients are exact 3x3 minors of the point matrix, made primitive;
-    returns None when the points are collinear (no unique plane).
-    """
-    pts = [tuple(p) for p in points]
-    if len(pts) != 3 or any(len(p) != 4 for p in pts):
-        raise ValueError("need three points of P^3")
-    cof = []
-    for j in range(4):
-        minor = [[p[k] for k in range(4) if k != j] for p in pts]
-        cof.append((-1) ** j * det_bareiss(minor))
-    if all(c == 0 for c in cof):
-        return None
-    a = primitive_vector((cof[0], -cof[1], -cof[2], -cof[3]))
-    return a
 
 
 def plane_eliminate(plane, Q: IntPoly) -> PlaneConicData:

@@ -8,14 +8,13 @@ determinant and divisibility by high prime powers (guaranteed for points
 sharing a nonsingular reduction) force the determinant to vanish, which
 yields an auxiliary form vanishing on the whole class without being
 divisible by the surface form.  Everything here is exact integer or
-rational arithmetic; the only floats are in the prime windows and the
-advisory vanishing predictor.
+rational arithmetic; the only floats are in the prime windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, log
+from math import ceil, comb
 from operator import mul
 
 from .exact import CertificateError, is_prime, valuation
@@ -36,41 +35,21 @@ class PrimeWindow:
     window: tuple          # (low, high) actually used
 
 
-def _window_primes(low: float, min_count: int, exclude=None):
-    """Primes in [low, C*low] with C doubled from 2 until min_count appear."""
-    C = 2.0
-    low = max(low, 2.0)
-    while True:
-        high = C * low
-        primes = [p for p in range(ceil(low), int(high) + 2)
-                  if p != exclude and is_prime(p)]
-        if len(primes) >= min_count:
-            return primes, (low, high)
-        C *= 2.0
-
-
 def prime_window(B: int, d: int, epsilon: float, min_count: int) -> PrimeWindow:
     """Primes p with p around B^(1/sqrt(d) + epsilon), at least min_count
-    of them (doubling the window top; Bertrand guarantees termination)."""
+    of them: the primes in [low, C*low], with C doubled from 2 until enough
+    appear (Bertrand guarantees termination)."""
     if B < 2 or d < 3:
         raise ValueError("need B >= 2 and degree >= 3")
     a = 1.0 / d**0.5 + epsilon
-    low = float(B) ** a
-    primes, window = _window_primes(low, min_count)
-    return PrimeWindow(exponent=a, primes=primes, window=window)
-
-
-def second_prime_window(B: int, d: int, e: int, exclude: int,
-                        min_count: int) -> PrimeWindow:
-    """Second prime window with exponent 1/e - 1/((e-1)*sqrt(d)), excluding
-    the first prime.  Degrees e <= 2 belong to the line/conic machinery."""
-    if e <= 2:
-        raise ValueError("auxiliary curves of degree <= 2 are handled "
-                         "by the line/conic counting routines")
-    a = 1.0 / e - 1.0 / ((e - 1) * d**0.5)
-    low = float(B) ** a
-    primes, window = _window_primes(low, min_count, exclude=exclude)
-    return PrimeWindow(exponent=a, primes=primes, window=window)
+    low = max(float(B) ** a, 2.0)
+    C = 2.0
+    while True:
+        high = C * low
+        primes = [p for p in range(ceil(low), int(high) + 2) if is_prime(p)]
+        if len(primes) >= min_count:
+            return PrimeWindow(exponent=a, primes=primes, window=(low, high))
+        C *= 2.0
 
 
 # ---------------------------------------------------------------------
@@ -292,34 +271,6 @@ def _rank_mod(rows, p: int) -> int:
                 work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
         rank += 1
     return rank
-
-
-def vanishing_test(B: int, p: int, q: int, k: int, e: int, d: int,
-                   c_alpha: float = 0.0, c_d1: float = 0.0) -> str:
-    """Advisory predictor: "zero" when the guaranteed p- and q-divisibility
-    outweighs the determinant size bound, else "unknown".
-
-    alpha lower bound k^2/(2(e-1)) - c_alpha*k is never asserted, only
-    used for prediction; the exact determinant is always available.
-    """
-    if min(B, p, q, k, e, d) < 1:
-        raise ValueError("parameters must be positive")
-    if k < 2 or e < 2:
-        return "unknown"
-    alpha_lb = max(0.0, k * k / (2 * (e - 1)) - c_alpha * k)
-    beta = k * (k - 1) / 2
-    d1 = k * log(k) + (k * k / (2 * e)) * log(B) + c_d1 * k * log(B)
-    return "zero" if alpha_lb * log(p) + beta * log(q) > d1 else "unknown"
-
-
-def vanishing_threshold(B: int, p: int, q: int, e: int, d: int,
-                        c_alpha: float = 0.0, c_d1: float = 0.0,
-                        k_max: int = 10_000):
-    """Smallest k whose prediction is "zero", or None below k_max."""
-    for k in range(2, k_max + 1):
-        if vanishing_test(B, p, q, k, e, d, c_alpha, c_d1) == "zero":
-            return k
-    return None
 
 
 # ---------------------------------------------------------------------

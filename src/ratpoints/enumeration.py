@@ -629,59 +629,21 @@ def _result(count, points, hist, collect, by_height):
     return (count,) + extra if extra else count
 
 
-def count_affine(f: IntPoly, B: int, order: str = "solve", collect: bool = False,
+def count_affine(f: IntPoly, B: int, collect: bool = False,
                  by_height: bool = False):
     """M(f; B): integer zeros of f in the box |t| <= B.
 
-    ``order`` selects the enumeration strategy: "solve" iterates all but
-    the last coordinate and solves the residual exactly, "loop" tests every
-    lattice point.  Both are exact; their agreement is a test invariant.
-    ``by_height`` appends the histogram of heights max |t_i|, from which
-    M(f; b) for every b <= B is a prefix sum.
+    All but the last coordinate are iterated and the residual in the last
+    one is solved exactly.  ``by_height`` appends the histogram of heights
+    max |t_i|, from which M(f; b) for every b <= B is a prefix sum.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if B < 0:
         raise ValueError("B must be >= 0")
-    if order == "solve":
-        hits = _solve_zeros(f, B, projective=False, collect=collect)
-    elif order == "loop":
-        hits = _full_loop(f, B, collect=collect)
-    else:
-        raise ValueError(f"unknown order {order!r}")
+    hits = _solve_zeros(f, B, projective=False, collect=collect)
     return _result(hits.count, hits.points, hits.hist.tolist(), collect,
                    by_height)
-
-
-def _full_loop(f: IntPoly, B: int, collect: bool):
-    hits = _Hits(False, collect, B)
-    nv = f.num_vars
-    if nv == 1:
-        for t in range(-B, B + 1):
-            if f.evaluate((t,)) == 0:
-                hits.add_scalar((), t)
-        return hits
-    u = np.arange(-B, B + 1, dtype=np.int64)
-    coeffs = _last_var_coefficients(f)
-    npsafe = _poly_value_bound(f, B) < INT64_LIMIT
-    for prefix in _iter_loop(nv - 1, B):
-        if npsafe:
-            vals = np.zeros_like(u)
-            power = np.ones_like(u)
-            for j, c in enumerate(coeffs):
-                if j:
-                    power = power * u
-                cv = c.evaluate(prefix)
-                if cv:
-                    vals = vals + cv * power
-            zero = np.nonzero(vals == 0)[0]
-            for idx in zero:
-                hits.add_scalar(prefix, int(u[idx]))
-        else:
-            for v in range(-B, B + 1):
-                if f.evaluate(prefix + (v,)) == 0:
-                    hits.add_scalar(prefix, v)
-    return hits
 
 
 def count_projective(F: IntPoly, B: int, collect: bool = False,

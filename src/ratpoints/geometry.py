@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .exact import (CertificateError, ProjPoint, gcd_all, normalize_primitive,
-                    primitive_vector, xgcd)
-from .irreducibility import Irreducibility, is_absolutely_irreducible
-from .linalg import invert_unimodular, nullspace_int, rank_dense
-from .poly import IntPoly, substitute_linear
+                    primitive_vector)
+from .linalg import nullspace_int, rank_dense
+from .poly import IntPoly
 
 
 class Classification(Enum):
@@ -100,112 +99,6 @@ def scan_projective_points(num_vars: int, height: int):
         if first < 0:
             continue
         yield t
-
-
-def find_U_point(F: IntPoly, height_cap: int):
-    """First canonical point of the surface classified InU, scanning
-    heights 1..cap in lexicographic order; None when the cap is exhausted
-    (an honest NotFound: small rational points in U need not exist)."""
-    if F.degree < 2:
-        raise ValueError("surface must have degree >= 2")
-    for h in range(1, height_cap + 1):
-        for t in scan_projective_points(4, h):
-            if F.evaluate(t) != 0:
-                continue
-            if classify_point(F, t) is Classification.IN_U:
-                return normalize_primitive(t)
-    return None
-
-
-# ---------------------------------------------------------------------
-# hyperplane sections
-
-
-def _column_reduce(a):
-    """Unimodular U with a U = (0, ..., 0, 1) for the primitive vector of a,
-    by column gcd reduction; U^-1 then has last row a."""
-    a = primitive_vector(a)
-    n = len(a)
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    w = list(a)
-    for i in range(n - 1):
-        if w[i] == 0:
-            continue
-        g, x, y = xgcd(w[n - 1], w[i])
-        wi_g = w[i] // g
-        wn_g = w[n - 1] // g
-        for row in U:
-            ci, cn = row[i], row[n - 1]
-            row[n - 1] = x * cn + y * ci
-            row[i] = -wi_g * cn + wn_g * ci
-        w[i], w[n - 1] = 0, g
-    if w != [0] * (n - 1) + [1]:
-        raise CertificateError("column reduction did not reach e_n")
-    return U
-
-
-def complete_to_unimodular(a):
-    """Integer matrix with determinant +-1 whose last row is the primitive
-    vector a (column gcd reduction, then an exact inverse)."""
-    return invert_unimodular(_column_reduce(a))
-
-
-@dataclass
-class SectionResult:
-    direction: tuple | None   # None means not found within the cap
-    change_of_coords: list | None  # unimodular, last row = direction
-    section: IntPoly | None   # restriction to the hyperplane, new coords
-    tried: list = field(default_factory=list)
-
-    @property
-    def found(self) -> bool:
-        return self.direction is not None
-
-
-def restrict_to_hyperplane(F: IntPoly, a):
-    """F in the coordinates y = M x with the hyperplane a.x = 0 at y_n = 0.
-
-    Returns (M, section) where section is F(M^-1 (y, 0)) in n variables.
-    """
-    n = F.num_vars
-    Minv = _column_reduce(a)
-    M = invert_unimodular(Minv)
-    images = []
-    for i in range(n):
-        terms = {}
-        for j in range(n - 1):
-            if Minv[i][j]:
-                e = [0] * (n - 1)
-                e[j] = 1
-                terms[tuple(e)] = Minv[i][j]
-        images.append(IntPoly(n - 1, terms))
-    return M, substitute_linear(F, images)
-
-
-def find_integral_section(F: IntPoly, height_cap: int = 3,
-                          irr_tries: int = 12):
-    """Search directions a of increasing height until the hyperplane
-    section of F is certified absolutely irreducible.
-
-    Returns a SectionResult, or None with the tried diagnostics attached
-    when every candidate up to the cap was No or Unknown.
-    """
-    if F.degree < 2:
-        raise ValueError("sections of a plane are not meaningful here")
-    tried = []
-    for h in range(1, height_cap + 1):
-        for a in scan_projective_points(F.num_vars, h):
-            M, section = restrict_to_hyperplane(F, a)
-            if section.is_zero():
-                tried.append((a, "hyperplane inside the surface"))
-                continue
-            verdict = is_absolutely_irreducible(section, max_tries=irr_tries)
-            tried.append((a, verdict.value))
-            if verdict is Irreducibility.YES:
-                return SectionResult(direction=a, change_of_coords=M,
-                                     section=section, tried=tried)
-    return SectionResult(direction=None, change_of_coords=None,
-                         section=None, tried=tried)
 
 
 # ---------------------------------------------------------------------
@@ -342,33 +235,3 @@ def find_projection_center(gens, d: int, height_cap: int, points):
                 return setup, report
     return None
 
-
-# ---------------------------------------------------------------------
-# degenerate varieties
-
-
-def detect_hyperplane(points):
-    """A primitive vector a with a.x = 0 for every sample point, or None."""
-    rows = [tuple(p) for p in points]
-    if not rows:
-        return None
-    basis = nullspace_int(rows, len(rows[0]))
-    return basis[0] if basis else None
-
-
-def degenerate_reduction(points):
-    """Drop a coordinate when all sample points satisfy one linear form.
-
-    Implements the pre-step of projecting a degenerate variety away from
-    the unused coordinate; returns (reduced points, dropped index, form)
-    or None when the points span the ambient space.
-    """
-    a = detect_hyperplane(points)
-    if a is None:
-        return None
-    drop = max(i for i, v in enumerate(a) if v != 0)
-    reduced = []
-    for p in points:
-        xs = tuple(p)
-        reduced.append(normalize_primitive(xs[:drop] + xs[drop + 1:]))
-    return reduced, drop, a

@@ -177,18 +177,3 @@ def _primitive_sparse(row):
     g = gcd(*row.values())
     return row if g <= 1 else {c: v // g for c, v in row.items()}
 
-
-def invert_unimodular(m):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    pivots, red = rref_dense(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = []
-    for i, row in enumerate(red):
-        # the inverse is integral exactly when the determinant is +-1
-        if any(x % row[i] for x in row[n:]):
-            raise ValueError("matrix is not unimodular")
-        inv.append([x // row[i] for x in row[n:]])
-    return inv

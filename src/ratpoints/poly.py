@@ -315,18 +315,6 @@ def gram_matrix(Q: IntPoly):
     return gram
 
 
-def leading_form(g: IntPoly) -> IntPoly:
-    """Homogeneous part of maximal degree."""
-    if g.is_zero():
-        raise ValueError("zero polynomial has no leading form")
-    d = g.degree
-    return IntPoly(g.num_vars, {e: c for e, c in g.terms.items() if sum(e) == d})
-
-
-def coeff_height(G: IntPoly) -> int:
-    return G.coeff_height()
-
-
 def poly_divides(F: IntPoly, G: IntPoly) -> bool:
     """Exact test whether F divides G over the rationals.
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
+import numpy as np
+
 from ratpoints.uniroots import quadratic_integer_roots
 
 
@@ -31,11 +33,19 @@ def brute_projective(F, B):
 
 
 def brute_affine(f, B):
-    count = 0
-    for t in itertools.product(range(-B, B + 1), repeat=f.num_vars):
-        if f.evaluate(t) == 0:
-            count += 1
-    return count
+    """The number of integer zeros of f in the box |t| <= B, by evaluating
+    f term by term on the whole box in Python ints (object arrays)."""
+    axis = np.arange(-B, B + 1).astype(object)
+    grid = np.meshgrid(*[axis] * f.num_vars, indexing="ij", sparse=True)
+    value = 0
+    for e, c in f.terms.items():
+        term = c
+        for x, p in zip(grid, e):
+            if p:
+                term = term * x**p
+        value = value + term
+    zero = np.broadcast_to(value == 0, (2 * B + 1,) * f.num_vars)
+    return int(np.count_nonzero(zero))
 
 
 def conic_affine_points(data, B):

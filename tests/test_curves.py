@@ -11,83 +11,10 @@ import ratpoints
 from oracles import conic_affine_points
 from ratpoints.curves import (ConicClass, EmptyParam, class_r_values,
                               conic_parameterize, conic_points,
-                              count_class_points, line_points,
-                              plane_eliminate, plane_from_three_points,
+                              count_class_points, plane_eliminate,
                               tangency_rank)
 from ratpoints.exact import unimodular_complete
 from ratpoints.poly import IntPoly, parse_poly
-
-
-def test_line_examples():
-    r = line_points((1, 0, 0, 0), (1, 1, 0, 0), 10)
-    assert r.count == 21
-    assert r.param.step == (1, 0, 0)
-    assert all(p[2] == 0 and p[3] == 0 for p in r.points)
-
-    r2 = line_points((1, 0, 0, 0), (0, 0, 2, 3), 9)
-    assert r2.count == 7  # 2*floor(9/3) + 1
-    assert r2.param.step == (0, 2, 3)
-
-    # rational line with no affine integral point at all
-    r3 = line_points((2, 1, 1, 1), (0, 1, 0, 0), 9)
-    assert r3.count == 0 and r3.param is None
-
-
-def test_line_errors_and_infinity():
-    with pytest.raises(ValueError):
-        line_points((1, 2, 3, 4), (2, 4, 6, 8), 5)
-    r = line_points((0, 1, 0, 0), (0, 0, 1, 0), 5)
-    assert r.count == 0  # line at infinity has no affine points
-
-
-def test_line_points_against_direct_enumeration():
-    rng = random.Random(19)
-    trials = 0
-    while trials < 40:
-        p1 = tuple(rng.randint(-3, 3) for _ in range(4))
-        p2 = tuple(rng.randint(-3, 3) for _ in range(4))
-        if not any(p1) or not any(p2):
-            continue
-        try:
-            res = line_points(p1, p2, 8)
-        except ValueError:
-            continue
-        trials += 1
-        # oracle: scan all integer triples and keep those on the line
-        got = set(res.points)
-        oracle = set()
-        for x1 in range(-8, 9):
-            for x2 in range(-8, 9):
-                for x3 in range(-8, 9):
-                    v = (1, x1, x2, x3)
-                    # v on span(p1, p2): all 3x3 minors with p1, p2 vanish
-                    m = [p1, p2, v]
-                    minors = []
-                    for cols in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-                        det = 0
-                        rowset = [[m[r][c] for c in cols] for r in range(3)]
-                        det = (rowset[0][0] * (rowset[1][1] * rowset[2][2] - rowset[1][2] * rowset[2][1])
-                               - rowset[0][1] * (rowset[1][0] * rowset[2][2] - rowset[1][2] * rowset[2][0])
-                               + rowset[0][2] * (rowset[1][0] * rowset[2][1] - rowset[1][1] * rowset[2][0]))
-                        minors.append(det)
-                    if all(d == 0 for d in minors):
-                        oracle.add(v)
-        assert got == oracle, (p1, p2, got ^ oracle)
-        if res.count >= 2:
-            snorm = max(abs(v) for v in res.param.step)
-            assert res.count <= 2 * (1 + 8 / snorm)
-
-
-def test_line_param_minimality():
-    # no bounded point may lie strictly between consecutive steps
-    r = line_points((1, 0, 0, 0), (0, 0, 2, 3), 9)
-    pts = set(r.points)
-    base = r.points[0][1:]
-    step = r.param.step
-    for n in range(len(pts) - 1):
-        a = tuple(b + n * s for b, s in zip(base, step))
-        b = tuple(b + (n + 1) * s for b, s in zip(base, step))
-        assert (1,) + a in pts and (1,) + b in pts
 
 
 def test_plane_eliminate_examples():
@@ -291,19 +218,6 @@ def test_count_class_points_examples():
     const = ConicClass(1, 1, 0, (two(4), two(2), two(1)))
     assert count_class_points(const, 100) == 1
     assert count_class_points(const, 3) == 0
-
-
-def test_plane_from_three_points():
-    a = plane_from_three_points([(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)])
-    assert a == (0, 0, 0, 1) or a == (0, 0, 0, -1)
-    assert plane_from_three_points([(1, 0, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0)]) is None
-    # coefficient size: minors of three points of height <= B
-    B = 7
-    pts = [(1, 3, -7, 2), (1, -5, 1, 6), (1, 2, 2, -4)]
-    a2 = plane_from_three_points(pts)
-    assert all(a2[0] * p[0] == sum(a2[i] * p[i] for i in (1, 2, 3)) for p in pts)
-    assert abs(a2[0]) <= 6 * B**3
-    assert all(abs(a2[i]) <= 6 * B**2 for i in (1, 2, 3))
 
 
 def window_scan_referee(data, B):

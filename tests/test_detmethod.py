@@ -11,9 +11,8 @@ from ratpoints import cli
 from ratpoints.detmethod import (AuxiliaryForm, RankFull, bezout_bound,
                                  build_determinant, divisibility_check,
                                  extract_auxiliary_form, partition_by_residue,
-                                 prime_window, second_prime_window,
-                                 select_monomials, theta_exponent,
-                                 vanishing_test, vanishing_threshold)
+                                 prime_window, select_monomials,
+                                 theta_exponent)
 from ratpoints.enumeration import count_affine_surface
 from ratpoints.geometry import Classification
 from ratpoints.exact import CertificateError
@@ -40,16 +39,6 @@ def test_prime_window_examples():
 
     w9 = prime_window(512, 9, 0.0, 1)
     assert w9.primes[0] == 11  # window starts at 512^(1/3) = 8
-
-
-def test_second_prime_window_examples():
-    q = second_prime_window(2**60, 9, 3, exclude=11, min_count=2)
-    assert abs(q.exponent - 1 / 6) < 1e-12
-    assert 11 not in q.primes
-    q2 = second_prime_window(100, 4, 3, exclude=2, min_count=1)
-    assert abs(q2.exponent - 1 / 12) < 1e-12
-    with pytest.raises(ValueError):
-        second_prime_window(100, 4, 2, exclude=2, min_count=1)
 
 
 def test_partition_by_residue():
@@ -204,15 +193,6 @@ def test_beta_divisibility_acceptance_style():
                 verdict = divisibility_check(cert, q, gens, pts[0])
                 assert verdict.applicable, (e, q, k)
                 assert verdict.passed, (e, q, k, cert.det, verdict)
-
-
-def test_vanishing_test():
-    assert vanishing_test(100, 101, 10**9, 5, 3, 3) == "zero"
-    assert vanishing_test(100, 2, 2, 1, 3, 3) == "unknown"
-    th = vanishing_threshold(10**6, 1009, 97, 3, 9)
-    assert th is not None
-    assert vanishing_test(10**6, 1009, 97, th, 3, 9) == "zero"
-    assert th == 2 or vanishing_test(10**6, 1009, 97, th - 1, 3, 9) == "unknown"
 
 
 def test_extract_auxiliary_form():

@@ -57,15 +57,13 @@ def test_enumeration_orders_agree():
         if f.is_zero():
             continue
         B = rng.randint(1, 8)
-        solve = count_affine(f, B, order="solve")
-        loop = count_affine(f, B, order="loop")
-        assert solve == loop == brute_affine(f, B), (f.to_text(), B)
+        assert count_affine(f, B) == brute_affine(f, B), (f.to_text(), B)
     # and at the top of the contracted range
     for _ in range(5):
         f = random_form(rng, 2, 3) + random_form(rng, 2, 1)
         if f.is_zero():
             continue
-        assert count_affine(f, 20) == count_affine(f, 20, order="loop")
+        assert count_affine(f, 20) == brute_affine(f, 20)
 
 
 def test_point_lists_lexicographic_and_exact():
@@ -95,7 +93,7 @@ def test_big_coefficients_fall_back_exactly():
     # coefficients beyond the int64 guard exercise the big-int path
     big = 10**19
     f = parse_poly(f"{big}*t1 - t2^2")
-    assert count_affine(f, 5) == count_affine(f, 5, order="loop") == 1
+    assert count_affine(f, 5) == brute_affine(f, 5) == 1
     g = parse_poly(f"t1 - {big}*t2^2")
     assert count_affine(g, 5) == 1  # only t2 = 0, t1 = 0
 

@@ -3,17 +3,10 @@ import random
 import pytest
 
 from ratpoints.enumeration import enumerate_projective_variety
-from ratpoints.exact import normalize_primitive
-from ratpoints.geometry import (Classification,
-                                build_projection_setup, classify_point,
-                                complete_to_unimodular, degenerate_reduction,
-                                detect_hyperplane, find_integral_section,
-                                find_projection_center, find_U_point,
-                                project_point, restrict_to_hyperplane,
-                                sample_birationality_check,
+from ratpoints.geometry import (Classification, build_projection_setup,
+                                classify_point, find_projection_center,
+                                project_point, sample_birationality_check,
                                 scan_projective_points)
-from ratpoints.irreducibility import Irreducibility, is_absolutely_irreducible
-from ratpoints.linalg import det_bareiss
 from ratpoints.poly import parse_poly
 
 C = Classification
@@ -55,72 +48,6 @@ def test_classification_agrees_with_rationals_for_good_primes():
             assert classify_point(F, t, p=p) is verdict
             checked += 1
     assert checked >= 5
-
-
-def test_find_u_point_matches_scan_oracle():
-    def oracle(F, cap):
-        for h in range(1, cap + 1):
-            for t in scan_projective_points(4, h):
-                if F.evaluate(t) == 0 and classify_point(F, t) is C.IN_U:
-                    return t
-        return None
-
-    got = find_U_point(QUADRIC, 1)
-    assert got is not None and got.coords == oracle(QUADRIC, 1)
-    uf = find_U_point(FERMAT, 2)
-    assert uf is not None
-    assert classify_point(FERMAT, uf) is C.IN_U  # round trip
-    with pytest.raises(ValueError):
-        find_U_point(parse_poly("x0 + x1 + x2 + x3"), 1)
-
-
-def test_find_u_point_not_found_is_honest():
-    # a surface whose tiny rational points all sit outside U
-    F = parse_poly("x1*x2*x3 - x0^3")
-    result = find_U_point(F, 1)
-    if result is not None:
-        assert classify_point(F, result) is C.IN_U
-
-
-def test_complete_to_unimodular():
-    for a in [(0, 0, 0, 1), (1, 0, 0, -1), (2, 3, 5, 7), (4, 9, 2, 15),
-              (1, 1), (3, -5, 7)]:
-        M = complete_to_unimodular(a)
-        assert tuple(M[-1]) == a
-        assert abs(det_bareiss(M)) == 1
-
-
-def test_restrict_to_hyperplane_is_the_section():
-    # points of the section pull back to zeros of the restriction
-    a = (1, 0, 0, -1)
-    M, section = restrict_to_hyperplane(QUADRIC, a)
-    from ratpoints.linalg import invert_unimodular
-
-    Minv = invert_unimodular(M)
-    rng = random.Random(3)
-    for _ in range(50):
-        y = [rng.randint(-5, 5) for _ in range(3)] + [0]
-        x = [sum(Minv[i][j] * y[j] for j in range(4)) for i in range(4)]
-        assert sum(aa * xx for aa, xx in zip(a, x)) == 0
-        assert QUADRIC.evaluate(x) == section.evaluate(y[:3])
-
-
-def test_find_integral_section():
-    sec = find_integral_section(QUADRIC, 2)
-    assert sec.found
-    assert is_absolutely_irreducible(sec.section) is Irreducibility.YES
-    verdicts = {tuple(a): v for a, v in sec.tried}
-    # the X3 = 0 section -X1*X2 is reducible, so that direction was rejected
-    if (0, 0, 0, 1) in verdicts:
-        assert verdicts[(0, 0, 0, 1)] in ("no", "unknown")
-    with pytest.raises(ValueError):
-        find_integral_section(parse_poly("x0 + 2*x1"), 1)
-
-
-def test_find_integral_section_immediate():
-    # X0 = 0 section of the Fermat cubic is already integral
-    sec = find_integral_section(FERMAT, 1)
-    assert sec.found
 
 
 def test_projection_setup_examples():
@@ -188,20 +115,6 @@ def test_vacuous_birationality():
     setup = build_projection_setup([(0, 0, 0, 1)])
     report = sample_birationality_check(setup, [], 3)
     assert report.passed and report.total_points == 0
-
-
-def test_degenerate_detection():
-    pts = [normalize_primitive((1, a, b, a + b))
-           for a in range(-3, 4) for b in range(-3, 4)]
-    form = detect_hyperplane(pts)
-    assert form is not None
-    assert all(sum(f * c for f, c in zip(form, p.coords)) == 0 for p in pts)
-    reduced, dropped, _ = degenerate_reduction(pts)
-    assert len(reduced) == len(pts)
-    assert all(r.height <= p.height for r, p in zip(reduced, pts))
-    spanning = [normalize_primitive(v) for v in
-                [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]]
-    assert detect_hyperplane(spanning) is None
 
 
 def test_classify_point_cached_derivatives_match_uncached(monkeypatch):

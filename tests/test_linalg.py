@@ -2,12 +2,11 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 
 from ratpoints import linalg
-from ratpoints.linalg import (det_bareiss, invert_unimodular, nullspace_int,
-                              rank_dense, rank_sparse, rref_dense)
+from ratpoints.linalg import (det_bareiss, nullspace_int, rank_dense,
+                              rank_sparse, rref_dense)
 
 
 def laplace_det(m):
@@ -71,19 +70,6 @@ def test_rank_sparse_matches_dense():
         rank, pivots = rank_sparse(sparse_rows, cols)
         assert rank == rank_dense(m)
         assert len(pivots) == rank
-
-
-def test_invert_unimodular():
-    m = [[1, 2, 0], [0, 1, 3], [0, 0, 1]]
-    inv = invert_unimodular(m)
-    n = len(m)
-    prod = [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-    assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(ValueError):
-        invert_unimodular([[2, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        invert_unimodular([[1, 1], [1, 1]])
 
 
 def _random_matrix(rng, rows, cols, scale):

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from ratpoints.poly import (IntPoly, PolyParseError, coeff_height,
-                            dehomogenize, format_poly, graded_piece_basis,
-                            homogenize, leading_form, monomial_rows,
-                            monomials_of_degree, parse_poly, poly_divides)
+from ratpoints.poly import (IntPoly, PolyParseError, dehomogenize,
+                            format_poly, graded_piece_basis, homogenize,
+                            monomial_rows, monomials_of_degree, parse_poly,
+                            poly_divides)
 
 
 def test_parse_format_roundtrip():
@@ -68,33 +68,9 @@ def test_homogenize_roundtrip():
         assert dehomogenize(F) == f
 
 
-def test_leading_form():
-    assert leading_form(parse_poly("t1 - t2^3")) == parse_poly("-t2^3", num_vars=2)
-    h = parse_poly("x0*x1 + x2^2")
-    assert leading_form(h) == h  # homogeneous input is its own leading form
-    assert leading_form(parse_poly("3*t1*t2 + t1 + 5")) == parse_poly("3*t1*t2")
-    with pytest.raises(ValueError):
-        leading_form(IntPoly.zero(2))
-
-
-def test_leading_form_via_homogenization():
-    # the top form of f equals the homogenization restricted to X0 = 0
-    rng = random.Random(9)
-    for _ in range(50):
-        nv = rng.randint(2, 3)
-        terms = {tuple(rng.randint(0, 2) for _ in range(nv)): rng.randint(-5, 5)
-                 for _ in range(rng.randint(2, 6))}
-        f = IntPoly(nv, terms)
-        if f.is_zero():
-            continue
-        F = homogenize(f, f.degree)
-        at_infinity = F.substitute_value(0, 0)
-        assert at_infinity == leading_form(f)
-
-
 def test_coeff_height():
-    assert coeff_height(parse_poly("x0^2 - 7*x1*x2")) == 7
-    assert coeff_height(parse_poly("12*x0^3", num_vars=1)) == 12
+    assert parse_poly("x0^2 - 7*x1*x2").coeff_height() == 7
+    assert parse_poly("12*x0^3", num_vars=1).coeff_height() == 12
     f = parse_poly("6*x0 + 9*x1")
     assert f.primitive_part().coeff_height() == 3
     assert f.primitive_part() == f.primitive_part().primitive_part()
