@@ -495,20 +495,45 @@ def _eval_on_tile(c: IntPoly, prefix, grids):
 
 
 def _and(x, y):
-    """x & y for boolean masks, either of which may be a numpy scalar;
-    numpy combines an array with a scalar far slower than two arrays."""
-    if np.ndim(x) == 0:
-        x, y = y, x
-    if np.ndim(y) == 0:
-        return x if y else np.False_
+    """x & y for boolean masks that broadcast together, either of which may
+    be a numpy scalar.  An all-false operand gives np.False_, and an
+    all-true one gives the other operand when that already has the
+    broadcast shape.  numpy combines masks of unequal shapes, or an array
+    with a scalar, far slower than two arrays of one shape, and .any() and
+    .all() cost a small part of that, so the pass is skipped wherever the
+    result is known without it.  The result may be one of the operands, so
+    it is never written to."""
+    if not (x.any() and y.any()):
+        return np.False_
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    if np.shape(y) == shape and x.all():
+        return y
+    if np.shape(x) == shape and y.all():
+        return x
     return x & y
 
 
 def _cells(axes, mask):
-    """Coordinates of the tile cells where mask holds, one array per axis;
-    mask may have any shape that broadcasts to the tile."""
-    mask = np.broadcast_to(mask, tuple(map(len, axes)))
-    return [ax[i] for ax, i in zip(axes, np.nonzero(mask))]
+    """Flat row-major indices of the tile cells where mask holds, in the
+    order of np.nonzero; mask may have any shape that broadcasts to the
+    tile, a numpy scalar included.  numpy finds the flat indices of a mask
+    far faster than the index arrays of a 2-D one."""
+    return np.flatnonzero(np.broadcast_to(mask, tuple(map(len, axes))))
+
+
+def _coords(axes, cells):
+    """Coordinates of the tile cells at flat indices, one array per axis."""
+    index = np.unravel_index(cells, tuple(map(len, axes)))
+    return [ax[i] for ax, i in zip(axes, index)]
+
+
+def _pick(a, cells, shape):
+    """The entries of a, which broadcasts to the tile shape, at the cells of
+    flat indices: read off a flat view when a has the tile's shape, else
+    through the cells' index arrays, never from a tile-sized copy."""
+    if np.shape(a) == shape:
+        return a.reshape(-1)[cells]
+    return np.broadcast_to(a, shape)[np.unravel_index(cells, shape)]
 
 
 def _solve_tiles(coeffs, B, first, hits):
@@ -524,6 +549,14 @@ def _solve_tiles(coeffs, B, first, hits):
     whole tile, the rest are evaluated at every t in [-B, B] on a
     cells x axis array of at most SCAN_CELLS entries, and a residual that
     vanishes identically leaves t free.
+
+    Per cell, numpy's overhead outweighs the arithmetic, so masks are
+    combined by ``_and``, which skips the broadcast pass when an operand is
+    all false or all true, and a mask's cells are its flat indices
+    (``_cells``; the scan's hits by one divmod), never a 2-D np.nonzero.
+    Coordinates (``_coords``) and entries (``_pick``) are read at those
+    indices, in np.nonzero's row-major order, and the scan and the pure
+    powers take coordinates only of the cells that have a root.
     """
     nfree = coeffs[0].num_vars
     ntile = min(nfree, 2)
@@ -545,7 +578,7 @@ def _solve_tiles(coeffs, B, first, hits):
             arrays = [_eval_on_tile(c, prefix, np.ix_(*axes)) for c in polys]
             rhs = arrays[0]
             # masks stay numpy scalars while the coefficients that decide
-            # them are constant on the tile
+            # them are constant on the tile, or once they hold nowhere
             open_ = np.True_
             for k in range(len(arrays) - 1, 0, -1):
                 at = _and(open_, arrays[k] != 0)  # cells of effective degree k
@@ -556,9 +589,11 @@ def _solve_tiles(coeffs, B, first, hits):
                 if np.ndim(ck):
                     ck = np.where(at, ck, 1)  # a nonzero divisor everywhere
                 if k == 1:
-                    q = np.broadcast_to(rhs // ck, shape)
+                    q = rhs // ck
                     good = _and(at, (q * ck == rhs) & (np.abs(q) <= B))
-                    hits.add_solved(prefix, *_cells(axes, good), q[good])
+                    cells = _cells(axes, good)
+                    hits.add_solved(prefix, *_coords(axes, cells),
+                                    _pick(q, cells, shape))
                 elif k == 2:
                     # quadratic formula with exact square detection
                     b = arrays[1]
@@ -579,7 +614,9 @@ def _solve_tiles(coeffs, B, first, hits):
                         good = is_sq & (q * 2 * ck == num) & (np.abs(q) <= B)
                         if sign == -1:
                             good &= root != 0  # avoid double counting double roots
-                        hits.add_solved(prefix, *_cells(axes, good), q[good])
+                        cells = _cells(axes, good)
+                        hits.add_solved(prefix, *_coords(axes, cells),
+                                        _pick(q, cells, shape))
                 else:
                     # pure powers c_k t^k = rhs in closed form
                     pure = at
@@ -588,32 +625,36 @@ def _solve_tiles(coeffs, B, first, hits):
                     if pure.any():
                         q = np.broadcast_to(rhs // ck, shape)
                         divis = _and(pure, (q * ck == rhs) & (np.abs(q) <= B**k))
+                        # a mask indexing a tile array has the tile's shape;
+                        # the cells are found after the roots, so that their
+                        # indices do not add to the roots' temporaries
+                        divis = np.broadcast_to(divis, shape)
                         cnt, root = _np_kth_roots(q[divis], k, B)
-                        solved = _cells(axes, divis)
+                        cells = _cells(axes, divis)
                         for sign, got in ((1, cnt >= 1), (-1, cnt == 2)):
-                            hits.add_solved(prefix, *(w[got] for w in solved),
+                            hits.add_solved(prefix, *_coords(axes, cells[got]),
                                             sign * root[got])
                     rest = _and(at, ~pure)
                     if rest.any():
                         # scan t over the axis: sum_j c_j t^j - rhs by
                         # Horner on a cells x axis array, a chunk at a time
-                        rest = np.broadcast_to(rest, shape)
-                        cs = [np.broadcast_to(a, shape)[rest]
-                              for a in arrays[:k + 1]]
-                        solved = _cells(axes, rest)
-                        for lo in range(0, len(cs[0]), scan_rows):
+                        cells = _cells(axes, rest)
+                        cs = [_pick(a, cells, shape) for a in arrays[:k + 1]]
+                        for lo in range(0, len(cells), scan_rows):
                             part = slice(lo, lo + scan_rows)
                             val = cs[k][part, None] * axis
                             for j in range(k - 1, 0, -1):
                                 val += cs[j][part, None]
                                 val *= axis
                             val -= cs[0][part, None]
-                            i, t = np.nonzero(val == 0)
-                            hits.add_solved(prefix, *(w[part][i] for w in solved),
+                            i, t = np.divmod(np.flatnonzero(val == 0),
+                                             len(axis))
+                            hits.add_solved(prefix,
+                                            *_coords(axes, cells[part][i]),
                                             axis[t])
             zero = _and(open_, rhs == 0)  # a zero residual leaves t free
             if zero.any():
-                hits.add_full_range(prefix, *_cells(axes, zero))
+                hits.add_full_range(prefix, *_coords(axes, _cells(axes, zero)))
 
 
 # ---------------------------------------------------------------------

@@ -52,15 +52,17 @@ def det_bareiss(m) -> int:
 def rref_dense(rows):
     """Integer reduced row echelon form.
 
-    Returns (pivot_cols, red) where the integer rows red span the row space
-    of the integer input over Q.  Each row of red is primitive, has a
+    Returns (pivot_cols, red, null) where the integer rows red span the row
+    space of the integer input over Q.  Each row of red is primitive, has a
     positive entry at its own pivot column and 0 at every other pivot
     column; dividing each row by its pivot entry gives the rational RREF.
 
     Rows are inserted one at a time, each cleared against the pivots so far.
     After a row reduces to zero, the null vectors of the pivot rows are kept
     until the next insertion; a row orthogonal to all of them lies in the
-    row span over Q and is skipped without elimination.
+    row span over Q and is skipped without elimination.  null is that
+    basis, as nullspace_int returns it, when a row reduced to zero after
+    the last insertion, and None otherwise.
     """
     pivots, red, null = [], [], None
     for row in rows:
@@ -84,7 +86,7 @@ def rref_dense(rows):
         null = None
         if len(pivots) == len(row):
             break
-    return pivots, red
+    return pivots, red, null
 
 
 def _clear(row, prow, c):
@@ -135,7 +137,8 @@ def nullspace_int(rows, ncols=None):
         if not rows:
             raise ValueError("cannot infer column count of an empty matrix")
         ncols = len(rows[0])
-    return _null_basis(*rref_dense(rows), ncols)
+    pivots, red, null = rref_dense(rows)
+    return _null_basis(pivots, red, ncols) if null is None else null
 
 
 def rank_sparse(rows, ncols):

@@ -18,6 +18,7 @@ at the top of that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
 from operator import mul
@@ -81,12 +82,6 @@ class IntPoly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def coeff_height(self) -> int:
-        """Maximum modulus of the coefficients."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no coefficient height")
-        return max(abs(c) for c in self.terms.values())
 
     def content(self) -> int:
         return gcd_all(self.terms.values())
@@ -356,14 +351,16 @@ def poly_divides(F: IntPoly, G: IntPoly) -> bool:
 # -- monomial enumeration ----------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def monomials_of_degree(num_vars: int, degree: int):
     """All exponent tuples of the given total degree, grlex-descending.
 
     Exponents for later variables are assigned first and run downward, so
-    the list starts at z_last^degree and ends at z_first^degree.
+    the tuple starts at z_last^degree and ends at z_first^degree.  Results
+    are memoized, and are tuples so that no caller can change one.
     """
     if degree < 0:
-        return []
+        return ()
     out = []
 
     def rec(suffix, remaining, slots):
@@ -374,7 +371,7 @@ def monomials_of_degree(num_vars: int, degree: int):
             rec((v,) + suffix, remaining - v, slots - 1)
 
     rec((), degree, num_vars)
-    return out
+    return tuple(out)
 
 
 def monomial_rows(exps, points):

@@ -2,13 +2,15 @@
 
 import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import ratpoints.enumeration as en
 from oracles import brute_affine, brute_projective, brute_projective_points
-from ratpoints.enumeration import (_coprime_by_height, count_affine,
-                                   count_projective)
+from ratpoints.enumeration import (_and, _cells, _coords, _coprime_by_height,
+                                   _pick, count_affine, count_projective)
 from ratpoints.poly import IntPoly, monomials_of_degree, parse_poly
 
 
@@ -109,6 +111,115 @@ def test_ragged_tiles_agree_with_scalar_and_oracles(monkeypatch):
             assert (n, pts) == forced_scalar(count, F, B), (F.to_text(), B)
             assert n == len(pts) == oracle(F, B), (F.to_text(), B)
     assert {1, 2} <= heights
+
+
+def test_and_short_circuits():
+    T, F = np.True_, np.False_
+    col = np.array([[True], [False]])
+    row = np.array([[True, False, True]])
+    full = col & row
+    # numpy scalars
+    assert _and(T, T) and _and(F, T) is F and _and(T, F) is F
+    assert _and(T, col) is col and _and(full, T) is full
+    # an all-false operand, scalar or array, gives np.False_
+    assert _and(F, full) is F and _and(col, F) is F
+    assert _and(np.zeros((2, 1), bool), full) is F
+    assert _and(full, np.zeros((2, 3), bool)) is F
+    # all true beside a full-shape mask returns that mask itself
+    assert _and(np.ones((2, 1), bool), full) is full
+    assert _and(full, np.ones((1, 3), bool)) is full
+    # otherwise the broadcast &: all true beside a smaller mask, or two
+    # small masks that broadcast together
+    for x, y in ((np.ones((2, 3), bool), col), (row, np.ones((2, 1), bool)),
+                 (col, row), (row, col)):
+        got = _and(x, y)
+        assert got.shape == (2, 3) and np.array_equal(got, x & y)
+
+
+def test_cells_match_nonzero():
+    rng = np.random.default_rng(5)
+    axes2 = (np.arange(3) - 1, np.arange(4) * 10 - 15)
+    axes1 = (np.arange(-3, 4),)
+    cases = [(axes2, rng.random((3, 4)) < 0.4), (axes2, rng.random((3, 1)) < 0.5),
+             (axes2, rng.random((1, 4)) < 0.5), (axes2, np.ones((3, 4), bool)),
+             (axes2, np.True_), (axes2, np.False_),
+             (axes1, rng.random(7) < 0.5), (axes1, np.True_), (axes1, np.False_)]
+    for axes, mask in cases:
+        shape = tuple(map(len, axes))
+        full = np.broadcast_to(mask, shape)
+        want = np.nonzero(full)
+        cells = _cells(axes, mask)
+        # the same cells in the same row-major order as np.nonzero
+        assert [i.tolist() for i in np.unravel_index(cells, shape)] == [
+            w.tolist() for w in want]
+        assert [c.tolist() for c in _coords(axes, cells)] == [
+            ax[w].tolist() for ax, w in zip(axes, want)]
+        # entries of full-shape, broadcast and scalar arrays at the cells
+        values = rng.integers(-9, 9, size=shape)
+        smaller = [values[:1], values[:, :1]] if len(shape) == 2 else []
+        for a in [values, np.int64(4)] + smaller:
+            got = _pick(a, cells, shape)
+            assert got.tolist() == np.broadcast_to(a, shape)[full].tolist()
+
+
+def kernel_forms():
+    """Seeded 3- and 4-variable forms, with forms whose tiles hold a branch's
+    mask everywhere or nowhere, and their bounds."""
+    rng = random.Random(95)
+    out = []
+    for nv, B in ((3, 5), (4, 3)):
+        for degree in (1, 2, 3, 4):
+            F = random_form(rng, nv, degree)
+            if not F.is_zero():
+                out.append((F, B))
+    for text in (
+            # linear coefficients x0 and x0^2 + x1^2 + x2^2 never vanish on
+            # x0 >= 1: `at` is all true, and most tiles solve no cell
+            "x0*x2 - x1^2", "x0^2*x2 + x1^2*x2 - x1^3 - 2*x0^3",
+            "(x0^2 + x1^2 + x2^2)*x3 - x1^3 + x0*x2^2",
+            # the discriminant -4*x0^2*(x0^2 + x1^2) is negative off x0 = 0
+            "x0*x2^2 + x0^3 + x0*x1^2",
+            # a pure cube 2*t^3 = rhs with rhs odd wherever x0 is: tiles
+            # at odd x0 hold no divisible cell
+            "x0^3 + 2*x1^3 - 2*x2^3",
+            "x0^3 + 2*x1^3 + 2*x0*x1*x2 + 4*x2^3 - 2*x3^3"):
+        F = parse_poly(text)
+        out.append((F, 5 if F.num_vars == 3 else 3))
+    return out
+
+
+def test_kernel_masks_on_ragged_tiles(monkeypatch):
+    # tiles two rows high, ending in a one-row tile at odd B; 4-variable
+    # forms stay on the tiles rather than the separable join
+    seen = Counter()
+    real_and, real_cells = en._and, en._cells
+
+    def and_spy(x, y):
+        got = real_and(x, y)
+        if np.ndim(x) and np.ndim(y):
+            seen["false" if got is np.False_ else
+                 "operand" if got is x or got is y else "both"] += 1
+        return got
+
+    def cells_spy(axes, mask):
+        seen["scalar"] += np.ndim(mask) == 0
+        return real_cells(axes, mask)
+    monkeypatch.setattr(en, "_and", and_spy)
+    monkeypatch.setattr(en, "_cells", cells_spy)
+    monkeypatch.setattr(en, "_split_halves", lambda f, B: None)
+    for F, B in kernel_forms():
+        rows = 2 * B + 1 if F.num_vars >= 3 else 1
+        monkeypatch.setattr(en, "TILE_CELLS", 2 * rows)
+        monkeypatch.setattr(en, "SCAN_CELLS", 2 * (2 * B + 1))
+        want = brute_projective_points(F, B)
+        got = count_projective(F, B, collect=True)
+        assert got == (len(want), want), (F.to_text(), B)
+        assert got == forced_scalar(count_projective, F, B), F.to_text()
+        n, pts = count_affine(F, B, collect=True)
+        assert n == len(pts) == brute_affine(F, B), (F.to_text(), B)
+        assert (n, pts) == forced_scalar(count_affine, F, B), F.to_text()
+    assert seen["false"] and seen["operand"] and seen["both"]
+    assert seen["scalar"]
 
 
 def test_grid_path_point_collection():

@@ -45,7 +45,7 @@ def test_rref_structure_and_nullspace():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        piv, red = rref_dense(m)
+        piv, red, _ = rref_dense(m)
         assert _rational_rref(piv, red) == _sympy_rref(m)
         for k, c in enumerate(piv):
             assert red[k][c] > 0
@@ -180,12 +180,33 @@ def test_rref_drops_dependent_rows_without_elimination(monkeypatch):
     assert len(clears(rows)[0][0]) == 3
 
 
+def test_nullspace_builds_the_null_basis_once(monkeypatch):
+    # the basis the elimination built to drop the trailing dependent rows
+    # is the answer; after an insertion, or with no dependent row, one more
+    # is built
+    real = linalg._null_basis
+    calls = []
+    monkeypatch.setattr(linalg, "_null_basis",
+                        lambda *args: calls.append(1) or real(*args))
+    for rows, extra in ((_SPAN_ROWS, 0), (_SPAN_ROWS[:4], 1), ([_U, _V], 1)):
+        calls.clear()
+        pivots, red, null = rref_dense(rows)
+        inside = len(calls)
+        assert (null is None) == bool(extra)
+        calls.clear()
+        got = nullspace_int(rows, 5)
+        assert len(calls) == inside + extra
+        assert got == real(pivots, red, 5)
+        assert all(sum(map(lambda a, b: a * b, v, r)) == 0
+                   for v in got for r in rows)
+
+
 def test_linalg_against_sympy():
     for m in _shapes():
         cols = len(m[0])
         M = sympy.Matrix(m)
         assert rank_dense(m) == M.rank()
-        piv, red = rref_dense(m)
+        piv, red, _ = rref_dense(m)
         assert _rational_rref(piv, red) == _sympy_rref(m)
         ours = nullspace_int(m, cols)
         theirs = M.nullspace()

@@ -68,11 +68,9 @@ def test_homogenize_roundtrip():
         assert dehomogenize(F) == f
 
 
-def test_coeff_height():
-    assert parse_poly("x0^2 - 7*x1*x2").coeff_height() == 7
-    assert parse_poly("12*x0^3", num_vars=1).coeff_height() == 12
+def test_primitive_part():
     f = parse_poly("6*x0 + 9*x1")
-    assert f.primitive_part().coeff_height() == 3
+    assert f.primitive_part() == parse_poly("2*x0 + 3*x1")
     assert f.primitive_part() == f.primitive_part().primitive_part()
 
 
@@ -183,7 +181,10 @@ def test_poly_divides():
 def test_monomial_order_matches_convention():
     # ascending graded order: 1, z1, z2, z1^2, z1*z2, z2^2
     descending = monomials_of_degree(2, 2)
-    assert descending == [(0, 2), (1, 1), (2, 0)]
+    assert descending == ((0, 2), (1, 1), (2, 0))
+    # memoized: every caller shares one tuple, which nobody can change
+    assert monomials_of_degree(2, 2) is descending
+    assert monomials_of_degree(3, -1) == ()
     f = parse_poly("x0^2 + x1^2 + x0*x1")
     assert f.leading_exponent() == (0, 2)
 
