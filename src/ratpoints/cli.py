@@ -2,10 +2,10 @@
 
 Subcommands: count, slice, conic-param, project, detmethod, fit.  All
 output is CSV or JSON with sorted keys so reruns are byte-identical.
-Environment override: RATPOINTS_SEED, a label copied into report.json
-(nothing is random).  A bad input (an unparsable polynomial, a non-prime
-filter modulus, ...) prints one line ``ratpoints: error: <message>`` to
-stderr and exits with status 2.
+``count --seed`` is a label copied into report.json (nothing is random).
+A bad input (an unparsable polynomial, a non-prime filter modulus, ...)
+prints one line ``ratpoints: error: <message>`` to stderr and exits with
+status 2.
 """
 
 from __future__ import annotations
@@ -202,9 +202,17 @@ def _cmd_conic(args) -> int:
 
 def _cmd_project(args) -> int:
     gens = [parse_poly(g, num_vars=4) for g in _read_poly_arg(args.gens).split(";")]
-    points = enumerate_projective_variety(gens, args.bound)
-    if args.center:
+    center = None
+    if args.center:  # checked before the enumeration, which may be long
         center = tuple(int(v) for v in args.center.split(","))
+        if len(center) != gens[0].num_vars:
+            raise ValueError(f"--center needs {gens[0].num_vars} coordinates, "
+                             f"got {len(center)}")
+        if all(g.evaluate(center) == 0 for g in gens):
+            raise ValueError("--center lies on the variety: every generator "
+                             "vanishes at it")
+    points = enumerate_projective_variety(gens, args.bound)
+    if center:
         setup = build_projection_setup([center])
         report = sample_birationality_check(setup, points, args.fiber_bound)
     else:

@@ -739,15 +739,9 @@ def count_affine_surface(F: IntPoly, B: int, filters=(), collect: bool = True,
         raise ValueError("need a nonzero homogeneous form of degree >= 1")
     if F.num_vars != 4:
         raise ValueError("affine surface counting expects 4 variables")
-    f = dehomogenize(F)
-    if f.is_zero():
-        # the whole affine chart lies on the surface
-        pts = [
-            (1,) + t for t in _iter_loop(3, B)
-        ]
-    else:
-        _, pts3 = count_affine(f, B, collect=True)
-        pts = [(1,) + t for t in pts3]
+    # nonzero: no two terms of a form merge when x0 = 1
+    _, pts3 = count_affine(dehomogenize(F), B, collect=True)
+    pts = [(1,) + t for t in pts3]
     pts = [p for p in pts if all(flt.accepts(p) for flt in filters)]
     hist = [0] * (B + 1)
     for p in pts:

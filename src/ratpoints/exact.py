@@ -52,10 +52,6 @@ class ProjPoint:
     coords: tuple[int, ...]
 
     @property
-    def dim_ambient(self) -> int:
-        return len(self.coords) - 1
-
-    @property
     def height(self) -> int:
         return max(abs(c) for c in self.coords)
 
@@ -76,11 +72,6 @@ def normalize_primitive(v) -> ProjPoint:
     is a rational multiple of the input.
     """
     return ProjPoint(primitive_vector(v))
-
-
-def height(x: ProjPoint) -> int:
-    """Height of a projective point: max |coordinate|, always >= 1."""
-    return x.height
 
 
 def unimodular_complete(a: int, b: int) -> tuple[int, int]:

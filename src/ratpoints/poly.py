@@ -277,22 +277,6 @@ def substitute_linear(f: IntPoly, images) -> IntPoly:
     return out
 
 
-def homogenize(f: IntPoly, delta: int) -> IntPoly:
-    """Homogenize to degree delta with a new first variable.
-
-    Each term of degree s picks up the new variable to the power delta-s;
-    substituting 1 for it recovers f exactly.
-    """
-    if f.is_zero():
-        raise ValueError("cannot homogenize the zero polynomial")
-    if delta < f.degree:
-        raise ValueError(f"target degree {delta} below deg f = {f.degree}")
-    out = {}
-    for e, c in f.terms.items():
-        out[(delta - sum(e),) + e] = c
-    return IntPoly(f.num_vars + 1, out)
-
-
 def dehomogenize(F: IntPoly) -> IntPoly:
     """Substitute 1 for the first variable and drop it."""
     return F.substitute_value(0, 1)

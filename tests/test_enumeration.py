@@ -277,11 +277,20 @@ def test_enumerate_variety_rejects_bad_input(capsys):
         enumerate_projective_variety([conic, IntPoly.zero(4)], 5)
     with pytest.raises(ValueError, match="variable count"):
         enumerate_projective_variety([conic, parse_poly("x0 - x1")], 5)
-    assert cli.main(["project", "--gens", "x0*x2 - x1", "--bound", "5"]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.splitlines() == [
-        "ratpoints: error: generators must be homogeneous"]
+    twisted = "x0*x2 - x1^2; x0*x3 - x1*x2; x1*x3 - x2^2"
+    for args, message in [
+        (["--gens", "x0*x2 - x1"], "generators must be homogeneous"),
+        (["--gens", twisted, "--center", "1,2"],
+         "--center needs 4 coordinates, got 2"),
+        (["--gens", twisted, "--center", "1,0,0,0,0"],
+         "--center needs 4 coordinates, got 5"),
+        (["--gens", twisted, "--center", "1,1,1,1"],
+         "--center lies on the variety: every generator vanishes at it"),
+    ]:
+        assert cli.main(["project", *args, "--bound", "3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"ratpoints: error: {message}"]
 
 
 def test_enumerate_variety_matches_parameterization():

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from ratpoints.exact import (ProjPoint, height, is_prime,
-                             normalize_primitive, primitive_vector,
+from ratpoints.exact import (is_prime, normalize_primitive, primitive_vector,
                              unimodular_complete, valuation, xgcd)
 
 
@@ -20,10 +19,9 @@ def test_normalize_zero_vector():
 
 
 def test_height_examples():
-    assert height(normalize_primitive((1, 2, 3))) == 3
-    assert height(normalize_primitive((1, 0, 0, 0))) == 1
-    assert height(normalize_primitive((0, 1, -3))) == 3
-    assert ProjPoint((0, 1, -3)).dim_ambient == 2
+    assert normalize_primitive((1, 2, 3)).height == 3
+    assert normalize_primitive((1, 0, 0, 0)).height == 1
+    assert normalize_primitive((0, 1, -3)).height == 3
 
 
 def test_normalize_idempotent_and_scaling():

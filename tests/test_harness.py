@@ -40,14 +40,6 @@ def test_fit_rescale_invariance():
 
 
 def test_config_validation():
-    cfg = ExperimentConfig(poly="x0*x2 - x1^2", function="N", bmax=16,
-                           degree=3)
-    with pytest.raises(ValueError, match="degree"):
-        build_series(cfg)
-    bad = ExperimentConfig(poly="x0*x2 - x1^2", function="N", bmax=16,
-                           grid=[4, 4, 8])
-    with pytest.raises(ValueError, match="increasing"):
-        bad.resolved_grid()
     with pytest.raises(ValueError, match="empty"):
         ExperimentConfig(poly="x0", function="N", bmax=0).resolved_grid()
 
@@ -76,19 +68,6 @@ def test_run_experiment_rerun_identical(tmp_path):
                             grid_count=3, out_dir=str(tmp_path / "b"))
     run_experiment(cfg2)
     assert first == (tmp_path / "b" / "report.json").read_bytes()
-
-
-def test_config_json_roundtrip():
-    text = json.dumps({
-        "poly": "x0^3 + x1^3 + x2^3 + x3^3",
-        "function": "Naff",
-        "bmax": 20,
-        "filters": [[2, [0, 0, 0]]],
-    })
-    cfg = ExperimentConfig.from_json(text)
-    assert cfg.filters == [(2, (0, 0, 0))]
-    series = build_series(cfg)
-    assert all(c >= 0 for _, c in series.entries)
 
 
 def run_cli(*args):
@@ -260,22 +239,16 @@ def test_series_equals_per_bound_counts_from_one_pass(entry_calls, text,
                                                       function):
     count_at = _per_bound(function, text)
     filters = [FILTER] if function == "Naff" else []
-    for grid_spec in ({"bmax": 11}, {"bmax": 12}, {"bmax": 12, "grid": [3, 7, 10]}):
-        cfg = ExperimentConfig(poly=text, function=function, grid_count=4,
+    for grid_spec in ({"bmax": 11, "grid_count": 4},
+                      {"bmax": 12, "grid_count": 4},
+                      {"bmax": 10, "grid_count": 3}):
+        cfg = ExperimentConfig(poly=text, function=function,
                                filters=filters, **grid_spec)
         entry_calls.clear()
         series = build_series(cfg)
         assert len(entry_calls) == 1
         grid = cfg.resolved_grid()
         assert series.entries == [(b, count_at(b)) for b in grid], grid_spec
-
-
-def test_series_rejects_bounds_below_the_function_minimum():
-    for function, low in (("N", 1), ("M", 0)):
-        cfg = ExperimentConfig(poly="x0*x2 - x1^2", function=function, bmax=4,
-                               grid=[low - 1, 2])
-        with pytest.raises(ValueError, match=f"B must be >= {low}"):
-            build_series(cfg)
 
 
 def test_cli_count_points_takes_one_enumeration_pass(tmp_path, entry_calls,
