@@ -213,7 +213,7 @@ def _cmd_project(args) -> int:
                              "vanishes at it")
     points = enumerate_projective_variety(gens, args.bound)
     if center:
-        setup = build_projection_setup([center])
+        setup = build_projection_setup(center)
         report = sample_birationality_check(setup, points, args.fiber_bound)
     else:
         found = find_projection_center(gens, args.fiber_bound, 3, points)
@@ -221,10 +221,10 @@ def _cmd_project(args) -> int:
             _emit({"verdict": "no admissible center up to height 3"}, args.out)
             return 1
         setup, report = found
-    images = sorted({project_point(setup, p).coords for p in points})
+    images = sorted({project_point(setup, p) for p in points})
     out = {
-        "center": [list(h) for h in setup.h_list],
-        "duals": [list(g) for g in setup.g_list],
+        "center": [list(setup.h)],
+        "duals": [[int(i == setup.j) for i in range(len(setup.h))]],
         "c": setup.c,
         "source_points": len(points),
         "images": [list(v) for v in images],

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, isqrt, log
 
-from .exact import (CertificateError, gcd_all, primitive_vector,
-                    unimodular_complete)
+from .exact import CertificateError, primitive_vector, unimodular_complete
 from .linalg import det_bareiss
 from .poly import IntPoly, gram_matrix, pad_vars, substitute_linear
 
@@ -177,7 +176,7 @@ def conic_parameterize(data: PlaneConicData, B: int):
     b11 = q.terms.get((0, 2, 0), 0)
     b12 = q.terms.get((0, 1, 1), 0)
     b22 = q.terms.get((0, 0, 2), 0)
-    g = gcd_all((b11, b12, b22))
+    g = gcd(b11, b12, b22)
     ref = b11 if b11 else b22
     a = g if ref > 0 else -g
     alpha = isqrt(b11 // a)

@@ -57,8 +57,7 @@ from math import gcd
 import numpy as np
 
 from . import uniroots
-from .exact import (CertificateError, ProjPoint, gcd_all, is_prime,
-                    normalize_primitive)
+from .exact import CertificateError, is_prime, primitive_vector
 from .poly import IntPoly, dehomogenize
 
 INT64_LIMIT = 1 << 62
@@ -201,7 +200,7 @@ class _Hits:
 
     def add_scalar(self, prefix, v):
         if self.projective:
-            if gcd_all(prefix + (v,)) != 1:
+            if gcd(*prefix, v) != 1:
                 return
         self._hist[max(abs(x) for x in prefix + (v,))] += 1
         if self.collect:
@@ -212,7 +211,7 @@ class _Hits:
         the rows of the equal-length int64 arrays cols (loop_prefix alone
         without them), coprime to the prefix if projective."""
         n = len(cols[0]) if cols else 1
-        g = np.full(n, gcd_all(loop_prefix) if self.projective else 1,
+        g = np.full(n, gcd(*loop_prefix) if self.projective else 1,
                     dtype=np.int64)
         height = np.full(n, max(map(abs, loop_prefix), default=0),
                          dtype=np.int64)
@@ -246,7 +245,7 @@ class _Hits:
         if len(cols[0]) == 0:
             return
         if self.projective:
-            g = np.full(cols[0].shape, gcd_all(loop_prefix), dtype=np.int64)
+            g = np.full(cols[0].shape, gcd(*loop_prefix), dtype=np.int64)
             for col in cols:
                 g = np.gcd(g, np.abs(col))
             keep = g == 1
@@ -797,7 +796,8 @@ def enumerate_projective_variety(gens, B: int):
     not be homogeneous.  Generators free of the last variable are solved
     first and S only at their zeros: the twisted cubic then takes O(B^2)
     cells rather than the whole box's O(B^3).  Points come back as
-    normalized ProjPoint values in lexicographic order.
+    primitive tuples, first nonzero coordinate positive, in lexicographic
+    order.
     """
     gens = list(gens)
     if not gens or any(g.is_zero() for g in gens):
@@ -819,5 +819,4 @@ def enumerate_projective_variety(gens, B: int):
         _solve_scalar(_last_var_coefficients(S), prefixes, B, hits)
     else:
         hits = _solve_zeros(S, B, projective=True, collect=True)
-    found = {normalize_primitive(x).coords for x in hits.points}
-    return [ProjPoint(c) for c in sorted(found)]
+    return sorted({primitive_vector(x) for x in hits.points})

@@ -7,9 +7,10 @@ the tangent section), or NotInU.  The quadratic coefficients come from
 second-order divided derivatives, so the same code runs verbatim over any
 prime field.
 
-Projections of a variety away from a small-height linear center are built
-from exact integer nullspaces; the recorded constant c bounds the height
-inflation of every projected point, and fiber sizes are sample-checked.
+Projections of a variety away from a small-height point h map x to
+h_j*x - x_j*h on the hyperplane x_j = 0, for the first j with h_j != 0;
+the recorded constant c bounds the height inflation of every projected
+point, and fiber sizes are sample-checked.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 
-from .exact import (CertificateError, ProjPoint, gcd_all, normalize_primitive,
-                    primitive_vector)
-from .linalg import nullspace_int, rank_dense
+from .exact import CertificateError, primitive_vector
 from .poly import IntPoly
 
 
@@ -93,7 +93,7 @@ def scan_projective_points(num_vars: int, height: int):
     for t in itertools.product(range(-height, height + 1), repeat=num_vars):
         if max(abs(v) for v in t) != height:
             continue
-        if gcd_all(t) != 1:
+        if gcd(*t) != 1:
             continue
         first = next(v for v in t if v != 0)
         if first < 0:
@@ -107,79 +107,36 @@ def scan_projective_points(num_vars: int, height: int):
 
 @dataclass
 class ProjectionSetup:
-    """Projection away from the span of h_1..h_k onto g_1.x = ... = 0."""
+    """Projection away from the point h onto the hyperplane x_j = 0."""
 
-    ambient_dim: int          # N
-    h_list: list              # spanning points of the center
-    g_list: list              # dual vectors cutting out the target plane
-    lam: int                  # product of g_i . h_i
-    lam_partial: list         # products leaving out one factor
+    h: tuple                  # primitive center
+    j: int                    # first index with h_j != 0
     c: int                    # height inflation constant
 
 
-def build_projection_setup(h_list) -> ProjectionSetup:
-    """Dual vectors by exact nullspace: g_i . h_j = 0 for i != j and
-    g_i . h_i != 0, then the height-inflation constant."""
-    hs = [primitive_vector(tuple(h)) for h in h_list]
-    if not hs:
-        raise ValueError("need at least one spanning point")
-    ncols = len(hs[0])
-    if any(len(h) != ncols for h in hs):
-        raise ValueError("spanning points of mixed dimension")
-    if rank_dense(hs) != len(hs):
-        raise ValueError("spanning points are linearly dependent")
-    gs = []
-    for i in range(len(hs)):
-        others = [hs[j] for j in range(len(hs)) if j != i]
-        if others:
-            basis = nullspace_int(others, ncols)
-        else:
-            basis = [tuple(1 if k == j else 0 for k in range(ncols))
-                     for j in range(ncols)]
-        g = next((v for v in basis if _dot(v, hs[i]) != 0), None)
-        if g is None:
-            raise ValueError("no dual vector: spanning points degenerate")
-        gs.append(primitive_vector(g))
-    diag = [_dot(g, h) for g, h in zip(gs, hs)]
-    if any(d == 0 for d in diag) or any(
-            _dot(g, h) != 0 for i, g in enumerate(gs)
-            for j, h in enumerate(hs) if i != j):
-        raise CertificateError("dual vectors are not dual to the center")
-    lam = 1
-    for d in diag:
-        lam *= d
-    lam_partial = [lam // d for d in diag]
-    N = ncols - 1
-    c = abs(lam) + (N + 1) * sum(
-        abs(lp) * max(abs(v) for v in g) * max(abs(v) for v in h)
-        for lp, g, h in zip(lam_partial, gs, hs)
-    )
-    return ProjectionSetup(ambient_dim=N, h_list=hs, g_list=gs, lam=lam,
-                           lam_partial=lam_partial, c=c)
+def build_projection_setup(h) -> ProjectionSetup:
+    """The center made primitive, its first nonzero index, and the
+    height-inflation constant c = h_j + (N + 1) * H(h)."""
+    h = primitive_vector(h)
+    j = next(i for i, v in enumerate(h) if v)
+    return ProjectionSetup(h=h, j=j, c=h[j] + len(h) * max(map(abs, h)))
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def project_point(setup: ProjectionSetup, x) -> ProjPoint:
-    """Image of x under the projection; exact, with the height contract
-    H(image) <= c * H(x) asserted per point."""
+def project_point(setup: ProjectionSetup, x) -> tuple:
+    """Image h_j*x - x_j*h of x, made primitive; exact, with the height
+    contract H(image) <= c * H(x) checked per point."""
     xs = tuple(x)
-    v = [setup.lam * xi for xi in xs]
-    for lp, g, h in zip(setup.lam_partial, setup.g_list, setup.h_list):
-        gx = _dot(g, xs)
-        for k in range(len(v)):
-            v[k] -= lp * gx * h[k]
-    if all(val == 0 for val in v):
+    h, j = setup.h, setup.j
+    v = [h[j] * xi - xs[j] * hi for xi, hi in zip(xs, h)]
+    if not any(v):
         raise ValueError("center of projection")
-    image = normalize_primitive(v)
-    if any(_dot(g, image.coords) != 0 for g in setup.g_list):
+    image = primitive_vector(v)
+    if image[j] != 0:
         raise CertificateError("image lies off the target plane")
     hx = max(abs(val) for val in xs)
-    if image.height > setup.c * hx:
-        raise CertificateError(
-            f"image height {image.height} above {setup.c} * {hx}")
+    height = max(abs(val) for val in image)
+    if height > setup.c * hx:
+        raise CertificateError(f"image height {height} above {setup.c} * {hx}")
     return image
 
 
@@ -188,7 +145,6 @@ class BirationalityReport:
     passed: bool
     fiber_histogram: dict
     offending: list
-    fiber_bound: int
     total_points: int
 
 
@@ -200,7 +156,7 @@ def sample_birationality_check(setup: ProjectionSetup, points, d: int
     total = 0
     for x in points:
         total += 1
-        img = project_point(setup, x).coords
+        img = project_point(setup, x)
         fibers.setdefault(img, []).append(tuple(x))
     hist: dict = {}
     for img, members in fibers.items():
@@ -212,7 +168,6 @@ def sample_birationality_check(setup: ProjectionSetup, points, d: int
         passed=not offending,
         fiber_histogram=dict(sorted(hist.items())),
         offending=offending,
-        fiber_bound=d,
         total_points=total,
     )
 
@@ -221,15 +176,15 @@ def find_projection_center(gens, d: int, height_cap: int, points):
     """Scan small-height points off the variety until one projects every
     sampled point with fibers of size at most d.
 
-    Handles centers that are single points (codimension-2 varieties, e.g.
-    space curves); returns (setup, report) or None when the cap runs out.
+    Centers are single points, as suits codimension-2 varieties such as
+    space curves; returns (setup, report) or None when the cap runs out.
     """
     gens = list(gens)
     for h in range(1, height_cap + 1):
         for t in scan_projective_points(gens[0].num_vars, h):
             if all(g.evaluate(t) == 0 for g in gens):
                 continue  # center must avoid the variety
-            setup = build_projection_setup([t])
+            setup = build_projection_setup(t)
             report = sample_birationality_check(setup, points, d)
             if report.passed:
                 return setup, report

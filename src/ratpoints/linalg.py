@@ -122,10 +122,6 @@ def _null_basis(pivots, red, ncols):
     return basis
 
 
-def rank_dense(rows) -> int:
-    return len(rref_dense(rows)[0])
-
-
 def nullspace_int(rows, ncols=None):
     """Primitive integer basis of the right nullspace of an integer matrix.
 

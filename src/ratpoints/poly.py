@@ -23,7 +23,6 @@ from itertools import accumulate, repeat
 from math import gcd
 from operator import mul
 
-from .exact import gcd_all
 from .linalg import rank_sparse
 
 
@@ -84,7 +83,7 @@ class IntPoly:
         return len(degs) <= 1
 
     def content(self) -> int:
-        return gcd_all(self.terms.values())
+        return gcd(*self.terms.values())
 
     def primitive_part(self) -> "IntPoly":
         g = self.content()

@@ -13,9 +13,9 @@ integer comparison.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
-from .exact import CertificateError, gcd_all
+from .exact import CertificateError
 
 
 def trim(coeffs):
@@ -47,7 +47,7 @@ def _primitive(coeffs):
     c = trim(coeffs)
     if not c:
         return []
-    g = gcd_all(c)
+    g = gcd(*c)
     return [x // g for x in c]
 
 
@@ -107,7 +107,7 @@ def _pseudo_rem_positive(a, b):
             a[i + shift] -= lb * la * bc
         a = trim(a)
         if a:
-            g = gcd_all(a)
+            g = gcd(*a)
             if g > 1:
                 a = [x // g for x in a]
     return a

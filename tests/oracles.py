@@ -7,11 +7,9 @@ is a plain scan with exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
-
-from ratpoints.uniroots import quadratic_integer_roots
 
 
 def brute_projective_points(F, B):
@@ -48,6 +46,19 @@ def brute_affine(f, B):
     return int(np.count_nonzero(zero))
 
 
+def _quadratic_roots(a, b, c):
+    """Integer roots of a*t^2 + b*t + c with a != 0, by the quadratic
+    formula with an exact integer square root."""
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    s = isqrt(disc)
+    if s * s != disc:
+        return []
+    return sorted({(-b + r) // (2 * a) for r in (s, -s)
+                   if (-b + r) % (2 * a) == 0})
+
+
 def conic_affine_points(data, B):
     """Affine integral points of a plane section conic by direct scan.
 
@@ -74,7 +85,7 @@ def conic_affine_points(data, B):
         elif c2 == 0:
             roots = [-c0 // c1] if c0 % c1 == 0 else []
         else:
-            roots = quadratic_integer_roots(c2, c1, c0)
+            roots = _quadratic_roots(c2, c1, c0)
         for v in roots:
             if abs(v) > B:
                 continue

@@ -350,20 +350,19 @@ def test_curves_and_geometry_certificates_survive_python_O():
         "cv.class_points = lambda cls, B: [(1, 0, 0, 0)] * 100\n"
         "r = IntPoly(1, {(2,): 2})\n"
         "cls = cv.ConicClass(1, 1, 0, (r, r, r))\n"
-        "setup = geo.build_projection_setup([(0, 0, 0, 1)])\n"
+        "setup = geo.build_projection_setup((0, 0, 0, 1))\n"
         "setup.c = 0\n"
         "conic = ['conic-param', '--plane', '1,0,0,1', '--quadric',\n"
         "         'x1^2 + x0*x2', '--bound', '1']\n"
-        "off = geo.build_projection_setup([(0, 0, 0, 1)])\n"
-        "off.g_list = [(1, 0, 0, 0)]\n"
-        "geo.nullspace_int = lambda rows, ncols: [(1, 1, 0, 0)]\n"
-        "pair = [(1, 0, 0, 0), (0, 1, 0, 0)]\n"
+        "off = geo.build_projection_setup((0, 0, 0, 1))\n"
+        "def off_plane():\n"
+        "    geo.primitive_vector = lambda v: (1, 1, 1, 1)  # not on x3 = 0\n"
+        "    geo.project_point(off, (1, 1, 1, 1))\n"
         "odd = cv.ConicClass(1, 1, 0, (IntPoly(1, {(0,): 1}), r, r))\n"
         "for check in (lambda: cv.count_class_points(cls, 1),\n"
         "              lambda: cli.main(conic),\n"
         "              lambda: geo.project_point(setup, (1, 1, 1, 1)),\n"
-        "              lambda: geo.project_point(off, (1, 1, 1, 1)),\n"
-        "              lambda: geo.build_projection_setup(pair),\n"
+        "              off_plane,\n"
         "              lambda: cv.class_r_values(odd, 0)):\n"
         "    try:\n"
         "        check()\n"
@@ -378,7 +377,6 @@ def test_curves_and_geometry_certificates_survive_python_O():
                    "raised: class count 100 above the cluster bound\n"
                    "raised: image height 1 above 0 * 1\n"
                    "raised: image lies off the target plane\n"
-                   "raised: dual vectors are not dual to the center\n"
                    "raised: R value not integral\n")
 
 

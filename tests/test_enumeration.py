@@ -13,7 +13,7 @@ from ratpoints.enumeration import (CountSeries, ResidueFilter, count_affine,
                                    count_roots_bounded,
                                    enumerate_projective_variety, slice_form,
                                    verify_slicing)
-from ratpoints.exact import normalize_primitive
+from ratpoints.exact import primitive_vector
 from ratpoints.poly import IntPoly, monomials_of_degree, pad_vars, parse_poly
 
 
@@ -251,13 +251,13 @@ def test_enumerate_variety_matches_brute_force():
             continue
         without_x3 += any(3 not in g.variables_used() for g in gens)
         B = rng.randint(1, 4)
-        got = {p.coords for p in enumerate_projective_variety(gens, B)}
+        got = set(enumerate_projective_variety(gens, B))
         oracle = set()
         for x in itertools.product(range(-B, B + 1), repeat=4):
             if not any(x):
                 continue
             if all(g.evaluate(x) == 0 for g in gens):
-                oracle.add(normalize_primitive(x).coords)
+                oracle.add(primitive_vector(x))
         oracle = {c for c in oracle if max(abs(v) for v in c) <= B}
         assert got == oracle, ([g.to_text() for g in gens], B)
         nonempty += bool(oracle)
@@ -303,11 +303,11 @@ def test_enumerate_variety_matches_parameterization():
         for t in range(-B, B + 1):
             v = (s**3, s * s * t, s * t * t, t**3)
             if any(v):
-                p = normalize_primitive(v)
-                if p.height <= B:
-                    oracle.add(p.coords)
-    assert {p.coords for p in pts} == oracle
-    assert all(g.evaluate(p.coords) == 0 for p in pts for g in tc)
+                p = primitive_vector(v)
+                if max(map(abs, p)) <= B:
+                    oracle.add(p)
+    assert pts == sorted(oracle)
+    assert all(g.evaluate(p) == 0 for p in pts for g in tc)
 
 
 def test_enumerate_variety_solves_only_projected_prefixes(monkeypatch):
@@ -332,7 +332,7 @@ def test_enumerate_variety_solves_only_projected_prefixes(monkeypatch):
     pts = enumerate_projective_variety(tc, B)
     assert solved
     # the coprime (s, t) with max(|s|, |t|)^3 <= B give every point once
-    oracle = {normalize_primitive((s**3, s * s * t, s * t * t, t**3)).coords
+    oracle = {primitive_vector((s**3, s * s * t, s * t * t, t**3))
               for s in range(-10, 11) for t in range(-10, 11)
               if math.gcd(s, t) == 1}
-    assert {p.coords for p in pts} == oracle
+    assert set(pts) == oracle

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from ratpoints.enumeration import enumerate_projective_variety
+from ratpoints.exact import primitive_vector
 from ratpoints.geometry import (Classification, build_projection_setup,
                                 classify_point, find_projection_center,
                                 project_point, sample_birationality_check,
@@ -51,34 +53,34 @@ def test_classification_agrees_with_rationals_for_good_primes():
 
 
 def test_projection_setup_examples():
-    setup = build_projection_setup([(0, 0, 0, 1)])
-    assert setup.c == 5  # |lam| + 4 * 1 * 1 * 1
-    assert setup.g_list == [(0, 0, 0, 1)]
+    setup = build_projection_setup((0, 0, 0, 1))
+    assert setup.c == 5  # h_j + 4 * H(h)
+    assert (setup.h, setup.j) == ((0, 0, 0, 1), 3)
     img = project_point(setup, (1, 2, 4, 8))
-    assert img.coords == (1, 2, 4, 0)
-    assert project_point(setup, (1, 2, 4, 0)).coords == (1, 2, 4, 0)
+    assert img == (1, 2, 4, 0)
+    assert project_point(setup, (1, 2, 4, 0)) == (1, 2, 4, 0)
     with pytest.raises(ValueError, match="center"):
         project_point(setup, (0, 0, 0, 1))
+    # the center is made primitive, and j is its first nonzero index
+    setup = build_projection_setup((0, -4, 2, 6))
+    assert (setup.h, setup.j, setup.c) == ((0, 2, -1, -3), 1, 14)
+    with pytest.raises(ValueError, match="zero vector"):
+        build_projection_setup((0, 0, 0, 0))
 
 
 def test_projection_setup_invariants():
     rng = random.Random(8)
     built = 0
     while built < 20:
-        hs = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(2)]
-        try:
-            setup = build_projection_setup(hs)
-        except ValueError:
+        h = tuple(rng.randint(-3, 3) for _ in range(5))
+        if not any(h):
             continue
+        setup = build_projection_setup(h)
         built += 1
-        for i, g in enumerate(setup.g_list):
-            for j, h in enumerate(setup.h_list):
-                dot = sum(a * b for a, b in zip(g, h))
-                if i == j:
-                    assert dot != 0
-                else:
-                    assert dot == 0
-        # images always satisfy the height contract (asserted internally)
+        j = setup.j
+        assert setup.h[j] > 0 and not any(setup.h[:j])
+        # images lie on x_j = 0 and satisfy the height contract (both
+        # also checked internally)
         for _ in range(20):
             x = tuple(rng.randint(-9, 9) for _ in range(5))
             if not any(x):
@@ -87,7 +89,9 @@ def test_projection_setup_invariants():
                 img = project_point(setup, x)
             except ValueError:
                 continue
-            assert img.height <= setup.c * max(abs(v) for v in x)
+            assert img[j] == 0
+            assert img == primitive_vector(img)
+            assert max(map(abs, img)) <= setup.c * max(abs(v) for v in x)
 
 
 def test_twisted_cubic_projection_all_fibers_small():
@@ -104,7 +108,7 @@ def test_collapsing_projection_flagged():
         [parse_poly("x0*x2 - x1^2", num_vars=4),
          parse_poly("x3", num_vars=4)], 12)
     # center inside the conic's plane but off the conic: 2-to-1 onto a line
-    setup = build_projection_setup([(0, 1, 0, 0)])
+    setup = build_projection_setup((0, 1, 0, 0))
     report = sample_birationality_check(setup, conic_pts, 1)
     assert not report.passed
     assert 2 in report.fiber_histogram
@@ -112,7 +116,7 @@ def test_collapsing_projection_flagged():
 
 
 def test_vacuous_birationality():
-    setup = build_projection_setup([(0, 0, 0, 1)])
+    setup = build_projection_setup((0, 0, 0, 1))
     report = sample_birationality_check(setup, [], 3)
     assert report.passed and report.total_points == 0
 
@@ -143,3 +147,37 @@ def test_classify_point_cached_derivatives_match_uncached(monkeypatch):
                 assert [classify_point(F, x, p) for x in on] == cached, p
             seen.update(cached)
     assert seen == set(C)
+
+
+def test_project_center_output_pinned(capsys):
+    # `project --center` on the twisted cubic at B = 10; the center is
+    # printed primitive, and its dual is the unit vector at its first
+    # nonzero coordinate
+    from ratpoints import cli
+
+    twisted = "x0*x2 - x1^2; x0*x3 - x1*x2; x1*x3 - x2^2"
+    expected = {
+        "0,0,2,0": ([0, 0, 1, 0], [0, 0, 1, 0], 5, [
+            [0, 0, 0, 1], [1, -2, 0, -8], [1, -1, 0, -1], [1, 0, 0, 0],
+            [1, 1, 0, 1], [1, 2, 0, 8], [8, -4, 0, -1], [8, 4, 0, 1]],
+            {"1": 8}),
+        "0,-2,1,3": ([0, 2, -1, -3], [0, 1, 0, 0], 14, [
+            [0, 0, 0, 1], [1, 0, 0, 0], [1, 0, 3, -11], [1, 0, 5, 11],
+            [2, 0, 1, -5], [2, 0, 3, 5], [8, 0, 0, -7], [8, 0, 4, 7]],
+            {"1": 8}),
+        "1,0,0,1": ([1, 0, 0, 1], [1, 0, 0, 0], 5, [
+            [0, 0, 0, 1], [0, 1, -1, 2], [0, 1, 1, 0], [0, 2, -4, 9],
+            [0, 2, 4, 7], [0, 4, -2, 9], [0, 4, 2, -7]],
+            {"1": 6, "2": 1}),
+        "3,1,0,0": ([3, 1, 0, 0], [1, 0, 0, 0], 15, [
+            [0, 0, 0, 1], [0, 1, 0, 0], [0, 2, 3, 3], [0, 4, -3, 3],
+            [0, 4, 6, 3], [0, 5, 12, 24], [0, 7, -12, 24], [0, 20, -6, 3]],
+            {"1": 8}),
+    }
+    for center, (h, dual, c, images, hist) in expected.items():
+        assert cli.main(["project", "--gens", twisted, "--center", center,
+                         "--bound", "10"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["center"], out["duals"], out["c"], out["images"],
+                out["fiber_histogram"]) == ([h], [dual], c, images, hist), \
+            center
