@@ -26,7 +26,7 @@ from .exact import CertificateError
 from .geometry import (build_projection_setup, find_projection_center,
                        project_point, sample_birationality_check)
 from .harness import ExperimentConfig, fit_exponent, run_experiment
-from .poly import format_poly, parse_poly
+from .poly import IntPoly, format_poly, parse_poly
 
 
 def _read_poly_arg(text: str) -> str:
@@ -153,6 +153,8 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_conic(args) -> int:
+    if args.bound < 0:
+        raise ValueError(f"--bound must be >= 0, got {args.bound}")
     plane = tuple(int(v) for v in args.plane.split(","))
     Q = parse_poly(_read_poly_arg(args.quadric))
     data = plane_eliminate(plane, Q)
@@ -190,7 +192,9 @@ def _cmd_conic(args) -> int:
                 "lambda": cls.lam,
                 "modulus": cls.modulus,
                 "base": cls.base,
-                "double_r": [format_poly(p, "t") for p in cls.double_r],
+                "double_r": [format_poly(IntPoly(1, {(k,): c for k, c in
+                                                     enumerate(p)}), "t")
+                             for p in cls.double_r],
                 "count": len(pts),
             }
             for cls, pts in zip(param.classes, per_class)

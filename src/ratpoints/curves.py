@@ -16,12 +16,13 @@ isqrt as at most two intervals.  Certificates raise CertificateError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt, log
 
 from .exact import CertificateError, primitive_vector, unimodular_complete
 from .linalg import det_bareiss
 from .poly import IntPoly, gram_matrix, pad_vars, substitute_linear
+from .uniroots import evaluate
 
 
 # ---------------------------------------------------------------------
@@ -126,31 +127,26 @@ def tangency_rank(q: IntPoly) -> int:
 
 @dataclass
 class ConicClass:
-    """One residue class of the parameterization: t -> Q(Z_lam + D_lam*t)."""
+    """One residue class of the parameterization: t -> Q(Z_lam + D_lam*t).
+
+    double_r holds 2*R_1, 2*R_2, 2*R_3, each a coefficient triple
+    (c0, c1, c2) in t, low degree first, zeros kept.
+    """
 
     lam: int
     modulus: int          # D_lam
     base: int             # Z_lam
-    double_r: tuple       # three univariate IntPoly equal to 2*R_i
+    double_r: tuple
 
 
 @dataclass
 class ConicParam:
     """Complete integer parameterization data for a tangent conic."""
 
-    plane: tuple
-    alpha: int
-    beta: int
-    gamma: int
-    delta: int
-    a: int
-    e: int
-    f: int
-    d: int
-    base_y: int
     denominator: int
-    classes: list = field(default_factory=list)
-    kappa_empirical: float = 0.0
+    base_y: int
+    classes: list
+    kappa_empirical: float
 
 
 @dataclass
@@ -158,7 +154,6 @@ class EmptyParam:
     """No affine integral point of height <= B exists on the conic."""
 
     search_window: int
-    reason: str = "no integer base point in the search window"
 
 
 def conic_parameterize(data: PlaneConicData, B: int):
@@ -208,16 +203,16 @@ def conic_parameterize(data: PlaneConicData, B: int):
         raise CertificateError("unimodular substitution identity failed")
 
     # affine parameterization by Y = Y1: Y2 = -(a*Y^2 + e*Y + d)/f, so
-    # f*X_kept = these integer quadratics (quad, lin, const) in Y
-    p0 = (beta * a, beta * e + f * delta, beta * d)
-    p1 = (-alpha * a, -alpha * e - f * gamma, -alpha * d)
+    # f*X_kept = these integer quadratics (const, lin, quad) in Y
+    p0 = (beta * d, beta * e + f * delta, beta * a)
+    p1 = (-alpha * d, -alpha * e - f * gamma, -alpha * a)
     aa = data.plane
     ae = aa[data.elim_index]
     by_coord = {
         data.kept[0]: tuple(ae * c for c in p0),
         data.kept[1]: tuple(ae * c for c in p1),
         data.elim_index: tuple(
-            f * aa[0] * (k == 2) - aa[data.kept[0]] * u - aa[data.kept[1]] * v
+            f * aa[0] * (k == 0) - aa[data.kept[0]] * u - aa[data.kept[1]] * v
             for k, (u, v) in enumerate(zip(p0, p1))),
     }
     # X_i = N_i(Y)/L with L the least common denominator
@@ -236,13 +231,13 @@ def conic_parameterize(data: PlaneConicData, B: int):
     # shift to X_i = N_i(Y* + Z)/L = A_i + (B_i Z + C_i Z^2)/D.  D = L:
     # the N_i have coefficient gcd 1 with L, the shift keeps that gcd, and
     # every N_i(Y*) = 0 (mod L)
-    A = [_quad_value(p, star) for p in nums]
+    A = [evaluate(p, star) for p in nums]
     if any(v % L for v in A):
         raise CertificateError("base point is not integral")
     A = [v // L for v in A]
     D = L
-    Bc = [2 * p[0] * star + p[1] for p in nums]
-    Cc = [p[0] for p in nums]
+    Bc = [2 * p[2] * star + p[1] for p in nums]
+    Cc = [p[2] for p in nums]
 
     classes = []
     for lam in _divisors(D):
@@ -264,27 +259,20 @@ def conic_parameterize(data: PlaneConicData, B: int):
                       2 * Cc[i] * d_lam * d_lam)
             if any(c % D for c in coeffs):
                 raise CertificateError("2R not integral")
-            two_r.append(IntPoly(1, {(k,): c // D for k, c in enumerate(coeffs)}))
+            two_r.append(tuple(c // D for c in coeffs))
         classes.append(ConicClass(lam=lam, modulus=d_lam, base=z_lam,
                                   double_r=tuple(two_r)))
 
     kappa = log(D) / log(B) if D > 1 and B > 1 else 0.0
-    return ConicParam(
-        plane=data.plane, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
-        a=a, e=e, f=f, d=d, base_y=star, denominator=D, classes=classes,
-        kappa_empirical=kappa,
-    )
-
-
-def _quad_value(p, y):
-    return (p[0] * y + p[1]) * y + p[2]
+    return ConicParam(denominator=D, base_y=star, classes=classes,
+                      kappa_empirical=kappa)
 
 
 def _base_point(nums, L, B, window):
     """Smallest |y| <= window, +y before -y, with every N_i(y)/L an integer
     of absolute value <= B; None when there is none."""
     ys = range(L) if L <= window else range(-window, window + 1)
-    good = {y % L for y in ys if all(_quad_value(p, y) % L == 0 for p in nums)}
+    good = {y % L for y in ys if all(evaluate(p, y) % L == 0 for p in nums)}
     pieces = _abs_le_pieces(nums, L * B, [(-window, window)]) if good else []
     found = []
     for lo, hi in pieces:
@@ -298,13 +286,13 @@ def _base_point(nums, L, B, window):
 
 def _abs_le_pieces(polys, K, pieces=None):
     """The integers y of pieces (sorted disjoint intervals, None for all of
-    Z) with |p(y)| <= K for every quadratic p = (quad, lin, const), as
-    sorted disjoint intervals, some possibly empty; None when no p bounds
-    y and pieces is None."""
+    Z) with |p(y)| <= K for every quadratic p = (c0, c1, c2), low degree
+    first, as sorted disjoint intervals, some possibly empty; None when no
+    p bounds y and pieces is None."""
     for p in polys:
-        if p[0] < 0 or (p[0] == 0 and p[1] < 0):
+        if p[2] < 0 or (p[2] == 0 and p[1] < 0):
             p = tuple(-c for c in p)
-        c2, c1, c0 = p
+        c0, c1, c2 = p
         if c2 == 0 and c1 == 0:
             if abs(c0) <= K:
                 continue
@@ -325,7 +313,7 @@ def _abs_le_pieces(polys, K, pieces=None):
 def _le_interval(p, K):
     """The integer interval {y : p(y) <= K} for p with a positive quadratic
     coefficient, or None when it is empty."""
-    c2, c1, c0 = p
+    c0, c1, c2 = p
     disc = c1 * c1 - 4 * c2 * (c0 - K)
     if disc < 0:
         return None
@@ -352,7 +340,7 @@ def class_r_values(cls: ConicClass, t: int):
     """(R1, R2, R3) at t; exact, the stored polynomials are 2*R."""
     vals = []
     for two_r in cls.double_r:
-        v = two_r.evaluate((t,))
+        v = evaluate(two_r, t)
         if v % 2:
             raise CertificateError("R value not integral")
         vals.append(v // 2)
@@ -373,8 +361,7 @@ def certified_class_points(cls: ConicClass, B: int):
     of largest leading term: count <= 2*(3 + 2*sqrt(2B/lead)), in integers."""
     pts = class_points(cls, B)
     count = len(pts)
-    lead = max((abs(two_r.terms.get((2,), 0)) for two_r in cls.double_r),
-               default=0)
+    lead = max(abs(two_r[2]) for two_r in cls.double_r)
     if lead and count > 6 and (count - 6) ** 2 * lead > 32 * B:
         raise CertificateError(f"class count {count} above the cluster bound")
     return pts
@@ -383,9 +370,7 @@ def certified_class_points(cls: ConicClass, B: int):
 def class_points(cls: ConicClass, B: int):
     """The parameterized points of height <= B for one class, sorted by t:
     the t with every |2*R_i(t)| <= 2*B, or t = 0 for a constant class."""
-    polys = [tuple(r.terms.get((k,), 0) for k in (2, 1, 0))
-             for r in cls.double_r]
-    pieces = _abs_le_pieces(polys, 2 * B)
+    pieces = _abs_le_pieces(cls.double_r, 2 * B)
     ts = (0,) if pieces is None else [
         t for lo, hi in pieces for t in range(lo, hi + 1)]
     return [(1,) + class_r_values(cls, t) for t in ts]

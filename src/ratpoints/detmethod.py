@@ -14,7 +14,7 @@ rational arithmetic; the only floats are in the prime windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb
+from math import ceil, comb, isfinite
 from operator import mul
 
 from .exact import CertificateError, is_prime, valuation
@@ -42,7 +42,13 @@ def prime_window(B: int, d: int, epsilon: float, min_count: int) -> PrimeWindow:
     if B < 2 or d < 3:
         raise ValueError("need B >= 2 and degree >= 3")
     a = 1.0 / d**0.5 + epsilon
-    low = max(float(B) ** a, 2.0)
+    if not isfinite(a):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    try:
+        low = max(float(B) ** a, 2.0)
+    except OverflowError:
+        raise ValueError(f"epsilon {epsilon} makes B^(1/sqrt(d) + epsilon) "
+                         "overflow a float") from None
     C = 2.0
     while True:
         high = C * low
@@ -306,7 +312,9 @@ def extract_auxiliary_form(points, D: int, F: IntPoly):
     if not vectors:
         return RankFull(rank=rank)
     for vec in vectors:
-        G = IntPoly(4, dict(zip(basis, vec))).primitive_part().sign_normalized()
+        # vec is primitive with first nonzero entry positive and basis runs
+        # grlex-descending, so G is primitive with positive leading term
+        G = IntPoly(4, dict(zip(basis, vec)))
         if not poly_divides(F, G):
             # G is a nonzero multiple of vec, so it vanishes at a point
             # exactly when the point's row is orthogonal to vec

@@ -749,17 +749,14 @@ def count_affine_surface(F: IntPoly, B: int, filters=(), collect: bool = True,
 
 
 def count_roots_bounded(p, T: int):
-    """Exact #{t in Z : |p(t)| <= T} plus the certified cluster bound.
+    """Exact #{t in Z : |p(t)| <= T} plus the certified cluster bound, for
+    p an integer coefficient sequence, low degree first.
 
     The bound is delta*(3 + 2*(T/|lead|)^(1/delta)): each of the delta root
     clusters contributes at most 2L+1 integers within distance
     L = (T/|lead|)^(1/delta) of a root, with slack absorbing rounding.
     """
-    if isinstance(p, IntPoly):
-        coeffs = p.univariate_coeffs()
-    else:
-        coeffs = list(p)
-    coeffs = uniroots.trim(coeffs)
+    coeffs = uniroots.trim(p)
     delta = len(coeffs) - 1
     if delta < 1:
         raise ValueError("polynomial must be nonconstant")

@@ -74,6 +74,8 @@ def fit_exponent(series: CountSeries, target: float | None = None,
     required.  With a target exponent the verdict compares the margin
     |slope - target| against the tolerance.
     """
+    if not all(map(math.isfinite, (tolerance, target or 0.0))):
+        raise ValueError("target and tolerance must be finite")
     data = [(math.log(b), math.log(c)) for b, c in series.entries if c > 0]
     if len(data) < 3:
         raise ValueError("insufficient data")

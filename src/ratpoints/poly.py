@@ -91,24 +91,8 @@ class IntPoly:
             return self
         return IntPoly(self.num_vars, {e: c // g for e, c in self.terms.items()})
 
-    def sign_normalized(self) -> "IntPoly":
-        """Flip sign so the leading (grlex) coefficient is positive."""
-        if not self.terms:
-            return self
-        if self.terms[self.leading_exponent()] < 0:
-            return -self
-        return self
-
     def leading_exponent(self):
         return max(self.terms, key=grlex_key)
-
-    def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    used.add(i)
-        return sorted(used)
 
     # -- ring operations ---------------------------------------------
 
@@ -229,19 +213,6 @@ class IntPoly:
                     key = tuple(ne)
                     out[key] = out.get(key, 0) + c * mult
         return IntPoly(self.num_vars, out)
-
-    # -- univariate views ----------------------------------------------
-
-    def univariate_coeffs(self) -> list[int]:
-        """Coefficient list (low to high) for a polynomial in one used variable."""
-        used = self.variables_used()
-        if len(used) > 1:
-            raise ValueError("polynomial is not univariate")
-        idx = used[0] if used else 0
-        out = [0] * (self.degree + 1 if self.degree >= 0 else 1)
-        for e, c in self.terms.items():
-            out[e[idx]] = c
-        return out
 
     def __repr__(self):
         return f"IntPoly({self.num_vars}, {self.to_text()!r})"

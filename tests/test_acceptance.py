@@ -83,8 +83,8 @@ def test_criterion_3_conic_pipeline_completeness():
     assert len(conics) >= 10
     worked = conics[0]
     param0 = conic_parameterize(worked, 100)
-    assert [p.to_text("t") for p in param0.classes[0].double_r] == \
-        ["2*t1^2", "2*t1", "2"]
+    # 2*R = (2t^2, 2t, 2), each as coefficients low degree first
+    assert param0.classes[0].double_r == ((0, 0, 2), (0, 2, 0), (2, 0, 0))
     for data in conics:
         param = conic_parameterize(data, B)
         oracle = conic_affine_points(data, B)

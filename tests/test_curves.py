@@ -9,12 +9,14 @@ import pytest
 
 import ratpoints
 from oracles import conic_affine_points
+from ratpoints import cli
 from ratpoints.curves import (ConicClass, EmptyParam, class_r_values,
                               conic_parameterize, conic_points,
                               count_class_points, plane_eliminate,
                               tangency_rank)
 from ratpoints.exact import unimodular_complete
 from ratpoints.poly import IntPoly, parse_poly
+from ratpoints.uniroots import evaluate
 
 
 def test_plane_eliminate_examples():
@@ -60,14 +62,10 @@ def test_tangency_rank_examples():
 def test_worked_conic_pipeline():
     data = plane_eliminate((1, 0, 0, 1), parse_poly("x0*x1 - x2^2"))
     par = conic_parameterize(data, 100)
-    assert (par.alpha, par.beta, par.gamma, par.delta) == (0, 1, -1, 0)
-    assert (par.a, par.e, par.f, par.d) == (-1, 0, -1, 0)
     assert par.denominator == 1
     assert len(par.classes) == 1
     cls = par.classes[0]
-    assert cls.double_r[0] == parse_poly("2*t1^2", num_vars=1)
-    assert cls.double_r[1] == parse_poly("2*t1", num_vars=1)
-    assert cls.double_r[2] == IntPoly.constant(1, 2)
+    assert cls.double_r == ((0, 0, 2), (0, 2, 0), (2, 0, 0))
     assert count_class_points(cls, 100) == 21
 
 
@@ -144,7 +142,7 @@ def test_class_invariants():
             # integer-valuedness at three consecutive arguments
             for t in (0, 1, 2):
                 for two_r in cls.double_r:
-                    assert two_r.evaluate((t,)) % 2 == 0
+                    assert evaluate(two_r, t) % 2 == 0
             # parameterized points satisfy plane and quadric exactly
             a = data.plane
             for t in (-3, 0, 5):
@@ -210,12 +208,11 @@ def test_completeness_on_random_tangent_conics():
 
 
 def test_count_class_points_examples():
-    two = lambda *coeffs: IntPoly(1, {(i,): 2 * c for i, c in enumerate(coeffs)})
-    cls = ConicClass(1, 1, 0, (two(0, 0, 1), two(0, 1), two(1)))
+    cls = ConicClass(1, 1, 0, ((0, 0, 2), (0, 2, 0), (2, 0, 0)))
     assert count_class_points(cls, 100) == 21
-    cls5 = ConicClass(1, 1, 0, (two(0, 0, 5), two(0, 1), two(1)))
+    cls5 = ConicClass(1, 1, 0, ((0, 0, 10), (0, 2, 0), (2, 0, 0)))
     assert count_class_points(cls5, 100) == 9
-    const = ConicClass(1, 1, 0, (two(4), two(2), two(1)))
+    const = ConicClass(1, 1, 0, ((8, 0, 0), (4, 0, 0), (2, 0, 0)))
     assert count_class_points(const, 100) == 1
     assert count_class_points(const, 3) == 0
 
@@ -287,9 +284,7 @@ def residue_class_result(data, B):
     out = conic_parameterize(data, B)
     if isinstance(out, EmptyParam):
         return (out.search_window,)
-    records = [(cls.lam, cls.modulus, cls.base,
-                tuple(tuple(r.terms.get((k,), 0) for k in range(3))
-                      for r in cls.double_r))
+    records = [(cls.lam, cls.modulus, cls.base, cls.double_r)
                for cls in out.classes]
     return out.base_y, out.denominator, records
 
@@ -345,10 +340,9 @@ def test_curves_and_geometry_certificates_survive_python_O():
         "import ratpoints.curves as cv, ratpoints.geometry as geo\n"
         "from ratpoints import cli\n"
         "from ratpoints.exact import CertificateError\n"
-        "from ratpoints.poly import IntPoly\n"
         "assert False, 'asserts are live'\n"
         "cv.class_points = lambda cls, B: [(1, 0, 0, 0)] * 100\n"
-        "r = IntPoly(1, {(2,): 2})\n"
+        "r = (0, 0, 2)\n"
         "cls = cv.ConicClass(1, 1, 0, (r, r, r))\n"
         "setup = geo.build_projection_setup((0, 0, 0, 1))\n"
         "setup.c = 0\n"
@@ -358,7 +352,7 @@ def test_curves_and_geometry_certificates_survive_python_O():
         "def off_plane():\n"
         "    geo.primitive_vector = lambda v: (1, 1, 1, 1)  # not on x3 = 0\n"
         "    geo.project_point(off, (1, 1, 1, 1))\n"
-        "odd = cv.ConicClass(1, 1, 0, (IntPoly(1, {(0,): 1}), r, r))\n"
+        "odd = cv.ConicClass(1, 1, 0, ((1, 0, 0), r, r))\n"
         "for check in (lambda: cv.count_class_points(cls, 1),\n"
         "              lambda: cli.main(conic),\n"
         "              lambda: geo.project_point(setup, (1, 1, 1, 1)),\n"
@@ -413,3 +407,135 @@ def test_conic_parameterize_certificates_survive_python_O():
                    "raised: unimodular substitution identity failed\n"
                    "raised: base point is not integral\n"
                    "raised: 2R not integral\n")
+
+
+CONIC_PARAM_PINS = [
+    # D = 5, two classes
+    ("1,0,0,1", "x1^2 + 4*x1*x2 + 4*x2^2 + 2*x0*x1 - x0*x2 + 5*x0^2", """\
+{
+  "classes": [
+    {
+      "base": 3,
+      "count": 6,
+      "double_r": [
+        "-20*t1^2 - 22*t1 - 10",
+        "10*t1^2 + 16*t1 + 8",
+        "2"
+      ],
+      "lambda": 1,
+      "modulus": 5
+    },
+    {
+      "base": 0,
+      "count": 7,
+      "double_r": [
+        "-20*t1^2 + 2*t1 - 4",
+        "10*t1^2 + 4*t1 + 2",
+        "2"
+      ],
+      "lambda": 5,
+      "modulus": 5
+    }
+  ],
+  "count": 13,
+  "denominator": 5,
+  "eliminated": 3,
+  "gram_det": -50,
+  "kappa_empirical": 0.3494850021680094,
+  "plane": [
+    1,
+    0,
+    0,
+    1
+  ],
+  "tangency_rank": 1,
+  "ternary": "4*x2^2 + 4*x1*x2 - x0*x2 + x1^2 + 2*x0*x1 + 5*x0^2",
+  "verdict": "parameterized"
+}
+"""),
+    # D = 2
+    ("1,0,0,1", "5*x1^2 + 10*x1*x2 + 5*x2^2 + 2*x0*x1 + 4*x0^2", """\
+{
+  "classes": [
+    {
+      "base": 0,
+      "count": 7,
+      "double_r": [
+        "-20*t1^2 - 4",
+        "20*t1^2 + 4*t1 + 4",
+        "2"
+      ],
+      "lambda": 1,
+      "modulus": 2
+    },
+    {
+      "base": 0,
+      "count": 7,
+      "double_r": [
+        "-20*t1^2 - 4",
+        "20*t1^2 + 4*t1 + 4",
+        "2"
+      ],
+      "lambda": 2,
+      "modulus": 2
+    }
+  ],
+  "count": 7,
+  "denominator": 2,
+  "eliminated": 3,
+  "gram_det": -40,
+  "kappa_empirical": 0.15051499783199057,
+  "plane": [
+    1,
+    0,
+    0,
+    1
+  ],
+  "tangency_rank": 1,
+  "ternary": "5*x2^2 + 10*x1*x2 + 5*x1^2 + 2*x0*x1 + 4*x0^2",
+  "verdict": "parameterized"
+}
+"""),
+    # empty
+    ("1,0,0,1", "x1^2 + 6*x1*x2 + 9*x2^2 + x0*x1 + x0*x2 - 7*x0^2", """\
+{
+  "classes": [],
+  "count": 0,
+  "eliminated": 3,
+  "gram_det": -8,
+  "plane": [
+    1,
+    0,
+    0,
+    1
+  ],
+  "search_window": 400,
+  "tangency_rank": 1,
+  "ternary": "9*x2^2 + 6*x1*x2 + x0*x2 + x1^2 + x0*x1 - 7*x0^2",
+  "verdict": "empty"
+}
+"""),
+    # not tangent
+    ("2,1,1,3", "x0*x1 - x2^2 + x1*x3", """\
+{
+  "eliminated": 3,
+  "gram_det": 150,
+  "plane": [
+    2,
+    1,
+    1,
+    3
+  ],
+  "tangency_rank": 2,
+  "ternary": "-3*x2^2 - x1*x2 - x1^2 + 5*x0*x1",
+  "verdict": "not tangent to the plane at infinity"
+}
+"""),
+]
+
+
+@pytest.mark.parametrize("plane, quadric, expected", CONIC_PARAM_PINS)
+def test_conic_param_output_pinned(capsys, plane, quadric, expected):
+    assert cli.main(["conic-param", "--plane", plane, "--quadric", quadric,
+                     "--bound", "100"]) == 0
+    assert capsys.readouterr().out == expected

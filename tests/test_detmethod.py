@@ -215,6 +215,24 @@ def test_extract_auxiliary_form():
         extract_auxiliary_form([], 2, FERMAT)
 
 
+def test_auxiliary_forms_are_normalized():
+    # extract_auxiliary_form returns nullspace_int's vectors unscaled, so
+    # each form must already be primitive with a positive leading term
+    _, points = count_affine_surface(FERMAT, 20)
+    rng = random.Random(31)
+    forms = 0
+    for _ in range(60):
+        members = rng.sample(points, rng.randint(2, 9))
+        for D in (1, 2, 3):
+            aux = extract_auxiliary_form(members, D, FERMAT)
+            if isinstance(aux, AuxiliaryForm):
+                G = aux.form
+                assert G.content() == 1, format_poly(G)
+                assert G.terms[G.leading_exponent()] > 0, format_poly(G)
+                forms += 1
+    assert forms >= 100, forms
+
+
 def test_theta_and_bezout():
     assert theta_exponent(2, 2) == 12
     assert theta_exponent(3, 3) == 60

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ratpoints import cli
 from ratpoints.enumeration import CountSeries
 from ratpoints.harness import ExperimentConfig, build_series, fit_exponent, run_experiment
 
@@ -174,6 +175,30 @@ def test_cli_count_input_errors_are_one_line(tmp_path, args, message):
     assert r.stdout == "" and not out.exists()
 
 
+FERMAT_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["detmethod", "--form", FERMAT_TEXT, "--bound", "10", "--epsilon",
+      "1000"], "epsilon 1000.0 makes B^(1/sqrt(d) + epsilon) overflow a float"),
+    (["detmethod", "--form", FERMAT_TEXT, "--bound", "10", "--epsilon",
+      "inf"], "epsilon must be finite, got inf"),
+    (["detmethod", "--form", FERMAT_TEXT, "--bound", "10", "--epsilon",
+      "nan"], "epsilon must be finite, got nan"),
+    (["count", "--variety", "x0*x2 - x1^2", "--bmax", "8", "--target",
+      "nan"], "target and tolerance must be finite"),
+    (["count", "--variety", "x0*x2 - x1^2", "--bmax", "8", "--target", "1",
+      "--tol", "inf"], "target and tolerance must be finite"),
+    (["conic-param", "--plane", "1,0,0,1", "--quadric", "x0*x1 - x2^2",
+      "--bound", "-3"], "--bound must be >= 0, got -3"),
+])
+def test_cli_bad_numbers_are_one_line(capsys, argv, message):
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"ratpoints: error: {message}"]
+
+
 def test_cli_parse_error_is_one_line():
     r = run_cli("count", "--variety", "x0^3+", "--bmax", "4")
     assert r.returncode == 2
@@ -253,7 +278,6 @@ def test_series_equals_per_bound_counts_from_one_pass(entry_calls, text,
 
 def test_cli_count_points_takes_one_enumeration_pass(tmp_path, entry_calls,
                                                      capsys):
-    from ratpoints import cli
     from ratpoints.enumeration import (ResidueFilter, count_affine,
                                        count_affine_surface, count_projective)
     from ratpoints.poly import parse_poly
