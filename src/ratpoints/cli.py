@@ -22,9 +22,9 @@ from .detmethod import (AuxiliaryForm, build_determinant,
                         partition_by_residue, prime_window, select_monomials)
 from .enumeration import (CountSeries, count_affine_surface,
                           enumerate_projective_variety, slice_form)
-from .exact import CertificateError
+from .exact import CertificateError, valuation
 from .geometry import (build_projection_setup, find_projection_center,
-                       project_point, sample_birationality_check)
+                       sample_birationality_check)
 from .harness import ExperimentConfig, fit_exponent, run_experiment
 from .poly import IntPoly, format_poly, parse_poly
 
@@ -225,13 +225,12 @@ def _cmd_project(args) -> int:
             _emit({"verdict": "no admissible center up to height 3"}, args.out)
             return 1
         setup, report = found
-    images = sorted({project_point(setup, p) for p in points})
     out = {
         "center": [list(setup.h)],
         "duals": [[int(i == setup.j) for i in range(len(setup.h))]],
         "c": setup.c,
         "source_points": len(points),
-        "images": [list(v) for v in images],
+        "images": [list(v) for v in report.images],
         "fiber_histogram": {str(k): v for k, v in report.fiber_histogram.items()},
         "passed": report.passed,
     }
@@ -240,12 +239,15 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_detmethod(args) -> int:
+    if args.max_aux_degree < 2:
+        raise ValueError("--max-aux-degree must be >= 2, the least degree "
+                         f"tried, got {args.max_aux_degree}")
     F = parse_poly(_read_poly_arg(args.form))
     window = prime_window(args.bound, F.degree, args.epsilon, args.min_primes)
     _, points = count_affine_surface(F, args.bound)
     records = []
     sections = {}
-    for p in window.primes[: args.min_primes]:
+    for p in window.primes:
         classes = partition_by_residue(points, p, F)
         for residue, (members, classification) in classes.items():
             rec = {
@@ -279,7 +281,7 @@ def _cmd_detmethod(args) -> int:
         "form": format_poly(F),
         "bound": args.bound,
         "window": list(window.window),
-        "primes": window.primes[: args.min_primes],
+        "primes": window.primes,
         "points": len(points),
         "classes": records,
     }
@@ -308,14 +310,14 @@ def _delta_stats(F, G, G_text, members, p, sections):
         return {"error": str(section)}
     e, sel = section
     try:
-        cert = build_determinant(members[:k], sel, p=p)
+        cert = build_determinant(members[:k], sel)
     except (ValueError, CertificateError) as err:
         return {"error": str(err)}
     return {
         "k": k,
         "curve_degree": e,
         "det_zero": cert.det == 0,
-        "vp": cert.vp,
+        "vp": valuation(cert.det, p),
         "beta_required": cert.beta_required,
     }
 

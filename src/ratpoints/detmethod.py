@@ -30,17 +30,18 @@ from .poly import (IntPoly, graded_piece_basis, monomial_rows,
 
 @dataclass
 class PrimeWindow:
-    exponent: float
-    primes: list
+    primes: list           # the first min_count primes >= low
     window: tuple          # (low, high) actually used
 
 
 def prime_window(B: int, d: int, epsilon: float, min_count: int) -> PrimeWindow:
-    """Primes p with p around B^(1/sqrt(d) + epsilon), at least min_count
-    of them: the primes in [low, C*low], with C doubled from 2 until enough
-    appear (Bertrand guarantees termination)."""
+    """The first min_count primes p >= low = B^(1/sqrt(d) + epsilon), and
+    the window [low, C*low] with C doubled from 2 until int(C*low) + 1
+    reaches the last of them."""
     if B < 2 or d < 3:
         raise ValueError("need B >= 2 and degree >= 3")
+    if min_count < 1:
+        raise ValueError(f"need at least one prime, got {min_count}")
     a = 1.0 / d**0.5 + epsilon
     if not isfinite(a):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
@@ -49,13 +50,16 @@ def prime_window(B: int, d: int, epsilon: float, min_count: int) -> PrimeWindow:
     except OverflowError:
         raise ValueError(f"epsilon {epsilon} makes B^(1/sqrt(d) + epsilon) "
                          "overflow a float") from None
+    primes = []
+    n = ceil(low)
+    while len(primes) < min_count:
+        if is_prime(n):
+            primes.append(n)
+        n += 1
     C = 2.0
-    while True:
-        high = C * low
-        primes = [p for p in range(ceil(low), int(high) + 2) if is_prime(p)]
-        if len(primes) >= min_count:
-            return PrimeWindow(exponent=a, primes=primes, window=(low, high))
+    while int(C * low) + 1 < primes[-1]:
         C *= 2.0
+    return PrimeWindow(primes=primes, window=(low, C * low))
 
 
 # ---------------------------------------------------------------------
@@ -90,11 +94,8 @@ class MonomialSelection:
     curve ideal, with small affine degree sum."""
 
     k: int
-    D: int
     monomials: list        # exponent tuples of degree D in four variables
-    affine_degrees: list   # degrees after setting the first variable to 1
-    degree_sum: int
-    stable_from: int       # first degree with Hilbert value e
+    degree_sum: int        # sum of the degrees with the first variable 1
 
 
 def select_monomials(J, e: int, k: int, max_degree: int = 400
@@ -122,7 +123,7 @@ def select_monomials(J, e: int, k: int, max_degree: int = 400
         if basis.dimension == e:
             if stable_from is None:
                 stable_from = delta
-        elif basis.dimension != e and stable_from is not None:
+        elif stable_from is not None:
             raise ValueError(
                 f"Hilbert value left {e} at degree {delta}: the ideal "
                 "does not define the expected curve section"
@@ -145,12 +146,9 @@ def select_monomials(J, e: int, k: int, max_degree: int = 400
         raise CertificateError(f"selected {len(chosen)} monomials, need {k}")
     # the basis exponents are in (X1, X2, X3); X0 lifts them to degree D
     monomials = [(D - dd,) + m for dd, m in chosen]
-    affine_degrees = [dd for dd, _ in chosen]
     _confirm_independent(J, monomials, D)
-    return MonomialSelection(
-        k=k, D=D, monomials=monomials, affine_degrees=affine_degrees,
-        degree_sum=sum(affine_degrees), stable_from=stable_from,
-    )
+    return MonomialSelection(k=k, monomials=monomials,
+                             degree_sum=sum(dd for dd, _ in chosen))
 
 
 def _confirm_independent(J, monomials, D):
@@ -170,24 +168,16 @@ def _confirm_independent(J, monomials, D):
 @dataclass
 class DetCertificate:
     points: list
-    k: int
     det: int
-    vp: int | None = None          # valuation at p; None when p not given
-    vq: int | None = None
-    p: int | None = None
-    q: int | None = None
-    beta_required: int = 0         # k(k-1)/2
-    duplicate_points: bool = False
+    beta_required: int     # k(k-1)/2 for k points
 
 
-def build_determinant(points, sel: MonomialSelection, p: int | None = None,
-                      q: int | None = None) -> DetCertificate:
+def build_determinant(points, sel: MonomialSelection) -> DetCertificate:
     """Exact determinant of affine monomial values at k points.
 
     Every point has first coordinate 1, so each selected monomial takes
-    the value of its affine (dehomogenized) monomial there.  Attaches exact
-    valuations at the supplied primes and checks the size bound
-    |det| <= k! * B^(degree sum) whenever det != 0.
+    the value of its affine (dehomogenized) monomial there.  Checks the
+    size bound |det| <= k! * B^(degree sum) whenever det != 0.
     """
     points = [tuple(pt) for pt in points]
     if len(points) != sel.k:
@@ -195,7 +185,6 @@ def build_determinant(points, sel: MonomialSelection, p: int | None = None,
     if any(pt[0] != 1 for pt in points):
         raise ValueError("points must be affine, first coordinate 1")
     matrix = monomial_rows(sel.monomials, points)
-    duplicate = len(set(points)) < len(points)
     det = det_bareiss(matrix)
     B = max((max(abs(c) for c in pt) for pt in points), default=1)
     B = max(B, 2)
@@ -205,27 +194,14 @@ def build_determinant(points, sel: MonomialSelection, p: int | None = None,
     bound *= B ** sel.degree_sum
     if det != 0 and abs(det) > bound:
         raise CertificateError("determinant exceeded its size bound")
-    cert = DetCertificate(
-        points=points, k=sel.k, det=det,
-        beta_required=sel.k * (sel.k - 1) // 2,
-        duplicate_points=duplicate,
-    )
-    if p is not None:
-        cert.p = p
-        cert.vp = valuation(det, p)
-    if q is not None:
-        cert.q = q
-        cert.vq = valuation(det, q)
-    return cert
+    return DetCertificate(points=points, det=det,
+                          beta_required=sel.k * (sel.k - 1) // 2)
 
 
 @dataclass
 class DivisibilityVerdict:
-    applicable: bool
+    applicable: bool       # omega is a nonsingular point of the reduction
     passed: bool
-    vq: int | None
-    required: int
-    reason: str = ""
 
 
 def divisibility_check(cert: DetCertificate, q: int, curve_gens, omega
@@ -234,7 +210,8 @@ def divisibility_check(cert: DetCertificate, q: int, curve_gens, omega
 
     The exponent is the nonsingular-stalk case of the local divisibility
     bound (multiplicities 0, 1, ..., k-1).  When omega is singular on the
-    reduced curve the check reports v_q without asserting a bound.
+    reduced curve the check is not applicable and passes vacuously (the
+    alpha regime).
     """
     omega = tuple(x % q for x in omega)
     if omega[0] != 1:
@@ -246,17 +223,10 @@ def divisibility_check(cert: DetCertificate, q: int, curve_gens, omega
     on_curve = all(g.evaluate_mod(omega, q) == 0 for g in gens)
     jac = [[g.partial(j).evaluate_mod(omega, q) for j in range(4)]
            for g in gens]
-    rank = _rank_mod(jac, q)
-    required = cert.k * (cert.k - 1) // 2
-    vq = valuation(cert.det, q)
-    if not on_curve or rank != 2:
-        return DivisibilityVerdict(
-            applicable=False, passed=True, vq=vq, required=required,
-            reason="not applicable; reduction is singular (alpha regime)",
-        )
-    passed = cert.det == 0 or vq >= required
-    return DivisibilityVerdict(applicable=True, passed=passed, vq=vq,
-                               required=required)
+    if not on_curve or _rank_mod(jac, q) != 2:
+        return DivisibilityVerdict(applicable=False, passed=True)
+    passed = cert.det == 0 or valuation(cert.det, q) >= cert.beta_required
+    return DivisibilityVerdict(applicable=True, passed=passed)
 
 
 def _rank_mod(rows, p: int) -> int:
@@ -290,9 +260,9 @@ class AuxiliaryForm:
     rank: int
 
 
-@dataclass
 class RankFull:
-    rank: int
+    """The value matrix has full column rank: no form of the degree tried
+    vanishes on the class."""
 
 
 def extract_auxiliary_form(points, D: int, F: IntPoly):
@@ -308,9 +278,8 @@ def extract_auxiliary_form(points, D: int, F: IntPoly):
     basis = monomials_of_degree(4, D)
     rows = monomial_rows(basis, points)
     vectors = nullspace_int(rows, len(basis))
-    rank = len(basis) - len(vectors)
     if not vectors:
-        return RankFull(rank=rank)
+        return RankFull()
     for vec in vectors:
         # vec is primitive with first nonzero entry positive and basis runs
         # grlex-descending, so G is primitive with positive leading term
@@ -320,7 +289,8 @@ def extract_auxiliary_form(points, D: int, F: IntPoly):
             # exactly when the point's row is orthogonal to vec
             if any(sum(map(mul, vec, row)) for row in rows):
                 raise CertificateError("auxiliary form misses a class point")
-            return AuxiliaryForm(form=G, degree=D, rank=rank)
+            return AuxiliaryForm(form=G, degree=D,
+                                 rank=len(basis) - len(vectors))
     raise ValueError(
         "class lies in a smaller locus than basis captures; increase D"
     )

@@ -138,13 +138,12 @@ def _coprime_by_height(g0: int, B: int):
 
 
 def _np_kth_roots(rhs, k: int, B: int):
-    """Vectorized exact k-th roots: arrays (count, root) with root valid
-    where count >= 1; for even k a positive rhs has roots +-root."""
+    """Vectorized exact k-th roots for k >= 3 (quadratics take the quadratic
+    branch): arrays (count, root) with root valid where count >= 1; for
+    even k a positive rhs has roots +-root."""
     mag = np.abs(rhs)
     magf = mag.astype(np.float64)
-    if k == 2:
-        guess = np.rint(np.sqrt(magf)).astype(np.int64)
-    elif k == 3:
+    if k == 3:
         guess = np.rint(np.cbrt(magf)).astype(np.int64)
     else:
         guess = np.rint(np.power(magf, 1.0 / k)).astype(np.int64)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -144,32 +145,17 @@ def project_point(setup: ProjectionSetup, x) -> tuple:
 class BirationalityReport:
     passed: bool
     fiber_histogram: dict
-    offending: list
-    total_points: int
+    images: list              # the distinct images, sorted
 
 
 def sample_birationality_check(setup: ProjectionSetup, points, d: int
                                ) -> BirationalityReport:
     """Group source points by projected image and check fibers stay <= d."""
-    fibers: dict = {}
-    offending = []
-    total = 0
-    for x in points:
-        total += 1
-        img = project_point(setup, x)
-        fibers.setdefault(img, []).append(tuple(x))
-    hist: dict = {}
-    for img, members in fibers.items():
-        n = len(members)
-        hist[n] = hist.get(n, 0) + 1
-        if n > d:
-            offending.append((img, members))
-    return BirationalityReport(
-        passed=not offending,
-        fiber_histogram=dict(sorted(hist.items())),
-        offending=offending,
-        total_points=total,
-    )
+    fibers = Counter(project_point(setup, x) for x in points)
+    hist = Counter(fibers.values())
+    return BirationalityReport(passed=all(n <= d for n in hist),
+                               fiber_histogram=dict(sorted(hist.items())),
+                               images=sorted(fibers))
 
 
 def find_projection_center(gens, d: int, height_cap: int, points):

@@ -91,9 +91,6 @@ class IntPoly:
             return self
         return IntPoly(self.num_vars, {e: c // g for e, c in self.terms.items()})
 
-    def leading_exponent(self):
-        return max(self.terms, key=grlex_key)
-
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other):
@@ -265,41 +262,21 @@ def gram_matrix(Q: IntPoly):
 
 
 def poly_divides(F: IntPoly, G: IntPoly) -> bool:
-    """Exact test whether F divides G over the rationals.
+    """Exact test whether the form F divides the form G over the rationals.
 
-    Single-divisor division by leading terms: the remainder vanishes if
-    and only if F | G, so this is a sound and complete divisibility test.
-    The division is integer pseudo-division: the remainder is multiplied
-    by the leading coefficient of F rather than divided, then divided by
-    its content, which scales it without changing whether F divides it.
+    F divides G exactly when G lies in the span of the degree-deg(G)
+    multiples m*F, that is when adding G to them leaves the rank of that
+    graded piece of the ideal (F) unchanged.  The multiples are independent,
+    so that rank is the number of monomials m.
     """
     if F.is_zero():
         raise ValueError("division by the zero polynomial")
     if G.is_zero():
         return True
-    lead = F.leading_exponent()
-    lead_c = F.terms[lead]
-    rem = dict(G.terms)
-    while rem:
-        e = max(rem, key=grlex_key)
-        quot = tuple(a - b for a, b in zip(e, lead))
-        if any(q < 0 for q in quot):
-            return False
-        g = gcd(lead_c, rem[e])
-        a, b = lead_c // g, rem[e] // g
-        if a != 1:
-            rem = {te: a * c for te, c in rem.items()}
-        for fe, fc in F.terms.items():
-            te = tuple(x + y for x, y in zip(fe, quot))
-            nv = rem.get(te, 0) - b * fc
-            if nv:
-                rem[te] = nv
-            else:
-                rem.pop(te, None)
-        g = gcd(*rem.values())
-        if g > 1:
-            rem = {te: c // g for te, c in rem.items()}
-    return True
+    if G.degree < F.degree:
+        return False
+    multiples = len(monomials_of_degree(F.num_vars, G.degree - F.degree))
+    return graded_piece_basis([F], [G], G.degree).ideal_rank == multiples
 
 
 # -- monomial enumeration ----------------------------------------------
@@ -362,7 +339,6 @@ def _times(a, b):
 class GradedPieceBasis:
     """Monomial basis of one graded piece of a quotient by an ideal."""
 
-    degree: int
     monomials: list        # exponent tuples, ascending grlex
     dimension: int
     ideal_rank: int
@@ -406,8 +382,8 @@ def graded_piece_basis(ideal_gens, extra_gens, delta: int,
     basis = [cols[i] for i in range(len(cols)) if i not in pivots]
     # report in ascending grlex, the order graded bases are usually listed in
     basis.sort(key=grlex_key)
-    return GradedPieceBasis(degree=delta, monomials=basis,
-                            dimension=len(basis), ideal_rank=rank)
+    return GradedPieceBasis(monomials=basis, dimension=len(basis),
+                            ideal_rank=rank)
 
 
 # -- text grammar --------------------------------------------------------

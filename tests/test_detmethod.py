@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,15 +9,16 @@ import pytest
 
 import ratpoints
 from ratpoints import cli
-from ratpoints.detmethod import (AuxiliaryForm, RankFull, bezout_bound,
-                                 build_determinant, divisibility_check,
-                                 extract_auxiliary_form, partition_by_residue,
-                                 prime_window, select_monomials,
-                                 theta_exponent)
+from ratpoints.detmethod import (AuxiliaryForm, DetCertificate, RankFull,
+                                 bezout_bound, build_determinant,
+                                 divisibility_check, extract_auxiliary_form,
+                                 partition_by_residue, prime_window,
+                                 select_monomials, theta_exponent)
 from ratpoints.enumeration import count_affine_surface
 from ratpoints.geometry import Classification
-from ratpoints.exact import CertificateError
-from ratpoints.poly import IntPoly, format_poly, parse_poly, poly_divides
+from ratpoints.exact import CertificateError, is_prime, valuation
+from ratpoints.poly import (IntPoly, format_poly, grlex_key, parse_poly,
+                            poly_divides)
 
 X = [IntPoly.variable(4, i) for i in range(4)]
 LINE = [X[2], X[3]]
@@ -28,17 +30,46 @@ FERMAT = parse_poly("x0^3 + x1^3 + x2^3 + x3^3")
 
 def test_prime_window_examples():
     w = prime_window(10**4, 4, 0.0, 3)
-    assert w.window[0] == 100.0
-    assert w.primes[0] == 101
-    assert len(w.primes) >= 3
-    assert len(set(w.primes)) == len(w.primes)
-    assert all(w.window[0] <= p <= w.window[1] for p in w.primes)
+    assert w.window == (100.0, 200.0)
+    assert w.primes == [101, 103, 107]
 
     tiny = prime_window(2, 3, 0.0, 4)
-    assert len(tiny.primes) >= 4
+    assert len(tiny.primes) == 4
 
     w9 = prime_window(512, 9, 0.0, 1)
-    assert w9.primes[0] == 11  # window starts at 512^(1/3) = 8
+    assert w9.primes == [11]  # window starts at 512^(1/3) = 8
+
+    # a window of 1.4e7 numbers: only the first three primes are tested
+    far = prime_window(100, 3, 3.0, 3)
+    assert far.primes == [14279093, 14279119, 14279123]
+
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="at least one prime"):
+            prime_window(100, 3, 0.05, count)
+
+
+def _prime_window_scan(B, d, epsilon, min_count):
+    """The primes of [low, C*low], C doubled from 2 until min_count of
+    them appear: a scan of the whole window."""
+    low = max(float(B) ** (1.0 / d**0.5 + epsilon), 2.0)
+    C = 2.0
+    while True:
+        primes = [p for p in range(math.ceil(low), int(C * low) + 2)
+                  if is_prime(p)]
+        if len(primes) >= min_count:
+            return primes, (low, C * low)
+        C *= 2.0
+
+
+def test_prime_window_matches_window_scan():
+    rng = random.Random(12)
+    for _ in range(150):
+        args = (rng.randint(2, 2000), rng.randint(3, 6),
+                rng.choice((0.0, 0.05, 0.2, rng.random() / 2)),
+                rng.randint(1, 9))
+        w = prime_window(*args)
+        primes, window = _prime_window_scan(*args)
+        assert (w.primes, w.window) == (primes[:args[3]], window), args
 
 
 def test_partition_by_residue():
@@ -67,8 +98,7 @@ def test_partition_carries_classification():
 
 def test_select_monomials_line():
     sel = select_monomials(LINE, 1, 5)
-    assert sel.D == 4
-    assert sel.affine_degrees == [0, 1, 2, 3, 4]
+    assert [sum(m[1:]) for m in sel.monomials] == [0, 1, 2, 3, 4]
     assert sel.degree_sum == 10  # k(k-1)/2 for the line
     # x0^4, x0^3*x1, x0^2*x1^2, x0*x1^3, x1^4
     assert sel.monomials == [(4, 0, 0, 0), (3, 1, 0, 0), (2, 2, 0, 0),
@@ -87,20 +117,21 @@ def test_confirm_independent_rejects_dependent_monomials():
 
 
 def test_select_monomials_conic():
+    # the Hilbert value of the conic's section is 2 from degree 1 on
     sel = select_monomials(CONIC, 2, 4)
-    assert sel.stable_from == 1
-    assert sel.affine_degrees == [1, 1, 2, 2]
+    assert [sum(m[1:]) for m in sel.monomials] == [1, 1, 2, 2]
+    assert {sum(m) for m in sel.monomials} == {2}
     assert sel.degree_sum == 6
     sel1 = select_monomials(CONIC, 2, 1)
     assert len(sel1.monomials) == 1
-    assert sel1.degree_sum == sel1.stable_from
+    assert sel1.degree_sum == 1
 
 
 def test_select_monomials_surplus_drop():
     # k = 5 with e = 3: the top degree contributes only two monomials
     sel = select_monomials(TWISTED, 3, 5)
-    assert sel.affine_degrees == [1, 1, 1, 2, 2]
-    assert sel.D == 2
+    assert [sum(m[1:]) for m in sel.monomials] == [1, 1, 1, 2, 2]
+    assert {sum(m) for m in sel.monomials} == {2}
     again = select_monomials(TWISTED, 3, 5)
     assert again.monomials == sel.monomials  # deterministic choice
 
@@ -126,7 +157,7 @@ def test_build_determinant_examples():
 
     sel2 = select_monomials(LINE, 1, 2)
     dup = build_determinant([(1, 3, 0, 0), (1, 3, 0, 0)], sel2)
-    assert dup.det == 0 and dup.duplicate_points
+    assert dup.det == 0  # two equal rows
 
     sel3 = select_monomials(LINE, 1, 3)
     pts = [(1, 1, 0, 0), (1, 2, 0, 0), (1, 4, 0, 0)]
@@ -144,22 +175,27 @@ def test_build_determinant_examples():
 def test_divisibility_examples():
     sel3 = select_monomials(LINE, 1, 3)
     pts = [(1, 2, 0, 0), (1, 7, 0, 0), (1, 12, 0, 0)]
-    cert = build_determinant(pts, sel3, q=5)
+    cert = build_determinant(pts, sel3)
     verdict = divisibility_check(cert, 5, LINE, (1, 2, 0, 0))
     assert verdict.applicable and verdict.passed
-    assert verdict.vq >= 3
+    assert cert.beta_required == 3 and valuation(cert.det, 5) >= 3
 
     sel1 = select_monomials(LINE, 1, 1)
     k1 = build_determinant([(1, 2, 0, 0)], sel1)
     v1 = divisibility_check(k1, 5, LINE, (1, 2, 0, 0))
-    assert v1.passed and v1.required == 0
+    assert v1.passed and k1.beta_required == 0
 
     sel4 = select_monomials(CONIC, 2, 4)
     cpts = [(1, t, t * t, 0) for t in (1, 8, 15, 22)]
-    cert7 = build_determinant(cpts, sel4, q=7)
+    cert7 = build_determinant(cpts, sel4)
     v7 = divisibility_check(cert7, 7, CONIC, (1, 1, 1, 0))
     assert v7.applicable and v7.passed
-    assert cert7.det == 0 or v7.vq >= 6
+    assert cert7.beta_required == 6
+    assert cert7.det == 0 or valuation(cert7.det, 7) >= 6
+
+    # a nonzero determinant below the required power of q fails the check
+    short = DetCertificate(points=pts, det=5**2 * 7, beta_required=3)
+    assert not divisibility_check(short, 5, LINE, (1, 2, 0, 0)).passed
 
     with pytest.raises(ValueError):
         divisibility_check(cert7, 5, CONIC, (1, 1, 1, 0))
@@ -171,10 +207,9 @@ def test_divisibility_alpha_regime_reported():
     # the affine curve x1^2 = x2^3 - x2^2-ish has a singular point at origin
     pts = [(1, 0, 0, 0), (1, 5, 0, 0)]
     sel = select_monomials(LINE, 1, 2)
-    cert = build_determinant(pts, sel, q=5)
+    cert = build_determinant(pts, sel)
     verdict = divisibility_check(cert, 5, nodal, (1, 0, 0, 0))
-    assert not verdict.applicable
-    assert "alpha" in verdict.reason
+    assert not verdict.applicable and verdict.passed
 
 
 def test_beta_divisibility_acceptance_style():
@@ -189,7 +224,7 @@ def test_beta_divisibility_acceptance_style():
                 ts = [t0 + q * j for j in range(k)]
                 pts = [param(t) for t in ts]
                 sel = select_monomials(gens, e, k)
-                cert = build_determinant(pts, sel, q=q)
+                cert = build_determinant(pts, sel)
                 verdict = divisibility_check(cert, q, gens, pts[0])
                 assert verdict.applicable, (e, q, k)
                 assert verdict.passed, (e, q, k, cert.det, verdict)
@@ -228,7 +263,8 @@ def test_auxiliary_forms_are_normalized():
             if isinstance(aux, AuxiliaryForm):
                 G = aux.form
                 assert G.content() == 1, format_poly(G)
-                assert G.terms[G.leading_exponent()] > 0, format_poly(G)
+                assert G.terms[max(G.terms, key=grlex_key)] > 0, \
+                    format_poly(G)
                 forms += 1
     assert forms >= 100, forms
 
@@ -299,9 +335,10 @@ def _delta_stats_referee(F, G, members, p):
         e, _ = cli.curve_section_degree(gens)
         k = min(len(members), 4)
         sel = cli.select_monomials(gens, e, k)
-        cert = build_determinant(members[:k], sel, p=p)
+        cert = build_determinant(members[:k], sel)
         return {"k": k, "curve_degree": e, "det_zero": cert.det == 0,
-                "vp": cert.vp, "beta_required": cert.beta_required}
+                "vp": valuation(cert.det, p),
+                "beta_required": cert.beta_required}
     except (ValueError, CertificateError) as err:
         return {"error": str(err)}
 

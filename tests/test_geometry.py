@@ -112,13 +112,15 @@ def test_collapsing_projection_flagged():
     report = sample_birationality_check(setup, conic_pts, 1)
     assert not report.passed
     assert 2 in report.fiber_histogram
-    assert report.offending
+    assert report.images == sorted({project_point(setup, x)
+                                    for x in conic_pts})
+    assert len(report.images) < len(conic_pts)
 
 
 def test_vacuous_birationality():
     setup = build_projection_setup((0, 0, 0, 1))
     report = sample_birationality_check(setup, [], 3)
-    assert report.passed and report.total_points == 0
+    assert report.passed and report.images == []
 
 
 def test_classify_point_cached_derivatives_match_uncached(monkeypatch):

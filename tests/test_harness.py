@@ -191,6 +191,11 @@ FERMAT_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
       "--tol", "inf"], "target and tolerance must be finite"),
     (["conic-param", "--plane", "1,0,0,1", "--quadric", "x0*x1 - x2^2",
       "--bound", "-3"], "--bound must be >= 0, got -3"),
+    (["detmethod", "--form", FERMAT_TEXT, "--bound", "10", "--min-primes",
+      "0"], "need at least one prime, got 0"),
+    (["detmethod", "--form", FERMAT_TEXT, "--bound", "10",
+      "--max-aux-degree", "1"],
+     "--max-aux-degree must be >= 2, the least degree tried, got 1"),
 ])
 def test_cli_bad_numbers_are_one_line(capsys, argv, message):
     assert cli.main(argv) == 2

@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
+import sympy
 
 from ratpoints.poly import (IntPoly, PolyParseError, dehomogenize,
-                            format_poly, graded_piece_basis, monomial_rows,
-                            monomials_of_degree, parse_poly, poly_divides)
+                            format_poly, graded_piece_basis, grlex_key,
+                            monomial_rows, monomials_of_degree, parse_poly,
+                            poly_divides)
 
 
 def test_parse_format_roundtrip():
@@ -168,6 +170,65 @@ def test_poly_divides():
     quad = parse_poly("6*x1^2 + x0*x1 - 2*x0^2")
     assert poly_divides(quad, quad * parse_poly("5*x1 - 7*x0"))
     assert not poly_divides(parse_poly("3*x1 + x0"), parse_poly("x1^2 + x0^2"))
+    # a lower degree never divides; a nonzero constant always does
+    assert not poly_divides(cub, parse_poly("x0^2", num_vars=4))
+    assert poly_divides(IntPoly.constant(2, -3), F)
+    with pytest.raises(ValueError):
+        poly_divides(IntPoly.zero(2), F)
+
+
+def _random_form(rng, nv, degree):
+    """A nonzero form with a few terms and coefficients in [-9, 9]."""
+    mons = monomials_of_degree(nv, degree)
+    while True:
+        f = IntPoly(nv, {rng.choice(mons): rng.randint(-9, 9)
+                         for _ in range(rng.randint(1, 4))})
+        if not f.is_zero():
+            return f
+
+
+def _sympy_divides(F, G):
+    """F | G over Q, from the remainder of sympy's division."""
+    xs = sympy.symbols(f"x0:{F.num_vars}")
+
+    def expr(f):
+        return sum(c * sympy.prod(x**k for x, k in zip(xs, e))
+                   for e, c in f.terms.items())
+
+    _, rem = sympy.div(expr(G), expr(F), *xs, domain="QQ")
+    return rem == 0
+
+
+def test_poly_divides_against_sympy():
+    rng = random.Random(18)
+    verdicts = []
+    for _ in range(300):
+        nv = rng.randint(2, 4)
+        F = _random_form(rng, nv, rng.randint(0, 3))
+        kind = rng.choice(("product", "perturbed", "random", "lower", "zero"))
+        if kind == "zero":
+            G = IntPoly.zero(nv)
+        elif kind == "lower":
+            if F.degree == 0:
+                continue
+            G = _random_form(rng, nv, rng.randint(0, F.degree - 1))
+        elif kind == "random":
+            G = _random_form(rng, nv, F.degree + rng.randint(0, 2))
+        else:
+            # a product F*H, scaled, and perhaps moved off the ideal by a
+            # small term of the same degree
+            G = F * _random_form(rng, nv, rng.randint(0, 2)) \
+                * rng.choice((1, -2, 3))
+            if kind == "perturbed":
+                G = G + _random_form(rng, nv, G.degree)
+        got = poly_divides(F, G)
+        assert got == _sympy_divides(F, G), (format_poly(F), format_poly(G))
+        verdicts.append((kind, got))
+    # every case occurs, and both verdicts come up on the products
+    assert {kind for kind, _ in verdicts} == {
+        "product", "perturbed", "random", "lower", "zero"}
+    assert {got for kind, got in verdicts if kind == "perturbed"} == {
+        True, False}
 
 
 def test_monomial_order_matches_convention():
@@ -178,7 +239,7 @@ def test_monomial_order_matches_convention():
     assert monomials_of_degree(2, 2) is descending
     assert monomials_of_degree(3, -1) == ()
     f = parse_poly("x0^2 + x1^2 + x0*x1")
-    assert f.leading_exponent() == (0, 2)
+    assert max(f.terms, key=grlex_key) == (0, 2)
 
 
 def test_hasse_second():
