@@ -212,6 +212,9 @@ def _cmd_project(args) -> int:
         if len(center) != gens[0].num_vars:
             raise ValueError(f"--center needs {gens[0].num_vars} coordinates, "
                              f"got {len(center)}")
+        if not any(center):
+            raise ValueError("--center is the zero vector, which is no "
+                             "projective point")
         if all(g.evaluate(center) == 0 for g in gens):
             raise ValueError("--center lies on the variety: every generator "
                              "vanishes at it")

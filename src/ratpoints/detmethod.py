@@ -220,8 +220,8 @@ def divisibility_check(cert: DetCertificate, q: int, curve_gens, omega
         if any((a - b) % q for a, b in zip(pt, omega)):
             raise ValueError("certificate points do not reduce to omega")
     gens = list(curve_gens)
-    on_curve = all(g.evaluate_mod(omega, q) == 0 for g in gens)
-    jac = [[g.partial(j).evaluate_mod(omega, q) for j in range(4)]
+    on_curve = all(g.evaluate(omega) % q == 0 for g in gens)
+    jac = [[g.partial(j).evaluate(omega) % q for j in range(4)]
            for g in gens]
     if not on_curve or _rank_mod(jac, q) != 2:
         return DivisibilityVerdict(applicable=False, passed=True)

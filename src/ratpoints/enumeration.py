@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -138,9 +138,10 @@ def _coprime_by_height(g0: int, B: int):
 
 
 def _np_kth_roots(rhs, k: int, B: int):
-    """Vectorized exact k-th roots for k >= 3 (quadratics take the quadratic
-    branch): arrays (count, root) with root valid where count >= 1; for
-    even k a positive rhs has roots +-root."""
+    """Vectorized exact k-th roots of an int64 array or numpy scalar, for
+    k >= 2: arrays (count, root) with root valid where count >= 1; for even
+    k a positive rhs has roots +-root.  Roots above B are not found, so B
+    must keep (B + 1)**k within int64."""
     mag = np.abs(rhs)
     magf = mag.astype(np.float64)
     if k == 3:
@@ -148,7 +149,7 @@ def _np_kth_roots(rhs, k: int, B: int):
     else:
         guess = np.rint(np.power(magf, 1.0 / k)).astype(np.int64)
     # candidates stay <= B+1 so cand**k cannot overflow the checked bound
-    np.clip(guess, 0, B, out=guess)
+    guess = np.clip(guess, 0, B)
     best = np.zeros_like(rhs)
     found = np.zeros(rhs.shape, dtype=bool)
     for adj in (-1, 0, 1):
@@ -593,25 +594,16 @@ def _solve_tiles(coeffs, B, first, hits):
                     hits.add_solved(prefix, *_coords(axes, cells),
                                     _pick(q, cells, shape))
                 elif k == 2:
-                    # quadratic formula with exact square detection
+                    # quadratic formula; the discriminant's exact square
+                    # root counts 1 at a double root and 2 at two roots
                     b = arrays[1]
-                    disc = b * b + 4 * ck * rhs
-                    nonneg = _and(at, disc >= 0)
-                    s = np.sqrt(np.where(nonneg, disc, 0).astype(np.float64))
-                    s = np.rint(s).astype(np.int64)
-                    root = np.zeros(shape, dtype=np.int64)
-                    is_sq = np.zeros(shape, dtype=bool)
-                    for adj in (-1, 0, 1):
-                        cand = np.maximum(s + adj, 0)
-                        ok = nonneg & (cand * cand == disc)
-                        root = np.where(ok & ~is_sq, cand, root)
-                        is_sq |= ok
-                    for sign in (1, -1):
+                    cnt, root = _np_kth_roots(b * b + 4 * ck * rhs, 2,
+                                              isqrt(INT64_LIMIT))
+                    for sign, square in ((1, cnt >= 1), (-1, cnt == 2)):
                         num = -b + sign * root
                         q = num // (2 * ck)
-                        good = is_sq & (q * 2 * ck == num) & (np.abs(q) <= B)
-                        if sign == -1:
-                            good &= root != 0  # avoid double counting double roots
+                        good = _and(at, square & (q * 2 * ck == num)
+                                    & (np.abs(q) <= B))
                         cells = _cells(axes, good)
                         hits.add_solved(prefix, *_coords(axes, cells),
                                         _pick(q, cells, shape))
@@ -678,6 +670,8 @@ def count_affine(f: IntPoly, B: int, collect: bool = False,
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
+    if f.num_vars == 0:
+        raise ValueError("a polynomial in no variables has no zeros to count")
     if B < 0:
         raise ValueError("B must be >= 0")
     hits = _solve_zeros(f, B, projective=False, collect=collect)
@@ -695,6 +689,8 @@ def count_projective(F: IntPoly, B: int, collect: bool = False,
     """
     if F.is_zero():
         raise ValueError("zero form")
+    if F.num_vars == 0:
+        raise ValueError("a form in no variables has no zeros to count")
     if not F.is_homogeneous():
         raise ValueError("form must be homogeneous")
     if B < 1:
@@ -706,6 +702,9 @@ def count_projective(F: IntPoly, B: int, collect: bool = False,
 
 def slice_form(F: IntPoly, b: int) -> IntPoly:
     """Substitute b for the first variable: the slice F(b, T1, ..., Tn)."""
+    if F.num_vars == 0:
+        raise ValueError("a form in no variables has no first variable "
+                         "to slice")
     return F.substitute_value(0, b)
 
 

@@ -1,6 +1,6 @@
-"""Exact integer kernels: primitive vectors, unimodular completion,
-primality and valuations, and the CertificateError that every
-certificate in the package raises.
+"""Exact integer kernels: primitive vectors, content division of integer
+lists, unimodular completion, primality and valuations, and the
+CertificateError that every certificate in the package raises.
 
 Everything here is arbitrary-precision Python int; nothing ever rounds.
 
@@ -31,6 +31,13 @@ def primitive_vector(v) -> tuple[int, ...]:
     if next(c for c in v if c) < 0:
         g = -g
     return v if g == 1 else tuple(c // g for c in v)
+
+
+def divide_content(row):
+    """An integer list divided by the gcd of its entries, signs kept; the
+    list itself when that gcd is 0 or 1."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def unimodular_complete(a: int, b: int) -> tuple[int, int]:

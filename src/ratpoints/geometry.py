@@ -20,7 +20,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
 
 from .exact import CertificateError, primitive_vector
 from .poly import IntPoly
@@ -54,7 +53,7 @@ def classify_point(F: IntPoly, x, p: int | None = None) -> Classification:
         raise ValueError("classification lives on surfaces in P^3")
 
     def ev(poly):
-        return poly.evaluate_mod(xs, p) if p else poly.evaluate(xs)
+        return poly.evaluate(xs) % p if p else poly.evaluate(xs)
 
     if ev(F) != 0:
         raise ValueError("point not on surface")
@@ -90,16 +89,11 @@ def classify_point(F: IntPoly, x, p: int | None = None) -> Classification:
 
 
 def scan_projective_points(num_vars: int, height: int):
-    """Canonical primitive tuples of exact height ``height``, lex order."""
+    """Canonical primitive tuples of exact height ``height`` >= 1, lex
+    order."""
     for t in itertools.product(range(-height, height + 1), repeat=num_vars):
-        if max(abs(v) for v in t) != height:
-            continue
-        if gcd(*t) != 1:
-            continue
-        first = next(v for v in t if v != 0)
-        if first < 0:
-            continue
-        yield t
+        if max(abs(v) for v in t) == height and primitive_vector(t) == t:
+            yield t
 
 
 # ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ from bisect import bisect
 from math import gcd, lcm
 from operator import index, mul
 
-from .exact import primitive_vector
+from .exact import divide_content, primitive_vector
 
 
 def det_bareiss(m) -> int:
@@ -76,7 +76,7 @@ def rref_dense(rows):
         if c is None:
             null = _null_basis(pivots, red, len(row))
             continue
-        row = _primitive(row)
+        row = divide_content(row)
         if row[c] < 0:
             row = [-x for x in row]
         red = [_clear(prow, row, c) if prow[c] else prow for prow in red]
@@ -94,13 +94,7 @@ def _clear(row, prow, c):
     a positive multiple of row minus a multiple of prow."""
     g = gcd(prow[c], row[c])
     a, b = prow[c] // g, row[c] // g
-    return _primitive([a * x - b * y for x, y in zip(row, prow)])
-
-
-def _primitive(row):
-    """Row divided by the gcd of its entries (a positive divisor)."""
-    g = gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
+    return divide_content([a * x - b * y for x, y in zip(row, prow)])
 
 
 def _null_basis(pivots, red, ncols):

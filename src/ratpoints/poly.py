@@ -159,17 +159,6 @@ class IntPoly:
             total += v
         return total
 
-    def evaluate_mod(self, point, p: int) -> int:
-        """Value at an integer point of the reduction mod p, in [0, p)."""
-        total = 0
-        for e, c in self.terms.items():
-            v = c % p
-            for x, q in zip(point, e):
-                if q:
-                    v = v * pow(x % p, q, p) % p
-            total += v
-        return total % p
-
     def substitute_value(self, index: int, value: int) -> "IntPoly":
         """Set variable ``index`` to an integer and drop its slot."""
         out = {}
@@ -189,27 +178,15 @@ class IntPoly:
 
     def hasse_second(self, i: int, j: int) -> "IntPoly":
         """Second-order divided derivative: the coefficient of y_i*y_j
-        (i != j) or y_i^2 (i == j) in the degree-2 Taylor term.
+        (i != j) or y_i^2 (i == j) in the degree-2 Taylor term, that is
+        d_i d_j F, halved exactly when i == j.
 
         Integer-valued in every characteristic, unlike Hessian entries.
         """
-        out = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            if i == j:
-                if e[i] >= 2:
-                    mult = e[i] * (e[i] - 1) // 2
-                    ne[i] -= 2
-                    key = tuple(ne)
-                    out[key] = out.get(key, 0) + c * mult
-            else:
-                if e[i] >= 1 and e[j] >= 1:
-                    mult = e[i] * e[j]
-                    ne[i] -= 1
-                    ne[j] -= 1
-                    key = tuple(ne)
-                    out[key] = out.get(key, 0) + c * mult
-        return IntPoly(self.num_vars, out)
+        d = self.partial(i).partial(j)
+        if i != j:
+            return d
+        return IntPoly(self.num_vars, {e: c // 2 for e, c in d.terms.items()})
 
     def __repr__(self):
         return f"IntPoly({self.num_vars}, {self.to_text()!r})"

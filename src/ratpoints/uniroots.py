@@ -13,9 +13,9 @@ integer comparison.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
-from .exact import CertificateError
+from .exact import CertificateError, divide_content
 
 
 def trim(coeffs):
@@ -42,20 +42,11 @@ def derivative(coeffs):
     return [i * a for i, a in enumerate(coeffs)][1:]
 
 
-def _primitive(coeffs):
-    """Divide by the content; sign of the leading coefficient is kept."""
-    c = trim(coeffs)
-    if not c:
-        return []
-    g = gcd(*c)
-    return [x // g for x in c]
-
-
 def int_gcd_poly(a, b):
     """Primitive gcd of two integer polynomials by a primitive PRS."""
-    a, b = _primitive(a), _primitive(b)
+    a, b = divide_content(trim(a)), divide_content(trim(b))
     while b:
-        a, b = b, _primitive(_pseudo_rem_positive(a, b))
+        a, b = b, _pseudo_rem_positive(a, b)
     if a and a[-1] < 0:
         a = [-x for x in a]
     return a
@@ -81,19 +72,20 @@ def divexact_poly(a, b):
 
 def squarefree_part(coeffs):
     """coeffs / gcd(coeffs, coeffs'), primitive integer coefficients."""
-    c = _primitive(coeffs)
+    c = divide_content(trim(coeffs))
     if len(c) <= 1:
         return c
     g = int_gcd_poly(c, derivative(c))
     if len(g) <= 1:
         return c
-    return _primitive(divexact_poly(c, g))
+    return divide_content(divexact_poly(c, g))
 
 
 def _pseudo_rem_positive(a, b):
-    """A positive multiple of rem(a, b): each reduction step scales by the
-    square of b's leading coefficient and then divides out the (positive)
-    content, so no sign flips accumulate and no coefficients explode."""
+    """A positive multiple of rem(a, b), primitive when a is: each
+    reduction step scales by the square of b's leading coefficient and then
+    divides out the (positive) content, so no sign flips accumulate and no
+    coefficients explode."""
     a = trim(a)
     b = trim(b)
     db = len(b) - 1
@@ -105,26 +97,22 @@ def _pseudo_rem_positive(a, b):
         a = [lb2 * x for x in a]
         for i, bc in enumerate(b):
             a[i + shift] -= lb * la * bc
-        a = trim(a)
-        if a:
-            g = gcd(*a)
-            if g > 1:
-                a = [x // g for x in a]
+        a = divide_content(trim(a))
     return a
 
 
 def sturm_chain(coeffs):
     """Sturm chain with every member primitive integer (positive scaling
     of the classical chain, which leaves sign variations unchanged)."""
-    chain = [_primitive(coeffs)]
-    d = _primitive(derivative(chain[0]))
+    chain = [divide_content(trim(coeffs))]
+    d = divide_content(derivative(chain[0]))
     if d:
         chain.append(d)
         while True:
             r = _pseudo_rem_positive(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(_primitive([-x for x in r]))
+            chain.append([-x for x in r])
     return chain
 
 

@@ -1,6 +1,7 @@
 """Cross-checks that force each enumeration tier onto the same inputs."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -235,6 +236,35 @@ def test_even_pure_power_roots():
     F = parse_poly("x0^4 + x1^4 + x2^4 - x3^4")
     for B in (1, 2, 3):
         assert count_projective(F, B) == brute_projective(F, B)
+
+
+def test_square_roots_match_isqrt_at_their_boundaries():
+    # the quadratic branch's exact root: count 2 at a positive square, 1 at
+    # zero and 0 elsewhere, up to its bound isqrt(INT64_LIMIT), both on
+    # numpy scalars (coefficients constant on a tile) and on 2-D tiles
+    bound = math.isqrt(en.INT64_LIMIT)
+    rng = random.Random(21)
+    roots = [0, 1, 2, 3, 46340, 46341, 2**26 + 1, 2**31 - 2, 2**31 - 1]
+    roots += [rng.randrange(2**31) for _ in range(40)]
+    triples = [(s * s - 1, s * s, s * s + 1) for s in roots]
+    triples += [(-s * s, -s * s - 1, -(2**62) + s) for s in roots]
+    values = [v for t in triples for v in t]
+
+    def expect(v):
+        if v < 0 or math.isqrt(v) ** 2 != v:
+            return 0, 0
+        return (2 if v else 1), math.isqrt(v)
+
+    for v in values:
+        for value in (np.int64(v), np.array(v, dtype=np.int64)):
+            cnt, root = en._np_kth_roots(value, 2, bound)
+            assert np.ndim(cnt) == np.ndim(root) == 0
+            assert (int(cnt), int(root)) == expect(v), v
+    tile = np.array(triples, dtype=np.int64).T
+    cnt, root = en._np_kth_roots(tile, 2, bound)
+    assert cnt.shape == root.shape == tile.shape
+    got = list(zip(cnt.T.ravel().tolist(), root.T.ravel().tolist()))
+    assert got == [expect(v) for v in values]
 
 
 def test_degenerate_top_coefficient_rows():

@@ -196,6 +196,14 @@ FERMAT_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
     (["detmethod", "--form", FERMAT_TEXT, "--bound", "10",
       "--max-aux-degree", "1"],
      "--max-aux-degree must be >= 2, the least degree tried, got 1"),
+    (["count", "--variety", "1", "--bmax", "4"],
+     "a form in no variables has no zeros to count"),
+    (["count", "--variety", "1", "--bmax", "4", "--function", "M"],
+     "a polynomial in no variables has no zeros to count"),
+    (["slice", "--form", "5", "--b", "2"],
+     "a form in no variables has no first variable to slice"),
+    (["project", "--gens", "x0*x2 - x1^2", "--center", "0,0,0,0"],
+     "--center is the zero vector, which is no projective point"),
 ])
 def test_cli_bad_numbers_are_one_line(capsys, argv, message):
     assert cli.main(argv) == 2

@@ -69,13 +69,12 @@ def test_primitive_part():
 
 
 def test_reduce_mod_p():
-    # evaluate_mod reads off the coefficientwise reduction mod p
+    # evaluate(x) % p reads off the coefficientwise reduction mod p
     grid = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
     for a, b in grid:
-        assert parse_poly("7*x0 + x1").evaluate_mod((a, b), 7) == b % 7
+        assert parse_poly("7*x0 + x1").evaluate((a, b)) % 7 == b % 7
         f = parse_poly("x0^3 - 10*x1^3")
-        assert f.evaluate_mod((a, b), 3) == (a**3 + 2 * b**3) % 3
-        assert f.evaluate_mod((a, b), 3) == f.evaluate((a, b)) % 3
+        assert f.evaluate((a, b)) % 3 == (a**3 + 2 * b**3) % 3
 
 
 def test_reduce_is_ring_homomorphism():
@@ -89,9 +88,9 @@ def test_reduce_is_ring_homomorphism():
                     for _ in range(rng.randint(1, 4))})
             f, g = rand(), rand()
             x = (rng.randint(-20, 20), rng.randint(-20, 20))
-            fx, gx = f.evaluate_mod(x, p), g.evaluate_mod(x, p)
-            assert (f + g).evaluate_mod(x, p) == (fx + gx) % p
-            assert (f * g).evaluate_mod(x, p) == fx * gx % p
+            fx, gx = f.evaluate(x) % p, g.evaluate(x) % p
+            assert (f + g).evaluate(x) % p == (fx + gx) % p
+            assert (f * g).evaluate(x) % p == fx * gx % p
 
 
 def test_fp_degree_drop():
@@ -100,7 +99,7 @@ def test_fp_degree_drop():
     assert f.degree == 3
     for a in range(7):
         for b in range(7):
-            assert f.evaluate_mod((a, b), 7) == b
+            assert f.evaluate((a, b)) % 7 == b
 
 
 def test_graded_piece_examples():
@@ -187,15 +186,16 @@ def _random_form(rng, nv, degree):
             return f
 
 
+def _sympy_expr(f, xs):
+    return sum(c * sympy.prod(x**k for x, k in zip(xs, e))
+               for e, c in f.terms.items())
+
+
 def _sympy_divides(F, G):
     """F | G over Q, from the remainder of sympy's division."""
     xs = sympy.symbols(f"x0:{F.num_vars}")
-
-    def expr(f):
-        return sum(c * sympy.prod(x**k for x, k in zip(xs, e))
-                   for e, c in f.terms.items())
-
-    _, rem = sympy.div(expr(G), expr(F), *xs, domain="QQ")
+    _, rem = sympy.div(_sympy_expr(G, xs), _sympy_expr(F, xs), *xs,
+                       domain="QQ")
     return rem == 0
 
 
@@ -247,3 +247,15 @@ def test_hasse_second():
     assert f.hasse_second(0, 0) == parse_poly("3*x0", num_vars=2)
     assert f.hasse_second(1, 1) == parse_poly("x0", num_vars=2)
     assert f.hasse_second(0, 1) == parse_poly("2*x1", num_vars=2)
+    # against sympy's second derivative, halved on the diagonal
+    rng = random.Random(19)
+    for _ in range(40):
+        nv = rng.randint(2, 4)
+        F = _random_form(rng, nv, rng.randint(0, 4))
+        xs = sympy.symbols(f"x0:{nv}")
+        for i in range(nv):
+            for j in range(nv):
+                d2 = sympy.diff(_sympy_expr(F, xs), xs[i], xs[j])
+                want = d2 / 2 if i == j else d2
+                got = _sympy_expr(F.hasse_second(i, j), xs)
+                assert sympy.expand(got - want) == 0, (F, i, j)
