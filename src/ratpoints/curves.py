@@ -11,7 +11,8 @@ is tested against brute-force enumeration.
 The base solution is the smallest |Y| <= (|alpha| + |beta|)*B, found in
 integers: the coordinates are N_i(Y)/L, integral only on the residues r mod
 L with every N_i(r) = 0 (mod L), and |N_i(Y)| <= L*B is solved exactly by
-isqrt as at most two intervals.  Certificates raise CertificateError.
+`uniroots.abs_le_intervals` as at most two intervals, as is each class's
+|R_i(t)| <= B.  Certificates raise CertificateError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import gcd, isqrt, log
 from .exact import CertificateError, primitive_vector, unimodular_complete
 from .linalg import det_bareiss
 from .poly import IntPoly, gram_matrix, pad_vars, substitute_linear
-from .uniroots import evaluate
+from .uniroots import abs_le_intervals, evaluate
 
 
 # ---------------------------------------------------------------------
@@ -287,41 +288,18 @@ def _base_point(nums, L, B, window):
 def _abs_le_pieces(polys, K, pieces=None):
     """The integers y of pieces (sorted disjoint intervals, None for all of
     Z) with |p(y)| <= K for every quadratic p = (c0, c1, c2), low degree
-    first, as sorted disjoint intervals, some possibly empty; None when no
-    p bounds y and pieces is None."""
+    first, as sorted disjoint intervals; None when no p bounds y and pieces
+    is None."""
     for p in polys:
-        if p[2] < 0 or (p[2] == 0 and p[1] < 0):
-            p = tuple(-c for c in p)
-        c0, c1, c2 = p
-        if c2 == 0 and c1 == 0:
-            if abs(c0) <= K:
+        if not any(p[1:]):
+            if abs(p[0]) <= K:
                 continue
             return []
-        if c2 == 0:
-            new = [(-((K + c0) // c1), (K - c0) // c1)]
-        else:
-            below = _le_interval(p, K)
-            hole = _le_interval(p, -K - 1)  # p(y) < -K, inside below
-            new = ([] if below is None else [below] if hole is None else
-                   [(below[0], hole[0] - 1), (hole[1] + 1, below[1])])
+        new = abs_le_intervals(p, K)
         pieces = new if pieces is None else [
             (max(lo, lo2), min(hi, hi2)) for lo, hi in pieces
             for lo2, hi2 in new if max(lo, lo2) <= min(hi, hi2)]
     return pieces
-
-
-def _le_interval(p, K):
-    """The integer interval {y : p(y) <= K} for p with a positive quadratic
-    coefficient, or None when it is empty."""
-    c0, c1, c2 = p
-    disc = c1 * c1 - 4 * c2 * (c0 - K)
-    if disc < 0:
-        return None
-    # for integer y: p(y) <= K iff (2*c2*y + c1)^2 <= disc iff
-    # |2*c2*y + c1| <= isqrt(disc)
-    s = isqrt(disc)
-    lo, hi = -((c1 + s) // (2 * c2)), (s - c1) // (2 * c2)
-    return (lo, hi) if lo <= hi else None
 
 
 def _divisors(n: int):

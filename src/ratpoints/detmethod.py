@@ -118,7 +118,7 @@ def select_monomials(J, e: int, k: int, max_degree: int = 400
     stable_from = None
     delta = 0
     while True:
-        basis = graded_piece_basis(J0, [], delta, num_vars=3)
+        basis = graded_piece_basis(J0, delta, num_vars=3)
         per_degree[delta] = basis.monomials
         if basis.dimension == e:
             if stable_from is None:
@@ -154,9 +154,9 @@ def select_monomials(J, e: int, k: int, max_degree: int = 400
 def _confirm_independent(J, monomials, D):
     """Exact rank check: stacking the degree-D ideal piece with the chosen
     monomials (exponent tuples) must add exactly one rank per monomial."""
-    base_rank = graded_piece_basis(J, [], D).ideal_rank
+    base_rank = graded_piece_basis(J, D).ideal_rank
     extra = [IntPoly(len(m), {m: 1}) for m in monomials]
-    full_rank = graded_piece_basis(J, extra, D).ideal_rank
+    full_rank = graded_piece_basis([*J, *extra], D).ideal_rank
     if full_rank != base_rank + len(monomials):
         raise CertificateError("selected monomials are dependent mod the ideal")
 
@@ -307,7 +307,7 @@ def curve_section_degree(J, max_degree: int = 40):
     J0 = [g for g in J0 if not g.is_zero()]
     prev = None
     for delta in range(max_degree + 1):
-        h = graded_piece_basis(J0, [], delta, num_vars=3).dimension
+        h = graded_piece_basis(J0, delta, num_vars=3).dimension
         if prev is not None and h == prev[1]:
             return h, prev[0]
         prev = (delta, h)

@@ -56,19 +56,31 @@ def unimodular_complete(a: int, b: int) -> tuple[int, int]:
     return (g, (1 + b * g) // a)
 
 
+# the least strong pseudoprime to every one of the first 13 prime bases
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division; the moduli here are small."""
-    if n < 2:
+    """Deterministic Miller-Rabin on the first 13 prime bases, exact for
+    n < 3317044064679887385961981; ValueError at or above that."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or n in bases:
+        return n in bases
+    if any(n % p == 0 for p in bases):
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

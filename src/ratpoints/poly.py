@@ -253,7 +253,7 @@ def poly_divides(F: IntPoly, G: IntPoly) -> bool:
     if G.degree < F.degree:
         return False
     multiples = len(monomials_of_degree(F.num_vars, G.degree - F.degree))
-    return graded_piece_basis([F], [G], G.degree).ideal_rank == multiples
+    return graded_piece_basis([F, G], G.degree).ideal_rank == multiples
 
 
 # -- monomial enumeration ----------------------------------------------
@@ -321,9 +321,9 @@ class GradedPieceBasis:
     ideal_rank: int
 
 
-def graded_piece_basis(ideal_gens, extra_gens, delta: int,
+def graded_piece_basis(gens, delta: int,
                        num_vars: int | None = None) -> GradedPieceBasis:
-    """Monomials spanning degree ``delta`` of the quotient by the given ideal.
+    """Monomials spanning degree ``delta`` of the quotient by the ideal of gens.
 
     The span of {m*g : g a generator, deg(m*g) = delta} is row-reduced
     exactly over Q; the non-pivot monomial columns form the quotient basis
@@ -332,7 +332,7 @@ def graded_piece_basis(ideal_gens, extra_gens, delta: int,
     """
     if delta < 0:
         raise ValueError("negative degree")
-    gens = [g for g in list(ideal_gens) + list(extra_gens) if not g.is_zero()]
+    gens = [g for g in gens if not g.is_zero()]
     if not gens and num_vars is None:
         raise ValueError("no generators and no variable count")
     nv = gens[0].num_vars if gens else num_vars

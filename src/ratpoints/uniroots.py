@@ -1,14 +1,14 @@
 """Exact root machinery for univariate integer polynomials.
 
-Coefficient lists run low degree to high.  Every question asked here has
-an integer answer (the integer roots of p, the count of integers t with
-|p(t)| <= T), so real roots are never isolated to rational brackets:
-Sturm's theorem counts the roots in an integer interval (a, b], and
-bisection at integer midpoints cuts the interval of Fujiwara's root bound
-into pieces that either hold no root or hold one integer.  Chain members
-are rescaled to primitive integer coefficients (a positive rescaling,
-which preserves sign variations), so every sign decision is an exact
-integer comparison.
+Coefficient lists run low degree to high.  Every question asked here is
+which integers t satisfy |p(t)| <= T (T = 0 for the integer roots), and
+`abs_le_intervals` answers it once, as integer intervals: in closed form
+for degrees 1 and 2, and above that by Sturm's theorem, which counts the
+roots in an integer interval (a, b], and bisection at integer midpoints,
+which cuts the interval of Fujiwara's root bound into pieces that either
+hold no root or hold one integer.  Chain members are rescaled to primitive
+integer coefficients (a positive rescaling, which preserves sign
+variations), so every sign decision is an exact integer comparison.
 """
 
 from __future__ import annotations
@@ -170,84 +170,81 @@ def _integer_pieces(chain, M):
     return pieces
 
 
-def integer_roots(coeffs):
-    """All integer roots of a nonzero integer polynomial, sorted."""
+def abs_le_intervals(coeffs, T):
+    """The integers t with |p(t)| <= T, for a nonconstant integer polynomial
+    p, as sorted intervals (lo, hi) with lo <= hi and at least one integer
+    between any two; [] when T < 0.
+
+    Degrees 1 and 2 are solved in closed form.  Above that, the integer
+    pieces of the real roots of (p - T)(p + T), or of p when T = 0, each
+    hold |p| <= T throughout or nowhere.
+    """
     c = trim(coeffs)
-    if not c:
-        raise ValueError("zero polynomial")
-    roots = set()
-    # factor out t^v
-    v = 0
-    while c[v] == 0:
-        v += 1
-    if v > 0:
-        roots.add(0)
-        c = c[v:]
-    if len(c) > 1:
-        d = len(c) - 1
-        if d == 1:
-            if c[0] % c[1] == 0:
-                roots.add(-c[0] // c[1])
-        elif d == 2:
-            roots.update(quadratic_integer_roots(c[2], c[1], c[0]))
-        else:
-            sf = squarefree_part(c)
-            for _, b in _integer_pieces(sturm_chain(sf), root_bound(sf)):
-                if evaluate(c, b) == 0:
-                    roots.add(b)
-    return sorted(roots)
+    if len(c) <= 1:
+        raise ValueError("polynomial must be nonconstant")
+    if T < 0:
+        return []
+    if c[-1] < 0:
+        c = [-x for x in c]  # |p| = |-p|
+    if len(c) == 2:
+        lo, hi = -((T + c[0]) // c[1]), (T - c[0]) // c[1]
+        return [(lo, hi)] if lo <= hi else []
+    if len(c) == 3:
+        below, hole = _le_interval(c, T), _le_interval(c, -T - 1)  # p < -T
+        if hole is None:
+            return [] if below is None else [below]
+        return [(lo, hi) for lo, hi in ((below[0], hole[0] - 1),
+                                        (hole[1] + 1, below[1])) if lo <= hi]
+    sf = squarefree_part(poly_mul([c[0] - T] + c[1:], [c[0] + T] + c[1:])
+                         if T else c)
+    M = root_bound(sf)
+    # p^2 - T^2 keeps one sign on t <= -M and on t >= M, which the pieces
+    # leave out; |p| <= T there would hold for infinitely many t
+    if abs(evaluate(c, -M)) <= T or abs(evaluate(c, M)) <= T:
+        raise CertificateError("p stays within T outside the root bound of p^2 - T^2")
+    # p^2 - T^2 keeps one sign on a root-free piece, and a unit piece is
+    # its one integer b, so each piece is decided at b
+    out = []
+    for a, b in _integer_pieces(sturm_chain(sf), M):
+        if abs(evaluate(c, b)) <= T:
+            if out and out[-1][1] == a:
+                out[-1] = (out[-1][0], b)
+            else:
+                out.append((a + 1, b))
+    return out
 
 
-def quadratic_integer_roots(a, b, c):
-    """Integer roots of a*t^2 + b*t + c with a != 0."""
-    disc = b * b - 4 * a * c
+def _le_interval(p, K):
+    """The integer interval {y : p(y) <= K} for a quadratic p with a positive
+    leading coefficient, or None when it is empty."""
+    c0, c1, c2 = p
+    disc = c1 * c1 - 4 * c2 * (c0 - K)
     if disc < 0:
-        return []
+        return None
+    # for integer y: p(y) <= K iff (2*c2*y + c1)^2 <= disc iff
+    # |2*c2*y + c1| <= isqrt(disc)
     s = isqrt(disc)
-    if s * s != disc:
-        return []
-    roots = []
-    for sign in (s, -s) if s else (0,):
-        num = -b + sign
-        if num % (2 * a) == 0:
-            roots.append(num // (2 * a))
-    return sorted(set(roots))
+    lo, hi = -((c1 + s) // (2 * c2)), (s - c1) // (2 * c2)
+    return (lo, hi) if lo <= hi else None
+
+
+def integer_roots(coeffs):
+    """All integer roots of a nonconstant integer polynomial, sorted."""
+    return [t for lo, hi in abs_le_intervals(coeffs, 0)
+            for t in range(lo, hi + 1)]
 
 
 def integer_roots_in_box(coeffs, B):
     """Integer roots r with |r| <= B; scans when that is cheaper."""
     c = trim(coeffs)
-    if not c:
-        raise ValueError("zero polynomial")
-    d = len(c) - 1
-    if d > 2 and 2 * B + 1 <= 512:
+    if len(c) > 3 and 2 * B + 1 <= 512:
         return [t for t in range(-B, B + 1) if evaluate(c, t) == 0]
     return [r for r in integer_roots(c) if abs(r) <= B]
 
 
 def count_abs_le(coeffs, T) -> int:
     """Exact #{t in Z : |p(t)| <= T} for a nonconstant integer polynomial."""
-    c = trim(coeffs)
-    if len(c) <= 1:
-        raise ValueError("polynomial must be nonconstant")
-    if T < 0:
-        return 0
-    # boundary points are the real roots of (p - T)(p + T) = p^2 - T^2
-    minus = list(c)
-    minus[0] -= T
-    plus = list(c)
-    plus[0] += T
-    sf = squarefree_part(poly_mul(minus, plus))
-    chain = sturm_chain(sf)
-    M = root_bound(sf)
-    # p^2 - T^2 keeps one sign on t <= -M and on t >= M, which the pieces
-    # leave uncounted; |p| <= T there would hold for infinitely many t
-    if abs(evaluate(c, -M)) <= T or abs(evaluate(c, M)) <= T:
-        raise CertificateError("p stays within T outside the root bound of p^2 - T^2")
-    # p^2 - T^2 keeps one sign on a root-free piece, and a unit piece is
-    # its one integer b, so each piece is decided at b
-    return sum(b - a for a, b in _integer_pieces(chain, M)
-               if abs(evaluate(c, b)) <= T)
+    return sum(hi - lo + 1 for lo, hi in abs_le_intervals(coeffs, T))
 
 
 def poly_mul(a, b):

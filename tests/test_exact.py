@@ -86,3 +86,17 @@ def test_is_prime():
     assert [n for n in range(-3, 40) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     assert not is_prime(6) and not is_prime(1 << 20) and is_prime(1000003)
+    # against trial division below 10^5
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5)
+        if n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))]
+    # a Carmichael number, then the least strong pseudoprimes to the
+    # first 4, 9 and 12 prime bases
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(10**24 + 7)
+    limit = 3317044064679887385961981
+    assert not is_prime(limit - 1)
+    for n in (limit, limit + 2):
+        with pytest.raises(ValueError, match="only decided below"):
+            is_prime(n)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -204,6 +205,9 @@ FERMAT_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
      "a form in no variables has no first variable to slice"),
     (["project", "--gens", "x0*x2 - x1^2", "--center", "0,0,0,0"],
      "--center is the zero vector, which is no projective point"),
+    (["detmethod", "--form", FERMAT_TEXT, "--bound", "10", "--epsilon", "30"],
+     f"primality of {math.ceil(10.0 ** (1 / 3**0.5 + 30))} is only decided "
+     "below 3317044064679887385961981"),
 ])
 def test_cli_bad_numbers_are_one_line(capsys, argv, message):
     assert cli.main(argv) == 2

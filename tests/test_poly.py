@@ -104,19 +104,19 @@ def test_fp_degree_drop():
 
 def test_graded_piece_examples():
     X = [IntPoly.variable(4, i) for i in range(4)]
-    b = graded_piece_basis([X[2], X[3]], [X[0]], 4)
+    b = graded_piece_basis([X[2], X[3], X[0]], 4)
     assert b.dimension == 1
     assert b.monomials == [(0, 4, 0, 0)]  # x1^4
 
-    b2 = graded_piece_basis([X[3], X[0] * X[2] - X[1] ** 2], [X[0]], 3)
+    b2 = graded_piece_basis([X[3], X[0] * X[2] - X[1] ** 2, X[0]], 3)
     assert b2.dimension == 2
     assert b2.monomials == [(0, 1, 2, 0), (0, 0, 3, 0)]  # x1*x2^2, x2^3
 
-    b3 = graded_piece_basis([], [], 0, num_vars=4)
+    b3 = graded_piece_basis([], 0, num_vars=4)
     assert b3.dimension == 1 and b3.monomials == [(0, 0, 0, 0)]
 
     with pytest.raises(ValueError):
-        graded_piece_basis([X[2]], [], -1)
+        graded_piece_basis([X[2]], -1)
 
 
 def test_monomial_rows_matches_evaluate():
@@ -151,9 +151,9 @@ def test_graded_piece_stabilization():
     line = [X[2], X[3]]
     conic = [X[3], X[0] * X[2] - X[1] ** 2]
     for delta in range(0, 21):
-        assert graded_piece_basis(line, [X[0]], delta).dimension == 1
+        assert graded_piece_basis(line + [X[0]], delta).dimension == 1
     for delta in range(2, 21):
-        assert graded_piece_basis(conic, [X[0]], delta).dimension == 2
+        assert graded_piece_basis(conic + [X[0]], delta).dimension == 2
 
 
 def test_poly_divides():

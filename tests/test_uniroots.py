@@ -51,10 +51,33 @@ def test_constructed_roots_recovered():
 
 
 def test_quadratic_integer_roots():
-    assert U.quadratic_integer_roots(1, 0, -4) == [-2, 2]
-    assert U.quadratic_integer_roots(1, -2, 1) == [1]
-    assert U.quadratic_integer_roots(1, 0, 2) == []
-    assert U.quadratic_integer_roots(2, 1, 0) == [0]  # -1/2 is not integral
+    assert U.integer_roots([-4, 0, 1]) == [-2, 2]
+    assert U.integer_roots([1, -2, 1]) == [1]
+    assert U.integer_roots([2, 0, 1]) == []
+    assert U.integer_roots([0, 1, 2]) == [0]  # -1/2 is not integral
+    # two consecutive roots share one interval of abs_le_intervals
+    assert U.integer_roots([992, 63, 1]) == [-32, -31]
+    assert U.integer_roots([6, -5, -1]) == [-6, 1]  # -(t + 6)(t - 1)
+
+
+def test_closed_forms_at_their_boundaries():
+    T = 10**400
+    # |2t + 1| <= T, T even: 2t + 1 runs over the odd numbers in [-T, T]
+    assert U.abs_le_intervals([1, 2], T) == [(-T // 2, T // 2 - 1)]
+    assert U.abs_le_intervals([1, -2], T) == [(-T // 2 + 1, T // 2)]
+    assert U.abs_le_intervals([1, 0, 1], T) == [(-U.isqrt(T - 1), U.isqrt(T - 1))]
+    # 2T <= t^2 <= 4T: the hole t^2 < 2T splits the set in two
+    s = U.isqrt(2 * T - 1) + 1
+    assert U.abs_le_intervals([-3 * T, 0, 1], T) == [(-2 * 10**200, -s),
+                                                     (s, 2 * 10**200)]
+    assert U.abs_le_intervals([-100, 0, 1], 10) == [(-10, -10), (10, 10)]
+    assert U.abs_le_intervals([-100, 0, 1], 100) == [(-14, 14)]
+    # double roots at T = 0, in closed form and by Sturm bisection
+    assert U.abs_le_intervals([1, -2, 1], 0) == [(1, 1)]
+    assert U.abs_le_intervals([4, 0, -3, 1], 0) == [(-1, -1), (2, 2)]
+    assert U.abs_le_intervals([0, 0, 0, 1], 0) == [(0, 0)]
+    assert U.abs_le_intervals([1, 0, 1], -1) == []
+    assert U.abs_le_intervals([3, 1], -1) == []
 
 
 def test_errors():
@@ -113,8 +136,9 @@ def test_fujiwara_bound_holds_every_real_root_strictly_inside():
 
 
 def test_huge_T_bisects_from_near_the_roots(monkeypatch):
-    # the roots of (t^2 + 1)^2 - T^2 lie near +-10^200; the Cauchy bound,
-    # about T^2, made 5317 sign_variations calls at T = 10^400
+    # the roots of (t^3 + 1)^2 - T^2 lie near +-T^(1/3), and Fujiwara's
+    # bound starts the bisection at a 444-bit M (891 calls at T = 10^400);
+    # Cauchy's bound, about T^2, would start it at about 2660 bits
     calls = []
     real = U.sign_variations
 
@@ -122,8 +146,13 @@ def test_huge_T_bisects_from_near_the_roots(monkeypatch):
         calls.append(x)
         return real(chain, x)
     monkeypatch.setattr(U, "sign_variations", spy)
-    assert U.count_abs_le([1, 0, 1], 10**400) == 2 * U.isqrt(10**400 - 1) + 1
+    T = 10**400
+
+    def icbrt(n):
+        return sympy.integer_nthroot(n, 3)[0]
+    assert U.count_abs_le([1, 0, 0, 1], T) == icbrt(T - 1) + icbrt(T + 1) + 1
     assert len(calls) < 1500
+
 
 def _radius(coeffs, T):
     """R with |p(t)| > T for every integer |t| >= R: there |t| > 2S/L, so
@@ -160,6 +189,11 @@ def test_roots_and_counts_match_a_scan_within_the_cauchy_radius(coeffs, T):
     values = [(t, U.evaluate(coeffs, t)) for t in range(-R, R + 1)]
     assert U.integer_roots(coeffs) == [t for t, v in values if v == 0]
     assert U.count_abs_le(coeffs, T) == sum(1 for _, v in values if abs(v) <= T)
+    intervals = U.abs_le_intervals(coeffs, T)
+    assert all(lo <= hi for lo, hi in intervals)
+    assert all(hi + 1 < lo2 for (_, hi), (lo2, _) in zip(intervals, intervals[1:]))
+    assert [t for lo, hi in intervals for t in range(lo, hi + 1)] == [
+        t for t, v in values if abs(v) <= T]
 
 
 def test_count_abs_le_certificate_survives_python_O():
@@ -170,7 +204,7 @@ def test_count_abs_le_certificate_survives_python_O():
         "assert False, 'asserts are live'\n"
         "U.root_bound = lambda coeffs: 1\n"
         "try:\n"
-        "    U.count_abs_le([0, 1], 5)\n"
+        "    U.count_abs_le([0, 0, 0, 1], 5)\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
     )
