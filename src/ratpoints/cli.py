@@ -17,9 +17,9 @@ import sys
 
 from .curves import (EmptyParam, certified_class_points, conic_parameterize,
                      conic_points, plane_eliminate, tangency_rank)
-from .detmethod import (AuxiliaryForm, build_determinant,
-                        curve_section_degree, extract_auxiliary_form,
-                        partition_by_residue, prime_window, select_monomials)
+from .detmethod import (RankFull, build_determinant, curve_section_degree,
+                        extract_auxiliary_form, partition_by_residue,
+                        prime_window, select_monomials)
 from .enumeration import (CountSeries, count_affine_surface,
                           enumerate_projective_variety, slice_form)
 from .exact import CertificateError, valuation
@@ -249,7 +249,9 @@ def _cmd_detmethod(args) -> int:
     window = prime_window(args.bound, F.degree, args.epsilon, args.min_primes)
     _, points = count_affine_surface(F, args.bound)
     records = []
-    sections = {}
+    # (record, members) of the classes of two or more points; a record
+    # says "full at every degree tried" until some degree gives a form
+    pending = []
     for p in window.primes:
         classes = partition_by_residue(points, p, F)
         for residue, (members, classification) in classes.items():
@@ -260,26 +262,29 @@ def _cmd_detmethod(args) -> int:
                 "classification": classification.value,
             }
             if len(members) >= 2:
-                outcome = None
-                try:
-                    for D in range(2, args.max_aux_degree + 1):
-                        result = extract_auxiliary_form(members, D, F)
-                        if isinstance(result, AuxiliaryForm):
-                            outcome = result
-                            break
-                except ValueError as err:
-                    rec["aux_error"] = str(err)
-                if outcome is None:
-                    rec["aux_form"] = None
-                    rec.setdefault("rank", "full at every degree tried")
-                else:
-                    rec["aux_form"] = format_poly(outcome.form)
-                    rec["aux_degree"] = outcome.degree
-                    rec["rank"] = outcome.rank
-                    rec["delta"] = _delta_stats(F, outcome.form,
-                                                rec["aux_form"], members, p,
-                                                sections)
+                rec["aux_form"] = None
+                rec["rank"] = "full at every degree tried"
+                pending.append((rec, members))
             records.append(rec)
+    sections = {}
+    # the classes still RankFull at degree D try D + 1 together
+    for D in range(2, args.max_aux_degree + 1):
+        if not pending:
+            break
+        outcomes = extract_auxiliary_form([m for _, m in pending], D, F)
+        rank_full = []
+        for (rec, members), outcome in zip(pending, outcomes):
+            if isinstance(outcome, RankFull):
+                rank_full.append((rec, members))
+            elif isinstance(outcome, ValueError):
+                rec["aux_error"] = str(outcome)
+            else:
+                rec["aux_form"] = format_poly(outcome.form)
+                rec["aux_degree"] = outcome.degree
+                rec["rank"] = outcome.rank
+                rec["delta"] = _delta_stats(F, outcome.form, rec["aux_form"],
+                                            members, rec["p"], sections)
+        pending = rank_full
     out = {
         "form": format_poly(F),
         "bound": args.bound,

@@ -87,6 +87,8 @@ def plane_eliminate(plane, Q: IntPoly) -> PlaneConicData:
     a = tuple(int(v) for v in plane)
     if len(a) != 4:
         raise ValueError("plane needs four coefficients")
+    if not any(a):
+        raise ValueError("plane is the zero vector, which defines no plane")
     if a[1] == 0 and a[2] == 0 and a[3] == 0:
         raise ValueError("plane is X0=0; conic lies at infinity")
     a = primitive_vector(a)

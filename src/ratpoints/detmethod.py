@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from math import ceil, comb, isfinite
 from operator import mul
 
+import numpy as np
+
 from .exact import CertificateError, is_prime, valuation
 from .geometry import classify_point
-from .linalg import det_bareiss, nullspace_int
+from .linalg import det_bareiss, echelon_mod, nullspaces_int
 from .poly import (IntPoly, graded_piece_basis, monomial_rows,
                    monomials_of_degree, poly_divides)
 
@@ -223,30 +225,12 @@ def divisibility_check(cert: DetCertificate, q: int, curve_gens, omega
     on_curve = all(g.evaluate(omega) % q == 0 for g in gens)
     jac = [[g.partial(j).evaluate(omega) % q for j in range(4)]
            for g in gens]
-    if not on_curve or _rank_mod(jac, q) != 2:
+    ranks, _, _ = echelon_mod(np.array(jac, dtype=np.int64)
+                              .reshape(1, len(gens), 4), q)
+    if not on_curve or ranks[0] != 2:
         return DivisibilityVerdict(applicable=False, passed=True)
     passed = cert.det == 0 or valuation(cert.det, q) >= cert.beta_required
     return DivisibilityVerdict(applicable=True, passed=passed)
-
-
-def _rank_mod(rows, p: int) -> int:
-    """Rank of a small integer matrix over the prime field F_p."""
-    work = [[v % p for v in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][c], -1, p)
-        work[rank] = [v * inv % p for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------
@@ -265,35 +249,77 @@ class RankFull:
     vanishes on the class."""
 
 
-def extract_auxiliary_form(points, D: int, F: IntPoly):
-    """A primitive integer form of degree D vanishing at every class point
-    and not divisible by F, from the exact nullspace of the value matrix.
+def extract_auxiliary_form(classes, D: int, F: IntPoly):
+    """One outcome per class, a list of points, from the exact nullspace of
+    the class's matrix of degree-D monomial values: an AuxiliaryForm, a
+    primitive integer form of degree D vanishing at every class point and
+    not divisible by F; RankFull when the matrix has full column rank (the
+    basis is too small); or, when every nullspace vector is divisible by F,
+    the ValueError saying so.
 
-    Returns RankFull when the matrix has full column rank (the basis is
-    too small); raises when every nullspace vector is divisible by F.
+    All nullspaces come from one nullspaces_int call, and each distinct
+    basis is turned into an outcome once; every class is checked to lie
+    on its form.
     """
-    points = [tuple(pt) for pt in points]
-    if not points:
+    classes = [[tuple(pt) for pt in points] for points in classes]
+    if not all(classes):
         raise ValueError("empty point class")
+    if not classes:
+        return []
     basis = monomials_of_degree(4, D)
-    rows = monomial_rows(basis, points)
-    vectors = nullspace_int(rows, len(basis))
+    matrices = _value_matrices(basis, classes, D)
+    outcomes = {}
+    result = []
+    for rows, vectors in zip(matrices, nullspaces_int(matrices, len(basis))):
+        key = tuple(vectors)
+        if key not in outcomes:
+            outcomes[key] = _outcome(vectors, basis, D, F)
+        outcome, vec = outcomes[key]
+        # the form is a nonzero multiple of vec, so it vanishes at a point
+        # exactly when the point's row is orthogonal to vec
+        if vec is not None and any(sum(map(mul, vec, row))
+                                   for row in _exact_rows(rows)):
+            raise CertificateError("auxiliary form misses a class point")
+        result.append(outcome)
+    return result
+
+
+def _value_matrices(basis, classes, D: int):
+    """Each class's matrix of values of the degree-D monomials basis, one
+    row per point: int64 arrays when every value stays below 2^63 in
+    absolute value, else lists of exact ints from monomial_rows."""
+    try:
+        pts = np.array([pt for points in classes for pt in points],
+                       dtype=np.int64)
+        fits = max(int(pts.max()), -int(pts.min())) ** D < 2**63
+    except OverflowError:
+        fits = False
+    if not fits:
+        return [monomial_rows(basis, points) for points in classes]
+    # each partial product of a monomial's powers is at most max|x|^D
+    values = np.prod(pts[:, None, :] ** np.array(basis, dtype=np.int64),
+                     axis=2)
+    return np.split(values, np.cumsum([len(points) for points in classes])[:-1])
+
+
+def _exact_rows(rows):
+    """A value matrix as lists of Python ints, whose products are exact."""
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
+
+
+def _outcome(vectors, basis, D: int, F: IntPoly):
+    """(outcome, null vector of the form or None) for one nullspace basis."""
     if not vectors:
-        return RankFull()
+        return RankFull(), None
     for vec in vectors:
         # vec is primitive with first nonzero entry positive and basis runs
         # grlex-descending, so G is primitive with positive leading term
         G = IntPoly(4, dict(zip(basis, vec)))
         if not poly_divides(F, G):
-            # G is a nonzero multiple of vec, so it vanishes at a point
-            # exactly when the point's row is orthogonal to vec
-            if any(sum(map(mul, vec, row)) for row in rows):
-                raise CertificateError("auxiliary form misses a class point")
             return AuxiliaryForm(form=G, degree=D,
-                                 rank=len(basis) - len(vectors))
-    raise ValueError(
-        "class lies in a smaller locus than basis captures; increase D"
-    )
+                                 rank=len(basis) - len(vectors)), vec
+    return ValueError("class lies in a smaller locus than basis captures; "
+                      "increase D"), None
 
 
 def curve_section_degree(J, max_degree: int = 40):

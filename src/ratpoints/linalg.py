@@ -1,9 +1,9 @@
 """Exact linear algebra over Q and Z shared across the package.
 
-Every routine takes integer matrices and eliminates in integers only; no
-rational number is ever built.  The dense echelon routine and the sparse
-eliminator clear a column by cross-multiplying two rows and divide the
-result by its content, so every row stays primitive, and the rational
+The exact routines take integer matrices and eliminate in integers only;
+no rational number is ever built.  The dense echelon routine and the
+sparse eliminator clear a column by cross-multiplying two rows and divide
+the result by its content, so every row stays primitive, and the rational
 RREF is the integer one with each row divided by its pivot entry.  The
 dense routine inserts rows one at a time and drops a dependent row by dot
 products with the null vectors of the pivot rows so far.  The sparse
@@ -11,6 +11,14 @@ eliminator keeps dict-backed rows and is what makes large graded pieces
 tractable: rows coming from monomial or binomial generators never grow
 past two entries during elimination.  Integer determinants use Bareiss
 fraction-free elimination, so every division is exact.
+
+Arithmetic mod a prime is used in one place: ``echelon_mod`` row-reduces
+a stack of matrices mod p in numpy, for ranks over F_p and, in
+``nullspaces_int``, to pick each matrix's pivot rows and to group matrices
+whose row spaces agree mod P = 2^31 - 1.  That nullspace stays exact:
+rows independent mod P are independent over Q, and every basis is
+checked against its matrix exactly before it is returned, or else
+recomputed by ``nullspace_int``.
 """
 
 from __future__ import annotations
@@ -19,7 +27,12 @@ from bisect import bisect
 from math import gcd, lcm
 from operator import index, mul
 
+import numpy as np
+
 from .exact import divide_content, primitive_vector
+
+# the prime of nullspaces_int's elimination, the largest below 2^31
+P = 2**31 - 1
 
 
 def det_bareiss(m) -> int:
@@ -129,6 +142,124 @@ def nullspace_int(rows, ncols=None):
         ncols = len(rows[0])
     pivots, red, null = rref_dense(rows)
     return _null_basis(pivots, red, ncols) if null is None else null
+
+
+def nullspaces_int(matrices, ncols):
+    """[nullspace_int(m, ncols) for m in matrices], with one exact RREF per
+    distinct row space instead of one per matrix.
+
+    Each matrix is a list of integer rows or a 2-D integer array with ncols
+    columns.  All of them are row-reduced together mod P (echelon_mod), and
+    matrices with the same reduced form mod P form a group.  One member's
+    pivot rows mod P are independent over Q, so the exact nullspace N of
+    those rows has ncols - r vectors for the member's rank r mod P, and a
+    matrix M of the group with M N = 0 has nullspace exactly span N; the
+    primitive basis depends on the nullspace only.  M N is taken in int64
+    under the a priori bound ncols * max|M| * max|N| < 2^63.  A matrix
+    whose check fails, whose bound fails or whose entries do not fit an
+    int64 goes to nullspace_int.
+    """
+    matrices = list(matrices)
+    stacked = [_int64_rows(m, ncols) for m in matrices]
+    batch = [i for i, a in enumerate(stacked) if a is not None]
+    out = [None] * len(matrices)
+    if batch:
+        A = np.zeros((len(batch), max(len(stacked[i]) for i in batch), ncols),
+                     dtype=np.int64)
+        for b, i in enumerate(batch):
+            A[b, :len(stacked[i])] = stacked[i]
+        ranks, order, ech = echelon_mod(A)
+        groups = {}
+        for b, form in enumerate(ech):
+            groups.setdefault(form.tobytes(), []).append(b)
+        # one candidate basis per group, from its first member's pivot rows
+        bases = [_null_of_rows(A[g[0], order[g[0], :ranks[g[0]]]].tolist(),
+                               ncols) for g in groups.values()]
+        top = [max((abs(x) for v in basis for x in v), default=0)
+               for basis in bases]
+        # the bases as columns, padded to the widest nullity; one past
+        # int64 fails the bound and stays zero
+        N = np.zeros((len(bases), ncols, max(map(len, bases))),
+                     dtype=np.int64)
+        member_of = np.empty(len(batch), dtype=np.intp)
+        for k, (g, basis) in enumerate(zip(groups.values(), bases)):
+            member_of[g] = k
+            if basis and top[k] < 2**63:
+                N[k, :, :len(basis)] = np.array(basis, dtype=np.int64).T
+        high = A.max(axis=(1, 2), initial=0).tolist()
+        low = A.min(axis=(1, 2), initial=0).tolist()
+        # a product past the bound may wrap, but then it is not read
+        nonzero = np.matmul(A, N[member_of]).any(axis=(1, 2)).tolist()
+        for b, i in enumerate(batch):
+            k = member_of[b]
+            if ncols * max(high[b], -low[b]) * top[k] < 2**63 \
+                    and not nonzero[b]:
+                out[i] = list(bases[k])
+    return [nullspace_int(m, ncols) if got is None else got
+            for m, got in zip(matrices, out)]
+
+
+def _int64_rows(m, ncols):
+    """m as an int64 array of shape (len(m), ncols), or None when an entry
+    does not fit an int64."""
+    try:
+        return np.array(m, dtype=np.int64).reshape(len(m), ncols)
+    except OverflowError:
+        return None
+
+
+def _null_of_rows(rows, ncols):
+    """Primitive nullspace basis of linearly independent integer rows."""
+    if len(rows) == ncols:
+        return []
+    pivots, red, _ = rref_dense(rows)
+    return _null_basis(pivots, red, ncols)
+
+
+def echelon_mod(A, p: int = P):
+    """Reduced row echelon forms mod a prime p < 2^31 of a stack of matrices.
+
+    A is an int64 array of shape (n, rows, cols), n matrices padded with
+    zero rows.  Returns (ranks, order, ech): ranks[i] is the rank of
+    matrix i over F_p, order[i, :ranks[i]] indexes rows of matrix i that
+    are independent mod p, and ech[i] is its reduced echelon form with
+    entries in [0, p), zero rows last.  Residues below 2^31 keep every
+    product of two of them inside an int64.
+    """
+    if p >= 2**31:
+        raise ValueError(f"modulus {p} is not below 2^31")
+    A = np.asarray(A, dtype=np.int64) % p
+    n, R, C = A.shape
+    order = np.tile(np.arange(R), (n, 1))
+    ranks = np.zeros(n, dtype=np.intp)
+    for c in range(C):
+        live = (A[:, :, c] != 0) & (np.arange(R) >= ranks[:, None])
+        m = np.flatnonzero(live.any(axis=1))
+        if not m.size:
+            continue
+        r, piv = ranks[m], live[m].argmax(axis=1)
+        for arr in (A, order):
+            arr[m, r], arr[m, piv] = arr[m, piv], arr[m, r]
+        prow = A[m, r] * _inverse_mod(A[m, r, c], p)[:, None] % p
+        A[m, r] = prow
+        f = A[m, :, c]
+        f[np.arange(m.size), r] = 0
+        A[m] = (A[m] - f[:, :, None] * prow[:, None, :]) % p
+        ranks[m] += 1
+    return ranks, order, A
+
+
+def _inverse_mod(x, p):
+    """Elementwise inverses of nonzero residues x mod the prime p, as
+    x^(p - 2) by repeated squaring."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
 
 
 def rank_sparse(rows, ncols):

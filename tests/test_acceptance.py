@@ -144,16 +144,18 @@ def test_criterion_6_auxiliary_forms():
     _, points = count_affine_surface(FERMAT, B)
     classes_done = 0
     for p in window.primes:
-        for residue, (members, _cls) in partition_by_residue(
-                points, p, FERMAT).items():
-            if len(members) < 2:
-                continue
-            form = None
-            for D in range(2, 7):
-                out = extract_auxiliary_form(members, D, FERMAT)
-                if isinstance(out, AuxiliaryForm):
-                    form = out
-                    break
+        classes = {residue: members for residue, (members, _cls) in
+                   partition_by_residue(points, p, FERMAT).items()
+                   if len(members) >= 2}
+        forms = {}
+        for D in range(2, 7):
+            todo = [r for r in classes if r not in forms]
+            outs = extract_auxiliary_form([classes[r] for r in todo], D,
+                                          FERMAT)
+            forms.update((r, out) for r, out in zip(todo, outs)
+                         if isinstance(out, AuxiliaryForm))
+        for residue, members in classes.items():
+            form = forms.get(residue)
             assert form is not None, (p, residue, "no auxiliary form by D=6")
             assert all(form.form.evaluate(pt) == 0 for pt in members)
             assert not poly_divides(FERMAT, form.form)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import ratpoints
-from ratpoints import cli
+from ratpoints import cli, detmethod
 from ratpoints.detmethod import (AuxiliaryForm, DetCertificate, RankFull,
                                  bezout_bound, build_determinant,
                                  divisibility_check, extract_auxiliary_form,
@@ -17,6 +17,7 @@ from ratpoints.detmethod import (AuxiliaryForm, DetCertificate, RankFull,
 from ratpoints.enumeration import count_affine_surface
 from ratpoints.geometry import Classification
 from ratpoints.exact import CertificateError, is_prime, valuation
+from ratpoints.linalg import nullspace_int
 from ratpoints.poly import (IntPoly, format_poly, grlex_key, parse_poly,
                             poly_divides)
 
@@ -201,6 +202,14 @@ def test_divisibility_examples():
         divisibility_check(cert7, 5, CONIC, (1, 1, 1, 0))
 
 
+def test_divisibility_needs_a_modulus_below_2_31():
+    sel1 = select_monomials(LINE, 1, 1)
+    cert = build_determinant([(1, 2, 0, 0)], sel1)
+    q = 2**31 + 11
+    with pytest.raises(ValueError, match=rf"^modulus {q} is not below 2\^31$"):
+        divisibility_check(cert, q, LINE, (1, 2, 0, 0))
+
+
 def test_divisibility_alpha_regime_reported():
     # points reducing to a singular point of a nodal cubic: not applicable
     nodal = [X[3], X[1] ** 2 * X[0] + X[2] ** 2 * X[0] - X[2] ** 3 * 1]
@@ -232,34 +241,56 @@ def test_beta_divisibility_acceptance_style():
 
 def test_extract_auxiliary_form():
     tc_pts = [(1, t, t * t, t ** 3) for t in range(6)]
-    aux = extract_auxiliary_form(tc_pts, 2, FERMAT)
-    assert isinstance(aux, AuxiliaryForm)
-    assert all(aux.form.evaluate(p) == 0 for p in tc_pts)
-    assert not poly_divides(FERMAT, aux.form)
-
-    one = extract_auxiliary_form([(1, 2, 3, 4)], 1, FERMAT)
-    assert isinstance(one, AuxiliaryForm) and one.rank == 1
-
     rng = random.Random(9)
     generic = [(1, rng.randint(-50, 50), rng.randint(-50, 50),
                 rng.randint(-50, 50)) for _ in range(10)]
-    out = extract_auxiliary_form(generic, 2, FERMAT)
-    assert isinstance(out, RankFull)
+    aux, full = extract_auxiliary_form([tc_pts, generic], 2, FERMAT)
+    assert isinstance(aux, AuxiliaryForm)
+    assert all(aux.form.evaluate(p) == 0 for p in tc_pts)
+    assert not poly_divides(FERMAT, aux.form)
+    assert isinstance(full, RankFull)
 
+    [one] = extract_auxiliary_form([[(1, 2, 3, 4)]], 1, FERMAT)
+    assert isinstance(one, AuxiliaryForm) and one.rank == 1
+
+    assert extract_auxiliary_form([], 2, FERMAT) == []
     with pytest.raises(ValueError):
-        extract_auxiliary_form([], 2, FERMAT)
+        extract_auxiliary_form([tc_pts, []], 2, FERMAT)
+
+
+def test_extract_auxiliary_form_returns_the_degenerate_class_error():
+    # at D = 1 the nullspace of a class on the plane x0 + x1 + x2 + x3 = 0
+    # is that linear form, which the same form as F divides
+    plane = parse_poly("x0 + x1 + x2 + x3")
+    on_plane = [(1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1)]
+    err, aux = extract_auxiliary_form([on_plane, on_plane[:2]], 1, plane)
+    assert isinstance(err, ValueError) and str(err) == (
+        "class lies in a smaller locus than basis captures; increase D")
+    assert isinstance(aux, AuxiliaryForm) and aux.rank == 2
+
+
+def test_extract_auxiliary_form_past_the_int64_guard():
+    # the value matrices of points this high are built by monomial_rows,
+    # and their nullspaces by nullspace_int
+    big = 10**7
+    line = [(1, t * big, -t * big, 0) for t in range(1, 4)]
+    [aux] = extract_auxiliary_form([line], 3, FERMAT)
+    assert isinstance(aux, AuxiliaryForm)
+    assert all(aux.form.evaluate(p) == 0 for p in line)
+    small = [(1, t, -t, 0) for t in range(1, 4)]
+    [same] = extract_auxiliary_form([small], 3, FERMAT)
+    assert format_poly(aux.form) == format_poly(same.form)
 
 
 def test_auxiliary_forms_are_normalized():
-    # extract_auxiliary_form returns nullspace_int's vectors unscaled, so
+    # extract_auxiliary_form returns nullspaces_int's vectors unscaled, so
     # each form must already be primitive with a positive leading term
     _, points = count_affine_surface(FERMAT, 20)
     rng = random.Random(31)
+    classes = [rng.sample(points, rng.randint(2, 9)) for _ in range(60)]
     forms = 0
-    for _ in range(60):
-        members = rng.sample(points, rng.randint(2, 9))
-        for D in (1, 2, 3):
-            aux = extract_auxiliary_form(members, D, FERMAT)
+    for D in (1, 2, 3):
+        for aux in extract_auxiliary_form(classes, D, FERMAT):
             if isinstance(aux, AuxiliaryForm):
                 G = aux.form
                 assert G.content() == 1, format_poly(G)
@@ -306,14 +337,15 @@ def test_detmethod_certificates_survive_python_O():
         "line = [X[2], X[3]]\n"
         "sel = dm.select_monomials(line, 1, 2)\n"
         "sel.degree_sum = 0\n"
-        "dm.nullspace_int = lambda rows, ncols: [[1] + [0] * (ncols - 1)]\n"
+        "dm.nullspaces_int = lambda matrices, ncols: [[(1,) + (0,) * (ncols - 1)]\n"
+        "                                             for _ in matrices]\n"
         "fermat = parse_poly('x0^3 + x1^3 + x2^3 + x3^3')\n"
         "for check in (\n"
         "        lambda: dm._confirm_independent(line, [(1, 0, 1, 0)], 2),\n"
         "        lambda: dm.build_determinant([(1, 0, 0, 0), (1, 5, 0, 0)],\n"
         "                                     sel),\n"
         "        lambda: dm.extract_auxiliary_form(\n"
-        "            [(1, -1, 0, 0), (1, 0, 0, -1)], 2, fermat)):\n"
+        "            [[(1, -1, 0, 0), (1, 0, 0, -1)]], 2, fermat)):\n"
         "    try:\n"
         "        check()\n"
         "    except CertificateError as exc:\n"
@@ -376,3 +408,24 @@ def test_detmethod_section_computed_once_per_aux_form(monkeypatch, capsys):
                         _delta_stats_referee(F, G, members, p))
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == memo
+
+
+@pytest.mark.parametrize("args, top_degree", [
+    # primes 3, 5 and 7: some classes are RankFull at D = 2 and get their
+    # form at D = 3
+    (["--bound", "200", "--epsilon", "-0.4", "--max-aux-degree", "3"], 3),
+    (["--bound", "100", "--epsilon", "0.35"], 2),
+])
+def test_detmethod_matches_a_per_class_referee(monkeypatch, capsys, args,
+                                               top_degree):
+    # the batched nullspaces against nullspace_int solving each class
+    argv = ["detmethod", "--form", "x0^3 + x1^3 + x2^3 + x3^3", *args]
+    assert cli.main(argv) == 0
+    batched = capsys.readouterr().out
+    assert max(rec.get("aux_degree", 0) for rec in
+               json.loads(batched)["classes"]) == top_degree
+    monkeypatch.setattr(detmethod, "nullspaces_int",
+                        lambda matrices, ncols: [nullspace_int(m, ncols)
+                                                 for m in matrices])
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == batched

@@ -208,6 +208,8 @@ FERMAT_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
     (["detmethod", "--form", FERMAT_TEXT, "--bound", "10", "--epsilon", "30"],
      f"primality of {math.ceil(10.0 ** (1 / 3**0.5 + 30))} is only decided "
      "below 3317044064679887385961981"),
+    (["conic-param", "--plane", "0,0,0,0", "--quadric", "x0*x1 - x2^2"],
+     "plane is the zero vector, which defines no plane"),
 ])
 def test_cli_bad_numbers_are_one_line(capsys, argv, message):
     assert cli.main(argv) == 2

@@ -1,12 +1,16 @@
+import itertools
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
+import pytest
 import sympy
 
 from ratpoints import linalg
-from ratpoints.linalg import (det_bareiss, nullspace_int, rank_sparse,
-                              rref_dense)
+from ratpoints.linalg import (P, det_bareiss, echelon_mod, nullspace_int,
+                              nullspaces_int, rank_sparse, rref_dense)
 
 
 def laplace_det(m):
@@ -221,3 +225,122 @@ def test_linalg_against_sympy():
         sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
         rank, pivots = rank_sparse(sparse, cols)
         assert rank == M.rank() and sorted(pivots) == list(piv)
+
+
+def _span_mod(rows, q):
+    """Every vector of the row space of rows over F_q, by brute force."""
+    return {tuple(sum(c * x for c, x in zip(coeffs, col)) % q
+                  for col in zip(*rows))
+            for coeffs in itertools.product(range(q), repeat=len(rows))}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_echelon_mod_matches_brute_force(q):
+    # the rank over F_q is log_q of the row space's size; the pivot rows
+    # and the reduced form span the same space
+    rng = random.Random(q)
+    A = np.array([[[rng.randint(-9, 9) if rng.random() < 0.6 else 0
+                    for _ in range(4)] for _ in range(3)]
+                  for _ in range(60)], dtype=np.int64)
+    A[::3, 2] = A[::3, 0] + 2 * A[::3, 1]  # a dependent row in some
+    ranks, order, ech = echelon_mod(A, q)
+    for m, r, rows, form in zip(A.tolist(), ranks, order, ech):
+        span = _span_mod(m, q)
+        assert len(span) == q ** r
+        assert _span_mod([m[j] for j in rows[:r]] or [[0] * 4], q) == span
+        assert _span_mod(form.tolist(), q) == span
+        assert not form[r:].any()
+        for k in range(r):
+            lead = next(c for c, x in enumerate(form[k]) if x)
+            assert form[k, lead] == 1 and form[:, lead].sum() == 1
+
+
+def test_echelon_mod_needs_a_modulus_below_2_31():
+    A = np.zeros((1, 2, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^modulus 2147483648 is not below "
+                                         r"2\^31$"):
+        echelon_mod(A, 2**31)
+
+
+def test_nullspaces_int_matches_nullspace_int_on_ragged_batches():
+    by_cols = defaultdict(list)
+    for m in _shapes():
+        by_cols[len(m[0])].append(m)
+    # repeated row spaces: the same rows reordered, scaled and recombined,
+    # with and without extra dependent rows, so groups have many members
+    rng = random.Random(11)
+    for _ in range(30):
+        cols = rng.randint(2, 8)
+        base = _random_matrix(rng, rng.randint(1, cols), cols, 9)
+        for _ in range(rng.randint(2, 6)):
+            rows = [[rng.choice((-2, -1, 1, 3)) * x for x in row]
+                    for row in base]
+            rows += [[sum(rng.randint(-2, 2) * r[j] for r in base)
+                      for j in range(cols)]
+                     for _ in range(rng.randint(0, 3))]
+            rng.shuffle(rows)
+            by_cols[cols].append(rows)
+    for cols, mats in by_cols.items():
+        rng.shuffle(mats)
+        assert nullspaces_int(mats, cols) == \
+            [nullspace_int(m, cols) for m in mats], cols
+        as_arrays = [np.array(m, dtype=np.int64)
+                     if all(abs(x) < 2**63 for row in m for x in row) else m
+                     for m in mats]
+        assert nullspaces_int(as_arrays, cols) == \
+            [nullspace_int(m, cols) for m in mats], cols
+
+
+def _fallbacks(monkeypatch, mats, ncols):
+    """nullspaces_int's answer, checked against nullspace_int, and the
+    matrices it handed to nullspace_int."""
+    sent = []
+    real = linalg.nullspace_int
+    monkeypatch.setattr(linalg, "nullspace_int",
+                        lambda m, n: sent.append(m) or real(m, n))
+    got = nullspaces_int(mats, ncols)
+    assert got == [real(m, ncols) for m in mats]
+    return sent
+
+
+def test_nullspaces_int_edge_cases(monkeypatch):
+    full = [[1, 2], [3, 4]]
+    zero = [[0, 0], [0, 0]]
+    assert _fallbacks(monkeypatch, [full, zero, []], 2) == []
+    assert nullspaces_int([full, zero, []], 2) == [[], [(1, 0), (0, 1)],
+                                                   [(1, 0), (0, 1)]]
+    # rank 2 over Q, rank 1 mod P: the check rejects the basis of the
+    # first row
+    drops = [[1, 1], [1, 1 + P]]
+    assert _fallbacks(monkeypatch, [drops], 2) == [drops]
+    # the same echelon form mod P, different row spaces over Q: the second
+    # matrix shares the first one's basis (0, 1) until the check rejects it
+    first, second = [[1, 0]], [[1, P]]
+    assert _fallbacks(monkeypatch, [first, second], 2) == [second]
+    assert nullspaces_int([first, second], 2) == [[(0, 1)], [(P, -1)]]
+    # an entry past int64, an entry of -2^63 and a null vector too long
+    # for an int64 product all go to nullspace_int
+    wide = [[2**70, 1, 0]]
+    edge = [[-2**63, 1, 0]]
+    long = [[3**25, -2**40, 0], [0, 0, 1]]
+    assert _fallbacks(monkeypatch, [wide, edge, long, [[1, 1, 1]]], 3) == \
+        [wide, edge, long]
+
+
+def test_nullspaces_int_one_rref_per_row_space(monkeypatch):
+    # three or more collinear points give value matrices of rank 3 with
+    # the same row space, which one exact RREF serves; two points span a
+    # row space of their own, and full rank needs no RREF
+    calls = []
+    real = linalg.rref_dense
+    monkeypatch.setattr(linalg, "rref_dense",
+                        lambda rows: calls.append(rows) or real(rows))
+    monos = [(a, b, c) for a in range(3) for b in range(3 - a)
+             for c in range(3 - a - b)]
+    mats = [[[x**a * y**b * z**c for a, b, c in monos]
+             for x, y, z in ((t, 2 * t + 1, 3 - t) for t in ts)]
+            for ts in ([0, 1, 2], [5, -3, 7, 9], [4, 8], [-1, 1])]
+    mats.append([[int(i == j) for j in range(10)] for i in range(10)])
+    got = nullspaces_int(mats, 10)
+    assert len(calls) == 3
+    assert got == [nullspace_int(m, 10) for m in mats]
