@@ -223,14 +223,19 @@ def divisibility_check(cert: DetCertificate, q: int, curve_gens, omega
             raise ValueError("certificate points do not reduce to omega")
     gens = list(curve_gens)
     on_curve = all(g.evaluate(omega) % q == 0 for g in gens)
-    jac = [[g.partial(j).evaluate(omega) % q for j in range(4)]
-           for g in gens]
-    ranks, _, _ = echelon_mod(np.array(jac, dtype=np.int64)
-                              .reshape(1, len(gens), 4), q)
-    if not on_curve or ranks[0] != 2:
+    if not on_curve or _jacobian_rank(gens, omega, q) != 2:
         return DivisibilityVerdict(applicable=False, passed=True)
     passed = cert.det == 0 or valuation(cert.det, q) >= cert.beta_required
     return DivisibilityVerdict(applicable=True, passed=passed)
+
+
+def _jacobian_rank(gens, omega, q: int) -> int:
+    """Rank mod q of the Jacobian of gens at omega.  The entries stay
+    Python ints until echelon_mod has rejected a modulus of 2^31 or more."""
+    jac = [[g.partial(j).evaluate(omega) % q for j in range(4)]
+           for g in gens]
+    A = np.array(jac, dtype=object).reshape(1, len(gens), 4)
+    return int(echelon_mod(A, q)[0][0])
 
 
 # ---------------------------------------------------------------------
@@ -276,9 +281,11 @@ def extract_auxiliary_form(classes, D: int, F: IntPoly):
             outcomes[key] = _outcome(vectors, basis, D, F)
         outcome, vec = outcomes[key]
         # the form is a nonzero multiple of vec, so it vanishes at a point
-        # exactly when the point's row is orthogonal to vec
-        if vec is not None and any(sum(map(mul, vec, row))
-                                   for row in _exact_rows(rows)):
+        # exactly when the point's row is orthogonal to vec; the rows are
+        # taken as Python ints, whose products are exact
+        if vec is not None and any(
+                sum(map(mul, vec, row))
+                for row in np.asarray(rows, dtype=object).tolist()):
             raise CertificateError("auxiliary form misses a class point")
         result.append(outcome)
     return result
@@ -300,11 +307,6 @@ def _value_matrices(basis, classes, D: int):
     values = np.prod(pts[:, None, :] ** np.array(basis, dtype=np.int64),
                      axis=2)
     return np.split(values, np.cumsum([len(points) for points in classes])[:-1])
-
-
-def _exact_rows(rows):
-    """A value matrix as lists of Python ints, whose products are exact."""
-    return rows.tolist() if isinstance(rows, np.ndarray) else rows
 
 
 def _outcome(vectors, basis, D: int, F: IntPoly):

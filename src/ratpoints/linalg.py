@@ -149,49 +149,58 @@ def nullspaces_int(matrices, ncols):
     distinct row space instead of one per matrix.
 
     Each matrix is a list of integer rows or a 2-D integer array with ncols
-    columns.  All of them are row-reduced together mod P (echelon_mod), and
-    matrices with the same reduced form mod P form a group.  One member's
-    pivot rows mod P are independent over Q, so the exact nullspace N of
-    those rows has ncols - r vectors for the member's rank r mod P, and a
-    matrix M of the group with M N = 0 has nullspace exactly span N; the
-    primitive basis depends on the nullspace only.  M N is taken in int64
-    under the a priori bound ncols * max|M| * max|N| < 2^63.  A matrix
-    whose check fails, whose bound fails or whose entries do not fit an
-    int64 goes to nullspace_int.
+    columns.  They are row-reduced mod P (echelon_mod) in zero-padded
+    stacks of similar height, and matrices with the same reduced form mod
+    P, in any stack, form a group.  One member's pivot rows mod P are
+    independent over Q, so the exact nullspace N of those rows has
+    ncols - r vectors for the member's rank r mod P, and a matrix M of the
+    group with M N = 0 has nullspace exactly span N; the primitive basis
+    depends on the nullspace only.  M N is taken in int64 under the a
+    priori bound ncols * max|M| * max|N| < 2^63.  A matrix whose check
+    fails, whose bound fails or whose entries do not fit an int64 goes to
+    nullspace_int.
     """
     matrices = list(matrices)
-    stacked = [_int64_rows(m, ncols) for m in matrices]
-    batch = [i for i, a in enumerate(stacked) if a is not None]
-    out = [None] * len(matrices)
-    if batch:
-        A = np.zeros((len(batch), max(len(stacked[i]) for i in batch), ncols),
-                     dtype=np.int64)
-        for b, i in enumerate(batch):
-            A[b, :len(stacked[i])] = stacked[i]
+    arrays = [_int64_rows(m, ncols) for m in matrices]
+    # matrices whose row counts lie between the same powers of two are
+    # reduced as one zero-padded stack, so padding at most doubles a matrix
+    buckets = {}
+    for i, a in enumerate(arrays):
+        if a is not None:
+            buckets.setdefault(len(a).bit_length(), []).append(i)
+    groups, bases, stacks = {}, [], []
+    for members in buckets.values():
+        A = np.zeros((len(members), max(len(arrays[i]) for i in members),
+                      ncols), dtype=np.int64)
+        for b, i in enumerate(members):
+            A[b, :len(arrays[i])] = arrays[i]
         ranks, order, ech = echelon_mod(A)
-        groups = {}
-        for b, form in enumerate(ech):
-            groups.setdefault(form.tobytes(), []).append(b)
-        # one candidate basis per group, from its first member's pivot rows
-        bases = [_null_of_rows(A[g[0], order[g[0], :ranks[g[0]]]].tolist(),
-                               ncols) for g in groups.values()]
+        group_of = []
+        for b, r in enumerate(ranks.tolist()):
+            key = ech[b, :r].tobytes()
+            if key not in groups:
+                # the group's candidate basis, from this member's pivot rows
+                groups[key] = len(bases)
+                bases.append(_null_of_rows(A[b, order[b, :r]].tolist(), ncols))
+            group_of.append(groups[key])
+        stacks.append((members, A, group_of))
+    out = [None] * len(matrices)
+    if bases:
         top = [max((abs(x) for v in basis for x in v), default=0)
                for basis in bases]
         # the bases as columns, padded to the widest nullity; one past
         # int64 fails the bound and stays zero
         N = np.zeros((len(bases), ncols, max(map(len, bases))),
                      dtype=np.int64)
-        member_of = np.empty(len(batch), dtype=np.intp)
-        for k, (g, basis) in enumerate(zip(groups.values(), bases)):
-            member_of[g] = k
+        for k, basis in enumerate(bases):
             if basis and top[k] < 2**63:
                 N[k, :, :len(basis)] = np.array(basis, dtype=np.int64).T
+    for members, A, group_of in stacks:
         high = A.max(axis=(1, 2), initial=0).tolist()
         low = A.min(axis=(1, 2), initial=0).tolist()
         # a product past the bound may wrap, but then it is not read
-        nonzero = np.matmul(A, N[member_of]).any(axis=(1, 2)).tolist()
-        for b, i in enumerate(batch):
-            k = member_of[b]
+        nonzero = np.matmul(A, N[group_of]).any(axis=(1, 2)).tolist()
+        for b, (i, k) in enumerate(zip(members, group_of)):
             if ncols * max(high[b], -low[b]) * top[k] < 2**63 \
                     and not nonzero[b]:
                 out[i] = list(bases[k])

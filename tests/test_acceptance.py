@@ -12,7 +12,7 @@ from oracles import brute_affine, conic_affine_points
 from test_curves import corpus as conic_corpus
 
 from ratpoints.curves import EmptyParam, conic_parameterize, conic_points
-from ratpoints.detmethod import (AuxiliaryForm, bezout_bound,
+from ratpoints.detmethod import (AuxiliaryForm, RankFull, bezout_bound,
                                  build_determinant, divisibility_check,
                                  extract_auxiliary_form, partition_by_residue,
                                  prime_window, select_monomials,
@@ -148,12 +148,16 @@ def test_criterion_6_auxiliary_forms():
                    partition_by_residue(points, p, FERMAT).items()
                    if len(members) >= 2}
         forms = {}
+        todo = list(classes)
         for D in range(2, 7):
-            todo = [r for r in classes if r not in forms]
             outs = extract_auxiliary_form([classes[r] for r in todo], D,
                                           FERMAT)
+            # a degenerate class ends the search, as it ends the CLI's
+            assert not any(isinstance(o, ValueError) for o in outs), (p, D)
             forms.update((r, out) for r, out in zip(todo, outs)
                          if isinstance(out, AuxiliaryForm))
+            todo = [r for r, out in zip(todo, outs)
+                    if isinstance(out, RankFull)]
         for residue, members in classes.items():
             form = forms.get(residue)
             assert form is not None, (p, residue, "no auxiliary form by D=6")

@@ -205,9 +205,14 @@ def test_divisibility_examples():
 def test_divisibility_needs_a_modulus_below_2_31():
     sel1 = select_monomials(LINE, 1, 1)
     cert = build_determinant([(1, 2, 0, 0)], sel1)
-    q = 2**31 + 11
-    with pytest.raises(ValueError, match=rf"^modulus {q} is not below 2\^31$"):
-        divisibility_check(cert, q, LINE, (1, 2, 0, 0))
+    for q in (2**31 + 11, 2**64 + 13):
+        with pytest.raises(ValueError,
+                           match=rf"^modulus {q} is not below 2\^31$"):
+            divisibility_check(cert, q, LINE, (1, 2, 0, 0))
+    # off the curve the rank is not needed, so no modulus is refused
+    off = build_determinant([(1, 2, 1, 0)], sel1)
+    verdict = divisibility_check(off, 2**64 + 13, LINE, (1, 2, 1, 0))
+    assert not verdict.applicable and verdict.passed
 
 
 def test_divisibility_alpha_regime_reported():

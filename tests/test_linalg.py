@@ -329,8 +329,9 @@ def test_nullspaces_int_edge_cases(monkeypatch):
 
 def test_nullspaces_int_one_rref_per_row_space(monkeypatch):
     # three or more collinear points give value matrices of rank 3 with
-    # the same row space, which one exact RREF serves; two points span a
-    # row space of their own, and full rank needs no RREF
+    # the same row space, which one exact RREF serves, though the three-
+    # and four-row matrices are reduced in different stacks; two points
+    # span a row space of their own, and full rank needs no RREF
     calls = []
     real = linalg.rref_dense
     monkeypatch.setattr(linalg, "rref_dense",
@@ -344,3 +345,18 @@ def test_nullspaces_int_one_rref_per_row_space(monkeypatch):
     got = nullspaces_int(mats, 10)
     assert len(calls) == 3
     assert got == [nullspace_int(m, 10) for m in mats]
+
+
+def test_nullspaces_int_pads_within_a_factor_of_two(monkeypatch):
+    # one tall matrix does not set the height every other matrix is padded
+    # to: each stack is at most twice as tall as any matrix in it
+    stacks = []
+    real = linalg.echelon_mod
+    monkeypatch.setattr(linalg, "echelon_mod",
+                        lambda A: stacks.append(A.shape) or real(A))
+    rng = random.Random(5)
+    heights = [1, 2, 3, 3, 4, 7, 8, 40, 2, 1]
+    mats = [_random_matrix(rng, h, 4, 5) for h in heights]
+    assert nullspaces_int(mats, 4) == [nullspace_int(m, 4) for m in mats]
+    assert sum(n for n, _, _ in stacks) == len(mats)
+    assert sorted(R for _, R, _ in stacks) == [1, 3, 7, 8, 40]
