@@ -17,12 +17,21 @@ of the single polynomial sum g_i^2.  Generators free of the last variable
 are solved first and the last variable only at their zeros, which keeps
 curves such as the twisted cubic at O(B^2) cells.
 
+The solvers count every zero, primitive or not.  Projective zeros are
+primitive, and one rule selects them: the zeros of a form are a cone,
+each one d times a primitive zero, so the zeros Z[h] and primitive zeros
+P[h] of height h satisfy Z[h] = sum_{d | h} P[h / d], and Moebius
+inversion of the height histogram gives P.  Collected points are kept by
+their gcd in the same step.
+
 Projective zeros are solved on half the box.  Every caller passes a form,
 or a sum of squares of forms, so all term degrees share one parity and
 x is a zero exactly when -x is: N(F; B) is twice the primitive zeros with
 1 <= x0 <= B plus N(F(0, x1, ..., xn); B), the slice found by recursion.
-The first free coordinate (the outer loop's, the tile's rows, the scalar
-prefixes') starts at 1.  Affine zeros keep the full box.
+The zeros with x0 >= 1 are a cone too, so each level inverts its own half
+box before the mirror.  The first free coordinate (the outer loop's, the
+tile's rows, the scalar prefixes') starts at 1.  Affine zeros keep the
+full box.
 
 A quaternary form that splits as G(x0, xi) - H(xj, xk), every term inside
 one of the two pairs, takes a third path instead, after D. J. Bernstein,
@@ -30,18 +39,18 @@ one of the two pairs, takes a third path instead, after D. J. Bernstein,
 its zeros are the pairs of points of [-B, B]^2 with G = H, which one sort
 of each side and a binary search of the other count in O(B^2 log B)
 rather than the kernel's O(B^3) cells.  The join covers the whole box at
-once, so it needs neither the mirror nor the slice.  It counts all zeros
-of each height, primitive or not; the zeros of a form are a cone, so
-Moebius inversion over the divisors of the height leaves the primitive
-ones.  It runs when its int64 keys value * (B + 1) + height provably fit,
-and every other form takes the paths above.
+once, so it needs neither the mirror nor the slice, and the inversion
+runs once on the whole box.  It runs when its int64 keys
+value * (B + 1) + height provably fit, and every other form takes the
+paths above.
 
 Solved points are tallied as a histogram of heights max |x_i| over
 0..B, so one enumeration at B gives the count at every b <= B as a prefix
 sum; the harness samples a whole B-grid from one pass that way.  A
 prefix completed by every value of the last variable is only noted by its
-gcd and height, and all of them are spread over the histogram at the end,
-one O(B) pass per distinct gcd.
+height, and all of them are spread over the histogram at the end in one
+O(B) pass.  Collected coordinates stay in int64 arrays until the points
+are listed.
 
 Counts of projective zeros include x and -x separately; point lists are
 returned in lexicographic order.
@@ -52,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -128,15 +137,6 @@ def _poly_value_bound(f: IntPoly, B: int) -> int:
     return sum(abs(c) * B ** sum(e) for e, c in f.terms.items())
 
 
-def _coprime_by_height(g0: int, B: int):
-    """#{v in [-B, B] : |v| = k, gcd(g0, v) == 1} for k = 0..B, as an
-    int64 array; g0 == 0 leaves the units only."""
-    v = np.arange(B + 1, dtype=np.int64)
-    by_height = np.where(np.gcd(v, g0) == 1, 2, 0)
-    by_height[0] //= 2
-    return by_height
-
-
 def _np_kth_roots(rhs, k: int, B: int):
     """Vectorized exact k-th roots of an int64 array or numpy scalar, for
     k >= 2: arrays (count, root) with root valid where count >= 1; for even
@@ -167,74 +167,102 @@ def _np_kth_roots(rhs, k: int, B: int):
 
 
 class _Hits:
-    """Accumulates solved points as a histogram of heights (the largest
-    |coordinate|, 0..B); optionally materializes coordinates."""
+    """Accumulates solved zeros as a histogram of heights (the largest
+    |coordinate|, 0..B) and, with ``collect``, their coordinates, kept as
+    int64 blocks of one column per zero until ``points`` lists them.
+    Zeros are counted whether primitive or not, until keep_primitive."""
 
-    def __init__(self, projective: bool, collect: bool, B: int):
-        self.projective = projective
+    def __init__(self, collect: bool, B: int):
         self.collect = collect
         self.B = B
         self._hist = np.zeros(B + 1, dtype=np.int64)
-        # heights of the full-range prefixes, keyed by their gcd g0
-        self._full = {}
-        self.points = [] if collect else None
+        self._full = []  # heights of the full-range prefixes
+        self._blocks = []  # collected zeros, (num_vars, n) arrays
+        self._scalar = []  # collected zeros found one at a time, as tuples
+
+    def _settle(self):
+        """Fold in what is pending: a full-range prefix of height h has
+        2h + 1 completions of height h and 2 of each height k > h, and the
+        collected zeros, those found one at a time included, merge into one
+        block."""
+        if self._full:
+            n = np.bincount(np.concatenate(self._full), minlength=self.B + 1)
+            self._hist += n * np.arange(1, 2 * self.B + 2, 2)
+            self._hist += 2 * (np.cumsum(n) - n)
+            self._full.clear()
+        if self._scalar:
+            self._blocks.append(np.array(self._scalar, dtype=np.int64).T)
+            self._scalar.clear()
+        if len(self._blocks) > 1:
+            self._blocks = [np.concatenate(self._blocks, axis=1)]
 
     @property
     def hist(self):
-        self._spread_full_range()
+        self._settle()
         return self._hist
 
     @property
     def count(self) -> int:
         return int(self.hist.sum())
 
-    def _spread_full_range(self):
-        """Add the points of the pending full-range prefixes: one of height
-        h has sum(by_v[:h+1]) completions of height h and by_v[k] of each
-        height k > h, so one pass per g0 adds them all."""
-        for g0, heights in self._full.items():
-            n = np.bincount(np.concatenate(heights), minlength=self.B + 1)
-            by_v = _coprime_by_height(g0, self.B)
-            self._hist += n * np.cumsum(by_v) + (np.cumsum(n) - n) * by_v
-        self._full.clear()
+    @property
+    def points(self):
+        """The collected zeros as tuples in lexicographic order."""
+        self._settle()
+        if not self._blocks:
+            return []
+        cols = self._blocks[0]
+        return list(zip(*cols[:, np.lexsort(cols[::-1])].tolist()))
+
+    def keep_primitive(self):
+        """Keep only the primitive zeros, those of gcd 1.  The zeros held
+        must form a cone, each one d times a primitive zero of height h / d,
+        so that Z[h] = sum_{d | h} P[h / d]; Moebius inversion, one prime at
+        a time, recovers P from Z."""
+        h = self.hist
+        prime = np.ones(self.B + 1, dtype=bool)
+        for p in range(2, self.B + 1):
+            if prime[p]:
+                prime[p * p::p] = False
+                h[p::p] -= h[1:self.B // p + 1].copy()
+        h[0] = 0  # the zero vector, when a zero, is not primitive
+        self._blocks = [b[:, np.gcd.reduce(b, axis=0, initial=0) == 1]
+                        for b in self._blocks]
 
     def add_scalar(self, prefix, v):
-        if self.projective:
-            if gcd(*prefix, v) != 1:
-                return
-        self._hist[max(abs(x) for x in prefix + (v,))] += 1
+        point = prefix + (v,)
+        self._hist[max(map(abs, point))] += 1
         if self.collect:
-            self.points.append(prefix + (v,))
+            self._scalar.append(point)
+
+    def _add_block(self, loop_prefix, cols):
+        """Collect the zeros loop_prefix + row over the rows of cols."""
+        n = len(cols[0])
+        self._blocks.append(np.array(
+            [np.full(n, x, dtype=np.int64) for x in loop_prefix] + list(cols)))
 
     def add_full_range(self, loop_prefix, *cols):
         """Every v in [-B, B] completes each prefix loop_prefix + row, for
         the rows of the equal-length int64 arrays cols (loop_prefix alone
-        without them), coprime to the prefix if projective."""
+        without them)."""
         n = len(cols[0]) if cols else 1
-        g = np.full(n, gcd(*loop_prefix) if self.projective else 1,
-                    dtype=np.int64)
         height = np.full(n, max(map(abs, loop_prefix), default=0),
                          dtype=np.int64)
         for col in cols:
-            if self.projective:
-                g = np.gcd(g, np.abs(col))
             np.maximum(height, np.abs(col), out=height)
-        for g0 in set(g.tolist()):
-            self._full.setdefault(g0, []).append(height[g == g0])
+        self._full.append(height)
         if self.collect:
-            rows = zip(*(c.tolist() for c in cols)) if cols else [()]
-            for row, g0 in zip(rows, g.tolist()):
-                prefix = loop_prefix + row
-                self.points.extend(prefix + (v,)
-                                   for v in range(-self.B, self.B + 1)
-                                   if gcd(g0, v) == 1)
+            width = 2 * self.B + 1
+            self._add_block(loop_prefix, [np.repeat(c, width) for c in cols]
+                            + [np.tile(np.arange(-self.B, self.B + 1), n)])
 
     def add_free_last(self, sub):
         """A free last variable on every point of sub: with S(k) of them of
         height <= k, (2k + 1) * S(k) points of height <= k."""
         if sub.collect:
-            if sub.points:
-                self.add_full_range((), *np.array(sub.points, dtype=np.int64).T)
+            sub._settle()
+            if sub._blocks:
+                self.add_full_range((), *sub._blocks[0])
             return
         upto = np.cumsum(sub.hist) * np.arange(1, 2 * self.B + 2, 2)
         self._hist += np.diff(upto, prepend=0)
@@ -244,48 +272,41 @@ class _Hits:
         coordinate, each row one point."""
         if len(cols[0]) == 0:
             return
-        if self.projective:
-            g = np.full(cols[0].shape, gcd(*loop_prefix), dtype=np.int64)
-            for col in cols:
-                g = np.gcd(g, np.abs(col))
-            keep = g == 1
-            cols = [col[keep] for col in cols]
         height = np.full(len(cols[0]), max(map(abs, loop_prefix), default=0))
         for col in cols:
             np.maximum(height, np.abs(col), out=height)
         self._hist += np.bincount(height, minlength=self.B + 1)
         if self.collect:
-            self.points.extend(loop_prefix + row
-                               for row in zip(*(c.tolist() for c in cols)))
+            self._add_block(loop_prefix, cols)
 
     def add_slice(self, sub):
         """The points of sub, the zeros of the slice x0 = 0, with x0 put
         back in front."""
         self._hist += sub.hist
         if self.collect:
-            self.points.extend((0,) + p for p in sub.points)
+            self._blocks += [np.insert(b, 0, 0, axis=0) for b in sub._blocks]
 
     def mirror(self):
         """Add -x for every point x held: the points of the half box x0 >= 1
         become those of both halves."""
-        self._spread_full_range()
+        self._settle()
         self._hist *= 2
-        if self.collect:
-            self.points.extend([tuple(-c for c in p) for p in self.points])
+        self._blocks += [-b for b in self._blocks]
 
 
 def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
-    """Count (and optionally list) integer zeros of f in the box |x| <= B.
+    """Count (and optionally list) integer zeros of f in the box |x| <= B,
+    the primitive ones only if projective.
 
     Projective zeros come from half the box.  All term degrees of f share
     one parity, so f(-x) = +-f(x) and the primitive zeros with x0 != 0 are
-    twice those with 1 <= x0 <= B; the rest are the primitive zeros of the
-    slice f(0, x1, ..., xn), found by recursion.  In one variable only
-    x0 = +-1 is primitive, a zero exactly when f vanishes identically.
-    A separable quaternary form takes the sorted join on the whole box
-    instead.
+    twice those with 1 <= x0 <= B, which keep_primitive selects from all
+    the zeros there; the rest are the primitive zeros of the slice
+    f(0, x1, ..., xn), found by recursion.  In one variable only x0 = +-1
+    is primitive, a zero exactly when f vanishes identically.  A separable
+    quaternary form takes the sorted join on the whole box instead.
     """
-    hits = _Hits(projective, collect, B)
+    hits = _Hits(collect, B)
     if not projective:
         _solve_box(f, B, -B, hits)
         return hits
@@ -295,8 +316,10 @@ def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
     split = _split_halves(f, B)
     if split is not None:
         _solve_split(*split, B, hits)
+        hits.keep_primitive()
         return hits
     _solve_box(f, B, 1, hits)
+    hits.keep_primitive()
     hits.mirror()
     if f.num_vars > 1:
         hits.add_slice(_solve_zeros(f.substitute_value(0, 0), B, True, collect))
@@ -330,32 +353,17 @@ def _split_halves(f: IntPoly, B: int):
     return None
 
 
-def _mobius(n: int):
-    """mu(0..n) as an int64 array, with mu(0) = 0."""
-    mu = np.ones(n + 1, dtype=np.int64)
-    mu[0] = 0
-    prime = np.ones(n + 1, dtype=bool)
-    for p in range(2, n + 1):
-        if prime[p]:
-            prime[p * p::p] = False
-            mu[p::p] *= -1
-            mu[p * p::p * p] = 0
-    return mu
-
-
 def _solve_split(order, G, H, B: int, hits):
-    """All primitive zeros of G(x_a, x_b) = H(x_c, x_d) in [-B, B]^4, where
+    """All zeros of G(x_a, x_b) = H(x_c, x_d) in [-B, B]^4, where
     (a, b, c, d) = order, by a sorted meet-in-the-middle join.
 
     Each side is a key value * (B + 1) + height over [-B, B]^2, sorted; a
     zero is a pair of equal values, of height the larger of the two.  Each
     left key counts the right keys of its value and height <= its own, and
     each right key the left keys of its value and height < its own, so
-    every pair is binned once, at its height: Z[h] counts all zeros of
-    height h.  The zeros form a cone, so Z[h] = sum_{d | h} P[h / d] over
-    the primitive zeros P, and Moebius inversion gives P.  Keys are built
-    and searched in chunks of at most TILE_CELLS cells, so that no
-    temporary is as large as a side.
+    every pair is binned once, at its height.  Keys are built and searched
+    in chunks of at most TILE_CELLS cells, so that no temporary is as large
+    as a side.
     """
     width = 2 * B + 1
     axis = np.arange(-B, B + 1, dtype=np.int64)
@@ -376,8 +384,6 @@ def _solve_split(order, G, H, B: int, hits):
         else:
             key.sort()
         sides.append((key, index))
-    zeros = np.zeros(B + 1, dtype=np.int64)
-    found = []  # primitive zeros, one (4, m) array per query chunk
     (left, left_index), (right, right_index) = sides
     for query, table, side in ((left, right, "right"), (right, left, "left")):
         for lo in range(0, len(query), TILE_CELLS):
@@ -386,27 +392,16 @@ def _solve_split(order, G, H, B: int, hits):
             group = np.searchsorted(table, q - h)  # first key of q's value
             # int64 counts stay exact, where bincount's float weights would
             # round past 2^53
-            np.add.at(zeros, h, np.searchsorted(table, q, side) - group)
+            np.add.at(hits._hist, h, np.searchsorted(table, q, side) - group)
             if hits.collect and query is left:
                 n = np.searchsorted(table, q - h + B, "right") - group
                 li = np.repeat(left_index[lo:lo + TILE_CELLS], n)
                 ri = right_index[np.arange(n.sum()) + np.repeat(
                     group - np.cumsum(n) + n, n)]
-                cols = [li // width - B, li % width - B,
-                        ri // width - B, ri % width - B]
-                g = np.gcd.reduce(np.abs(cols), axis=0)
-                pts = np.empty((4, int((g == 1).sum())), dtype=np.int64)
-                pts[list(order)] = np.array(cols)[:, g == 1]
-                found.append(pts)
-    if found:
-        # in lexicographic order, which the final sort then finds in one run
-        cols = np.concatenate(found, axis=1)
-        cols = cols[:, np.lexsort(cols[::-1])]
-        hits.points.extend(zip(*cols.tolist()))
-    zeros[0] = 0  # the zero vector, when a zero, is not primitive
-    mu = _mobius(B)
-    for d in np.nonzero(mu)[0].tolist():
-        hits._hist[d::d] += mu[d] * zeros[1:B // d + 1]
+                pts = np.empty((4, len(li)), dtype=np.int64)
+                pts[list(order)] = [li // width - B, li % width - B,
+                                    ri // width - B, ri % width - B]
+                hits._blocks.append(pts)
 
 
 def _solve_box(f: IntPoly, B: int, first: int, hits):
@@ -419,8 +414,7 @@ def _solve_box(f: IntPoly, B: int, first: int, hits):
         roots = (range(first, B + 1) if deg == -1 else [] if deg == 0 else
                  [r for r in uniroots.integer_roots_in_box(coeffs, B)
                   if r >= first])
-        for r in roots:
-            hits.add_scalar((), r)
+        hits.add_solved((), np.array(roots, dtype=np.int64))
         return
 
     coeffs = _last_var_coefficients(f)
@@ -428,7 +422,7 @@ def _solve_box(f: IntPoly, B: int, first: int, hits):
     if K == 0:
         # f does not involve its last variable: solve the smaller problem
         # and let that variable range over the full box
-        sub = _Hits(False, hits.collect or hits.projective, B)
+        sub = _Hits(hits.collect, B)
         _solve_box(coeffs[0], B, first, sub)
         hits.add_free_last(sub)
         return
@@ -810,8 +804,9 @@ def enumerate_projective_variety(gens, B: int):
     if inner and nv > 1:
         prefixes = _solve_zeros(_sum_of_squares(inner), B, projective=False,
                                 collect=True).points
-        hits = _Hits(True, True, B)
+        hits = _Hits(True, B)
         _solve_scalar(_last_var_coefficients(S), prefixes, B, hits)
+        hits.keep_primitive()
     else:
         hits = _solve_zeros(S, B, projective=True, collect=True)
     return sorted({primitive_vector(x) for x in hits.points})

@@ -10,8 +10,8 @@ import pytest
 
 import ratpoints.enumeration as en
 from oracles import brute_affine, brute_projective, brute_projective_points
-from ratpoints.enumeration import (_and, _cells, _coords, _coprime_by_height,
-                                   _pick, count_affine, count_projective)
+from ratpoints.enumeration import (_and, _cells, _coords, _pick, count_affine,
+                                   count_projective)
 from ratpoints.poly import IntPoly, monomials_of_degree, parse_poly
 
 
@@ -21,16 +21,30 @@ def force_scalar(monkeypatch):
     monkeypatch.setattr(en, "INT64_LIMIT", 0)
 
 
-def test_coprime_by_height():
-    from math import gcd
-
+def test_keep_primitive_inverts_over_divisors():
+    # whatever the histogram Z, the P left behind satisfies
+    # Z[h] = sum_{d | h} P[h / d]; B = 1 has no prime to invert by
     rng = random.Random(6)
-    for _ in range(120):
-        g0 = rng.randint(0, 400)
-        B = rng.randint(0, 60)
-        brute = [sum(1 for v in {-k, k} if gcd(g0, v) == 1)
-                 for k in range(B + 1)]
-        assert _coprime_by_height(g0, B).tolist() == brute, (g0, B)
+    for B in (1, 2, 3, 4, 30, 64):
+        for _ in range(20):
+            hits = en._Hits(True, B)
+            points = rng.randint(0, 40)
+            hits.add_solved((), *np.array(
+                [[rng.randint(-B, B) for _ in range(points)]
+                 for _ in range(3)], dtype=np.int64).reshape(3, points))
+            hits.add_full_range((rng.randint(-B, B), rng.randint(-B, B)))
+            hits.add_scalar((rng.randint(-B, B), rng.randint(-B, B)),
+                            rng.randint(-B, B))
+            hits._hist += np.array([rng.randint(0, 50) for _ in range(B + 1)])
+            Z = hits.hist.tolist()
+            want = sorted(p for p in hits.points if math.gcd(*p) == 1)
+            hits.keep_primitive()
+            P = hits.hist.tolist()
+            assert P[0] == 0, B
+            for h in range(1, B + 1):
+                assert Z[h] == sum(P[h // d] for d in range(1, h + 1)
+                                   if h % d == 0), (B, h)
+            assert sorted(hits.points) == want, B
 
 
 def random_poly(rng, nv, degree):
@@ -439,6 +453,9 @@ def test_full_range_heights_match_brute_counts(monkeypatch):
             n, hist = count_projective(F, 5, by_height=True)
             assert [sum(hist[:b + 1]) for b in range(1, 6)] == [
                 brute_projective(F, b) for b in range(1, 6)], (text, limit)
+            want = brute_projective_points(F, 5)
+            assert count_projective(F, 5, collect=True) == (len(want), want), (
+                text, limit)
         for text in affine:
             f = parse_poly(text, num_vars=4 if "t4" in text else 3)
             n, pts, hist = count_affine(f, 4, collect=True, by_height=True)
