@@ -5,12 +5,14 @@ output is CSV or JSON with sorted keys so reruns are byte-identical.
 ``count --seed`` is a label copied into report.json (nothing is random).
 A bad input (an unparsable polynomial, a non-prime filter modulus, ...)
 prints one line ``ratpoints: error: <message>`` to stderr and exits with
-status 2.
+status 2.  The argument parser is built once per process, at the first
+``main`` call, and reused by later calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,7 +46,10 @@ def _emit(obj, out=None):
     sys.stdout.write(rendered)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first ``main`` call and reused by
+    every later one in the process."""
     parser = argparse.ArgumentParser(prog="ratpoints")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -95,8 +100,11 @@ def main(argv=None) -> int:
     p_fit.add_argument("--series", required=True)
     p_fit.add_argument("--target", type=float, default=None)
     p_fit.add_argument("--tol", type=float, default=0.25)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     command = {"count": _cmd_count, "slice": _cmd_slice,
                "conic-param": _cmd_conic, "project": _cmd_project,
                "detmethod": _cmd_detmethod, "fit": _cmd_fit}[args.command]

@@ -61,6 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -166,6 +167,17 @@ def _np_kth_roots(rhs, k: int, B: int):
     return count.astype(np.int64), np.where(ok, best, 0)
 
 
+@lru_cache(maxsize=16)
+def _primes_upto(B: int):
+    """The primes p <= B, ascending, sieved once per B."""
+    prime = np.ones(B + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, isqrt(B) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+    return tuple(np.flatnonzero(prime).tolist())
+
+
 class _Hits:
     """Accumulates solved zeros as a histogram of heights (the largest
     |coordinate|, 0..B) and, with ``collect``, their coordinates, kept as
@@ -220,11 +232,8 @@ class _Hits:
         so that Z[h] = sum_{d | h} P[h / d]; Moebius inversion, one prime at
         a time, recovers P from Z."""
         h = self.hist
-        prime = np.ones(self.B + 1, dtype=bool)
-        for p in range(2, self.B + 1):
-            if prime[p]:
-                prime[p * p::p] = False
-                h[p::p] -= h[1:self.B // p + 1].copy()
+        for p in _primes_upto(self.B):
+            h[p::p] -= h[1:self.B // p + 1].copy()
         h[0] = 0  # the zero vector, when a zero, is not primitive
         self._blocks = [b[:, np.gcd.reduce(b, axis=0, initial=0) == 1]
                         for b in self._blocks]

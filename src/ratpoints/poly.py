@@ -53,8 +53,20 @@ class IntPoly:
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _exact(cls, num_vars: int, terms) -> "IntPoly":
+        """The polynomial of an exact-arithmetic result: zero terms are
+        dropped and nothing else is checked.  Every coefficient must be a
+        Python int and every exponent a tuple of ``num_vars`` Python ints,
+        as they are in any result computed from IntPoly terms."""
+        self = object.__new__(cls)
+        self.num_vars = num_vars
+        self.terms = {e: c for e, c in terms.items() if c}
+        self._degree = max(map(sum, self.terms), default=-1)
+        return self
+
+    @classmethod
     def zero(cls, num_vars: int) -> "IntPoly":
-        return cls(num_vars, {})
+        return cls._exact(num_vars, {})
 
     @classmethod
     def constant(cls, num_vars: int, c: int) -> "IntPoly":
@@ -89,7 +101,8 @@ class IntPoly:
         g = self.content()
         if g <= 1:
             return self
-        return IntPoly(self.num_vars, {e: c // g for e, c in self.terms.items()})
+        return IntPoly._exact(self.num_vars,
+                              {e: c // g for e, c in self.terms.items()})
 
     # -- ring operations ---------------------------------------------
 
@@ -98,10 +111,11 @@ class IntPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return IntPoly(self.num_vars, out)
+        return IntPoly._exact(self.num_vars, out)
 
     def __neg__(self):
-        return IntPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return IntPoly._exact(self.num_vars,
+                              {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -113,7 +127,7 @@ class IntPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return IntPoly(self.num_vars, out)
+        return IntPoly._exact(self.num_vars, out)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -160,12 +174,12 @@ class IntPoly:
         return total
 
     def substitute_value(self, index: int, value: int) -> "IntPoly":
-        """Set variable ``index`` to an integer and drop its slot."""
+        """Set variable ``index`` to a Python int and drop its slot."""
         out = {}
         for e, c in self.terms.items():
             ne = e[:index] + e[index + 1 :]
             out[ne] = out.get(ne, 0) + c * value ** e[index]
-        return IntPoly(self.num_vars - 1, out)
+        return IntPoly._exact(self.num_vars - 1, out)
 
     def partial(self, index: int) -> "IntPoly":
         out = {}
@@ -174,7 +188,7 @@ class IntPoly:
                 ne = list(e)
                 ne[index] -= 1
                 out[tuple(ne)] = out.get(tuple(ne), 0) + c * e[index]
-        return IntPoly(self.num_vars, out)
+        return IntPoly._exact(self.num_vars, out)
 
     def hasse_second(self, i: int, j: int) -> "IntPoly":
         """Second-order divided derivative: the coefficient of y_i*y_j
@@ -186,7 +200,8 @@ class IntPoly:
         d = self.partial(i).partial(j)
         if i != j:
             return d
-        return IntPoly(self.num_vars, {e: c // 2 for e, c in d.terms.items()})
+        return IntPoly._exact(self.num_vars,
+                              {e: c // 2 for e, c in d.terms.items()})
 
     def __repr__(self):
         return f"IntPoly({self.num_vars}, {self.to_text()!r})"
@@ -205,7 +220,7 @@ def pad_vars(f: IntPoly, num_vars: int) -> IntPoly:
     if num_vars == f.num_vars:
         return f
     extra = (0,) * (num_vars - f.num_vars)
-    return IntPoly(num_vars, {e + extra: c for e, c in f.terms.items()})
+    return IntPoly._exact(num_vars, {e + extra: c for e, c in f.terms.items()})
 
 
 def substitute_linear(f: IntPoly, images) -> IntPoly:
@@ -461,7 +476,7 @@ class _Parser:
             for e, c in self.term().terms.items():
                 out[e] = out.get(e, 0) + sign * c
             if self.peek()[0] not in "+-":
-                return IntPoly(self.num_vars, out)
+                return IntPoly._exact(self.num_vars, out)
             sign = -1 if self.take()[0] == "-" else 1
 
     def term(self):

@@ -320,3 +320,26 @@ def test_cli_count_points_takes_one_enumeration_pass(tmp_path, entry_calls,
         assert series[-1] == [16, count]
         rows = (out / "points.csv").read_text().splitlines()
         assert rows == [",".join(map(str, pt)) for pt in points]
+
+
+def test_cli_reuses_its_parser_across_calls(capsys):
+    """One process builds the parser once; no default appended to by one
+    call and no failed parse leaks into a later call."""
+    count = ["count", "--variety", FERMAT, "--function", "Naff",
+             "--bmax", "6"]
+    fresh = run_cli(*count)
+    assert fresh.returncode == 0
+    parser = cli._parser()
+    assert cli.main([*count, "--filter", "13:12,6,7"]) == 0
+    filtered = capsys.readouterr().out
+    assert cli.main(count) == 0
+    assert capsys.readouterr().out == fresh.stdout != filtered
+    with pytest.raises(SystemExit) as err:
+        cli.main(["count", "--variety", FERMAT])  # no --bmax
+    assert err.value.code == 2
+    capsys.readouterr()
+    conic = ["conic-param", "--plane", "1,0,0,1", "--quadric",
+             "x0*x1 - x2^2", "--bound", "100"]
+    assert cli.main(conic) == 0
+    assert capsys.readouterr().out == run_cli(*conic).stdout
+    assert cli._parser() is parser

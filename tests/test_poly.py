@@ -6,8 +6,8 @@ import sympy
 
 from ratpoints.poly import (IntPoly, PolyParseError, dehomogenize,
                             format_poly, graded_piece_basis, grlex_key,
-                            monomial_rows, monomials_of_degree, parse_poly,
-                            poly_divides)
+                            monomial_rows, monomials_of_degree, pad_vars,
+                            parse_poly, poly_divides)
 
 
 def test_parse_format_roundtrip():
@@ -259,3 +259,36 @@ def test_hasse_second():
                 want = d2 / 2 if i == j else d2
                 got = _sympy_expr(F.hasse_second(i, j), xs)
                 assert sympy.expand(got - want) == 0, (F, i, j)
+
+
+def test_exact_results_match_the_checked_constructor():
+    """Arithmetic results skip the public constructor's checks; each must
+    still be what that constructor makes of its terms: Python-int
+    coefficients, none zero, and exponent tuples of the right length."""
+    rng = random.Random(23)
+    for _ in range(300):
+        nv = rng.randint(1, 4)
+        f, g = (_random_form(rng, nv, rng.randint(0, 3))
+                + _random_form(rng, nv, rng.randint(0, 3)) for _ in range(2))
+        i, j = rng.randrange(nv), rng.randrange(nv)
+        v = rng.randint(-3, 3)
+        x_i = IntPoly.variable(nv, i)
+        # terms that cancel to zero: the degree must be -1
+        cancelled = [f - f, g + (-g), f * x_i - x_i * f,
+                     (f * (x_i - v)).substitute_value(i, v),
+                     IntPoly.zero(nv)]
+        assert all(r.is_zero() and r.degree == -1 for r in cancelled)
+        results = cancelled + [
+            f + g, f - g, f * g, -f, f ** rng.randint(0, 3), f.partial(i),
+            f.hasse_second(i, j), f.substitute_value(i, v),
+            (f * rng.randint(-6, 6)).primitive_part(),
+            pad_vars(f, nv + rng.randint(0, 2)),
+            parse_poly(f.to_text(), num_vars=nv)]
+        for r in results:
+            checked = IntPoly(r.num_vars, dict(r.terms))
+            assert r == checked and r.degree == checked.degree, (f, g, r)
+            assert all(type(c) is int for c in r.terms.values())
+            assert all(type(e) is tuple and len(e) == r.num_vars
+                       and all(type(a) is int for a in e) for e in r.terms)
+    with pytest.raises(ValueError, match="exponent tuple of wrong length"):
+        IntPoly(2, {(1, 0, 0): 1})
