@@ -19,7 +19,7 @@ import sys
 
 from .curves import (EmptyParam, certified_class_points, conic_parameterize,
                      conic_points, plane_eliminate, tangency_rank)
-from .detmethod import (RankFull, build_determinant, curve_section_degree,
+from .detmethod import (RankFull, build_determinants, curve_section_degree,
                         extract_auxiliary_form, partition_by_residue,
                         prime_window, select_monomials)
 from .enumeration import (CountSeries, count_affine_surface,
@@ -274,12 +274,17 @@ def _cmd_detmethod(args) -> int:
                 rec["rank"] = "full at every degree tried"
                 pending.append((rec, members))
             records.append(rec)
-    sections = {}
+    # (record, members, form) of the classes that got an auxiliary form
+    found = []
     # the classes still RankFull at degree D try D + 1 together
     for D in range(2, args.max_aux_degree + 1):
         if not pending:
             break
         outcomes = extract_auxiliary_form([m for _, m in pending], D, F)
+        # classes that share a nullspace share one outcome object, which
+        # is formatted once; outcomes keeps every object, and so its id,
+        # alive
+        texts = {}
         rank_full = []
         for (rec, members), outcome in zip(pending, outcomes):
             if isinstance(outcome, RankFull):
@@ -287,12 +292,14 @@ def _cmd_detmethod(args) -> int:
             elif isinstance(outcome, ValueError):
                 rec["aux_error"] = str(outcome)
             else:
-                rec["aux_form"] = format_poly(outcome.form)
+                if id(outcome) not in texts:
+                    texts[id(outcome)] = format_poly(outcome.form)
+                rec["aux_form"] = texts[id(outcome)]
                 rec["aux_degree"] = outcome.degree
                 rec["rank"] = outcome.rank
-                rec["delta"] = _delta_stats(F, outcome.form, rec["aux_form"],
-                                            members, rec["p"], sections)
+                found.append((rec, members, outcome.form))
         pending = rank_full
+    _add_delta_stats(F, found)
     out = {
         "form": format_poly(F),
         "bound": args.bound,
@@ -305,37 +312,41 @@ def _cmd_detmethod(args) -> int:
     return 0
 
 
-def _delta_stats(F, G, G_text, members, p, sections):
-    """Exact determinant statistics for the curve cut by F and the class's
-    auxiliary form G, at the first few class points.
+def _add_delta_stats(F, found):
+    """Exact determinant statistics for the curve cut by F and each class's
+    auxiliary form G, at the first few class points, as the record's
+    "delta"; found holds (record, members, G) triples.
 
-    ``sections`` maps (G_text, k), G_text being G formatted, to the curve's
-    section degree and monomial selection, or to the error computing them
-    raised; it is filled once per distinct G and k, and lives for one op.
+    Classes are grouped by G's text and k: each group's curve section
+    degree and monomial selection, or the error computing them raised, are
+    found once, and its determinants come from one build_determinants
+    call.
     """
-    k = min(len(members), 4)
-    key = (G_text, k)
-    if key not in sections:
+    groups = {}
+    for rec, members, G in found:
+        k = min(len(members), 4)
+        groups.setdefault((rec["aux_form"], k), (G, []))[1].append(
+            (rec, members[:k]))
+    for (_, k), (G, classes) in groups.items():
         try:
             e, _ = curve_section_degree([F, G])
-            sections[key] = (e, select_monomials([F, G], e, k))
+            sel = select_monomials([F, G], e, k)
         except (ValueError, CertificateError) as err:
-            sections[key] = err
-    section = sections[key]
-    if isinstance(section, Exception):
-        return {"error": str(section)}
-    e, sel = section
-    try:
-        cert = build_determinant(members[:k], sel)
-    except (ValueError, CertificateError) as err:
-        return {"error": str(err)}
-    return {
-        "k": k,
-        "curve_degree": e,
-        "det_zero": cert.det == 0,
-        "vp": valuation(cert.det, p),
-        "beta_required": cert.beta_required,
-    }
+            for rec, _ in classes:
+                rec["delta"] = {"error": str(err)}
+            continue
+        certs = build_determinants([points for _, points in classes], sel)
+        for (rec, _), cert in zip(classes, certs):
+            if isinstance(cert, Exception):
+                rec["delta"] = {"error": str(cert)}
+                continue
+            rec["delta"] = {
+                "k": k,
+                "curve_degree": e,
+                "det_zero": cert.det == 0,
+                "vp": valuation(cert.det, rec["p"]),
+                "beta_required": cert.beta_required,
+            }
 
 
 def _cmd_fit(args) -> int:

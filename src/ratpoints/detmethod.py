@@ -9,18 +9,24 @@ sharing a nonsingular reduction) force the determinant to vanish, which
 yields an auxiliary form vanishing on the whole class without being
 divisible by the surface form.  Everything here is exact integer or
 rational arithmetic; the only floats are in the prime windows.
+
+The per-class work runs in batches: one classification per prime, one
+value-matrix build, nullspace batch and vanishing check per degree, and
+one value-matrix build per monomial selection for the determinants.
+numpy computes in int64 wherever an a priori bound keeps every value
+inside it, and exact Python ints take over past the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, isfinite
+from math import ceil, comb, factorial, isfinite
 from operator import mul
 
 import numpy as np
 
 from .exact import CertificateError, is_prime, valuation
-from .geometry import classify_point
+from .geometry import classify_points
 from .linalg import det_bareiss, echelon_mod, nullspaces_int
 from .poly import (IntPoly, graded_piece_basis, monomial_rows,
                    monomials_of_degree, poly_divides)
@@ -72,7 +78,8 @@ def partition_by_residue(points, p: int, F: IntPoly):
     """Partition affine points [1, x1, x2, x3] by reduction mod p.
 
     Returns an ordered mapping residue -> (points, classification of the
-    residue on the reduced surface).
+    residue on the reduced surface); the residues are classified in one
+    batch.
     """
     classes: dict = {}
     for pt in points:
@@ -80,10 +87,9 @@ def partition_by_residue(points, p: int, F: IntPoly):
             raise ValueError("points must be affine, first coordinate 1")
         key = (1, pt[1] % p, pt[2] % p, pt[3] % p)
         classes.setdefault(key, []).append(tuple(pt))
-    out = {}
-    for key in sorted(classes):
-        out[key] = (classes[key], classify_point(F, key, p=p))
-    return out
+    keys = sorted(classes)
+    return {key: (classes[key], verdict) for key, verdict
+            in zip(keys, classify_points(F, keys, p))}
 
 
 # ---------------------------------------------------------------------
@@ -175,29 +181,51 @@ class DetCertificate:
 
 
 def build_determinant(points, sel: MonomialSelection) -> DetCertificate:
-    """Exact determinant of affine monomial values at k points.
+    """Exact determinant of affine monomial values at k points; the
+    one-class case of build_determinants, raising its error."""
+    [cert] = build_determinants([points], sel)
+    if isinstance(cert, Exception):
+        raise cert
+    return cert
+
+
+def build_determinants(classes, sel: MonomialSelection) -> list:
+    """For each class of k points, the exact determinant of the selected
+    monomials' values there, or the error saying why there is none.
 
     Every point has first coordinate 1, so each selected monomial takes
     the value of its affine (dehomogenized) monomial there.  Checks the
-    size bound |det| <= k! * B^(degree sum) whenever det != 0.
+    size bound |det| <= k! * B^(degree sum) whenever det != 0, and returns
+    the CertificateError when it fails; a class of the wrong size or with
+    a point off x0 = 1 gets a ValueError.  The value matrices of all
+    classes come from one _value_matrices call.
     """
-    points = [tuple(pt) for pt in points]
-    if len(points) != sel.k:
-        raise ValueError(f"need exactly k = {sel.k} points")
-    if any(pt[0] != 1 for pt in points):
-        raise ValueError("points must be affine, first coordinate 1")
-    matrix = monomial_rows(sel.monomials, points)
-    det = det_bareiss(matrix)
-    B = max((max(abs(c) for c in pt) for pt in points), default=1)
-    B = max(B, 2)
-    bound = 1
-    for i in range(1, sel.k + 1):
-        bound *= i
-    bound *= B ** sel.degree_sum
-    if det != 0 and abs(det) > bound:
-        raise CertificateError("determinant exceeded its size bound")
-    return DetCertificate(points=points, det=det,
-                          beta_required=sel.k * (sel.k - 1) // 2)
+    classes = [[tuple(pt) for pt in points] for points in classes]
+    out = [None] * len(classes)
+    good = []
+    for i, points in enumerate(classes):
+        if len(points) != sel.k:
+            out[i] = ValueError(f"need exactly k = {sel.k} points")
+        elif any(pt[0] != 1 for pt in points):
+            out[i] = ValueError("points must be affine, first coordinate 1")
+        else:
+            good.append(i)
+    D = sum(sel.monomials[0]) if sel.monomials else 0
+    _, matrices = _value_matrices(sel.monomials, [classes[i] for i in good],
+                                  D)
+    k_factorial = factorial(sel.k)
+    for i, matrix in zip(good, matrices):
+        points = classes[i]
+        det = det_bareiss(matrix.tolist() if isinstance(matrix, np.ndarray)
+                          else matrix)
+        B = max((max(map(abs, pt)) for pt in points), default=1)
+        bound = k_factorial * max(B, 2) ** sel.degree_sum
+        if det != 0 and abs(det) > bound:
+            out[i] = CertificateError("determinant exceeded its size bound")
+        else:
+            out[i] = DetCertificate(points=points, det=det,
+                                    beta_required=sel.k * (sel.k - 1) // 2)
+    return out
 
 
 @dataclass
@@ -264,7 +292,7 @@ def extract_auxiliary_form(classes, D: int, F: IntPoly):
 
     All nullspaces come from one nullspaces_int call, and each distinct
     basis is turned into an outcome once; every class is checked to lie
-    on its form.
+    on its form, all classes in one product.
     """
     classes = [[tuple(pt) for pt in points] for points in classes]
     if not all(classes):
@@ -272,41 +300,94 @@ def extract_auxiliary_form(classes, D: int, F: IntPoly):
     if not classes:
         return []
     basis = monomials_of_degree(4, D)
-    matrices = _value_matrices(basis, classes, D)
-    outcomes = {}
-    result = []
-    for rows, vectors in zip(matrices, nullspaces_int(matrices, len(basis))):
+    values, matrices = _value_matrices(basis, classes, D)
+    index = {}      # nullspace basis -> its position in distinct
+    distinct = []   # (outcome, null vector of the form or None)
+    which = []
+    for vectors in nullspaces_int(matrices, len(basis)):
         key = tuple(vectors)
-        if key not in outcomes:
-            outcomes[key] = _outcome(vectors, basis, D, F)
-        outcome, vec = outcomes[key]
-        # the form is a nonzero multiple of vec, so it vanishes at a point
-        # exactly when the point's row is orthogonal to vec; the rows are
-        # taken as Python ints, whose products are exact
-        if vec is not None and any(
-                sum(map(mul, vec, row))
-                for row in np.asarray(rows, dtype=object).tolist()):
-            raise CertificateError("auxiliary form misses a class point")
-        result.append(outcome)
-    return result
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(_outcome(vectors, basis, D, F))
+        which.append(index[key])
+    if _misses_a_point(values, matrices, [vec for _, vec in distinct], which,
+                       len(basis)):
+        raise CertificateError("auxiliary form misses a class point")
+    return [distinct[k][0] for k in which]
 
 
 def _value_matrices(basis, classes, D: int):
-    """Each class's matrix of values of the degree-D monomials basis, one
-    row per point: int64 arrays when every value stays below 2^63 in
-    absolute value, else lists of exact ints from monomial_rows."""
+    """(values, matrices): each class's matrix of values of the degree-D
+    monomials basis, one row per point.  When every value stays below 2^63
+    in absolute value, values is one int64 array of every class's rows and
+    the matrices are its row blocks; else values is None and the matrices
+    are lists of exact ints from monomial_rows."""
     try:
         pts = np.array([pt for points in classes for pt in points],
                        dtype=np.int64)
-        fits = max(int(pts.max()), -int(pts.min())) ** D < 2**63
+        fits = pts.size > 0 and max(int(pts.max()),
+                                    -int(pts.min())) ** D < 2**63
     except OverflowError:
         fits = False
     if not fits:
-        return [monomial_rows(basis, points) for points in classes]
-    # each partial product of a monomial's powers is at most max|x|^D
-    values = np.prod(pts[:, None, :] ** np.array(basis, dtype=np.int64),
-                     axis=2)
-    return np.split(values, np.cumsum([len(points) for points in classes])[:-1])
+        return None, [monomial_rows(basis, points) for points in classes]
+    # built a column at a time from each coordinate's powers, so that no
+    # temporary is as large as values; each partial product of a
+    # monomial's powers is at most max|x|^D
+    powers = [[None, x] for x in pts.T]
+    for pw in powers:
+        for _ in range(2, D + 1):
+            pw.append(pw[-1] * pw[1])
+    values = np.ones((len(pts), len(basis)), dtype=np.int64)
+    for column, e in zip(values.T, basis):
+        for pw, k in zip(powers, e):
+            if k:
+                column *= pw[k]
+    return values, np.split(values, np.cumsum([len(points)
+                                                for points in classes])[:-1])
+
+
+def _misses_a_point(values, matrices, vecs, which, ncols: int) -> bool:
+    """Whether some row of matrices[i] is not orthogonal to its vector
+    vecs[which[i]]; a vector of None is not checked.  values is the int64
+    array of all the matrices' rows, or None, as _value_matrices returns.
+
+    A form is a nonzero multiple of its null vector, so it vanishes at a
+    point exactly when the point's row is orthogonal to the vector.  Int64
+    rows are checked in one product over all of them, a column at a time,
+    for each class under the a priori bound
+    ncols * max|row| * max|vec| < 2^63; the other classes, and a vector
+    past int64, take Python ints, whose products are exact.
+    """
+    top = [0 if v is None else max(map(abs, v)) for v in vecs]
+    checked = [i for i, k in enumerate(which) if vecs[k] is not None]
+    exact = checked
+    if values is not None and checked:
+        # each row's vector; 0 for a class that is not checked here
+        V = np.zeros((len(vecs), ncols), dtype=np.int64)
+        for k, v in enumerate(vecs):
+            if v is not None and top[k] < 2**63:
+                V[k] = v
+        vec_of = np.repeat(which, [len(m) for m in matrices])
+        # a product past the bound may wrap, but then it is not read
+        dots = np.zeros(len(values), dtype=np.int64)
+        for column, vcol in zip(values.T, V.T):
+            dots += column * vcol[vec_of]
+        starts = np.cumsum([0] + [len(m) for m in matrices[:-1]])
+        missed = np.logical_or.reduceat(dots != 0, starts).tolist()
+        high = np.maximum.reduceat(values.max(axis=1), starts).tolist()
+        low = np.minimum.reduceat(values.min(axis=1), starts).tolist()
+        exact = []
+        for i in checked:
+            if ncols * max(high[i], -low[i]) * top[which[i]] >= 2**63:
+                exact.append(i)
+            elif missed[i]:
+                return True
+    # int64 rows are listed as Python ints one at a time
+    return any(sum(map(mul, vecs[which[i]], row)) for i in exact
+               for row in (map(np.ndarray.tolist, matrices[i])
+                           if isinstance(matrices[i], np.ndarray)
+                           else matrices[i]))
 
 
 def _outcome(vectors, basis, D: int, F: IntPoly):

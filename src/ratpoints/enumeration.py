@@ -142,27 +142,26 @@ def _np_kth_roots(rhs, k: int, B: int):
     """Vectorized exact k-th roots of an int64 array or numpy scalar, for
     k >= 2: arrays (count, root) with root valid where count >= 1; for even
     k a positive rhs has roots +-root.  Roots above B are not found, so B
-    must keep (B + 1)**k within int64."""
+    must keep B**k within int64.
+
+    The float root, rounded, is the only candidate.  A root r <= B of
+    |rhs| = r^k < 2^63 has r < 2^32.  Converting r^k to float64 rounds it
+    by a relative 2^-53 at most, sqrt and cbrt are within an ulp, and
+    pow(x, 1/k) adds the rounding of 1/k, a relative ln(r) * 2^-53 with
+    ln(r) < 23; so the float root is r * (1 + delta) with
+    |delta| < 2^-48, |r * delta| < 2^-16 < 1/2, and it rounds to r.  A
+    candidate that is no root fails the exact check cand**k == |rhs|.
+    """
     mag = np.abs(rhs)
     magf = mag.astype(np.float64)
-    if k == 3:
-        guess = np.rint(np.cbrt(magf)).astype(np.int64)
-    else:
-        guess = np.rint(np.power(magf, 1.0 / k)).astype(np.int64)
-    # candidates stay <= B+1 so cand**k cannot overflow the checked bound
-    guess = np.clip(guess, 0, B)
-    best = np.zeros_like(rhs)
-    found = np.zeros(rhs.shape, dtype=bool)
-    for adj in (-1, 0, 1):
-        cand = np.maximum(guess + adj, 0)
-        hit = cand**k == mag
-        best = np.where(hit & ~found, cand, best)
-        found |= hit
+    root = np.cbrt(magf) if k == 3 else np.power(magf, 1.0 / k)
+    # candidates stay <= B so cand**k cannot overflow
+    best = np.clip(np.rint(root).astype(np.int64), 0, B)
+    found = best**k == mag
     if k % 2 == 1:
         root = np.where(rhs < 0, -best, best)
-        ok = found & (np.abs(root) <= B)
-        return ok.astype(np.int64), np.where(ok, root, 0)
-    ok = found & (rhs >= 0) & (best <= B)
+        return found.astype(np.int64), np.where(found, root, 0)
+    ok = found & (rhs >= 0)
     count = np.where(ok, np.where(best > 0, 2, 1), 0)
     return count.astype(np.int64), np.where(ok, best, 0)
 
@@ -219,7 +218,8 @@ class _Hits:
 
     @property
     def points(self):
-        """The collected zeros as tuples in lexicographic order."""
+        """The collected zeros as tuples in lexicographic order; the point
+        lists of ``_result`` rely on it and are not sorted again."""
         self._settle()
         if not self._blocks:
             return []
@@ -656,9 +656,10 @@ def _solve_tiles(coeffs, B, first, hits):
 
 def _result(count, points, hist, collect, by_height):
     """The count; with ``collect`` and ``by_height``, a tuple that follows
-    it with the sorted points and the height histogram (a list whose entry
-    h counts the points of height h), in that order."""
-    extra = (((sorted(points),) if collect else ())
+    it with the points, which every caller passes in lexicographic order,
+    and the height histogram (a list whose entry h counts the points of
+    height h), in that order."""
+    extra = (((points,) if collect else ())
              + ((hist,) if by_height else ()))
     return (count,) + extra if extra else count
 

@@ -5,7 +5,9 @@ restricted to the tangent plane: Singular (zero gradient), InU (some
 tangent vector sees a nonzero quadratic value, multiplicity at most 2 on
 the tangent section), or NotInU.  The quadratic coefficients come from
 second-order divided derivatives, so the same code runs verbatim over any
-prime field.
+prime field.  Points are classified in batches, one numpy pass each:
+int64 residues below 2^31 reduced after every product, or exact Python
+ints in object arrays over Q and for larger primes.
 
 Projections of a variety away from a small-height point h map x to
 h_j*x - x_j*h on the hyperplane x_j = 0, for the first j with h_j != 0;
@@ -20,6 +22,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .exact import CertificateError, primitive_vector
 from .poly import IntPoly
@@ -43,49 +47,88 @@ def _derivatives(F: IntPoly):
 
 def classify_point(F: IntPoly, x, p: int | None = None) -> Classification:
     """Classify a surface point; with p given, work over the prime field.
+    The one-point case of classify_points."""
+    return classify_points(F, [x], p)[0]
+
+
+def classify_points(F: IntPoly, points, p: int | None = None) -> list:
+    """The Classification of each surface point, in one batch; with p
+    given, over the prime field.
 
     The quadratic term Q of F(x + t*y) is evaluated on a spanning set of
     the tangent plane together with its pairwise sums, which decides
-    whether Q restricts to zero in any characteristic.
+    whether Q restricts to zero in any characteristic.  With g the
+    gradient and m its first nonzero index, the tangent vectors
+    v_j = g_m e_j - g_j e_m, j != m, span the plane (v_m is 0).
+
+    F, its 4 partials and its 10 divided second derivatives are evaluated
+    once on arrays of the coordinates: int64 residues reduced mod p after
+    every product when p < 2^31, so no product of two residues leaves
+    int64, and exact Python ints in object arrays otherwise (over Q, and
+    for larger p).
     """
-    xs = tuple(x)
-    if F.num_vars != 4 or len(xs) != 4:
+    xs = [tuple(x) for x in points]
+    if not xs:
+        return []
+    if F.num_vars != 4 or any(len(x) != 4 for x in xs):
         raise ValueError("classification lives on surfaces in P^3")
+    if p and p < 2**31:
+        try:
+            cols = np.array(xs, dtype=np.int64).T % p
+        except OverflowError:
+            cols = (np.array(xs, dtype=object).T % p).astype(np.int64)
+    else:
+        cols = np.array(xs, dtype=object).T
+        if p:
+            cols = cols % p
+
+    def red(a):
+        return a % p if p else a
+
+    powers = [[np.ones_like(col), col] for col in cols]
+    for pw in powers:
+        while len(pw) <= F.degree:
+            pw.append(red(pw[-1] * pw[1]))
 
     def ev(poly):
-        return poly.evaluate(xs) % p if p else poly.evaluate(xs)
+        total = np.zeros_like(cols[0])
+        for e, c in poly.terms.items():
+            v = red(c)
+            for pw, k in zip(powers, e):
+                if k:
+                    v = red(v * pw[k])
+            total = red(total + v)
+        return total
 
-    if ev(F) != 0:
+    if (ev(F) != 0).any():
         raise ValueError("point not on surface")
     partials, seconds = _derivatives(F)
-    g = [ev(d) for d in partials]
-    if all(v == 0 for v in g):
-        return Classification.SINGULAR
+    g = np.array([ev(d) for d in partials])
     # quadratic Taylor coefficients via divided second derivatives
-    c = {ij: ev(d) for ij, d in seconds}
+    c = [(ij, ev(d)) for ij, d in seconds if not d.is_zero()]
 
-    def qval(y):
-        total = 0
-        for (i, j), cij in c.items():
-            total += cij * y[i] * y[j]
-        return total % p if p else total
+    def qval(v):
+        total = np.zeros_like(cols[0])
+        for (i, j), cij in c:
+            total = red(total + red(red(cij * v[i]) * v[j]))
+        return total
 
-    m = next(i for i in range(4) if g[i] != 0)
-    basis = []
-    for j in range(4):
-        if j == m:
-            continue
-        v = [0, 0, 0, 0]
-        v[j] = g[m]
-        v[m] = -g[j] % p if p else -g[j]
-        basis.append(tuple(v))
+    n = len(xs)
+    nonzero = g != 0
+    m = nonzero.argmax(axis=0)
+    gm = g[m, np.arange(n)]
+    is_m = [m == i for i in range(4)]
+    basis = [[red(np.where(i == j, gm, 0) - np.where(is_m[i], g[j], 0))
+              for i in range(4)] for j in range(4)]
+    in_u = np.zeros(n, dtype=bool)
     for v in basis:
-        if qval(v) != 0:
-            return Classification.IN_U
+        in_u |= qval(v) != 0
     for a, b in itertools.combinations(basis, 2):
-        if qval(tuple(u + w for u, w in zip(a, b))) != 0:
-            return Classification.IN_U
-    return Classification.NOT_IN_U
+        in_u |= qval([red(u + w) for u, w in zip(a, b)]) != 0
+    singular = ~nonzero.any(axis=0)
+    return [Classification.SINGULAR if s else
+            Classification.IN_U if u else Classification.NOT_IN_U
+            for s, u in zip(singular.tolist(), in_u.tolist())]
 
 
 def scan_projective_points(num_vars: int, height: int):

@@ -149,72 +149,110 @@ def nullspaces_int(matrices, ncols):
     distinct row space instead of one per matrix.
 
     Each matrix is a list of integer rows or a 2-D integer array with ncols
-    columns.  They are row-reduced mod P (echelon_mod) in zero-padded
-    stacks of similar height, and matrices with the same reduced form mod
-    P, in any stack, form a group.  One member's pivot rows mod P are
+    columns.  Each is row-reduced mod P by _row_spaces, which stacks at
+    most ncols^2 + ncols of its rows at once, and matrices with the same
+    reduced form mod P form a group.  One member's pivot rows mod P are
     independent over Q, so the exact nullspace N of those rows has
     ncols - r vectors for the member's rank r mod P, and a matrix M of the
     group with M N = 0 has nullspace exactly span N; the primitive basis
-    depends on the nullspace only.  M N is taken in int64 under the a
-    priori bound ncols * max|M| * max|N| < 2^63.  A matrix whose check
-    fails, whose bound fails or whose entries do not fit an int64 goes to
-    nullspace_int.
+    depends on the nullspace only.  M N is taken over every row of M, in
+    one int64 product per group, under the a priori bound
+    ncols * max|M| * max|N| < 2^63; for r = ncols it is 0 by rank.  A
+    matrix whose check fails, whose bound fails or whose entries do not
+    fit an int64 goes to nullspace_int.
     """
     matrices = list(matrices)
     arrays = [_int64_rows(m, ncols) for m in matrices]
-    # matrices whose row counts lie between the same powers of two are
-    # reduced as one zero-padded stack, so padding at most doubles a matrix
-    buckets = {}
-    for i, a in enumerate(arrays):
-        if a is not None:
-            buckets.setdefault(len(a).bit_length(), []).append(i)
-    groups, bases, stacks = {}, [], []
-    for members in buckets.values():
-        A = np.zeros((len(members), max(len(arrays[i]) for i in members),
-                      ncols), dtype=np.int64)
-        for b, i in enumerate(members):
-            A[b, :len(arrays[i])] = arrays[i]
-        ranks, order, ech = echelon_mod(A)
-        group_of = []
-        for b, r in enumerate(ranks.tolist()):
-            key = ech[b, :r].tobytes()
-            if key not in groups:
-                # the group's candidate basis, from this member's pivot rows
-                groups[key] = len(bases)
-                bases.append(_null_of_rows(A[b, order[b, :r]].tolist(), ncols))
-            group_of.append(groups[key])
-        stacks.append((members, A, group_of))
+    reduced = _row_spaces(arrays, ncols)
+    groups, bases, members = {}, [], []
+    for i in sorted(reduced):
+        rows, key = reduced[i]
+        if key not in groups:
+            # the group's candidate basis, from this member's pivot rows
+            groups[key] = len(bases)
+            bases.append(_null_of_rows(arrays[i][rows].tolist(), ncols))
+            members.append([])
+        members[groups[key]].append(i)
     out = [None] * len(matrices)
-    if bases:
-        top = [max((abs(x) for v in basis for x in v), default=0)
-               for basis in bases]
-        # the bases as columns, padded to the widest nullity; one past
-        # int64 fails the bound and stays zero
-        N = np.zeros((len(bases), ncols, max(map(len, bases))),
-                     dtype=np.int64)
-        for k, basis in enumerate(bases):
-            if basis and top[k] < 2**63:
-                N[k, :, :len(basis)] = np.array(basis, dtype=np.int64).T
-    for members, A, group_of in stacks:
-        high = A.max(axis=(1, 2), initial=0).tolist()
-        low = A.min(axis=(1, 2), initial=0).tolist()
+    for basis, idx in zip(bases, members):
+        for i in idx:
+            out[i] = list(basis)
+        # a matrix of no rows, or of rank ncols, needs no check
+        checked = [i for i in idx if len(arrays[i])] if basis else []
+        if not checked:
+            continue
+        top = max(abs(x) for v in basis for x in v)
+        if top >= 2**63:
+            for i in checked:
+                out[i] = None
+            continue
+        M = np.concatenate([arrays[i] for i in checked])
+        starts = np.cumsum([0] + [len(arrays[i]) for i in checked[:-1]])
+        high = np.maximum.reduceat(M.max(axis=1), starts).tolist()
+        low = np.minimum.reduceat(M.min(axis=1), starts).tolist()
         # a product past the bound may wrap, but then it is not read
-        nonzero = np.matmul(A, N[group_of]).any(axis=(1, 2)).tolist()
-        for b, (i, k) in enumerate(zip(members, group_of)):
-            if ncols * max(high[b], -low[b]) * top[k] < 2**63 \
-                    and not nonzero[b]:
-                out[i] = list(bases[k])
+        product = M @ np.array(basis, dtype=np.int64).T
+        nonzero = np.logical_or.reduceat(product.any(axis=1), starts)
+        for i, h, lo, nz in zip(checked, high, low, nonzero.tolist()):
+            if nz or ncols * max(h, -lo) * top >= 2**63:
+                out[i] = None
     return [nullspace_int(m, ncols) if got is None else got
             for m, got in zip(matrices, out)]
 
 
 def _int64_rows(m, ncols):
-    """m as an int64 array of shape (len(m), ncols), or None when an entry
-    does not fit an int64."""
+    """m as an int64 array of shape (len(m), ncols), not copied when it is
+    one already, or None when an entry does not fit an int64."""
     try:
-        return np.array(m, dtype=np.int64).reshape(len(m), ncols)
+        return np.asarray(m, dtype=np.int64).reshape(len(m), ncols)
     except OverflowError:
         return None
+
+
+def _row_spaces(arrays, ncols):
+    """{i: (indices of rows of arrays[i] that are independent mod P and
+    span its row space mod P, the bytes of its reduced echelon form mod P
+    without the zero rows)} for each int64 matrix; None stands for a matrix
+    that is not one.
+
+    The rows are taken in rounds.  Each round reduces, for every matrix not
+    yet done, its pivot rows so far (at most ncols) together with its next
+    rows: 2 * ncols of them at first, then as many as it has taken, but at
+    most ncols^2.  So the rounds are few, and a block holds at most
+    ncols^2 + ncols rows however tall the matrix; its last round's block
+    spans all of its rows.  Blocks whose row counts lie between the same
+    powers of two share one zero-padded echelon_mod stack, so padding at
+    most doubles a block.  A matrix is done after its last rows, or once
+    its pivot rows have rank ncols.
+    """
+    # matrix -> its pivot rows so far, None before its first round
+    todo = dict.fromkeys(i for i, a in enumerate(arrays) if a is not None)
+    done = {}
+    start, stop = 0, 2 * ncols
+    while todo:
+        blocks = {}
+        for i, kept in todo.items():
+            # the rows of the block, None for the first 2 * ncols rows
+            rows = None if kept is None else np.concatenate(
+                (kept, np.arange(start, min(stop, len(arrays[i])))))
+            block = arrays[i][:stop] if rows is None else arrays[i][rows]
+            blocks.setdefault(len(block).bit_length(), []).append(
+                (i, rows, block))
+        for stack in blocks.values():
+            A = np.zeros((len(stack), max(len(bl) for _, _, bl in stack),
+                          ncols), dtype=np.int64)
+            for b, (_, _, block) in enumerate(stack):
+                A[b, :len(block)] = block
+            ranks, order, ech = echelon_mod(A)
+            for b, ((i, rows, _), r) in enumerate(zip(stack, ranks.tolist())):
+                kept = order[b, :r] if rows is None else rows[order[b, :r]]
+                if r == ncols or stop >= len(arrays[i]):
+                    done[i] = kept, ech[b, :r].tobytes()
+                    del todo[i]
+                else:
+                    todo[i] = kept
+        start, stop = stop, stop + min(stop, ncols * ncols)
+    return done
 
 
 def _null_of_rows(rows, ncols):
@@ -234,6 +272,12 @@ def echelon_mod(A, p: int = P):
     are independent mod p, and ech[i] is its reduced echelon form with
     entries in [0, p), zero rows last.  Residues below 2^31 keep every
     product of two of them inside an int64.
+
+    A column is cleared without division: every other row becomes the
+    pivot entry times itself minus its entry times the pivot row, a
+    nonzero multiple of what the division would give, so the pivots chosen
+    are the same.  The pivot rows are divided by their pivot entries once,
+    at the end; the reduced form is unique.
     """
     if p >= 2**31:
         raise ValueError(f"modulus {p} is not below 2^31")
@@ -241,20 +285,38 @@ def echelon_mod(A, p: int = P):
     n, R, C = A.shape
     order = np.tile(np.arange(R), (n, 1))
     ranks = np.zeros(n, dtype=np.intp)
+    pivots = np.zeros((n, min(R, C)), dtype=np.intp)
+    row = np.arange(R)
     for c in range(C):
-        live = (A[:, :, c] != 0) & (np.arange(R) >= ranks[:, None])
+        live = (A[:, :, c] != 0) & (row >= ranks[:, None])
         m = np.flatnonzero(live.any(axis=1))
         if not m.size:
             continue
         r, piv = ranks[m], live[m].argmax(axis=1)
-        for arr in (A, order):
-            arr[m, r], arr[m, piv] = arr[m, piv], arr[m, r]
-        prow = A[m, r] * _inverse_mod(A[m, r, c], p)[:, None] % p
-        A[m, r] = prow
-        f = A[m, :, c]
-        f[np.arange(m.size), r] = 0
-        A[m] = (A[m] - f[:, :, None] * prow[:, None, :]) % p
+        move = piv != r
+        if move.any():
+            mm, rm, pm = m[move], r[move], piv[move]
+            for arr in (A, order):
+                arr[mm, rm], arr[mm, pm] = arr[mm, pm], arr[mm, rm]
+        # a view of A when every matrix takes part, else a copy
+        sub = A if m.size == n else A[m]
+        k = np.arange(m.size)
+        prow = sub[k, r]
+        f = sub[:, :, c].copy()
+        f[k, r] = 0
+        sub *= prow[:, c, None, None]
+        sub -= f[:, :, None] * prow[:, None]
+        sub[k, r] = prow
+        sub %= p
+        if sub is not A:
+            A[m] = sub
+        pivots[m, r] = c
         ranks[m] += 1
+    # divide each pivot row by its pivot entry
+    rows = np.arange(min(R, C)) < ranks[:, None]
+    b, i = np.nonzero(rows)
+    lead = A[b, i, pivots[b, i]]
+    A[b, i] = A[b, i] * _inverse_mod(lead, p)[:, None] % p
     return ranks, order, A
 
 

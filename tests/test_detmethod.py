@@ -17,9 +17,9 @@ from ratpoints.detmethod import (AuxiliaryForm, DetCertificate, RankFull,
 from ratpoints.enumeration import count_affine_surface
 from ratpoints.geometry import Classification
 from ratpoints.exact import CertificateError, is_prime, valuation
-from ratpoints.linalg import nullspace_int
-from ratpoints.poly import (IntPoly, format_poly, grlex_key, parse_poly,
-                            poly_divides)
+from ratpoints.linalg import det_bareiss, nullspace_int
+from ratpoints.poly import (IntPoly, format_poly, grlex_key, monomial_rows,
+                            parse_poly, poly_divides)
 
 X = [IntPoly.variable(4, i) for i in range(4)]
 LINE = [X[2], X[3]]
@@ -332,7 +332,10 @@ def test_detmethod_certificates_survive_python_O():
     # auxiliary form that misses a class point must raise CertificateError
     # also under python -O (the script's own assert fails unless -O has
     # stripped it); the last one comes from a nullspace patched to return
-    # x3^2, the first monomial of degree 2, which is 1 at (1, 0, 0, -1)
+    # 4*x3^2 (x3^2 is the first monomial of degree 2), which misses
+    # (1, 0, 0, -1) on the int64 branch, (1, 0, 0, 2^32) on the Python-int
+    # branch (its rows leave int64) and (1, 0, 0, 2^31), whose int64 rows
+    # fail the product bound: there 4 * 2^62 = 2^64 wraps to 0 in int64
     script = (
         "import ratpoints.detmethod as dm\n"
         "from ratpoints.exact import CertificateError\n"
@@ -342,7 +345,7 @@ def test_detmethod_certificates_survive_python_O():
         "line = [X[2], X[3]]\n"
         "sel = dm.select_monomials(line, 1, 2)\n"
         "sel.degree_sum = 0\n"
-        "dm.nullspaces_int = lambda matrices, ncols: [[(1,) + (0,) * (ncols - 1)]\n"
+        "dm.nullspaces_int = lambda matrices, ncols: [[(4,) + (0,) * (ncols - 1)]\n"
         "                                             for _ in matrices]\n"
         "fermat = parse_poly('x0^3 + x1^3 + x2^3 + x3^3')\n"
         "for check in (\n"
@@ -350,7 +353,11 @@ def test_detmethod_certificates_survive_python_O():
         "        lambda: dm.build_determinant([(1, 0, 0, 0), (1, 5, 0, 0)],\n"
         "                                     sel),\n"
         "        lambda: dm.extract_auxiliary_form(\n"
-        "            [[(1, -1, 0, 0), (1, 0, 0, -1)]], 2, fermat)):\n"
+        "            [[(1, -1, 0, 0), (1, 0, 0, -1)]], 2, fermat),\n"
+        "        lambda: dm.extract_auxiliary_form(\n"
+        "            [[(1, 0, 0, 0)], [(1, 0, 0, 2**32)]], 2, fermat),\n"
+        "        lambda: dm.extract_auxiliary_form(\n"
+        "            [[(1, 0, 0, 0)], [(1, 0, 0, 2**31)]], 2, fermat)):\n"
         "    try:\n"
         "        check()\n"
         "    except CertificateError as exc:\n"
@@ -362,29 +369,48 @@ def test_detmethod_certificates_survive_python_O():
                          capture_output=True, text=True, check=True).stdout
     assert out == ("raised: selected monomials are dependent mod the ideal\n"
                    "raised: determinant exceeded its size bound\n"
-                   "raised: auxiliary form misses a class point\n")
+                   + "raised: auxiliary form misses a class point\n" * 3)
 
 
-def _delta_stats_referee(F, G, members, p):
-    """The determinant statistics computed afresh for every class."""
-    try:
-        gens = [F, G]
-        e, _ = cli.curve_section_degree(gens)
-        k = min(len(members), 4)
-        sel = cli.select_monomials(gens, e, k)
-        cert = build_determinant(members[:k], sel)
-        return {"k": k, "curve_degree": e, "det_zero": cert.det == 0,
-                "vp": valuation(cert.det, p),
-                "beta_required": cert.beta_required}
-    except (ValueError, CertificateError) as err:
-        return {"error": str(err)}
+def _delta_stats_referee(F, G, members, p, sections):
+    """The determinant statistics computed afresh for every class, from a
+    value matrix of exact ints; sections caches the curve section degree
+    and monomial selection by G and k."""
+    k = min(len(members), 4)
+    if (G, k) not in sections:
+        try:
+            e, _ = detmethod.curve_section_degree([F, G])
+            sections[G, k] = e, detmethod.select_monomials([F, G], e, k)
+        except (ValueError, CertificateError) as err:
+            sections[G, k] = err
+    if isinstance(sections[G, k], Exception):
+        return {"error": str(sections[G, k])}
+    e, sel = sections[G, k]
+    points = members[:k]
+    det = det_bareiss(monomial_rows(sel.monomials, points))
+    B = max(2, max(abs(c) for pt in points for c in pt))
+    if det and abs(det) > math.factorial(k) * B ** sel.degree_sum:
+        return {"error": "determinant exceeded its size bound"}
+    return {"k": k, "curve_degree": e, "det_zero": det == 0,
+            "vp": valuation(det, p), "beta_required": k * (k - 1) // 2}
 
 
 def test_detmethod_section_computed_once_per_aux_form(monkeypatch, capsys):
-    # at epsilon 0.35 the primes are 73, 79 and 83, so the points of
-    # x0 + x1 = x2 + x3 = 0 fall into classes of 2 and 3 with one aux form
-    argv = ["detmethod", "--form", "x0^3 + x1^3 + x2^3 + x3^3",
-            "--bound", "100", "--epsilon", "0.35"]
+    # Fermat at epsilon 0.35: the primes are 73, 79 and 83, so the points
+    # of x0 + x1 = x2 + x3 = 0 fall into classes of 2 and 3 with one aux
+    # form, and every determinant row fits an int64.  At primes 3, 5 and 7
+    # most classes hold more than 4 points, with nonzero determinants.
+    # The cone over 1 + x1^8 = 2*x2^8 holds the four lines
+    # (1, +-1, +-1, s): classes of collinear points, whose determinant
+    # rows, values of monomials of degree 8 at points with |s| > 235,
+    # leave int64.
+    fermat = ["detmethod", "--form", "x0^3 + x1^3 + x2^3 + x3^3",
+              "--bound", "100", "--epsilon", "0.35"]
+    small_primes = ["detmethod", "--form", "x0^3 + x1^3 + x2^3 + x3^3",
+                    "--bound", "200", "--epsilon", "-0.4",
+                    "--max-aux-degree", "3"]
+    cone = ["detmethod", "--form", "x0^8 + x1^8 - 2*x2^8 + 0*x3",
+            "--bound", "300"]
     calls = {"curve_section_degree": [], "select_monomials": []}
 
     def spy(name):
@@ -397,22 +423,43 @@ def test_detmethod_section_computed_once_per_aux_form(monkeypatch, capsys):
 
     for name in calls:
         monkeypatch.setattr(cli, name, spy(name))
-    assert cli.main(argv) == 0
-    memo = capsys.readouterr().out
-    classes = json.loads(memo)["classes"]
-    pairs = {(rec["aux_form"], min(rec["class_size"], 4))
-             for rec in classes if rec.get("aux_form")}
-    assert any((form, 2) in pairs and (form, 3) in pairs for form, _ in pairs)
-    assert sorted(calls["select_monomials"]) == sorted(pairs)
-    assert len(calls["curve_section_degree"]) == len(pairs)
-    assert sorted(set(calls["curve_section_degree"])) == \
-        sorted({(form,) for form, _ in pairs})
+    past_int64 = []
+    real_rows = detmethod.monomial_rows
+    monkeypatch.setattr(detmethod, "monomial_rows",
+                        lambda exps, points: past_int64.append(len(points))
+                        or real_rows(exps, points))
+    for argv in (fermat, small_primes, cone):
+        for got in (*calls.values(), past_int64):
+            got.clear()
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        classes = out["classes"]
+        pairs = {(rec["aux_form"], min(rec["class_size"], 4))
+                 for rec in classes if rec.get("aux_form")}
+        if argv is fermat:
+            assert any((form, 2) in pairs and (form, 3) in pairs
+                       for form, _ in pairs)
+        assert sorted(calls["select_monomials"]) == sorted(pairs)
+        assert len(calls["curve_section_degree"]) == len(pairs)
+        assert sorted(set(calls["curve_section_degree"])) == \
+            sorted({(form,) for form, _ in pairs})
+        assert bool(past_int64) == (argv is cone)
 
-    monkeypatch.setattr(cli, "_delta_stats",
-                        lambda F, G, G_text, members, p, sections:
-                        _delta_stats_referee(F, G, members, p))
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == memo
+        # every record's statistics against the referee, class by class
+        F = parse_poly(out["form"], num_vars=4)
+        _, points = count_affine_surface(F, out["bound"])
+        checked, sections = 0, {}
+        for rec in classes:
+            if rec.get("aux_form"):
+                p, residue = rec["p"], rec["residue"]
+                members = [pt for pt in points
+                           if all((x - r) % p == 0
+                                  for x, r in zip(pt, residue))]
+                G = parse_poly(rec["aux_form"], num_vars=4)
+                assert rec["delta"] == \
+                    _delta_stats_referee(F, G, members, p, sections), rec
+                checked += 1
+        assert checked >= 50, checked
 
 
 @pytest.mark.parametrize("args, top_degree", [

@@ -281,6 +281,49 @@ def test_square_roots_match_isqrt_at_their_boundaries():
     assert got == [expect(v) for v in values]
 
 
+def test_kth_roots_are_exact_on_every_power_up_to_their_guards():
+    # the rounded float root is the only candidate, so every perfect power
+    # the kernel can pass must round to its own root: every +-r^3 and every
+    # r^k, k = 4, 5, 6, with r up to the largest B of (B + 1)^k < 2^62
+    # (the kernel's power guard), and r^2 with r <= 2^22 and for the top
+    # 2^22 values of r below isqrt(2^62), at the quadratic branch's bound;
+    # r^k +- 1 is no k-th power and must give no root
+    def largest_b(k):
+        b = round((en.INT64_LIMIT - 1) ** (1 / k))
+        while (b + 1) ** k >= en.INT64_LIMIT:
+            b -= 1
+        while (b + 2) ** k < en.INT64_LIMIT:
+            b += 1
+        return b
+
+    top = math.isqrt(en.INT64_LIMIT)
+    cases = [(3, largest_b(3), np.arange(largest_b(3) + 1))]
+    cases += [(k, largest_b(k), np.arange(largest_b(k) + 1))
+              for k in (4, 5, 6)]
+    cases += [(2, top, np.arange(2**22 + 1)),
+              (2, top, np.arange(top - 2**22, top))]
+    assert [b for _, b, _ in cases[:4]] == [1664509, 46339, 5403, 1289]
+    assert (int(cases[-1][2][-1]) + 1) ** 2 == en.INT64_LIMIT
+    for k, B, rs in cases:
+        for lo in range(0, len(rs), 1 << 18):
+            r = rs[lo:lo + (1 << 18)]
+            power = r**k
+            assert [int(x) ** k for x in r[::4099]] == power[::4099].tolist()
+            signs = (1, -1) if k % 2 else (1,)
+            for sign in signs:
+                cnt, root = en._np_kth_roots(sign * power, k, B)
+                want = 1 if k % 2 else np.where(r > 0, 2, 1)
+                assert (cnt == want).all(), (k, sign)
+                assert (root == sign * r).all(), (k, sign)
+            if k % 2 == 0:  # a negative value has no even root
+                assert not en._np_kth_roots(-power[r > 0], k, B)[0].any()
+            big = r[r >= 2]
+            for off in (1, -1):
+                for sign in signs:
+                    cnt, _ = en._np_kth_roots(sign * (big**k + off), k, B)
+                    assert not cnt.any(), (k, off, sign)
+
+
 def test_degenerate_top_coefficient_rows():
     # the x2-leading coefficient vanishes along x0 = 0
     F = parse_poly("x0*x2^2 - x1^3 - 2*x0^3")

@@ -1,12 +1,14 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from ratpoints.enumeration import enumerate_projective_variety
 from ratpoints.exact import primitive_vector
 from ratpoints.geometry import (Classification, build_projection_setup,
-                                classify_point, find_projection_center,
+                                classify_point, classify_points,
+                                find_projection_center,
                                 project_point, sample_birationality_check,
                                 scan_projective_points)
 from ratpoints.poly import parse_poly
@@ -125,8 +127,8 @@ def test_vacuous_birationality():
 
 def test_classify_point_cached_derivatives_match_uncached(monkeypatch):
     # every residue mod 5 and mod 7 on seeded cubic surfaces, classified
-    # with the per-form derivative cache and with derivatives rebuilt on
-    # every call
+    # in one batch with the per-form derivative cache and with derivatives
+    # rebuilt on every call
     import itertools
 
     import ratpoints.geometry as geometry
@@ -142,13 +144,99 @@ def test_classify_point_cached_derivatives_match_uncached(monkeypatch):
         for p in (5, 7):
             on = [x for x in itertools.product(range(p), repeat=4)
                   if F.evaluate(x) % p == 0]
-            cached = [classify_point(F, x, p) for x in on]
+            cached = classify_points(F, on, p)
             with monkeypatch.context() as m:
                 m.setattr(geometry, "_derivatives",
                           geometry._derivatives.__wrapped__)
-                assert [classify_point(F, x, p) for x in on] == cached, p
+                assert classify_points(F, on, p) == cached, p
             seen.update(cached)
     assert seen == set(C)
+
+
+_REFEREE_DERIVATIVES = {}
+
+
+def classify_point_referee(F, x, p=None):
+    """The one-point classification that classify_points replaced by a
+    batch, kept as a referee: Python ints, one point at a time."""
+    import itertools
+
+    xs = tuple(x)
+
+    def ev(poly):
+        return poly.evaluate(xs) % p if p else poly.evaluate(xs)
+
+    if ev(F) != 0:
+        raise ValueError("point not on surface")
+    if F not in _REFEREE_DERIVATIVES:
+        _REFEREE_DERIVATIVES[F] = (
+            [F.partial(i) for i in range(4)],
+            {(i, j): F.hasse_second(i, j)
+             for i in range(4) for j in range(i, 4)})
+    partials, seconds = _REFEREE_DERIVATIVES[F]
+    g = [ev(d) for d in partials]
+    if all(v == 0 for v in g):
+        return C.SINGULAR
+    c = {ij: ev(d) for ij, d in seconds.items()}
+
+    def qval(y):
+        total = sum(cij * y[i] * y[j] for (i, j), cij in c.items())
+        return total % p if p else total
+
+    m = next(i for i in range(4) if g[i] != 0)
+    basis = []
+    for j in range(4):
+        if j != m:
+            v = [0, 0, 0, 0]
+            v[j] = g[m]
+            v[m] = -g[j] % p if p else -g[j]
+            basis.append(v)
+    if any(qval(v) for v in basis) or any(
+            qval([u + w for u, w in zip(a, b)])
+            for a, b in itertools.combinations(basis, 2)):
+        return C.IN_U
+    return C.NOT_IN_U
+
+
+def test_batched_classification_matches_the_per_point_referee():
+    # every residue point mod 2, 3, 5, 7 and 13 on six surfaces, one
+    # batch per prime, against the per-point referee; then integer points
+    # over Q, mod 2^31 - 1 and mod a prime past 2^31
+    import itertools
+
+    from ratpoints.poly import IntPoly, monomials_of_degree
+
+    rng = random.Random(24)
+    surfaces = [FERMAT, QUADRIC, parse_poly("x1^2 + x2^2 - x3^2"),
+                parse_poly("x1*x2*x3 - x0^3"),
+                parse_poly("x0^3 + x1^3 - 2*x2^3 - 2*x3^3"),
+                IntPoly(4, {e: rng.randint(-4, 4)
+                            for e in monomials_of_degree(4, 3)})]
+    seen = Counter()
+    for F in surfaces:
+        for p in (2, 3, 5, 7, 13):
+            on = [x for x in itertools.product(range(p), repeat=4)
+                  if F.evaluate(x) % p == 0]
+            got = classify_points(F, on, p)
+            assert got == [classify_point_referee(F, x, p) for x in on], p
+            seen.update(got)
+        big = 2**31 + 11
+        pts = [t for h in (1, 2) for t in scan_projective_points(4, h)
+               if F.evaluate(t) == 0]
+        # below 2^31 the residues are int64, and their products leave it
+        # unless each one is reduced
+        for q in (None, 2**31 - 1, big):
+            assert classify_points(F, pts, q) == \
+                [classify_point_referee(F, x, q) for x in pts], q
+        # coordinates past int64 are reduced before the batch
+        for q in (13, big):
+            shifted = [tuple(v + 2**70 * q for v in t) for t in pts]
+            assert classify_points(F, shifted, q) == \
+                classify_points(F, pts, q), q
+    assert set(seen) == set(C), seen
+    assert classify_points(FERMAT, [], 7) == []
+    with pytest.raises(ValueError, match="not on surface"):
+        classify_points(QUADRIC, [(1, 0, 0, 0), (1, 1, 1, 0)], 5)
 
 
 def test_project_center_output_pinned(capsys):

@@ -349,7 +349,9 @@ def test_nullspaces_int_one_rref_per_row_space(monkeypatch):
 
 def test_nullspaces_int_pads_within_a_factor_of_two(monkeypatch):
     # one tall matrix does not set the height every other matrix is padded
-    # to: each stack is at most twice as tall as any matrix in it
+    # to: each stack is at most twice as tall as any block in it, and a
+    # matrix of more than 2 * ncols rows is stacked 2 * ncols rows at a
+    # time at first; the one of 40 rows reaches rank 4 in its first 8
     stacks = []
     real = linalg.echelon_mod
     monkeypatch.setattr(linalg, "echelon_mod",
@@ -359,4 +361,53 @@ def test_nullspaces_int_pads_within_a_factor_of_two(monkeypatch):
     mats = [_random_matrix(rng, h, 4, 5) for h in heights]
     assert nullspaces_int(mats, 4) == [nullspace_int(m, 4) for m in mats]
     assert sum(n for n, _, _ in stacks) == len(mats)
-    assert sorted(R for _, R, _ in stacks) == [1, 3, 7, 8, 40]
+    assert sorted(R for _, R, _ in stacks) == [1, 3, 7, 8]
+
+
+def test_nullspaces_int_checks_every_row_of_a_tall_matrix(monkeypatch):
+    # rows that vanish mod P stay out of a tall matrix's pivot rows, and
+    # the nullspace of those rows is rejected by the rows left out
+    tall = [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, P]]
+    assert _fallbacks(monkeypatch, [tall], 3) == [tall]
+    assert nullspaces_int([tall], 3) == [[]]
+    # a tall matrix whose pivot rows mod P give its nullspace over Q is
+    # answered without nullspace_int, also in the same group as a short
+    # matrix of the same row space
+    rng = random.Random(21)
+    base = _random_matrix(rng, 3, 6, 9)
+    tall = [[sum(rng.randint(-3, 3) * r[j] for r in base) for j in range(6)]
+            for _ in range(20)] + base
+    assert _fallbacks(monkeypatch, [tall, base], 6) == []
+
+
+def test_row_spaces_span_each_matrix():
+    # with ncols = 5, rows are taken 10, 10, 20, 25, 25, ... at a time: the
+    # chunk doubles up to ncols^2; at heights around those steps and at
+    # ranks below ncols, which never end early, each matrix's pivot rows
+    # are independent mod P and have its reduced form mod P
+    rng = random.Random(23)
+    ncols = 5
+    arrays = []
+    for height in (0, 1, 4, 5, 6, 9, 10, 11, 20, 21, 39, 40, 41, 64, 65,
+                   66, 90, 91):
+        for rank in (1, 3, 5):
+            base = _random_matrix(rng, rank, ncols, 9)
+            arrays.append(np.array(
+                [[sum(rng.randint(-3, 3) * r[j] for r in base)
+                  for j in range(ncols)] for _ in range(height)],
+                dtype=np.int64).reshape(height, ncols))
+    # rank that only the last row adds, however tall the matrix
+    for height in (11, 21, 41, 66, 91):
+        first, last = _random_matrix(rng, 2, ncols, 9)
+        arrays.append(np.array([[t * x for x in first]
+                                for t in range(1, height)] + [last],
+                               dtype=np.int64))
+    arrays.append(None)
+    reduced = linalg._row_spaces(arrays, ncols)
+    assert sorted(reduced) == list(range(len(arrays) - 1))
+    for i, (rows, key) in reduced.items():
+        rank, _, form = echelon_mod(arrays[i][None])
+        got, _, got_form = echelon_mod(arrays[i][rows][None])
+        assert len(set(rows.tolist())) == len(rows) == got[0] == rank[0]
+        assert key == form[0, :len(rows)].tobytes() \
+            == got_form[0, :len(rows)].tobytes()
