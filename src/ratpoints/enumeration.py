@@ -3,9 +3,10 @@
 The driving strategy: iterate over all but the last variable and count the
 integer roots of the residual univariate polynomial exactly, falling back
 to a full range when the residual vanishes identically.  Two solvers do
-this.  The numpy kernel evaluates the residual coefficients on int64 tiles
-over two coordinates, solves linear, quadratic and pure-power residuals
-in closed form and scans the rest over the whole box by Horner; it runs
+this.  The numpy kernel evaluates the residual coefficients on int64
+chunks of cells, tiles over two coordinates or slices of a list of cells,
+solves linear, quadratic and pure-power residuals in closed form and
+scans the rest over the whole box by Horner; it runs
 whenever an a priori bound proves that no intermediate value can overflow
 (for the scan, the value bound of the form itself).  Otherwise the
 pure-Python big-int reference takes over.  Both are exact, and the tests
@@ -14,8 +15,10 @@ cross-check them against each other and against full lattice scans.
 A variety of any codimension is enumerated on the same solvers: an
 integer point is a zero of every generator g_i exactly when it is a zero
 of the single polynomial sum g_i^2.  Generators free of the last variable
-are solved first and the last variable only at their zeros, which keeps
-curves such as the twisted cubic at O(B^2) cells.
+are solved first, and their zeros become a cell list, int64 coordinate
+arrays, on which the numpy kernel solves the last variable under the
+box's int64 guard (the big-int reference past it).  That keeps curves
+such as the twisted cubic at O(B^2) cells.
 
 The solvers count every zero, primitive or not.  Projective zeros are
 primitive, and one rule selects them: the zeros of a form are a cone,
@@ -67,7 +70,7 @@ from math import isqrt
 import numpy as np
 
 from . import uniroots
-from .exact import CertificateError, is_prime, primitive_vector
+from .exact import CertificateError, is_prime
 from .poly import IntPoly, dehomogenize
 
 INT64_LIMIT = 1 << 62
@@ -217,13 +220,19 @@ class _Hits:
         return int(self.hist.sum())
 
     @property
+    def block(self):
+        """The collected zeros as one int64 array of one column per zero, in
+        no set order, or None when none were collected."""
+        self._settle()
+        return self._blocks[0] if self._blocks else None
+
+    @property
     def points(self):
         """The collected zeros as tuples in lexicographic order; the point
         lists of ``_result`` rely on it and are not sorted again."""
-        self._settle()
-        if not self._blocks:
+        cols = self.block
+        if cols is None:
             return []
-        cols = self._blocks[0]
         return list(zip(*cols[:, np.lexsort(cols[::-1])].tolist()))
 
     def keep_primitive(self):
@@ -237,6 +246,16 @@ class _Hits:
         h[0] = 0  # the zero vector, when a zero, is not primitive
         self._blocks = [b[:, np.gcd.reduce(b, axis=0, initial=0) == 1]
                         for b in self._blocks]
+
+    def keep_positive(self):
+        """Of the collected zeros, keep those whose first nonzero coordinate
+        is positive.  When x and -x are zeros together and 0 is not held,
+        that keeps one zero of each pair; the histogram is left as it is."""
+        cols = self.block
+        if cols is not None:
+            lead = np.take_along_axis(cols, (cols != 0).argmax(axis=0)[None],
+                                      axis=0)[0]
+            self._blocks = [cols[:, lead > 0]]
 
     def add_scalar(self, prefix, v):
         point = prefix + (v,)
@@ -269,9 +288,9 @@ class _Hits:
         """A free last variable on every point of sub: with S(k) of them of
         height <= k, (2k + 1) * S(k) points of height <= k."""
         if sub.collect:
-            sub._settle()
-            if sub._blocks:
-                self.add_full_range((), *sub._blocks[0])
+            block = sub.block
+            if block is not None:
+                self.add_full_range((), *block)
             return
         upto = np.cumsum(sub.hist) * np.arange(1, 2 * self.B + 2, 2)
         self._hist += np.diff(upto, prepend=0)
@@ -427,14 +446,25 @@ def _solve_box(f: IntPoly, B: int, first: int, hits):
         return
 
     coeffs = _last_var_coefficients(f)
-    K = len(coeffs) - 1
-    if K == 0:
+    if len(coeffs) == 1:
         # f does not involve its last variable: solve the smaller problem
         # and let that variable range over the full box
         sub = _Hits(hits.collect, B)
         _solve_box(coeffs[0], B, first, sub)
         hits.add_free_last(sub)
         return
+    if _fits_int64(f, coeffs, B):
+        _solve_tiles(coeffs, B, _tiles(nv - 1, B, first), hits)
+    else:
+        _solve_scalar(coeffs, _iter_loop(nv - 1, B, first), B, hits)
+
+
+def _fits_int64(f: IntPoly, coeffs, B: int) -> bool:
+    """Whether the numpy kernel solves f, split by its last variable into
+    coeffs, in int64 at every point of the box |x| <= B: no coefficient
+    value, discriminant, power (B + 1)^K or, for the scan, Horner
+    intermediate (bounded by the value bound of f) reaches INT64_LIMIT."""
+    K = len(coeffs) - 1
     bounds = [_poly_value_bound(c, B) for c in coeffs]
     quad_bound = (
         bounds[1] ** 2 + 4 * bounds[2] * bounds[0] if K >= 2 else max(bounds)
@@ -442,15 +472,8 @@ def _solve_box(f: IntPoly, B: int, first: int, hits):
     # the kernel scans residuals of degree >= 3 by Horner, whose every
     # intermediate is bounded by sum_j bounds[j] * B^j, the value bound of f
     scan_bound = _poly_value_bound(f, B) if K >= 3 else 0
-    npsafe = (
-        max(max(bounds), quad_bound, (B + 1) ** max(K, 1), scan_bound)
-        < INT64_LIMIT
-    )
-
-    if npsafe:
-        _solve_tiles(coeffs, B, first, hits)
-    else:
-        _solve_scalar(coeffs, _iter_loop(nv - 1, B, first), B, hits)
+    return (max(max(bounds), quad_bound, (B + 1) ** max(K, 1), scan_bound)
+            < INT64_LIMIT)
 
 
 def _iter_loop(nloop: int, B: int, first: int | None = None):
@@ -472,8 +495,9 @@ def _solve_residual(residual, prefix, B, hits):
 
 
 def _solve_scalar(coeffs, prefixes, B, hits):
-    """Big-int loop over the given values of the free variables: the exact
-    reference."""
+    """Big-int loop over prefixes, tuples of values of the free variables:
+    the exact reference, and the path past the kernel's int64 guard for the
+    box and for a variety's prefix cells alike."""
     for prefix in prefixes:
         _solve_residual([c.evaluate(prefix) for c in coeffs], prefix, B, hits)
 
@@ -515,17 +539,20 @@ def _and(x, y):
     return x & y
 
 
-def _cells(axes, mask):
-    """Flat row-major indices of the tile cells where mask holds, in the
+def _cells(shape, mask):
+    """Flat row-major indices of the chunk's cells where mask holds, in the
     order of np.nonzero; mask may have any shape that broadcasts to the
-    tile, a numpy scalar included.  numpy finds the flat indices of a mask
-    far faster than the index arrays of a 2-D one."""
-    return np.flatnonzero(np.broadcast_to(mask, tuple(map(len, axes))))
+    chunk's shape, a numpy scalar included.  numpy finds the flat indices
+    of a mask far faster than the index arrays of a 2-D one."""
+    return np.flatnonzero(np.broadcast_to(mask, shape))
 
 
-def _coords(axes, cells):
-    """Coordinates of the tile cells at flat indices, one array per axis."""
-    index = np.unravel_index(cells, tuple(map(len, axes)))
+def _coords(axes, shape, cells):
+    """Coordinates of the chunk's cells at flat indices, one array per free
+    variable: a tile's axes are read at each cell's row and column, and a
+    one-dimensional chunk's at the cell itself."""
+    index = (np.unravel_index(cells, shape) if len(shape) > 1
+             else (cells,) * len(axes))
     return [ax[i] for ax, i in zip(axes, index)]
 
 
@@ -538,17 +565,50 @@ def _pick(a, cells, shape):
     return np.broadcast_to(a, shape)[np.unravel_index(cells, shape)]
 
 
-def _solve_tiles(coeffs, B, first, hits):
-    """The numpy kernel: solve every residual sum_j c_j t^j over int64 tiles.
+def _tiles(nfree, B, first):
+    """The box as chunks (prefix, axes, grids, shape) for _solve_tiles.
 
-    A Python loop runs over all but the last two free variables.  The
-    coefficients c_j are evaluated on a tile over those two (over the only
-    one when one is free), cut into row chunks of at most TILE_CELLS cells.
-    The first free variable, the loop's outermost or else the tile's rows,
-    runs from ``first`` to B.
+    A loop runs over all but the last two free variables, the prefix, and
+    each chunk is an np.ix_ tile over those two (over the only one when one
+    is free): at most TILE_CELLS cells, a slice of whole rows.  The first
+    free variable, the loop's outermost or else the tile's rows, runs from
+    ``first`` to B.
+    """
+    ntile = min(nfree, 2)
+    axis = np.arange(-B, B + 1, dtype=np.int64)
+    rows = axis[first + B:] if nfree == ntile else axis
+    step = max(1, TILE_CELLS // len(axis) ** (ntile - 1))
+    for prefix in _iter_loop(nfree - ntile, B, first):
+        for start in range(0, len(rows), step):
+            axes = (rows[start:start + step],) + (axis,) * (ntile - 1)
+            yield prefix, axes, np.ix_(*axes), tuple(map(len, axes))
+
+
+def _cell_slices(cells):
+    """A cell list as chunks (prefix, axes, grids, shape) for _solve_tiles.
+
+    cells holds int64 coordinate arrays of equal length, one per free
+    variable, a cell in each column.  Each chunk is a slice of at most
+    TILE_CELLS of them, with an empty prefix; its axes, which are also its
+    grids, give every cell all of its coordinates.
+    """
+    for lo in range(0, len(cells[0]), TILE_CELLS):
+        axes = tuple(c[lo:lo + TILE_CELLS] for c in cells)
+        yield (), axes, axes, (len(axes[0]),)
+
+
+def _solve_tiles(coeffs, B, chunks, hits):
+    """The numpy kernel: solve every residual sum_j c_j t^j in int64, one
+    chunk of cells at a time.
+
+    A chunk is a tuple (prefix, axes, grids, shape): the values of the free
+    variables that the chunk shares, one coordinate array per other free
+    variable, the arrays the coefficients are evaluated on and the chunk's
+    shape.  ``_tiles`` cuts the box into np.ix_ tiles, and ``_cell_slices``
+    cuts a list of cells given by their coordinates into slices.
     Cells are classed by the effective degree of their residual: linear,
     quadratic and pure-power residuals are solved in closed form on the
-    whole tile, the rest are evaluated at every t in [-B, B] on a
+    whole chunk, the rest are evaluated at every t in [-B, B] on a
     cells x axis array of at most SCAN_CELLS entries, and a residual that
     vanishes identically leaves t free.
 
@@ -560,94 +620,88 @@ def _solve_tiles(coeffs, B, first, hits):
     indices, in np.nonzero's row-major order, and the scan and the pure
     powers take coordinates only of the cells that have a root.
     """
-    nfree = coeffs[0].num_vars
-    ntile = min(nfree, 2)
     axis = np.arange(-B, B + 1, dtype=np.int64)
-    rows = axis[first + B:] if nfree == ntile else axis
-    step = max(1, TILE_CELLS // len(axis) ** (ntile - 1))
     scan_rows = max(1, SCAN_CELLS // len(axis))  # cells per residual scan
-    # tiles hold rhs = -c_0 and c_1, ..., c_K: sum_{j>0} c_j t^j = rhs
+    # chunks hold rhs = -c_0 and c_1, ..., c_K: sum_{j>0} c_j t^j = rhs
     polys = [-coeffs[0]] + coeffs[1:]
-    # One loop body rather than a function per tile: a tile's arrays stay
-    # alive until the next tile's replace them, so the allocator reuses
-    # their memory instead of trimming it after every tile and faulting it
-    # back in; with a function per tile, page faults doubled the time of
-    # the Fermat cubic at B=128.
-    for prefix in _iter_loop(nfree - ntile, B, first):
-        for start in range(0, len(rows), step):
-            axes = (rows[start:start + step],) + (axis,) * (ntile - 1)
-            shape = tuple(map(len, axes))
-            arrays = [_eval_on_tile(c, prefix, np.ix_(*axes)) for c in polys]
-            rhs = arrays[0]
-            # masks stay numpy scalars while the coefficients that decide
-            # them are constant on the tile, or once they hold nowhere
-            open_ = np.True_
-            for k in range(len(arrays) - 1, 0, -1):
-                at = _and(open_, arrays[k] != 0)  # cells of effective degree k
-                if not at.any():
-                    continue
-                open_ = _and(open_, ~at)
-                ck = arrays[k]
-                if np.ndim(ck):
-                    ck = np.where(at, ck, 1)  # a nonzero divisor everywhere
-                if k == 1:
-                    q = rhs // ck
-                    good = _and(at, (q * ck == rhs) & (np.abs(q) <= B))
-                    cells = _cells(axes, good)
-                    hits.add_solved(prefix, *_coords(axes, cells),
+    # One loop body fed by a generator rather than a function per chunk: a
+    # chunk's arrays stay alive until the next chunk's replace them, so the
+    # allocator reuses their memory instead of trimming it after every
+    # chunk and faulting it back in; with a function per tile, page faults
+    # doubled the time of the Fermat cubic at B=128.
+    for prefix, axes, grids, shape in chunks:
+        arrays = [_eval_on_tile(c, prefix, grids) for c in polys]
+        rhs = arrays[0]
+        # masks stay numpy scalars while the coefficients that decide them
+        # are constant on the chunk, or once they hold nowhere
+        open_ = np.True_
+        for k in range(len(arrays) - 1, 0, -1):
+            at = _and(open_, arrays[k] != 0)  # cells of effective degree k
+            if not at.any():
+                continue
+            open_ = _and(open_, ~at)
+            ck = arrays[k]
+            if np.ndim(ck):
+                ck = np.where(at, ck, 1)  # a nonzero divisor everywhere
+            if k == 1:
+                q = rhs // ck
+                good = _and(at, (q * ck == rhs) & (np.abs(q) <= B))
+                cells = _cells(shape, good)
+                hits.add_solved(prefix, *_coords(axes, shape, cells),
+                                _pick(q, cells, shape))
+            elif k == 2:
+                # quadratic formula; the discriminant's exact square root
+                # counts 1 at a double root and 2 at two roots
+                b = arrays[1]
+                cnt, root = _np_kth_roots(b * b + 4 * ck * rhs, 2,
+                                          isqrt(INT64_LIMIT))
+                for sign, square in ((1, cnt >= 1), (-1, cnt == 2)):
+                    num = -b + sign * root
+                    q = num // (2 * ck)
+                    good = _and(at, square & (q * 2 * ck == num)
+                                & (np.abs(q) <= B))
+                    cells = _cells(shape, good)
+                    hits.add_solved(prefix, *_coords(axes, shape, cells),
                                     _pick(q, cells, shape))
-                elif k == 2:
-                    # quadratic formula; the discriminant's exact square
-                    # root counts 1 at a double root and 2 at two roots
-                    b = arrays[1]
-                    cnt, root = _np_kth_roots(b * b + 4 * ck * rhs, 2,
-                                              isqrt(INT64_LIMIT))
-                    for sign, square in ((1, cnt >= 1), (-1, cnt == 2)):
-                        num = -b + sign * root
-                        q = num // (2 * ck)
-                        good = _and(at, square & (q * 2 * ck == num)
-                                    & (np.abs(q) <= B))
-                        cells = _cells(axes, good)
-                        hits.add_solved(prefix, *_coords(axes, cells),
-                                        _pick(q, cells, shape))
-                else:
-                    # pure powers c_k t^k = rhs in closed form
-                    pure = at
-                    for j in range(1, k):
-                        pure = _and(pure, arrays[j] == 0)
-                    if pure.any():
-                        q = np.broadcast_to(rhs // ck, shape)
-                        divis = _and(pure, (q * ck == rhs) & (np.abs(q) <= B**k))
-                        # a mask indexing a tile array has the tile's shape;
-                        # the cells are found after the roots, so that their
-                        # indices do not add to the roots' temporaries
-                        divis = np.broadcast_to(divis, shape)
-                        cnt, root = _np_kth_roots(q[divis], k, B)
-                        cells = _cells(axes, divis)
-                        for sign, got in ((1, cnt >= 1), (-1, cnt == 2)):
-                            hits.add_solved(prefix, *_coords(axes, cells[got]),
-                                            sign * root[got])
-                    rest = _and(at, ~pure)
-                    if rest.any():
-                        # scan t over the axis: sum_j c_j t^j - rhs by
-                        # Horner on a cells x axis array, a chunk at a time
-                        cells = _cells(axes, rest)
-                        cs = [_pick(a, cells, shape) for a in arrays[:k + 1]]
-                        for lo in range(0, len(cells), scan_rows):
-                            part = slice(lo, lo + scan_rows)
-                            val = cs[k][part, None] * axis
-                            for j in range(k - 1, 0, -1):
-                                val += cs[j][part, None]
-                                val *= axis
-                            val -= cs[0][part, None]
-                            i, t = np.divmod(np.flatnonzero(val == 0),
-                                             len(axis))
-                            hits.add_solved(prefix,
-                                            *_coords(axes, cells[part][i]),
-                                            axis[t])
-            zero = _and(open_, rhs == 0)  # a zero residual leaves t free
-            if zero.any():
-                hits.add_full_range(prefix, *_coords(axes, _cells(axes, zero)))
+            else:
+                # pure powers c_k t^k = rhs in closed form
+                pure = at
+                for j in range(1, k):
+                    pure = _and(pure, arrays[j] == 0)
+                if pure.any():
+                    q = np.broadcast_to(rhs // ck, shape)
+                    divis = _and(pure, (q * ck == rhs) & (np.abs(q) <= B**k))
+                    # a mask indexing a chunk array has the chunk's shape;
+                    # the cells are found after the roots, so that their
+                    # indices do not add to the roots' temporaries
+                    divis = np.broadcast_to(divis, shape)
+                    cnt, root = _np_kth_roots(q[divis], k, B)
+                    cells = _cells(shape, divis)
+                    for sign, got in ((1, cnt >= 1), (-1, cnt == 2)):
+                        hits.add_solved(prefix,
+                                        *_coords(axes, shape, cells[got]),
+                                        sign * root[got])
+                rest = _and(at, ~pure)
+                if rest.any():
+                    # scan t over the axis: sum_j c_j t^j - rhs by Horner
+                    # on a cells x axis array, a part at a time
+                    cells = _cells(shape, rest)
+                    cs = [_pick(a, cells, shape) for a in arrays[:k + 1]]
+                    for lo in range(0, len(cells), scan_rows):
+                        part = slice(lo, lo + scan_rows)
+                        val = cs[k][part, None] * axis
+                        for j in range(k - 1, 0, -1):
+                            val += cs[j][part, None]
+                            val *= axis
+                        val -= cs[0][part, None]
+                        i, t = np.divmod(np.flatnonzero(val == 0), len(axis))
+                        hits.add_solved(prefix,
+                                        *_coords(axes, shape, cells[part][i]),
+                                        axis[t])
+        zero = _and(open_, rhs == 0)  # a zero residual leaves t free
+        if zero.any():
+            hits.add_full_range(prefix,
+                                *_coords(axes, shape, _cells(shape, zero)))
 
 
 # ---------------------------------------------------------------------
@@ -793,10 +847,11 @@ def enumerate_projective_variety(gens, B: int):
     of S = sum g_i^2 (of g itself when there is one), so the points are the
     primitive zeros of S, found exactly by the enumeration solvers; S need
     not be homogeneous.  Generators free of the last variable are solved
-    first and S only at their zeros: the twisted cubic then takes O(B^2)
-    cells rather than the whole box's O(B^3).  Points come back as
-    primitive tuples, first nonzero coordinate positive, in lexicographic
-    order.
+    first and S only at their zeros, a cell list for the numpy kernel: the
+    twisted cubic then takes O(B^2) cells rather than the whole box's
+    O(B^3).  Points come back as primitive tuples, first nonzero coordinate
+    positive, in lexicographic order; S(-x) = S(x), so of each pair x, -x
+    of primitive zeros a mask keeps the one of positive sign.
     """
     gens = list(gens)
     if not gens or any(g.is_zero() for g in gens):
@@ -812,11 +867,18 @@ def enumerate_projective_variety(gens, B: int):
     # generators free of the last variable, in the other variables
     inner = [c[0] for c in map(_last_var_coefficients, gens) if len(c) == 1]
     if inner and nv > 1:
-        prefixes = _solve_zeros(_sum_of_squares(inner), B, projective=False,
-                                collect=True).points
+        # the origin is a zero of every form, so the block is not None
+        cells = _solve_zeros(_sum_of_squares(inner), B, projective=False,
+                             collect=True).block
+        coeffs = _last_var_coefficients(S)
         hits = _Hits(True, B)
-        _solve_scalar(_last_var_coefficients(S), prefixes, B, hits)
+        if _fits_int64(S, coeffs, B):
+            _solve_tiles(coeffs, B, _cell_slices(cells), hits)
+        else:
+            _solve_scalar(coeffs, zip(*cells.tolist()), B, hits)
         hits.keep_primitive()
     else:
         hits = _solve_zeros(S, B, projective=True, collect=True)
-    return sorted({primitive_vector(x) for x in hits.points})
+    # S(-x) = S(x), and every zero held is primitive, so not 0
+    hits.keep_positive()
+    return hits.points

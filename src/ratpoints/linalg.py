@@ -157,9 +157,9 @@ def nullspaces_int(matrices, ncols):
     group with M N = 0 has nullspace exactly span N; the primitive basis
     depends on the nullspace only.  M N is taken over every row of M, in
     one int64 product per group, under the a priori bound
-    ncols * max|M| * max|N| < 2^63; for r = ncols it is 0 by rank.  A
-    matrix whose check fails, whose bound fails or whose entries do not
-    fit an int64 goes to nullspace_int.
+    ncols * max|M| * max|N| < 2^63, and in Python ints for a matrix past
+    that bound; for r = ncols it is 0 by rank.  A matrix whose check fails
+    or whose entries do not fit an int64 goes to nullspace_int.
     """
     matrices = list(matrices)
     arrays = [_int64_rows(m, ncols) for m in matrices]
@@ -182,19 +182,21 @@ def nullspaces_int(matrices, ncols):
         if not checked:
             continue
         top = max(abs(x) for v in basis for x in v)
-        if top >= 2**63:
-            for i in checked:
-                out[i] = None
-            continue
         M = np.concatenate([arrays[i] for i in checked])
         starts = np.cumsum([0] + [len(arrays[i]) for i in checked[:-1]])
         high = np.maximum.reduceat(M.max(axis=1), starts).tolist()
         low = np.minimum.reduceat(M.min(axis=1), starts).tolist()
-        # a product past the bound may wrap, but then it is not read
-        product = M @ np.array(basis, dtype=np.int64).T
-        nonzero = np.logical_or.reduceat(product.any(axis=1), starts)
-        for i, h, lo, nz in zip(checked, high, low, nonzero.tolist()):
-            if nz or ncols * max(h, -lo) * top >= 2**63:
+        N = np.array(basis, dtype=object).T
+        nonzero = [False] * len(checked)
+        if top < 2**63:
+            # a product past the bound may wrap; it is taken again below
+            product = M @ N.astype(np.int64)
+            nonzero = np.logical_or.reduceat(product.any(axis=1),
+                                             starts).tolist()
+        for i, h, lo, nz in zip(checked, high, low, nonzero):
+            if ncols * max(h, -lo) * top >= 2**63:
+                nz = (arrays[i].astype(object) @ N).any()
+            if nz:
                 out[i] = None
     return [nullspace_int(m, ncols) if got is None else got
             for m, got in zip(matrices, out)]

@@ -25,6 +25,20 @@ def brute_projective_points(F, B):
     return points
 
 
+def brute_variety_points(gens, B):
+    """Primitive common zeros of gens with sup norm <= B and first nonzero
+    coordinate positive, by scanning every tuple, in lexicographic order."""
+    points = []
+    for x in itertools.product(range(-B, B + 1), repeat=gens[0].num_vars):
+        g = 0
+        for c in x:
+            g = gcd(g, c)
+        if (g == 1 and next(c for c in x if c) > 0
+                and all(f.evaluate(x) == 0 for f in gens)):
+            points.append(x)
+    return points
+
+
 def brute_projective(F, B):
     """The number of primitive zeros of F with sup norm <= B."""
     return len(brute_projective_points(F, B))

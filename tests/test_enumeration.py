@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import ratpoints
-from oracles import brute_affine, brute_projective
+from oracles import brute_affine, brute_projective, brute_variety_points
 from ratpoints.enumeration import (CountSeries, ResidueFilter, count_affine,
                                    count_affine_surface, count_projective,
                                    count_roots_bounded,
@@ -230,11 +231,12 @@ def test_monotone_in_B():
     assert counts == sorted(counts)
 
 
-def test_enumerate_variety_matches_brute_force():
-    import itertools
-
+def variety_cases():
+    """Seeded random generator sets in four variables, many with a generator
+    free of x3, then fixed ones whose prefix cells reach each branch of the
+    kernel, with their bounds."""
     rng = random.Random(61)
-    nonempty = without_x3 = 0
+    cases = []
     for _ in range(40):
         gens = []
         for _ in range(rng.randint(1, 3)):
@@ -247,21 +249,80 @@ def test_enumerate_variety_matches_brute_force():
                 g = random_form(rng, 4, d, spread)
             if not g.is_zero():
                 gens.append(g)
-        if not gens:
+        if gens:
+            cases.append((gens, rng.randint(1, 4)))
+    for texts in (
+            # the line with its resultant in x3, 2*x0 + 5*x1 + 3*x2
+            "x0 + x1 + x2 + x3; x0 - 2*x1 + 3*x3; 2*x0 + 5*x1 + 3*x2",
+            "x0*x2 - x1^2; x0*x3 - x1*x2; x1*x3 - x2^2",
+            # x3 free on the prefixes (0, a, a)
+            "x1 - x2; x0*x3 - x0*x1",
+            # x0^2*x3^4 = 0 where x2 = 0, a non-pure quartic elsewhere
+            "x1; x0*x3^2 - x2^3",
+            # (x3^2 - x0*x3 - 2*x0^2)^2, non-pure off x0 = 0
+            "x1 - x2; x3^2 - x0*x3 - 2*x0^2",
+            # the origin is the only prefix
+            "x0^2 + x1^2 + x2^2; x0*x3 - x1^2"):
+        cases.append(([parse_poly(t, num_vars=4) for t in texts.split(";")],
+                      4))
+    return cases
+
+
+def prefix_branches(gens, B):
+    """The kernel branches that S = sum g^2 takes on the prefix cells, the
+    zeros in [-B, B]^3 of the generators free of x3, each cell classed by
+    the effective degree of its residual in x3 as the kernel classes it."""
+    S = sum((g * g for g in gens[1:]), gens[0] * gens[0])
+    inner = [g for g in gens if all(e[3] == 0 for e in g.terms)]
+    branches = set()
+    for x in itertools.product(range(-B, B + 1), repeat=3):
+        if any(g.evaluate(x + (0,)) for g in inner):
             continue
+        residual = S
+        for v in x:
+            residual = residual.substitute_value(0, v)
+        c = [residual.terms.get((j,), 0) for j in range(S.degree + 1)]
+        k = max((j for j, cj in enumerate(c) if cj), default=-1)
+        branches.add("full range" if k == -1 else "constant" if k == 0
+                     else "linear" if k == 1 else "quadratic" if k == 2
+                     else "scan" if any(c[1:k]) else "pure power")
+    return branches
+
+
+def test_enumerate_variety_matches_brute_force(monkeypatch):
+    # the cell-list kernel, chunks of two cells that end in one-cell chunks
+    # on odd cell counts, and the forced big-int path against the oracle
+    from ratpoints import enumeration
+
+    chunks = []
+    real = enumeration._cell_slices
+
+    def spy(cells):
+        for chunk in real(cells):
+            chunks.append(chunk[3][0])
+            yield chunk
+    monkeypatch.setattr(enumeration, "_cell_slices", spy)
+    cases = variety_cases()
+    nonempty = without_x3 = 0
+    for gens, B in cases:
         without_x3 += any(all(e[3] == 0 for e in g.terms) for g in gens)
-        B = rng.randint(1, 4)
-        got = set(enumerate_projective_variety(gens, B))
-        oracle = set()
-        for x in itertools.product(range(-B, B + 1), repeat=4):
-            if not any(x):
-                continue
-            if all(g.evaluate(x) == 0 for g in gens):
-                oracle.add(primitive_vector(x))
-        oracle = {c for c in oracle if max(abs(v) for v in c) <= B}
-        assert got == oracle, ([g.to_text() for g in gens], B)
+        oracle = brute_variety_points(gens, B)
+        assert enumerate_projective_variety(gens, B) == oracle, (
+            [g.to_text() for g in gens], B)
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "TILE_CELLS", 2)
+            assert enumerate_projective_variety(gens, B) == oracle
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "INT64_LIMIT", 0)
+            assert enumerate_projective_variety(gens, B) == oracle
         nonempty += bool(oracle)
     assert nonempty >= 20 and without_x3 >= 10, (nonempty, without_x3)
+    assert 1 in chunks and max(chunks) > 2
+    # a sum of squares has even degree in x3 at every prefix, so no
+    # variety reaches the linear branch; tests/test_enumeration_paths.py
+    # runs it on cell lists directly
+    reached = set.union(*(prefix_branches(gens, B) for gens, B in cases[-6:]))
+    assert {"quadratic", "pure power", "scan", "full range"} <= reached
 
 
 def test_enumerate_variety_rejects_bad_input(capsys):
@@ -312,27 +373,39 @@ def test_enumerate_variety_matches_parameterization():
 
 def test_enumerate_variety_solves_only_projected_prefixes(monkeypatch):
     # x0*x2 - x1^2 is free of x3, so x3 is solved only at its zeros in the
-    # box: 21377 prefixes at B = 1000 rather than the box's 2001^3
+    # box: at B = 200 the kernel gets them as a cell list, and at B = 1000,
+    # past the kernel's int64 bound, the big-int path gets 21377 prefixes
+    # rather than the box's 2001^3
     from ratpoints import enumeration
 
     tc = [parse_poly(s, num_vars=4)
           for s in ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")]
-    B = 1000
+    cells = []
+    slices = enumeration._cell_slices
+
+    def cell_spy(coords):
+        assert coords.shape[0] == 3 and coords.shape[1] < 30 * 200
+        cells.extend(zip(*coords.tolist()))
+        return slices(coords)
+
     solved = []
     solve = enumeration._solve_residual
 
-    def spy(residual, prefix, bound, hits):
+    def residual_spy(residual, prefix, bound, hits):
         solved.append(prefix)
         # fail at once rather than walk the box
-        assert len(solved) < 30 * B
-        assert len(prefix) == 3 and tc[0].evaluate(prefix + (0,)) == 0
+        assert len(solved) < 30 * bound
         solve(residual, prefix, bound, hits)
 
-    monkeypatch.setattr(enumeration, "_solve_residual", spy)
-    pts = enumerate_projective_variety(tc, B)
-    assert solved
-    # the coprime (s, t) with max(|s|, |t|)^3 <= B give every point once
-    oracle = {primitive_vector((s**3, s * s * t, s * t * t, t**3))
-              for s in range(-10, 11) for t in range(-10, 11)
-              if math.gcd(s, t) == 1}
-    assert set(pts) == oracle
+    monkeypatch.setattr(enumeration, "_cell_slices", cell_spy)
+    monkeypatch.setattr(enumeration, "_solve_residual", residual_spy)
+    for B, prefixes in ((200, cells), (1000, solved)):
+        pts = enumerate_projective_variety(tc, B)
+        assert prefixes
+        assert all(tc[0].evaluate(x + (0,)) == 0 for x in prefixes)
+        # the coprime (s, t) with max(|s|, |t|)^3 <= B give every point once
+        oracle = {primitive_vector((s**3, s * s * t, s * t * t, t**3))
+                  for s in range(-10, 11) for t in range(-10, 11)
+                  if math.gcd(s, t) == 1 and max(abs(s), abs(t))**3 <= B}
+        assert set(pts) == oracle
+    assert len(solved) == 21377 and {len(x) for x in solved} == {3}

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import ratpoints.enumeration as en
-from oracles import brute_affine, brute_projective, brute_projective_points
+from oracles import (brute_affine, brute_projective, brute_projective_points,
+                     brute_variety_points)
 from ratpoints.enumeration import (_and, _cells, _coords, _pick, count_affine,
                                    count_projective)
 from ratpoints.poly import IntPoly, monomials_of_degree, parse_poly
@@ -163,11 +164,11 @@ def test_cells_match_nonzero():
         shape = tuple(map(len, axes))
         full = np.broadcast_to(mask, shape)
         want = np.nonzero(full)
-        cells = _cells(axes, mask)
+        cells = _cells(shape, mask)
         # the same cells in the same row-major order as np.nonzero
         assert [i.tolist() for i in np.unravel_index(cells, shape)] == [
             w.tolist() for w in want]
-        assert [c.tolist() for c in _coords(axes, cells)] == [
+        assert [c.tolist() for c in _coords(axes, shape, cells)] == [
             ax[w].tolist() for ax, w in zip(axes, want)]
         # entries of full-shape, broadcast and scalar arrays at the cells
         values = rng.integers(-9, 9, size=shape)
@@ -175,6 +176,14 @@ def test_cells_match_nonzero():
         for a in [values, np.int64(4)] + smaller:
             got = _pick(a, cells, shape)
             assert got.tolist() == np.broadcast_to(a, shape)[full].tolist()
+    # a slice of a cell list: every axis holds one coordinate of each cell
+    cols = tuple(rng.integers(-9, 9, size=7) for _ in range(3))
+    for mask in (rng.random(7) < 0.5, np.True_, np.False_):
+        cells = _cells((7,), mask)
+        assert cells.tolist() == np.flatnonzero(
+            np.broadcast_to(mask, (7,))).tolist()
+        assert [c.tolist() for c in _coords(cols, (7,), cells)] == [
+            c[cells].tolist() for c in cols]
 
 
 def kernel_forms():
@@ -216,9 +225,9 @@ def test_kernel_masks_on_ragged_tiles(monkeypatch):
                  "operand" if got is x or got is y else "both"] += 1
         return got
 
-    def cells_spy(axes, mask):
+    def cells_spy(shape, mask):
         seen["scalar"] += np.ndim(mask) == 0
-        return real_cells(axes, mask)
+        return real_cells(shape, mask)
     monkeypatch.setattr(en, "_and", and_spy)
     monkeypatch.setattr(en, "_cells", cells_spy)
     monkeypatch.setattr(en, "_split_halves", lambda f, B: None)
@@ -378,6 +387,69 @@ def test_int64_switch_sits_at_its_limit(monkeypatch):
         assert taken == [path]
         assert n == brute_affine(f, B)
         assert n == 2 * B + 1
+
+
+def test_prefix_int64_switch_sits_at_its_limit(monkeypatch):
+    # S = a^2 (x0 - x1)^2 + b^2 x2^2 + c^2 x2^4 + x3^4, with
+    # 4a^2 + b^2 + c^2 = 2^62 - 2: at B = 1 the scan bound, the value bound
+    # of S, is the guard's maximum, 2^62 - 1, and the cell list stays on
+    # the kernel; the generator x2^3 adds 1 and sends it to _solve_scalar
+    a, b, c = 2**30 - 1, 82919, 41405
+    assert 4 * a * a + b * b + c * c == en.INT64_LIMIT - 2
+    base = [IntPoly(4, {(1, 0, 0, 0): a, (0, 1, 0, 0): -a}),
+            IntPoly(4, {(0, 0, 1, 0): b}), IntPoly(4, {(0, 0, 2, 0): c}),
+            IntPoly(4, {(0, 0, 0, 2): 1})]
+    taken = []
+    for name in ("_solve_tiles", "_solve_scalar"):
+        def call(coeffs, *args, _real=getattr(en, name), _name=name):
+            # the solvers of S, not of the generators free of x3
+            if coeffs[0].num_vars == 3:
+                taken.append(_name)
+            return _real(coeffs, *args)
+        monkeypatch.setattr(en, name, call)
+    B = 1
+    for gens, guard, path in (
+            (base, en.INT64_LIMIT - 1, "_solve_tiles"),
+            (base + [IntPoly(4, {(0, 0, 3, 0): 1})], en.INT64_LIMIT,
+             "_solve_scalar")):
+        S = en._sum_of_squares(gens)
+        coeffs = en._last_var_coefficients(S)
+        bounds = [en._poly_value_bound(c, B) for c in coeffs]
+        assert len(coeffs) == 5 and bounds[1:4] == [0, 0, 0]
+        assert en._poly_value_bound(S, B) == guard
+        assert max(bounds) < guard and (B + 1) ** 4 < guard
+        taken.clear()
+        pts = en.enumerate_projective_variety(gens, B)
+        assert taken == [path]
+        assert pts == brute_variety_points(gens, B) == [(1, 1, 0, 0)]
+
+
+def test_cell_lists_match_the_scalar_referee(monkeypatch):
+    # every branch of the kernel on cell lists, against _solve_scalar on the
+    # same prefixes: the 125 cells of [-2, 2]^3 in chunks of four, which
+    # end in a one-cell chunk, a single cell and an empty list; no variety
+    # reaches the linear branch, since a sum of squares has even degree
+    monkeypatch.setattr(en, "TILE_CELLS", 4)
+    B = 2
+    box = np.array(list(itertools.product(range(-B, B + 1), repeat=3)),
+                   dtype=np.int64).T
+    lists = [box, box[:, ::-1][:, :1], box[:, :0]]
+    assert box.shape[1] % 4 == 1
+    for text in ("x0*x3 - x1 - x2", "x0*x3^2 + x1*x3 - x2 - 1",
+                 "x0*x3^3 - x1*x2^2", "x3^3 - x0*x3 + x1*x2",
+                 "x0*x3 - x1*x3 + x2^2 - x0^2", "x1*x2 - x0^2"):
+        f = parse_poly(text, num_vars=4)
+        coeffs = en._last_var_coefficients(f)
+        assert en._fits_int64(f, coeffs, B), text
+        for cells in lists:
+            got, want = en._Hits(True, B), en._Hits(True, B)
+            en._solve_tiles(coeffs, B, en._cell_slices(cells), got)
+            en._solve_scalar(coeffs, zip(*cells.tolist()), B, want)
+            assert got.hist.tolist() == want.hist.tolist(), text
+            assert got.points == want.points, text
+            if cells is box:
+                assert got.points == [x for x in itertools.product(
+                    range(-B, B + 1), repeat=4) if f.evaluate(x) == 0], text
 
 
 @pytest.fixture

@@ -318,13 +318,13 @@ def test_nullspaces_int_edge_cases(monkeypatch):
     first, second = [[1, 0]], [[1, P]]
     assert _fallbacks(monkeypatch, [first, second], 2) == [second]
     assert nullspaces_int([first, second], 2) == [[(0, 1)], [(P, -1)]]
-    # an entry past int64, an entry of -2^63 and a null vector too long
-    # for an int64 product all go to nullspace_int
+    # an entry past int64 goes to nullspace_int; an entry of -2^63 and a
+    # null vector too long for an int64 product are checked in Python ints
     wide = [[2**70, 1, 0]]
     edge = [[-2**63, 1, 0]]
     long = [[3**25, -2**40, 0], [0, 0, 1]]
     assert _fallbacks(monkeypatch, [wide, edge, long, [[1, 1, 1]]], 3) == \
-        [wide, edge, long]
+        [wide]
 
 
 def test_nullspaces_int_one_rref_per_row_space(monkeypatch):
@@ -411,3 +411,37 @@ def test_row_spaces_span_each_matrix():
         assert len(set(rows.tolist())) == len(rows) == got[0] == rank[0]
         assert key == form[0, :len(rows)].tobytes() \
             == got_form[0, :len(rows)].tobytes()
+
+
+def _past_bound(m, ncols):
+    """Whether the int64 check of m against its basis is past its bound."""
+    top = max((abs(x) for v in nullspace_int(m, ncols) for x in v), default=0)
+    return ncols * max(abs(x) for row in m for x in row) * top >= 2**63
+
+
+def test_nullspaces_int_keeps_a_right_basis_past_the_int64_bound(monkeypatch):
+    # M N past the int64 bound is taken in Python ints, so a right batched
+    # basis is kept without nullspace_int: tall matrices of entries near
+    # 2^40, one of them sharing its group with a short one
+    rng = random.Random(23)
+    mats = []
+    for height, rank in ((40, 3), (3, 3), (30, 2)):
+        base = [[rng.randint(-2**20, 2**20) for _ in range(5)]
+                for _ in range(rank)]
+        mix = [[rng.randint(-2**19, 2**19) for _ in base]
+               for _ in range(height)]
+        mats.append([[sum(a * r[j] for a, r in zip(row, base))
+                      for j in range(5)] for row in mix] + base)
+    mats.append(mats[0][-3:])
+    assert all(_past_bound(m, 5) for m in mats)
+    assert _fallbacks(monkeypatch, mats, 5) == []
+
+
+def test_nullspaces_int_rejects_a_wrong_basis_past_the_int64_bound(
+        monkeypatch):
+    # the last row vanishes mod P, so the candidate basis (0, 0, 1) comes
+    # from the first two rows alone; the exact product shows it wrong
+    tall = [[1, 0, 0], [0, 1, 0], [0, 0, P << 31]]
+    assert 3 * (P << 31) >= 2**63
+    assert _fallbacks(monkeypatch, [tall], 3) == [tall]
+    assert nullspaces_int([tall], 3) == [[]]
