@@ -6,7 +6,10 @@ to a full range when the residual vanishes identically.  Two solvers do
 this.  The numpy kernel evaluates the residual coefficients on int64
 chunks of cells, tiles over two coordinates or slices of a list of cells,
 solves linear, quadratic and pure-power residuals in closed form and
-scans the rest over the whole box by Horner; it runs
+scans the rest over the whole box by Horner.  A pure power c t^k = rhs
+takes the rounded float root of rhs / c as its one candidate and keeps
+it where c t^k == rhs holds exactly, with no integer division, after
+Heath-Brown, Lioen and te Riele (Math. Comp. 1993).  The kernel runs
 whenever an a priori bound proves that no intermediate value can overflow
 (for the scan, the value bound of the form itself).  Otherwise the
 pure-Python big-int reference takes over.  Both are exact, and the tests
@@ -141,32 +144,42 @@ def _poly_value_bound(f: IntPoly, B: int) -> int:
     return sum(abs(c) * B ** sum(e) for e, c in f.terms.items())
 
 
-def _np_kth_roots(rhs, k: int, B: int):
-    """Vectorized exact k-th roots of an int64 array or numpy scalar, for
-    k >= 2: arrays (count, root) with root valid where count >= 1; for even
-    k a positive rhs has roots +-root.  Roots above B are not found, so B
-    must keep B**k within int64.
+def _np_kth_roots(rhs, k: int, B: int, c=1):
+    """Vectorized exact roots t in [-B, B] of c * t^k = rhs, for k >= 2,
+    int64 arrays or numpy scalars rhs and nonzero c that broadcast
+    together: (count, root), each of their broadcast shape, with count 0,
+    1 or 2 and root 0 where count is 0; for even k, count 2 means roots
+    +-root.  c * B^k must fit in int64.
 
-    The float root, rounded, is the only candidate.  A root r <= B of
-    |rhs| = r^k < 2^63 has r < 2^32.  Converting r^k to float64 rounds it
-    by a relative 2^-53 at most, sqrt and cbrt are within an ulp, and
+    The float root of rhs / c, rounded, is the only candidate.  A root r
+    of |rhs / c| = r^k has r < 2^32 (r <= B, and B^k < 2^63).  Converting
+    rhs and c to float64 and dividing rounds r^k by three relative 2^-53
+    at most (c may exceed 2^53), sqrt and cbrt are within an ulp, and
     pow(x, 1/k) adds the rounding of 1/k, a relative ln(r) * 2^-53 with
     ln(r) < 23; so the float root is r * (1 + delta) with
-    |delta| < 2^-48, |r * delta| < 2^-16 < 1/2, and it rounds to r.  A
-    candidate that is no root fails the exact check cand**k == |rhs|.
+    |delta| < 2^-48, |r * delta| < 2^-16 < 1/2, and it rounds to r.  The
+    candidate, clipped to [-B, B], is a root exactly when c * t^k == rhs,
+    a product bounded by |c| * B^k, so the check is exact in int64.  In
+    the kernel that bound holds: for k >= 3, |c_k| B^k is at most the
+    value bound of the form, which ``_fits_int64`` keeps below 2^62, and
+    the quadratic branch's discriminant has c = 1 and B^2 = 2^62.
     """
-    mag = np.abs(rhs)
-    magf = mag.astype(np.float64)
-    root = np.cbrt(magf) if k == 3 else np.power(magf, 1.0 / k)
-    # candidates stay <= B so cand**k cannot overflow
-    best = np.clip(np.rint(root).astype(np.int64), 0, B)
-    found = best**k == mag
-    if k % 2 == 1:
-        root = np.where(rhs < 0, -best, best)
-        return found.astype(np.int64), np.where(found, root, 0)
-    ok = found & (rhs >= 0)
-    count = np.where(ok, np.where(best > 0, 2, 1), 0)
-    return count.astype(np.int64), np.where(ok, best, 0)
+    x = np.divide(rhs, c, out=np.empty(np.broadcast_shapes(np.shape(rhs),
+                                                          np.shape(c))))
+    # the signed root of x; for even k a negative x gives a negative t,
+    # whose c * t^k has the wrong sign
+    neg = np.signbit(x)
+    np.abs(x, out=x)
+    np.cbrt(x, out=x) if k == 3 else np.power(x, 1.0 / k, out=x)
+    np.negative(x, out=x, where=neg)
+    root = np.clip(np.rint(x, out=x), -B, B, out=x).astype(np.int64)
+    value = np.power(root, k, out=x.view(np.int64))  # x is spent
+    found = np.multiply(value, c, out=value) == rhs
+    np.multiply(root, found, out=root)
+    count = found.view(np.int8)
+    if k % 2 == 0:
+        count = count + (root > 0)
+    return count, root
 
 
 @lru_cache(maxsize=16)
@@ -669,18 +682,11 @@ def _solve_tiles(coeffs, B, chunks, hits):
                 for j in range(1, k):
                     pure = _and(pure, arrays[j] == 0)
                 if pure.any():
-                    q = np.broadcast_to(rhs // ck, shape)
-                    divis = _and(pure, (q * ck == rhs) & (np.abs(q) <= B**k))
-                    # a mask indexing a chunk array has the chunk's shape;
-                    # the cells are found after the roots, so that their
-                    # indices do not add to the roots' temporaries
-                    divis = np.broadcast_to(divis, shape)
-                    cnt, root = _np_kth_roots(q[divis], k, B)
-                    cells = _cells(shape, divis)
+                    cnt, root = _np_kth_roots(rhs, k, B, ck)
                     for sign, got in ((1, cnt >= 1), (-1, cnt == 2)):
-                        hits.add_solved(prefix,
-                                        *_coords(axes, shape, cells[got]),
-                                        sign * root[got])
+                        cells = _cells(shape, _and(pure, got))
+                        hits.add_solved(prefix, *_coords(axes, shape, cells),
+                                        sign * _pick(root, cells, shape))
                 rest = _and(at, ~pure)
                 if rest.any():
                     # scan t over the axis: sum_j c_j t^j - rhs by Horner
@@ -794,13 +800,20 @@ def count_affine_surface(F: IntPoly, B: int, filters=(), collect: bool = True,
         raise ValueError("need a nonzero homogeneous form of degree >= 1")
     if F.num_vars != 4:
         raise ValueError("affine surface counting expects 4 variables")
+    if B < 0:
+        raise ValueError("B must be >= 0")
     # nonzero: no two terms of a form merge when x0 = 1
-    _, pts3 = count_affine(dehomogenize(F), B, collect=True)
-    pts = [(1,) + t for t in pts3]
+    hits = _solve_zeros(dehomogenize(F), B, projective=False,
+                        collect=collect or bool(filters))
+    pts = [(1,) + t for t in hits.points]
+    if not filters:
+        return _result(hits.count, pts, hits.hist.tolist(), collect,
+                       by_height)
     pts = [p for p in pts if all(flt.accepts(p) for flt in filters)]
     hist = [0] * (B + 1)
-    for p in pts:
-        hist[max(map(abs, p[1:]))] += 1
+    if by_height:
+        for p in pts:
+            hist[max(map(abs, p[1:]))] += 1
     return _result(len(pts), pts, hist, collect, by_height)
 
 

@@ -154,6 +154,32 @@ def test_count_affine_surface():
     assert n3 == 0 and pts3 == []
 
 
+def test_count_affine_surface_histogram_matches_brute():
+    # heights max |x_i| of the points (1, x1, x2, x3), with and without
+    # residue filters, collected or not, against a scan of the whole box
+    cases = [("x0*x3 - x1*x2", 4, ()), ("x0*x3 - x1*x2", 4, ((2, (0, 0, 0)),)),
+             ("x0^3 + x1^3 + x2^3 + x3^3", 6, ()),
+             ("x0^3 + x1^3 - 2*x2^3 - 2*x3^3", 6, ()),
+             ("x0^3 + x1^3 + x2^3 + x3^3", 6,
+              ((2, (1, 0, 1)), (3, (0, 2, 1))))]
+    for text, B, residues in cases:
+        F = parse_poly(text)
+        want = [0] * (B + 1)
+        for x in itertools.product(range(-B, B + 1), repeat=3):
+            if F.evaluate((1,) + x) == 0 and all(
+                    v % p == r for p, rs in residues for v, r in zip(x, rs)):
+                want[max(map(abs, x))] += 1
+        filters = [ResidueFilter(p, rs) for p, rs in residues]
+        n, pts, hist = count_affine_surface(F, B, filters=filters,
+                                            by_height=True)
+        assert hist == want, (text, residues)
+        assert n == len(pts) == sum(want), (text, residues)
+        assert count_affine_surface(F, B, filters=filters, collect=False,
+                                    by_height=True) == (n, hist)
+        assert count_affine_surface(F, B, filters=filters,
+                                    collect=False) == n
+
+
 def test_count_roots_bounded_examples():
     exact, bound = count_roots_bounded([0, 0, 1], 100)
     assert exact == 21 and exact <= bound

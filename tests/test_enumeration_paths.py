@@ -204,9 +204,13 @@ def kernel_forms():
             # the discriminant -4*x0^2*(x0^2 + x1^2) is negative off x0 = 0
             "x0*x2^2 + x0^3 + x0*x1^2",
             # a pure cube 2*t^3 = rhs with rhs odd wherever x0 is: tiles
-            # at odd x0 hold no divisible cell
+            # at odd x0 hold no root
             "x0^3 + 2*x1^3 - 2*x2^3",
-            "x0^3 + 2*x1^3 + 2*x0*x1*x2 + 4*x2^3 - 2*x3^3"):
+            "x0^3 + 2*x1^3 + 2*x0*x1*x2 + 4*x2^3 - 2*x3^3",
+            # pure powers with leading coefficient x0, a cube and an even
+            # fourth power, and a cube whose coefficient is -1
+            "x0*x3^3 - x1^4 - 2*x2^4", "x0*x3^4 - x1^5 + x2^5",
+            "x0^3 + x1^3 - x2^3 - x3^3"):
         F = parse_poly(text)
         out.append((F, 5 if F.num_vars == 3 else 3))
     return out
@@ -291,46 +295,59 @@ def test_square_roots_match_isqrt_at_their_boundaries():
 
 
 def test_kth_roots_are_exact_on_every_power_up_to_their_guards():
-    # the rounded float root is the only candidate, so every perfect power
-    # the kernel can pass must round to its own root: every +-r^3 and every
-    # r^k, k = 4, 5, 6, with r up to the largest B of (B + 1)^k < 2^62
-    # (the kernel's power guard), and r^2 with r <= 2^22 and for the top
-    # 2^22 values of r below isqrt(2^62), at the quadratic branch's bound;
-    # r^k +- 1 is no k-th power and must give no root
-    def largest_b(k):
-        b = round((en.INT64_LIMIT - 1) ** (1 / k))
-        while (b + 1) ** k >= en.INT64_LIMIT:
+    # the rounded float root of rhs / c is the only candidate, so every
+    # c * t^k the kernel can pass must round to its own root t: for
+    # c = 1, -1, -3 and 5, every +-r^3 and every r^k, k = 4, 5, 6, with r
+    # up to the largest B of |c| (B + 1)^k < 2^62 (the kernel's guards),
+    # for each k a c of c * 7^k just under 2^62 (over 2^53 at k = 3), and
+    # r^2 with r <= 2^22 and for the top 2^22 values of r below
+    # isqrt(2^62), at the quadratic branch's bound; c * (r^k +- 1) is no
+    # c times a k-th power and must give no root, nor must rhs / c < 0 for
+    # even k, nor the root B + 1, just past the clip
+    def largest_b(k, c):
+        b = round(((en.INT64_LIMIT - 1) // abs(c)) ** (1 / k))
+        while abs(c) * (b + 1) ** k >= en.INT64_LIMIT:
             b -= 1
-        while (b + 2) ** k < en.INT64_LIMIT:
+        while abs(c) * (b + 2) ** k < en.INT64_LIMIT:
             b += 1
         return b
 
     top = math.isqrt(en.INT64_LIMIT)
-    cases = [(3, largest_b(3), np.arange(largest_b(3) + 1))]
-    cases += [(k, largest_b(k), np.arange(largest_b(k) + 1))
-              for k in (4, 5, 6)]
-    cases += [(2, top, np.arange(2**22 + 1)),
-              (2, top, np.arange(top - 2**22, top))]
-    assert [b for _, b, _ in cases[:4]] == [1664509, 46339, 5403, 1289]
-    assert (int(cases[-1][2][-1]) + 1) ** 2 == en.INT64_LIMIT
-    for k, B, rs in cases:
+    cases = [(k, c, largest_b(k, c)) for k in (3, 4, 5, 6)
+             for c in (1, -1, -3, 5)]
+    assert [b for _, c, b in cases if c == 1] == [1664509, 46339, 5403, 1289]
+    cases += [(k, (en.INT64_LIMIT - 1) // 7**k, 7) for k in (3, 4, 5, 6)]
+    assert cases[-4][1] > 2**53
+    cases = [(k, c, B, np.arange(B + 1)) for k, c, B in cases]
+    cases += [(2, 1, top, np.arange(2**22 + 1)),
+              (2, 1, top, np.arange(top - 2**22, top))]
+    assert (int(cases[-1][3][-1]) + 1) ** 2 == en.INT64_LIMIT
+    for k, c, B, rs in cases:
+        c = np.int64(c)
+        assert abs(int(c)) * B**k < 2**63
         for lo in range(0, len(rs), 1 << 18):
             r = rs[lo:lo + (1 << 18)]
             power = r**k
             assert [int(x) ** k for x in r[::4099]] == power[::4099].tolist()
             signs = (1, -1) if k % 2 else (1,)
             for sign in signs:
-                cnt, root = en._np_kth_roots(sign * power, k, B)
+                cnt, root = en._np_kth_roots(c * sign * power, k, B, c)
                 want = 1 if k % 2 else np.where(r > 0, 2, 1)
-                assert (cnt == want).all(), (k, sign)
-                assert (root == sign * r).all(), (k, sign)
-            if k % 2 == 0:  # a negative value has no even root
-                assert not en._np_kth_roots(-power[r > 0], k, B)[0].any()
+                assert (cnt == want).all(), (k, c, sign)
+                assert (root == sign * r).all(), (k, c, sign)
+            if k % 2 == 0:  # rhs / c < 0 has no even root
+                cnt, _ = en._np_kth_roots(-c * power[r > 0], k, B, c)
+                assert not cnt.any(), (k, c)
             big = r[r >= 2]
             for off in (1, -1):
                 for sign in signs:
-                    cnt, _ = en._np_kth_roots(sign * (big**k + off), k, B)
-                    assert not cnt.any(), (k, off, sign)
+                    cnt, _ = en._np_kth_roots(c * sign * (big**k + off), k,
+                                              B, c)
+                    assert not cnt.any(), (k, c, off, sign)
+        if abs(int(c)) * (B + 1) ** k < 2**63:
+            for sign in signs:
+                past = np.int64(int(c) * (sign * (B + 1)) ** k)
+                assert en._np_kth_roots(past, k, B, c)[0] == 0, (k, c)
 
 
 def test_degenerate_top_coefficient_rows():
@@ -437,7 +454,9 @@ def test_cell_lists_match_the_scalar_referee(monkeypatch):
     assert box.shape[1] % 4 == 1
     for text in ("x0*x3 - x1 - x2", "x0*x3^2 + x1*x3 - x2 - 1",
                  "x0*x3^3 - x1*x2^2", "x3^3 - x0*x3 + x1*x2",
-                 "x0*x3 - x1*x3 + x2^2 - x0^2", "x1*x2 - x0^2"):
+                 "x0*x3 - x1*x3 + x2^2 - x0^2", "x1*x2 - x0^2",
+                 "x0*x3^3 - x1^4 - 2*x2^4", "x0*x3^4 - x1^5 + x2^5",
+                 "x0^3 + x1^3 - x2^3 - x3^3"):
         f = parse_poly(text, num_vars=4)
         coeffs = en._last_var_coefficients(f)
         assert en._fits_int64(f, coeffs, B), text
