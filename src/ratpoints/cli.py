@@ -329,7 +329,7 @@ def _add_delta_stats(F, found):
             (rec, members[:k]))
     for (_, k), (G, classes) in groups.items():
         try:
-            e, _ = curve_section_degree([F, G])
+            e = curve_section_degree(F, G)
             sel = select_monomials([F, G], e, k)
         except (ValueError, CertificateError) as err:
             for rec, _ in classes:

@@ -7,8 +7,10 @@ determinant of monomial values at class points.  Size bounds on the
 determinant and divisibility by high prime powers (guaranteed for points
 sharing a nonsingular reduction) force the determinant to vanish, which
 yields an auxiliary form vanishing on the whole class without being
-divisible by the surface form.  Everything here is exact integer or
-rational arithmetic; the only floats are in the prime windows.
+divisible by the surface form F.  The curve F = G = 0 meets x0 = 0 in
+deg F * deg G points, a complete intersection's Hilbert value in closed
+form.  Everything here is exact integer or rational arithmetic; the only
+floats are in the prime windows.
 
 The per-class work runs in batches: one classification per prime, one
 value-matrix build, nullspace batch and vanishing check per degree, and
@@ -405,21 +407,19 @@ def _outcome(vectors, basis, D: int, F: IntPoly):
                       "increase D"), None
 
 
-def curve_section_degree(J, max_degree: int = 40):
-    """Stabilized Hilbert value of the hyperplane section of the curve J.
+def curve_section_degree(F: IntPoly, G: IntPoly) -> int:
+    """Degree ab of the curve F = G = 0 at x0 = 0, where F0 and G0, of
+    degrees a and b, are F and G there: the Hilbert function h of
+    k[x1, x2, x3]/(F0, G0) read at the one degree a + b - 1.
 
-    Scans the graded quotient by (J, X0) until two consecutive values
-    agree; returns (value, first degree where it is attained).
-    """
-    J = list(J)
-    J0 = [g.substitute_value(0, 0) for g in J]
-    J0 = [g for g in J0 if not g.is_zero()]
-    prev = None
-    for delta in range(max_degree + 1):
-        h = graded_piece_basis(J0, delta, num_vars=3).dimension
-        if prev is not None and h == prev[1]:
-            return h, prev[0]
-        prev = (delta, h)
+    Coprime F0 and G0 are a complete intersection: h rises strictly up to
+    a + b - 2 and equals ab from there on.  With a common factor of degree
+    c >= 1, h(a + b - 1) = ab + c(c + 1)/2, never ab."""
+    F0, G0 = F.substitute_value(0, 0), G.substitute_value(0, 0)
+    if not (F0.is_zero() or G0.is_zero()):
+        a, b = F0.degree, G0.degree
+        if graded_piece_basis([F0, G0], a + b - 1).dimension == a * b:
+            return a * b
     raise ValueError("Hilbert function did not stabilize; not a curve ideal")
 
 

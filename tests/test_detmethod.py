@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,14 +12,16 @@ import ratpoints
 from ratpoints import cli, detmethod
 from ratpoints.detmethod import (AuxiliaryForm, DetCertificate, RankFull,
                                  bezout_bound, build_determinant,
-                                 divisibility_check, extract_auxiliary_form,
-                                 partition_by_residue, prime_window,
-                                 select_monomials, theta_exponent)
+                                 curve_section_degree, divisibility_check,
+                                 extract_auxiliary_form, partition_by_residue,
+                                 prime_window, select_monomials,
+                                 theta_exponent)
 from ratpoints.enumeration import count_affine_surface
 from ratpoints.geometry import Classification
 from ratpoints.exact import CertificateError, is_prime, valuation
 from ratpoints.linalg import det_bareiss, nullspace_int
-from ratpoints.poly import (IntPoly, format_poly, grlex_key, monomial_rows,
+from ratpoints.poly import (IntPoly, format_poly, graded_piece_basis,
+                            grlex_key, monomial_rows, monomials_of_degree,
                             parse_poly, poly_divides)
 
 X = [IntPoly.variable(4, i) for i in range(4)]
@@ -137,12 +140,81 @@ def test_select_monomials_surplus_drop():
     assert again.monomials == sel.monomials  # deterministic choice
 
 
-def test_curve_section_degree():
-    from ratpoints.detmethod import curve_section_degree
+def _hilbert_scan(J, max_degree=40):
+    """The stabilized Hilbert value of the section x0 = 0 of the curve
+    ideal J: the graded quotient by (J, x0) is scanned degree by degree
+    until two consecutive values agree."""
+    J0 = [g.substitute_value(0, 0) for g in J]
+    J0 = [g for g in J0 if not g.is_zero()]
+    prev = None
+    for delta in range(max_degree + 1):
+        h = graded_piece_basis(J0, delta, num_vars=3).dimension
+        if h == prev:
+            return h
+        prev = h
+    raise ValueError("Hilbert function did not stabilize; not a curve ideal")
 
-    assert curve_section_degree(LINE)[0] == 1
-    assert curve_section_degree(CONIC)[0] == 2
-    assert curve_section_degree(TWISTED)[0] == 3
+
+def _section_or_error(section, *args):
+    try:
+        return section(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def test_curve_section_degree():
+    assert _hilbert_scan(LINE) == 1
+    assert _hilbert_scan(CONIC) == 2
+    assert _hilbert_scan(TWISTED) == 3
+    assert curve_section_degree(*LINE) == 1
+    assert curve_section_degree(*CONIC) == 2
+    # two of the twisted cubic's quadrics also hold the line x0 = x1 = 0,
+    # so at x0 = 0 both are multiples of x1
+    with pytest.raises(ValueError, match="^Hilbert function did not "
+                       "stabilize; not a curve ideal$"):
+        curve_section_degree(*TWISTED[:2])
+
+
+def _random_form(rng, degree):
+    """A form of the degree with nonzero coefficients in [-3, 3] on a
+    random nonempty subset of its monomials."""
+    basis = monomials_of_degree(4, degree)
+    chosen = rng.sample(basis, rng.randint(1, len(basis)))
+    return IntPoly(4, {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in chosen})
+
+
+def test_curve_section_degree_matches_the_hilbert_scan():
+    # the closed form returns ab exactly when the scan stabilizes, at ab,
+    # and raises the scan's error otherwise; the scan looks four degrees
+    # past the closed form's a + b - 1.  A common factor of degree 1 reads
+    # ab at a + b - 2, so a check there fails the planted c = 1 pairs
+    rng = random.Random(2027)
+    x0 = X[0]
+    finite = 0
+    common = {1: 0, 2: 0}   # pairs with F0 and G0 nonzero, by c
+    for trial in range(120):
+        c = trial % 3       # the degree of a planted common factor
+        H = _random_form(rng, c)
+        a, b = rng.randint(c + 1, 4), rng.randint(c + 1, 4)
+        F = H * _random_form(rng, a - c)
+        G = H * _random_form(rng, b - c)
+        want = _section_or_error(_hilbert_scan, [F, G], a + b + 3)
+        got = _section_or_error(curve_section_degree, F, G)
+        assert got == want, (format_poly(F), format_poly(G))
+        if isinstance(got, int):
+            assert got == a * b and c == 0
+            finite += 1
+        elif c and not any(g.substitute_value(0, 0).is_zero()
+                           for g in (F, G)):
+            common[c] += 1
+    assert finite >= 25 and min(common.values()) >= 25, (finite, common)
+    # F0 = 0 or G0 = 0: the section is not finite
+    for F, G in ((x0 * X[1], X[2] ** 2 + X[3] ** 2),
+                 (X[1] ** 3 + X[2] ** 3, x0 ** 2 - x0 * X[3]),
+                 (x0, x0 * X[1])):
+        assert _section_or_error(curve_section_degree, F, G) == \
+            _section_or_error(_hilbert_scan, [F, G], 12) == \
+            "Hilbert function did not stabilize; not a curve ideal"
 
 
 def test_select_monomials_wrong_dimension():
@@ -322,9 +394,6 @@ def test_degree_sum_asymptotics():
             sel = select_monomials(gens, e, k)
             ratio = sel.degree_sum * 2 * e / k**2
             assert ratio <= 1.6, (e, k, ratio)
-        sel80 = select_monomials(gens, e, 80)
-        ratio = sel80.degree_sum * 2 * e / 80**2
-        assert 0.8 <= ratio <= 1.2, (e, ratio)
 
 
 def test_detmethod_certificates_survive_python_O():
@@ -374,12 +443,13 @@ def test_detmethod_certificates_survive_python_O():
 
 def _delta_stats_referee(F, G, members, p, sections):
     """The determinant statistics computed afresh for every class, from a
-    value matrix of exact ints; sections caches the curve section degree
-    and monomial selection by G and k."""
+    value matrix of exact ints and the curve section degree of the Hilbert
+    scan; sections caches that degree and the monomial selection by G and
+    k."""
     k = min(len(members), 4)
     if (G, k) not in sections:
         try:
-            e, _ = detmethod.curve_section_degree([F, G])
+            e = _hilbert_scan([F, G])
             sections[G, k] = e, detmethod.select_monomials([F, G], e, k)
         except (ValueError, CertificateError) as err:
             sections[G, k] = err
@@ -416,9 +486,11 @@ def test_detmethod_section_computed_once_per_aux_form(monkeypatch, capsys):
     def spy(name):
         real = getattr(cli, name)
 
-        def counted(gens, *args):
-            calls[name].append((format_poly(gens[1]),) + args[1:])
-            return real(gens, *args)
+        # curve_section_degree(F, G) and select_monomials([F, G], e, k)
+        def counted(first, second, *rest):
+            G = second if name == "curve_section_degree" else first[1]
+            calls[name].append((format_poly(G),) + rest)
+            return real(first, second, *rest)
         return counted
 
     for name in calls:
@@ -460,6 +532,38 @@ def test_detmethod_section_computed_once_per_aux_form(monkeypatch, capsys):
                     _delta_stats_referee(F, G, members, p, sections), rec
                 checked += 1
         assert checked >= 50, checked
+
+
+def test_detmethod_cusp_sections_take_one_graded_piece(monkeypatch, capsys):
+    # F0 = -x3^3, so every auxiliary form whose G0 is a multiple of x3
+    # shares a factor with F0, and its group's delta records carry the
+    # section error; each curve_section_degree call decides from one
+    # graded piece, and the output is the pinned one
+    pieces, per_call = [], []
+    real_piece = detmethod.graded_piece_basis
+    monkeypatch.setattr(detmethod, "graded_piece_basis",
+                        lambda *args, **kwargs: pieces.append(args)
+                        or real_piece(*args, **kwargs))
+    real_section = cli.curve_section_degree
+
+    def counted(F, G):
+        before = len(pieces)
+        try:
+            return real_section(F, G)
+        finally:
+            per_call.append(len(pieces) - before)
+    monkeypatch.setattr(cli, "curve_section_degree", counted)
+    assert cli.main(["detmethod", "--form", "x0*x1*x2 - x3^3",
+                     "--bound", "300"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8877f770c891f0c6df6d7446233297a75c066b07672944c8beba77eb35350840")
+    deltas = [rec["delta"] for rec in json.loads(out)["classes"]
+              if "delta" in rec]
+    assert len(deltas) == 447 and all(
+        delta == {"error": "Hilbert function did not stabilize; not a curve "
+                  "ideal"} for delta in deltas)
+    assert per_call and set(per_call) == {1}, per_call
 
 
 @pytest.mark.parametrize("args, top_degree", [
