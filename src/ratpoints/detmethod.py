@@ -13,25 +13,25 @@ form.  Everything here is exact integer or rational arithmetic; the only
 floats are in the prime windows.
 
 The per-class work runs in batches: one classification per prime, one
-value-matrix build, nullspace batch and vanishing check per degree, and
-one value-matrix build per monomial selection for the determinants.
-numpy computes in int64 wherever an a priori bound keeps every value
-inside it, and exact Python ints take over past the bound.
+value-matrix build and nullspace batch per degree, one vanishing check per
+distinct auxiliary form, and one value-matrix build per monomial
+selection for the determinants.  The same numpy code builds every value
+matrix, in int64 when an a priori bound keeps every value inside it and
+in a numpy object array of exact Python ints past the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, comb, factorial, isfinite
-from operator import mul
 
 import numpy as np
 
 from .exact import CertificateError, is_prime, valuation
 from .geometry import classify_points
-from .linalg import det_bareiss, echelon_mod, nullspaces_int
-from .poly import (IntPoly, graded_piece_basis, monomial_rows,
-                   monomials_of_degree, poly_divides)
+from .linalg import annihilates, det_bareiss, echelon_mod, nullspaces_int
+from .poly import (IntPoly, graded_piece_basis, monomials_of_degree,
+                   poly_divides)
 
 
 # ---------------------------------------------------------------------
@@ -108,8 +108,11 @@ class MonomialSelection:
     degree_sum: int        # sum of the degrees with the first variable 1
 
 
-def select_monomials(J, e: int, k: int, max_degree: int = 400
-                     ) -> MonomialSelection:
+# the degree past which select_monomials gives up on the Hilbert function
+MAX_SELECTION_DEGREE = 400
+
+
+def select_monomials(J, e: int, k: int) -> MonomialSelection:
     """Greedy selection: for each degree >= stabilization, take the graded
     quotient basis mod (J, X0); stop at the smallest D with enough
     monomials, dropping the surplus from the top degree.  Independence of
@@ -143,7 +146,7 @@ def select_monomials(J, e: int, k: int, max_degree: int = 400
             if count >= k:
                 break
         delta += 1
-        if delta > max_degree:
+        if delta > MAX_SELECTION_DEGREE:
             raise ValueError("wrong dimension: Hilbert function never "
                              f"stabilizes at {e}")
     D = delta
@@ -213,13 +216,11 @@ def build_determinants(classes, sel: MonomialSelection) -> list:
         else:
             good.append(i)
     D = sum(sel.monomials[0]) if sel.monomials else 0
-    _, matrices = _value_matrices(sel.monomials, [classes[i] for i in good],
-                                  D)
+    matrices = _value_matrices(sel.monomials, [classes[i] for i in good], D)
     k_factorial = factorial(sel.k)
     for i, matrix in zip(good, matrices):
         points = classes[i]
-        det = det_bareiss(matrix.tolist() if isinstance(matrix, np.ndarray)
-                          else matrix)
+        det = det_bareiss(matrix.tolist())
         B = max((max(map(abs, pt)) for pt in points), default=1)
         bound = k_factorial * max(B, 2) ** sel.degree_sum
         if det != 0 and abs(det) > bound:
@@ -293,16 +294,16 @@ def extract_auxiliary_form(classes, D: int, F: IntPoly):
     the ValueError saying so.
 
     All nullspaces come from one nullspaces_int call, and each distinct
-    basis is turned into an outcome once; every class is checked to lie
-    on its form, all classes in one product.
+    basis is turned into an outcome once.  A form is a nonzero multiple of
+    its null vector, so it vanishes at a point exactly when the point's row
+    is orthogonal to the vector: each distinct form is checked once, by
+    annihilates, against the matrices of every class that shares it.
     """
-    classes = [[tuple(pt) for pt in points] for points in classes]
+    classes = list(classes)
     if not all(classes):
         raise ValueError("empty point class")
-    if not classes:
-        return []
     basis = monomials_of_degree(4, D)
-    values, matrices = _value_matrices(basis, classes, D)
+    matrices = _value_matrices(basis, classes, D)
     index = {}      # nullspace basis -> its position in distinct
     distinct = []   # (outcome, null vector of the form or None)
     which = []
@@ -312,27 +313,30 @@ def extract_auxiliary_form(classes, D: int, F: IntPoly):
             index[key] = len(distinct)
             distinct.append(_outcome(vectors, basis, D, F))
         which.append(index[key])
-    if _misses_a_point(values, matrices, [vec for _, vec in distinct], which,
-                       len(basis)):
-        raise CertificateError("auxiliary form misses a class point")
+    shared = [[] for _ in distinct]
+    for matrix, k in zip(matrices, which):
+        shared[k].append(matrix)
+    for (_, vec), blocks in zip(distinct, shared):
+        if vec is not None and not all(annihilates(blocks, [vec])):
+            raise CertificateError("auxiliary form misses a class point")
     return [distinct[k][0] for k in which]
 
 
 def _value_matrices(basis, classes, D: int):
-    """(values, matrices): each class's matrix of values of the degree-D
-    monomials basis, one row per point.  When every value stays below 2^63
-    in absolute value, values is one int64 array of every class's rows and
-    the matrices are its row blocks; else values is None and the matrices
-    are lists of exact ints from monomial_rows."""
+    """Each class's matrix of values of the degree-D monomials basis, one
+    row per point: the row blocks of one array of every class's rows.  The
+    array is int64 when max|x|^D < 2^63 over every coordinate x, which
+    bounds every value, and a numpy object array of exact Python ints
+    otherwise."""
+    rows = [pt for points in classes for pt in points]
     try:
-        pts = np.array([pt for points in classes for pt in points],
-                       dtype=np.int64)
-        fits = pts.size > 0 and max(int(pts.max()),
-                                    -int(pts.min())) ** D < 2**63
+        pts = np.array(rows, dtype=np.int64)
+        fits = max(int(pts.max(initial=0)), -int(pts.min(initial=0))) ** D \
+            < 2**63
     except OverflowError:
         fits = False
     if not fits:
-        return None, [monomial_rows(basis, points) for points in classes]
+        pts = np.array(rows, dtype=object)
     # built a column at a time from each coordinate's powers, so that no
     # temporary is as large as values; each partial product of a
     # monomial's powers is at most max|x|^D
@@ -340,56 +344,13 @@ def _value_matrices(basis, classes, D: int):
     for pw in powers:
         for _ in range(2, D + 1):
             pw.append(pw[-1] * pw[1])
-    values = np.ones((len(pts), len(basis)), dtype=np.int64)
+    values = np.ones((len(rows), len(basis)), dtype=pts.dtype)
     for column, e in zip(values.T, basis):
         for pw, k in zip(powers, e):
             if k:
                 column *= pw[k]
-    return values, np.split(values, np.cumsum([len(points)
-                                                for points in classes])[:-1])
-
-
-def _misses_a_point(values, matrices, vecs, which, ncols: int) -> bool:
-    """Whether some row of matrices[i] is not orthogonal to its vector
-    vecs[which[i]]; a vector of None is not checked.  values is the int64
-    array of all the matrices' rows, or None, as _value_matrices returns.
-
-    A form is a nonzero multiple of its null vector, so it vanishes at a
-    point exactly when the point's row is orthogonal to the vector.  Int64
-    rows are checked in one product over all of them, a column at a time,
-    for each class under the a priori bound
-    ncols * max|row| * max|vec| < 2^63; the other classes, and a vector
-    past int64, take Python ints, whose products are exact.
-    """
-    top = [0 if v is None else max(map(abs, v)) for v in vecs]
-    checked = [i for i, k in enumerate(which) if vecs[k] is not None]
-    exact = checked
-    if values is not None and checked:
-        # each row's vector; 0 for a class that is not checked here
-        V = np.zeros((len(vecs), ncols), dtype=np.int64)
-        for k, v in enumerate(vecs):
-            if v is not None and top[k] < 2**63:
-                V[k] = v
-        vec_of = np.repeat(which, [len(m) for m in matrices])
-        # a product past the bound may wrap, but then it is not read
-        dots = np.zeros(len(values), dtype=np.int64)
-        for column, vcol in zip(values.T, V.T):
-            dots += column * vcol[vec_of]
-        starts = np.cumsum([0] + [len(m) for m in matrices[:-1]])
-        missed = np.logical_or.reduceat(dots != 0, starts).tolist()
-        high = np.maximum.reduceat(values.max(axis=1), starts).tolist()
-        low = np.minimum.reduceat(values.min(axis=1), starts).tolist()
-        exact = []
-        for i in checked:
-            if ncols * max(high[i], -low[i]) * top[which[i]] >= 2**63:
-                exact.append(i)
-            elif missed[i]:
-                return True
-    # int64 rows are listed as Python ints one at a time
-    return any(sum(map(mul, vecs[which[i]], row)) for i in exact
-               for row in (map(np.ndarray.tolist, matrices[i])
-                           if isinstance(matrices[i], np.ndarray)
-                           else matrices[i]))
+    ends = np.cumsum([len(points) for points in classes], dtype=np.intp)
+    return np.split(values, ends)[:-1]
 
 
 def _outcome(vectors, basis, D: int, F: IntPoly):

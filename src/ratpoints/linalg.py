@@ -18,7 +18,10 @@ a stack of matrices mod p in numpy, for ranks over F_p and, in
 whose row spaces agree mod P = 2^31 - 1.  That nullspace stays exact:
 rows independent mod P are independent over Q, and every basis is
 checked against its matrix exactly before it is returned, or else
-recomputed by ``nullspace_int``.
+recomputed by ``nullspace_int``.  That check, whether integer rows are
+orthogonal to integer vectors, is ``annihilates``, which the determinant
+method's vanishing certificate uses too: one int64 product where an a
+priori bound keeps it from wrapping, Python ints past the bound.
 """
 
 from __future__ import annotations
@@ -155,11 +158,9 @@ def nullspaces_int(matrices, ncols):
     independent over Q, so the exact nullspace N of those rows has
     ncols - r vectors for the member's rank r mod P, and a matrix M of the
     group with M N = 0 has nullspace exactly span N; the primitive basis
-    depends on the nullspace only.  M N is taken over every row of M, in
-    one int64 product per group, under the a priori bound
-    ncols * max|M| * max|N| < 2^63, and in Python ints for a matrix past
-    that bound; for r = ncols it is 0 by rank.  A matrix whose check fails
-    or whose entries do not fit an int64 goes to nullspace_int.
+    depends on the nullspace only.  M N = 0 is checked over every row of
+    every member by one annihilates call per group.  A matrix whose check
+    fails or whose entries do not fit an int64 goes to nullspace_int.
     """
     matrices = list(matrices)
     arrays = [_int64_rows(m, ncols) for m in matrices]
@@ -168,38 +169,62 @@ def nullspaces_int(matrices, ncols):
     for i in sorted(reduced):
         rows, key = reduced[i]
         if key not in groups:
-            # the group's candidate basis, from this member's pivot rows
+            # the group's candidate basis, from this member's pivot rows;
+            # rank ncols leaves none to find
             groups[key] = len(bases)
-            bases.append(_null_of_rows(arrays[i][rows].tolist(), ncols))
+            bases.append([] if len(rows) == ncols else
+                         nullspace_int(arrays[i][rows].tolist(), ncols))
             members.append([])
         members[groups[key]].append(i)
     out = [None] * len(matrices)
     for basis, idx in zip(bases, members):
-        for i in idx:
-            out[i] = list(basis)
-        # a matrix of no rows, or of rank ncols, needs no check
-        checked = [i for i in idx if len(arrays[i])] if basis else []
-        if not checked:
-            continue
-        top = max(abs(x) for v in basis for x in v)
-        M = np.concatenate([arrays[i] for i in checked])
-        starts = np.cumsum([0] + [len(arrays[i]) for i in checked[:-1]])
-        high = np.maximum.reduceat(M.max(axis=1), starts).tolist()
-        low = np.minimum.reduceat(M.min(axis=1), starts).tolist()
-        N = np.array(basis, dtype=object).T
-        nonzero = [False] * len(checked)
-        if top < 2**63:
-            # a product past the bound may wrap; it is taken again below
-            product = M @ N.astype(np.int64)
-            nonzero = np.logical_or.reduceat(product.any(axis=1),
-                                             starts).tolist()
-        for i, h, lo, nz in zip(checked, high, low, nonzero):
-            if ncols * max(h, -lo) * top >= 2**63:
-                nz = (arrays[i].astype(object) @ N).any()
-            if nz:
-                out[i] = None
+        for i, ok in zip(idx, annihilates([arrays[i] for i in idx], basis)):
+            if ok:
+                out[i] = list(basis)
     return [nullspace_int(m, ncols) if got is None else got
             for m, got in zip(matrices, out)]
+
+
+def annihilates(blocks, vectors):
+    """For each block in the list blocks, a 2-D int64 or object array of
+    integer rows, whether every row is orthogonal to every integer vector
+    in the list vectors, exactly.
+
+    The int64 blocks share one int64 product, read for each block under
+    the a priori bound ncols * max|row| * max|vector| < 2^63 that keeps
+    its dot products from wrapping; the other blocks are multiplied in
+    Python ints.
+    """
+    out = [True] * len(blocks)
+    if not vectors:
+        return out
+    ncols = len(vectors[0])
+    top = max(abs(x) for v in vectors for x in v)
+    small = top < 2**63
+    # an empty block annihilates anything, and would upset reduceat
+    fast = [i for i, b in enumerate(blocks)
+            if small and b.dtype == np.int64 and len(b)]
+    exact = [i for i, b in enumerate(blocks)
+             if not (small and b.dtype == np.int64)]
+    if fast:
+        M = np.concatenate([blocks[i] for i in fast])
+        starts = np.cumsum([0] + [len(blocks[i]) for i in fast[:-1]])
+        high = np.maximum.reduceat(M.max(axis=1), starts).tolist()
+        low = np.minimum.reduceat(M.min(axis=1), starts).tolist()
+        # a product past the bound may wrap; that block is taken again
+        # in Python ints
+        nonzero = np.logical_or.reduceat(
+            (M @ np.array(vectors, dtype=np.int64).T).any(axis=1),
+            starts).tolist()
+        for i, h, lo, nz in zip(fast, high, low, nonzero):
+            if ncols * max(h, -lo) * top >= 2**63:
+                exact.append(i)
+            else:
+                out[i] = not nz
+    for i in exact:
+        out[i] = not any(sum(map(mul, v, row)) for row in blocks[i].tolist()
+                         for v in vectors)
+    return out
 
 
 def _int64_rows(m, ncols):
@@ -255,14 +280,6 @@ def _row_spaces(arrays, ncols):
                     todo[i] = kept
         start, stop = stop, stop + min(stop, ncols * ncols)
     return done
-
-
-def _null_of_rows(rows, ncols):
-    """Primitive nullspace basis of linearly independent integer rows."""
-    if len(rows) == ncols:
-        return []
-    pivots, red, _ = rref_dense(rows)
-    return _null_basis(pivots, red, ncols)
 
 
 def echelon_mod(A, p: int = P):

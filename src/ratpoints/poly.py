@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
 from math import gcd
-from operator import mul
 
 from .linalg import rank_sparse
 
@@ -295,33 +293,6 @@ def monomials_of_degree(num_vars: int, degree: int):
 
     rec((), degree, num_vars)
     return tuple(out)
-
-
-def monomial_rows(exps, points):
-    """Values of the monomials with exponent tuples ``exps`` at each point:
-    one row per point, one column per monomial, all exact ints.
-
-    Built a column at a time: each coordinate's power columns, up to its
-    highest exponent in ``exps``, are built once, and a monomial's column
-    is the elementwise product of the power columns it picks."""
-    exps, points = list(exps), list(points)
-    if not exps:
-        return [[] for _ in points]
-    ones = [1] * len(points)
-    powers = [list(accumulate(repeat(xs, top), _times, initial=ones))
-              for xs, top in zip(zip(*points), map(max, zip(*exps)))]
-    columns = []
-    for e in exps:
-        col = ones
-        for p, k in zip(powers, e):
-            if k:
-                col = p[k] if col is ones else _times(col, p[k])
-        columns.append(col)
-    return list(map(list, zip(*columns)))
-
-
-def _times(a, b):
-    return list(map(mul, a, b))
 
 
 # -- graded pieces ------------------------------------------------------

@@ -7,7 +7,7 @@ is a plain scan with exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -42,6 +42,14 @@ def brute_variety_points(gens, B):
 def brute_projective(F, B):
     """The number of primitive zeros of F with sup norm <= B."""
     return len(brute_projective_points(F, B))
+
+
+def monomial_rows(exps, points):
+    """Values of the monomials with exponent tuples exps at each point: one
+    row per point, one column per monomial, each a product of powers in
+    Python ints."""
+    return [[prod(x**k for x, k in zip(pt, e)) for e in exps]
+            for pt in points]
 
 
 def brute_affine(f, B):

@@ -6,7 +6,9 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from oracles import monomial_rows
 
 import ratpoints
 from ratpoints import cli, detmethod
@@ -21,8 +23,8 @@ from ratpoints.geometry import Classification
 from ratpoints.exact import CertificateError, is_prime, valuation
 from ratpoints.linalg import det_bareiss, nullspace_int
 from ratpoints.poly import (IntPoly, format_poly, graded_piece_basis,
-                            grlex_key, monomial_rows, monomials_of_degree,
-                            parse_poly, poly_divides)
+                            grlex_key, monomials_of_degree, parse_poly,
+                            poly_divides)
 
 X = [IntPoly.variable(4, i) for i in range(4)]
 LINE = [X[2], X[3]]
@@ -217,10 +219,16 @@ def test_curve_section_degree_matches_the_hilbert_scan():
             "Hilbert function did not stabilize; not a curve ideal"
 
 
-def test_select_monomials_wrong_dimension():
-    # a surface ideal never stabilizes at a curve degree
-    with pytest.raises(ValueError):
-        select_monomials([X[3]], 1, 4, max_degree=12)
+def test_select_monomials_wrong_dimension(monkeypatch):
+    # a surface ideal never stabilizes at a curve degree: the plane's
+    # Hilbert function passes 1 and leaves it, and the double plane's
+    # takes odd values only, so the scan gives up past its top degree
+    with pytest.raises(ValueError, match="^Hilbert value left 1 at degree 1"):
+        select_monomials([X[3]], 1, 4)
+    monkeypatch.setattr(detmethod, "MAX_SELECTION_DEGREE", 12)
+    with pytest.raises(ValueError, match="^wrong dimension: Hilbert "
+                                         "function never stabilizes at 2$"):
+        select_monomials([X[3] ** 2], 2, 4)
 
 
 def test_build_determinant_examples():
@@ -347,8 +355,8 @@ def test_extract_auxiliary_form_returns_the_degenerate_class_error():
 
 
 def test_extract_auxiliary_form_past_the_int64_guard():
-    # the value matrices of points this high are built by monomial_rows,
-    # and their nullspaces by nullspace_int
+    # the value matrices of points this high are object arrays of exact
+    # ints, and their nullspaces come from nullspace_int
     big = 10**7
     line = [(1, t * big, -t * big, 0) for t in range(1, 4)]
     [aux] = extract_auxiliary_form([line], 3, FERMAT)
@@ -357,6 +365,35 @@ def test_extract_auxiliary_form_past_the_int64_guard():
     small = [(1, t, -t, 0) for t in range(1, 4)]
     [same] = extract_auxiliary_form([small], 3, FERMAT)
     assert format_poly(aux.form) == format_poly(same.form)
+
+
+def test_value_matrices_match_monomial_rows():
+    # the oracle's products of powers are the referee for the numpy build
+    rng = random.Random(9)
+    for D in range(7):
+        for nv in (1, 3, 4):
+            basis = monomials_of_degree(nv, D)
+            classes = [[tuple(rng.choice((0, 0, 1, -1, rng.randint(-50, 50)))
+                              for _ in range(nv))
+                        for _ in range(rng.randint(1, 4))] for _ in range(3)]
+            classes[0].append((0,) * nv)
+            got = detmethod._value_matrices(basis, classes, D)
+            assert [m.dtype for m in got] == [np.int64] * 3
+            assert [m.tolist() for m in got] == \
+                [monomial_rows(basis, points) for points in classes]
+    # at D = 3 the values stay in int64 up to max|x| = 2^21 - 1; at 2^21
+    # and -2^21, and past int64, all classes are object arrays of exact
+    # ints, though (-2^21)^3 = -2^63 would fit
+    basis = monomials_of_degree(4, 3)
+    for top, dtype in ((2**21 - 1, np.int64), (-2**21 + 1, np.int64),
+                       (2**21, object), (-2**21, object), (2**70, object)):
+        classes = [[(1, 2, -3, 4), (1, top, -1, 0)], [(1, 0, 5, 6)],
+                   [(1, 0, top, top)]]
+        got = detmethod._value_matrices(basis, classes, 3)
+        assert [m.dtype for m in got] == [dtype] * 3
+        assert [m.tolist() for m in got] == \
+            [monomial_rows(basis, points) for points in classes]
+    assert detmethod._value_matrices(basis, [], 3) == []
 
 
 def test_auxiliary_forms_are_normalized():
@@ -496,10 +533,13 @@ def test_detmethod_section_computed_once_per_aux_form(monkeypatch, capsys):
     for name in calls:
         monkeypatch.setattr(cli, name, spy(name))
     past_int64 = []
-    real_rows = detmethod.monomial_rows
-    monkeypatch.setattr(detmethod, "monomial_rows",
-                        lambda exps, points: past_int64.append(len(points))
-                        or real_rows(exps, points))
+    real_values = detmethod._value_matrices
+
+    def values(basis, classes, D):
+        matrices = real_values(basis, classes, D)
+        past_int64.extend(m for m in matrices if m.dtype != np.int64)
+        return matrices
+    monkeypatch.setattr(detmethod, "_value_matrices", values)
     for argv in (fermat, small_primes, cone):
         for got in (*calls.values(), past_int64):
             got.clear()

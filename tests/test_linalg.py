@@ -9,8 +9,9 @@ import pytest
 import sympy
 
 from ratpoints import linalg
-from ratpoints.linalg import (P, det_bareiss, echelon_mod, nullspace_int,
-                              nullspaces_int, rank_sparse, rref_dense)
+from ratpoints.linalg import (P, annihilates, det_bareiss, echelon_mod,
+                              nullspace_int, nullspaces_int, rank_sparse,
+                              rref_dense)
 
 
 def laplace_det(m):
@@ -86,6 +87,12 @@ def _random_matrix(rng, rows, cols, scale):
         m[i] = [sum(rng.randint(-3, 3) * m[k][j] for k in range(rows) if k != i)
                 for j in range(cols)]
     return m
+
+
+def _combination(rng, rows, k):
+    """A seeded integer combination of rows, coefficients in [-k, k]."""
+    mix = [rng.randint(-k, k) for _ in rows]
+    return [sum(a * x for a, x in zip(mix, column)) for column in zip(*rows)]
 
 
 def _shapes():
@@ -275,8 +282,7 @@ def test_nullspaces_int_matches_nullspace_int_on_ragged_batches():
         for _ in range(rng.randint(2, 6)):
             rows = [[rng.choice((-2, -1, 1, 3)) * x for x in row]
                     for row in base]
-            rows += [[sum(rng.randint(-2, 2) * r[j] for r in base)
-                      for j in range(cols)]
+            rows += [_combination(rng, base, 2)
                      for _ in range(rng.randint(0, 3))]
             rng.shuffle(rows)
             by_cols[cols].append(rows)
@@ -293,14 +299,16 @@ def test_nullspaces_int_matches_nullspace_int_on_ragged_batches():
 
 def _fallbacks(monkeypatch, mats, ncols):
     """nullspaces_int's answer, checked against nullspace_int, and the
-    matrices it handed to nullspace_int."""
+    matrices of mats it handed to nullspace_int whole.  The pivot rows
+    that give each group's candidate basis go to nullspace_int too, as new
+    lists, and are not listed."""
     sent = []
     real = linalg.nullspace_int
     monkeypatch.setattr(linalg, "nullspace_int",
                         lambda m, n: sent.append(m) or real(m, n))
     got = nullspaces_int(mats, ncols)
     assert got == [real(m, ncols) for m in mats]
-    return sent
+    return [m for m in sent if any(m is x for x in mats)]
 
 
 def test_nullspaces_int_edge_cases(monkeypatch):
@@ -375,8 +383,7 @@ def test_nullspaces_int_checks_every_row_of_a_tall_matrix(monkeypatch):
     # matrix of the same row space
     rng = random.Random(21)
     base = _random_matrix(rng, 3, 6, 9)
-    tall = [[sum(rng.randint(-3, 3) * r[j] for r in base) for j in range(6)]
-            for _ in range(20)] + base
+    tall = [_combination(rng, base, 3) for _ in range(20)] + base
     assert _fallbacks(monkeypatch, [tall, base], 6) == []
 
 
@@ -445,3 +452,57 @@ def test_nullspaces_int_rejects_a_wrong_basis_past_the_int64_bound(
     assert 3 * (P << 31) >= 2**63
     assert _fallbacks(monkeypatch, [tall], 3) == [tall]
     assert nullspaces_int([tall], 3) == [[]]
+
+
+def test_annihilates_switches_to_python_ints_at_the_bound(monkeypatch):
+    # a row of 2^32 against a vector of 2^32: the int64 product 2^64 wraps
+    # to 0, so the block must be read in Python ints
+    wrap = np.array([[2**32]], dtype=np.int64)
+    assert annihilates([wrap], [(2**32,)]) == [False]
+    # bound products ncols * max|row| * max|vector| of 2^63 - 2^31 and of
+    # 2^63 fall on either side of the switch; only Python ints call mul
+    products = []
+    monkeypatch.setattr(linalg, "mul",
+                        lambda a, b: products.append(a) or a * b)
+    v = 2**32 - 1
+    below = np.array([[2**30, 2**30], [-1, -1]], dtype=np.int64)
+    assert 2 * 2**30 * v == 2**63 - 2**31
+    assert annihilates([below], [(v, -v)]) == [True]
+    assert annihilates([below], [(v, -v), (v, 0)]) == [False]
+    assert products == []
+    at = np.array([[2**31, 2**31], [-1, -1]], dtype=np.int64)
+    assert annihilates([at], [(2**31, -2**31)]) == [True]
+    assert len(products) == 4
+    # one row of at, past the bound; below is under it at max|vector| 2^31
+    assert annihilates([at, below], [(2**31, 0)]) == [False, False]
+    assert len(products) == 6
+
+
+def test_annihilates_matches_python_ints():
+    # int64 blocks under and past the bound, object blocks, empty blocks
+    # and vectors past int64 in one call, against the exact products
+    rng = random.Random(29)
+    for _ in range(60):
+        ncols = rng.randint(2, 6)
+        A = _random_matrix(rng, rng.randint(1, ncols - 1), ncols, 9)
+        vectors = []
+        for v in nullspace_int(A, ncols):
+            scale = rng.choice((1, 1, 2**20, 2**62, 2**70))
+            vectors.append([x * scale for x in v])
+        blocks = []
+        for _ in range(rng.randint(1, 5)):
+            rows = [_combination(rng, A, 3)
+                    for _ in range(rng.randint(0, 4))]
+            if rows and rng.random() < 0.3:
+                rows[-1] = [rng.randint(-9, 9) for _ in range(ncols)]
+            scale = rng.choice((1, 2**20, 2**40, 2**52, 2**70))
+            rows = [[x * scale for x in row] for row in rows]
+            wide = any(abs(x) >= 2**63 for row in rows for x in row)
+            dtype = object if wide or rng.random() < 0.2 else np.int64
+            blocks.append(np.array(rows, dtype=dtype).reshape(-1, ncols))
+        want = [not any(sum(a * b for a, b in zip(v, row))
+                        for row in block.tolist() for v in vectors)
+                for block in blocks]
+        assert annihilates(blocks, vectors) == want
+    assert annihilates([np.zeros((2, 3), dtype=np.int64)], []) == [True]
+    assert annihilates([], [(1, 2)]) == []

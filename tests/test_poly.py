@@ -6,8 +6,8 @@ import sympy
 
 from ratpoints.poly import (IntPoly, PolyParseError, dehomogenize,
                             format_poly, graded_piece_basis, grlex_key,
-                            monomial_rows, monomials_of_degree, pad_vars,
-                            parse_poly, poly_divides)
+                            monomials_of_degree, pad_vars, parse_poly,
+                            poly_divides)
 
 
 def test_parse_format_roundtrip():
@@ -117,33 +117,6 @@ def test_graded_piece_examples():
 
     with pytest.raises(ValueError):
         graded_piece_basis([X[2]], -1)
-
-
-def test_monomial_rows_matches_evaluate():
-    # the generic evaluator is the referee for the shared-powers one
-    rng = random.Random(9)
-    for degree in range(7):
-        for nv in (1, 3, 4):
-            exps = monomials_of_degree(nv, degree)
-            points = [tuple(rng.choice((0, 0, 1, -1, rng.randint(-50, 50)))
-                            for _ in range(nv)) for _ in range(6)]
-            points.append((0,) * nv)
-            got = monomial_rows(exps, points)
-            assert got == [[IntPoly(nv, {e: 1}).evaluate(pt) for e in exps]
-                           for pt in points]
-    # mixed degrees, and no monomials or no points at all
-    exps = [(0, 0), (3, 1), (0, 5), (2, 0)]
-    assert monomial_rows(exps, [(-2, 3)]) == [[1, -24, 243, 4]]
-    assert monomial_rows([], [(1, 2)]) == [[]]
-    assert monomial_rows(exps, []) == []
-    # points as a generator and as lists; x0 and x2 reach their top power
-    # in one monomial only, and the constant monomial sits among the others
-    exps = [(1, 0, 2), (0, 0, 0), (4, 1, 0), (0, 3, 1), (2, 0, 0)]
-    points = [(3, -1, 2), (0, 5, -7), (-2, 0, 1), (1, 1, 1)]
-    want = [[IntPoly(3, {e: 1}).evaluate(pt) for e in exps] for pt in points]
-    assert monomial_rows(iter(exps), (pt for pt in points)) == want
-    assert monomial_rows(exps, [list(pt) for pt in points]) == want
-    assert monomial_rows([(0, 0, 0)], points) == [[1]] * 4
 
 
 def test_graded_piece_stabilization():
