@@ -42,13 +42,14 @@ full box.
 A quaternary form that splits as G(x0, xi) - H(xj, xk), every term inside
 one of the two pairs, takes a third path instead, after D. J. Bernstein,
 "Enumerating solutions to p(a) + q(b) = r(c) + s(d)" (Math. Comp. 2001):
-its zeros are the pairs of points of [-B, B]^2 with G = H, which one sort
-of each side and a binary search of the other count in O(B^2 log B)
-rather than the kernel's O(B^3) cells.  The join covers the whole box at
-once, so it needs neither the mirror nor the slice, and the inversion
-runs once on the whole box.  It runs when its int64 keys
-value * (B + 1) + height provably fit, and every other form takes the
-paths above.
+its zeros are the pairs of points of [-B, B]^2 with G = H.  The keys
+value * (B + 1) + height of both sides, tagged with their side, are
+sorted together once, and every count is read off that one order in
+O(B^2 log B) rather than the kernel's O(B^3) cells; keys alone in their
+value are dropped before any per-key arithmetic.  The join covers the
+whole box at once, so it needs neither the mirror nor the slice, and the
+inversion runs once on the whole box.  It runs when its int64 keys
+provably fit, and every other form takes the paths above.
 
 Solved points are tallied as a histogram of heights max |x_i| over
 0..B, so one enumeration at B gives the count at every b <= B as a prefix
@@ -82,6 +83,12 @@ TILE_CELLS = 1 << 17  # cells of one numpy tile chunk
 # cubic at B = 32 and 64, chunks of TILE_CELLS entries ran no faster and
 # raised peak RSS by about 0.5 MB
 SCAN_CELLS = 1 << 14
+# keys of one separable-join read chunk, 128 KiB of int64, moved to start
+# at the first key of a value: the chunk's temporaries stay in cache, where
+# TILE_CELLS keys made the Fermat cubic's join at B = 128 about 1.6 times
+# slower; 2^15 keys ran no faster on it and the diagonal cubics and raised
+# its traced peak from 2.4 to 3.7 MB
+JOIN_KEYS = 1 << 14
 
 
 @dataclass
@@ -398,51 +405,51 @@ def _solve_split(order, G, H, B: int, hits):
     """All zeros of G(x_a, x_b) = H(x_c, x_d) in [-B, B]^4, where
     (a, b, c, d) = order, by a sorted meet-in-the-middle join.
 
-    Each side is a key value * (B + 1) + height over [-B, B]^2, sorted; a
-    zero is a pair of equal values, of height the larger of the two.  Each
-    left key counts the right keys of its value and height <= its own, and
-    each right key the left keys of its value and height < its own, so
-    every pair is binned once, at its height.  Keys are built and searched
-    in chunks of at most TILE_CELLS cells, so that no temporary is as large
-    as a side.
+    Each cell of [-B, B]^2 of each side has a key value * (B + 1) + height,
+    kept as 2 * key + side (left 1, right 0; the guard (bound + 1) * (B + 1)
+    < 2^62 keeps it below 2^63) in one array sorted once.  Right keys sort
+    first at equal keys, so a left key pairs with the right keys before it
+    in its value group (height <= its own), a right key with the left ones
+    (height < its own), and every zero is binned once, at its height.
     """
     width = 2 * B + 1
     axis = np.arange(-B, B + 1, dtype=np.int64)
     step = max(1, TILE_CELLS // width)
-    sides = []
-    for p in (G, H):
-        key = np.empty((width, width), dtype=np.int64)
+    keys = np.empty((2, width, width), dtype=np.int64)
+    for side, p in enumerate((H, G)):
         for lo in range(0, width, step):
-            rows, part = axis[lo:lo + step], key[lo:lo + step]
+            rows, part = axis[lo:lo + step], keys[side, lo:lo + step]
             part[...] = _eval_on_tile(p, (), np.ix_(rows, axis))
             part *= B + 1
             part += np.maximum.outer(np.abs(rows), np.abs(axis))
-        key = key.ravel()
-        index = None
-        if hits.collect:
-            index = np.argsort(key)
-            key = key[index]
-        else:
-            key.sort()
-        sides.append((key, index))
-    (left, left_index), (right, right_index) = sides
-    for query, table, side in ((left, right, "right"), (right, left, "left")):
-        for lo in range(0, len(query), TILE_CELLS):
-            q = query[lo:lo + TILE_CELLS]
-            h = q % (B + 1)
-            group = np.searchsorted(table, q - h)  # first key of q's value
-            # int64 counts stay exact, where bincount's float weights would
-            # round past 2^53
-            np.add.at(hits._hist, h, np.searchsorted(table, q, side) - group)
-            if hits.collect and query is left:
-                n = np.searchsorted(table, q - h + B, "right") - group
-                li = np.repeat(left_index[lo:lo + TILE_CELLS], n)
-                ri = right_index[np.arange(n.sum()) + np.repeat(
-                    group - np.cumsum(n) + n, n)]
-                pts = np.empty((4, len(li)), dtype=np.int64)
-                pts[list(order)] = [li // width - B, li % width - B,
-                                    ri // width - B, ri % width - B]
-                hits._blocks.append(pts)
+            part += part + side  # 2 * key + side
+    keys = keys.ravel()
+    index = np.argsort(keys) if hits.collect else None
+    keys.sort()
+    firsts = keys[::JOIN_KEYS] // (2 * B + 2) * (2 * B + 2)  # of values
+    cuts = np.unique(np.r_[np.searchsorted(keys, firsts), len(keys)])
+    for at in map(slice, cuts[:-1], cuts[1:]):
+        near = np.diff(keys[at]) <= 2 * B + 1  # may share a value
+        keep = np.r_[near, False] | np.r_[False, near]
+        m = keys[at][keep]
+        value = m // (2 * B + 2)
+        h, sides = (m - value * (2 * B + 2)) >> 1, m & 1
+        starts = np.flatnonzero(np.diff(value, prepend=value[:1] - 1))
+        size = np.diff(starts, append=len(m))
+        g = np.repeat(starts, size)  # the first key of each key's value
+        before = np.cumsum(sides) - sides  # left keys before each key
+        left = before - before[g]  # ... in its value group
+        # int64 counts stay exact, where bincount's float weights would not
+        np.add.at(hits._hist, h, left + sides * (
+            np.arange(len(m)) - g - 2 * left))
+        if hits.collect:  # every left key pairs with its group's right keys
+            is_left, ids = sides == 1, index[at][keep]
+            n = np.repeat(size - np.add.reduceat(sides, starts), size)[is_left]
+            first = (g - before[g])[is_left] - np.cumsum(n) + n
+            ri = ids[~is_left][np.arange(n.sum()) + np.repeat(first, n)]
+            li = np.repeat(ids[is_left], n) - width * width
+            pts = np.array([li // width, li % width, ri // width, ri % width])
+            hits._blocks.append(pts[np.argsort(order)] - B)
 
 
 def _solve_box(f: IntPoly, B: int, first: int, hits):

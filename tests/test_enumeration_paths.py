@@ -670,18 +670,39 @@ def test_separable_split_matches_tiles_scalar_and_brute(monkeypatch, splits):
 
 
 def test_separable_split_on_ragged_chunks(monkeypatch, splits):
-    # keys built two rows at a time and searched 2(2B + 1) queries at a
-    # time: 2B + 1 rows end in a one-row chunk, and (2B + 1)^2 keys in a
-    # chunk of 2B + 1
-    cells = en.TILE_CELLS
+    # keys built two rows at a time, so 2B + 1 rows end in a one-row tile,
+    # and read in chunks that start every 2B + 1 of the 2(2B + 1)^2 keys,
+    # each start moved back to the first key of its value
+    cells, keys = en.TILE_CELLS, en.JOIN_KEYS
     for F, B in separable_forms():
         want = count_projective(F, B, collect=True, by_height=True)
         monkeypatch.setattr(en, "TILE_CELLS", 2 * (2 * B + 1))
+        monkeypatch.setattr(en, "JOIN_KEYS", 2 * B + 1)
         assert count_projective(F, B, collect=True, by_height=True) == want, (
             F.to_text(), B)
         assert count_projective(F, B, by_height=True) == (want[0], want[2])
         monkeypatch.setattr(en, "TILE_CELLS", cells)
+        monkeypatch.setattr(en, "JOIN_KEYS", keys)
     assert len(splits) == 3 * len(separable_forms())
+
+
+def test_split_value_groups_larger_than_a_chunk(monkeypatch, splits):
+    # every left key of x2*x3 has value 0, and Fermat's value 0 has the
+    # 4B + 2 keys of x1 = -x0 and x3 = -x2: chunks starting every 5 keys
+    # start inside both groups, and each runs on to its group's end
+    forms = [(parse_poly("x2*x3", num_vars=4), 5),
+             (parse_poly("x0^3 + x1^3 + x2^3 + x3^3"), 6)]
+    monkeypatch.setattr(en, "JOIN_KEYS", 5)
+    got = [count_projective(F, B, collect=True, by_height=True)
+           for F, B in forms]
+    counted = [count_projective(F, B, by_height=True) for F, B in forms]
+    assert len(splits) == 2 * len(forms)
+    monkeypatch.setattr(en, "_split_halves", lambda f, B: None)
+    for (F, B), (n, pts, hist), tally in zip(forms, got, counted):
+        assert (n, pts, hist) == count_projective(F, B, collect=True,
+                                                  by_height=True), F.to_text()
+        assert tally == (n, hist)
+        assert pts == brute_projective_points(F, B), F.to_text()
 
 
 def test_forced_scalar_switches_the_split_off(force_scalar, splits):
@@ -712,6 +733,8 @@ def test_split_guard_sits_at_its_limit(splits):
         F = IntPoly(4, {(1, 1, 0, 0): C, (0, 0, 1, 1): -1})
         left = en._poly_value_bound(IntPoly(2, {(1, 1): C}), B)
         assert (left + 1) * (B + 1) == en.INT64_LIMIT - 36 * (at - C)
+        if split:  # the largest key, value 9C at height 3, stored as 2k + 1
+            assert 2 * (left * (B + 1) + B) + 1 < 1 << 63
         splits.clear()
         n, pts = count_projective(F, B, collect=True)
         assert bool(splits) is split

@@ -84,8 +84,7 @@ def _random_matrix(rng, rows, cols, scale):
           for _ in range(cols)] for _ in range(rows)]
     if rows >= 2 and rng.random() < 0.6:
         i = rng.randrange(rows)
-        m[i] = [sum(rng.randint(-3, 3) * m[k][j] for k in range(rows) if k != i)
-                for j in range(cols)]
+        m[i] = _combination(rng, m[:i] + m[i + 1:], 3)
     return m
 
 
@@ -395,14 +394,18 @@ def test_row_spaces_span_each_matrix():
     rng = random.Random(23)
     ncols = 5
     arrays = []
-    for height in (0, 1, 4, 5, 6, 9, 10, 11, 20, 21, 39, 40, 41, 64, 65,
-                   66, 90, 91):
+    heights = (0, 1, 4, 5, 6, 9, 10, 11, 20, 21, 39, 40, 41, 64, 65, 66, 90,
+               91)
+    for height in heights:
         for rank in (1, 3, 5):
             base = _random_matrix(rng, rank, ncols, 9)
             arrays.append(np.array(
-                [[sum(rng.randint(-3, 3) * r[j] for r in base)
-                  for j in range(ncols)] for _ in range(height)],
+                [_combination(rng, base, 3) for _ in range(height)],
                 dtype=np.int64).reshape(height, ncols))
+    # every height past the first round has matrices below rank ncols
+    assert {len(a) for a in arrays if len(a) > 2 * ncols
+            and echelon_mod(a[None])[0][0] < ncols} == {
+                h for h in heights if h > 2 * ncols}
     # rank that only the last row adds, however tall the matrix
     for height in (11, 21, 41, 66, 91):
         first, last = _random_matrix(rng, 2, ncols, 9)
