@@ -31,31 +31,19 @@ from .uniroots import abs_le_intervals, evaluate
 
 
 def _merge_congruence(cls, coeff, rhs, modulus):
-    """Intersect cls: w = cls[0] mod cls[1] with coeff*w = rhs (mod modulus)."""
-    if modulus == 1:
-        return cls
-    c = coeff % modulus
-    d = gcd(c, modulus)
-    if rhs % d:
+    """Intersect cls: w = r mod m with coeff*w = rhs (mod modulus); None
+    when they share no w.  Putting w = r + m*k gives a*k = rhs - coeff*r
+    (mod modulus) with a = coeff*m, solvable exactly when g = gcd(a,
+    modulus) divides the right side, and then k is one class mod
+    modulus/g."""
+    r, m = cls
+    g = gcd(coeff * m, modulus)
+    b = rhs - coeff * r
+    if b % g:
         return None
-    m2 = modulus // d
-    if m2 == 1:
-        return cls
-    w2 = (rhs // d) * pow((c // d) % m2, -1, m2) % m2
-    return _crt(cls, (w2, m2))
-
-
-def _crt(a, b):
-    """Merge residue classes (r1, m1), (r2, m2); None when incompatible."""
-    r1, m1 = a
-    r2, m2 = b
-    g = gcd(m1, m2)
-    if (r1 - r2) % g:
-        return None
-    lcm = m1 // g * m2
-    # solve r1 + m1*k = r2 (mod m2)
-    k = ((r2 - r1) // g) * pow(m1 // g, -1, m2 // g) % (m2 // g) if m2 // g > 1 else 0
-    return ((r1 + m1 * k) % lcm, lcm)
+    n = modulus // g
+    k = b // g * pow(coeff * m // g, -1, n) % n
+    return (r + m * k) % (m * n), m * n
 
 
 # ---------------------------------------------------------------------

@@ -5,23 +5,23 @@ no rational number is ever built.  The dense echelon routine and the
 sparse eliminator clear a column by cross-multiplying two rows and divide
 the result by its content, so every row stays primitive, and the rational
 RREF is the integer one with each row divided by its pivot entry.  The
-dense routine inserts rows one at a time and drops a dependent row by dot
-products with the null vectors of the pivot rows so far.  The sparse
-eliminator keeps dict-backed rows and is what makes large graded pieces
-tractable: rows coming from monomial or binomial generators never grow
-past two entries during elimination.  Integer determinants use Bareiss
-fraction-free elimination, so every division is exact.
+sparse eliminator keeps dict-backed rows and is what makes large graded
+pieces tractable: rows coming from monomial or binomial generators never
+grow past two entries during elimination.  Integer determinants use
+Bareiss fraction-free elimination, so every division is exact.
 
 Arithmetic mod a prime is used in one place: ``echelon_mod`` row-reduces
 a stack of matrices mod p in numpy, for ranks over F_p and, in
-``nullspaces_int``, to pick each matrix's pivot rows and to group matrices
-whose row spaces agree mod P = 2^31 - 1.  That nullspace stays exact:
-rows independent mod P are independent over Q, and every basis is
-checked against its matrix exactly before it is returned, or else
-recomputed by ``nullspace_int``.  That check, whether integer rows are
-orthogonal to integer vectors, is ``annihilates``, which the determinant
-method's vanishing certificate uses too: one int64 product where an a
-priori bound keeps it from wrapping, Python ints past the bound.
+``nullspaces_int``, to pick each matrix's pivot rows and to group
+matrices whose row spaces agree mod P = 2^31 - 1.  Its matrices are int64
+arrays, or past int64 object arrays of exact ints, and both take the same
+path.  That nullspace stays exact: rows independent mod P are independent
+over Q, and every basis is checked against its matrix exactly before it
+is returned, or else recomputed from the whole matrix by
+``nullspace_int``.  That check, whether integer rows are orthogonal to
+integer vectors, is ``annihilates``, which the determinant method's
+vanishing certificate uses too: one int64 product where an a priori bound
+keeps it from wrapping, Python ints past the bound.
 """
 
 from __future__ import annotations
@@ -68,29 +68,20 @@ def det_bareiss(m) -> int:
 def rref_dense(rows):
     """Integer reduced row echelon form.
 
-    Returns (pivot_cols, red, null) where the integer rows red span the row
-    space of the integer input over Q.  Each row of red is primitive, has a
+    Returns (pivot_cols, red) where the integer rows red span the row space
+    of the integer input over Q.  Each row of red is primitive, has a
     positive entry at its own pivot column and 0 at every other pivot
     column; dividing each row by its pivot entry gives the rational RREF.
-
     Rows are inserted one at a time, each cleared against the pivots so far.
-    After a row reduces to zero, the null vectors of the pivot rows are kept
-    until the next insertion; a row orthogonal to all of them lies in the
-    row span over Q and is skipped without elimination.  null is that
-    basis, as nullspace_int returns it, when a row reduced to zero after
-    the last insertion, and None otherwise.
     """
-    pivots, red, null = [], [], None
+    pivots, red = [], []
     for row in rows:
         row = list(map(index, row))
-        if null is not None and not any(sum(map(mul, v, row)) for v in null):
-            continue
         for pc, prow in zip(pivots, red):
             if row[pc]:
                 row = _clear(row, prow, pc)
         c = next((c for c, x in enumerate(row) if x), None)
         if c is None:
-            null = _null_basis(pivots, red, len(row))
             continue
         row = divide_content(row)
         if row[c] < 0:
@@ -99,10 +90,9 @@ def rref_dense(rows):
         k = bisect(pivots, c)
         pivots.insert(k, c)
         red.insert(k, row)
-        null = None
         if len(pivots) == len(row):
             break
-    return pivots, red, null
+    return pivots, red
 
 
 def _clear(row, prow, c):
@@ -132,19 +122,14 @@ def _null_basis(pivots, red, ncols):
     return basis
 
 
-def nullspace_int(rows, ncols=None):
-    """Primitive integer basis of the right nullspace of an integer matrix.
+def nullspace_int(rows, ncols):
+    """Primitive integer basis of the right nullspace of an integer matrix
+    with ncols columns.
 
     Each basis vector is scaled to coprime integers with first nonzero
     entry positive; the basis order follows the free columns left to right.
     """
-    rows = list(rows)
-    if ncols is None:
-        if not rows:
-            raise ValueError("cannot infer column count of an empty matrix")
-        ncols = len(rows[0])
-    pivots, red, null = rref_dense(rows)
-    return _null_basis(pivots, red, ncols) if null is None else null
+    return _null_basis(*rref_dense(rows), ncols)
 
 
 def nullspaces_int(matrices, ncols):
@@ -159,15 +144,14 @@ def nullspaces_int(matrices, ncols):
     ncols - r vectors for the member's rank r mod P, and a matrix M of the
     group with M N = 0 has nullspace exactly span N; the primitive basis
     depends on the nullspace only.  M N = 0 is checked over every row of
-    every member by one annihilates call per group.  A matrix whose check
-    fails or whose entries do not fit an int64 goes to nullspace_int.
+    every member by one annihilates call per group, exactly also for a
+    matrix with entries past int64, which is an object array throughout.
+    Only a matrix whose check fails goes to nullspace_int.
     """
     matrices = list(matrices)
-    arrays = [_int64_rows(m, ncols) for m in matrices]
-    reduced = _row_spaces(arrays, ncols)
+    arrays = [_int_rows(m, ncols) for m in matrices]
     groups, bases, members = {}, [], []
-    for i in sorted(reduced):
-        rows, key = reduced[i]
+    for i, (rows, key) in enumerate(_row_spaces(arrays, ncols)):
         if key not in groups:
             # the group's candidate basis, from this member's pivot rows;
             # rank ncols leaves none to find
@@ -227,20 +211,20 @@ def annihilates(blocks, vectors):
     return out
 
 
-def _int64_rows(m, ncols):
-    """m as an int64 array of shape (len(m), ncols), not copied when it is
-    one already, or None when an entry does not fit an int64."""
+def _int_rows(m, ncols):
+    """m as an array of shape (len(m), ncols): int64, not copied when it is
+    one already, or past int64 an object array of exact ints.  The dtype is
+    always given, as numpy would read ints in [2^63, 2^64) as float64."""
     try:
         return np.asarray(m, dtype=np.int64).reshape(len(m), ncols)
     except OverflowError:
-        return None
+        return np.array(m, dtype=object).reshape(len(m), ncols)
 
 
 def _row_spaces(arrays, ncols):
-    """{i: (indices of rows of arrays[i] that are independent mod P and
-    span its row space mod P, the bytes of its reduced echelon form mod P
-    without the zero rows)} for each int64 matrix; None stands for a matrix
-    that is not one.
+    """For each int64 or object array in arrays, the indices of its rows
+    that are independent mod P and span its row space mod P, and the bytes
+    of its reduced echelon form mod P without the zero rows.
 
     The rows are taken in rounds.  Each round reduces, for every matrix not
     yet done, its pivot rows so far (at most ncols) together with its next
@@ -250,11 +234,12 @@ def _row_spaces(arrays, ncols):
     spans all of its rows.  Blocks whose row counts lie between the same
     powers of two share one zero-padded echelon_mod stack, so padding at
     most doubles a block.  A matrix is done after its last rows, or once
-    its pivot rows have rank ncols.
+    its pivot rows have rank ncols.  Each block is reduced mod P as it is
+    stacked, so the stacks are int64 whatever the dtype of the matrix.
     """
     # matrix -> its pivot rows so far, None before its first round
-    todo = dict.fromkeys(i for i, a in enumerate(arrays) if a is not None)
-    done = {}
+    todo = dict.fromkeys(range(len(arrays)))
+    done = [None] * len(arrays)
     start, stop = 0, 2 * ncols
     while todo:
         blocks = {}
@@ -269,7 +254,7 @@ def _row_spaces(arrays, ncols):
             A = np.zeros((len(stack), max(len(bl) for _, _, bl in stack),
                           ncols), dtype=np.int64)
             for b, (_, _, block) in enumerate(stack):
-                A[b, :len(block)] = block
+                A[b, :len(block)] = block % P
             ranks, order, ech = echelon_mod(A)
             for b, ((i, rows, _), r) in enumerate(zip(stack, ranks.tolist())):
                 kept = order[b, :r] if rows is None else rows[order[b, :r]]

@@ -11,7 +11,7 @@ import pytest
 from oracles import monomial_rows
 
 import ratpoints
-from ratpoints import cli, detmethod
+from ratpoints import cli, detmethod, linalg
 from ratpoints.detmethod import (AuxiliaryForm, DetCertificate, RankFull,
                                  bezout_bound, build_determinant,
                                  curve_section_degree, divisibility_check,
@@ -354,12 +354,24 @@ def test_extract_auxiliary_form_returns_the_degenerate_class_error():
     assert isinstance(aux, AuxiliaryForm) and aux.rank == 2
 
 
-def test_extract_auxiliary_form_past_the_int64_guard():
+def test_extract_auxiliary_form_past_the_int64_guard(monkeypatch):
     # the value matrices of points this high are object arrays of exact
-    # ints, and their nullspaces come from nullspace_int
+    # ints, reduced mod P in nullspaces_int's batch like int64 ones: the
+    # class reaches nullspace_int only as its pivot rows, never whole
+    made, sent = [], []
+    real_values, real_null = detmethod._value_matrices, linalg.nullspace_int
+
+    def values(*args):
+        made[:] = real_values(*args)
+        return made
+    monkeypatch.setattr(detmethod, "_value_matrices", values)
+    monkeypatch.setattr(linalg, "nullspace_int",
+                        lambda m, n: sent.append(m) or real_null(m, n))
     big = 10**7
     line = [(1, t * big, -t * big, 0) for t in range(1, 4)]
     [aux] = extract_auxiliary_form([line], 3, FERMAT)
+    assert made[0].dtype == object and len(sent) == 1
+    assert not any(m is made[0] for m in sent)
     assert isinstance(aux, AuxiliaryForm)
     assert all(aux.form.evaluate(p) == 0 for p in line)
     small = [(1, t, -t, 0) for t in range(1, 4)]

@@ -50,7 +50,7 @@ def test_rref_structure_and_nullspace():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        piv, red, _ = rref_dense(m)
+        piv, red = rref_dense(m)
         assert _rational_rref(piv, red) == _sympy_rref(m)
         for k, c in enumerate(piv):
             assert red[k][c] > 0
@@ -169,54 +169,12 @@ _SPAN_ROWS = [_U, _V, _mix(2, -3, 0), _W, _mix(1, 0, 1), _mix(0, 5, -2),
               _mix(1, 1, 1)]
 
 
-def test_rref_drops_dependent_rows_without_elimination(monkeypatch):
-    # once a row has reduced to zero, rows in the span of the pivots so far
-    # cost no _clear call, also after a later insertion
-    real = linalg._clear
-
-    def clears(rows):
-        calls = []
-        monkeypatch.setattr(linalg, "_clear",
-                            lambda *args: calls.append(1) or real(*args))
-        return rref_dense(rows), len(calls)
-
-    assert clears(_SPAN_ROWS) == clears(_SPAN_ROWS[:5])
-    # collinear points span 3 of the 10 degree-2 monomial columns; every
-    # row after the fourth is dropped by dot products alone
-    pts = [(2 + t, 3 - 2 * t, 5 + 3 * t) for t in range(12)]
-    rows = [[x**a * y**b * z**c for a in range(3) for b in range(3 - a)
-             for c in range(3 - a - b)] for x, y, z in pts]
-    assert clears(rows) == clears(rows[:4])
-    assert len(clears(rows)[0][0]) == 3
-
-
-def test_nullspace_builds_the_null_basis_once(monkeypatch):
-    # the basis the elimination built to drop the trailing dependent rows
-    # is the answer; after an insertion, or with no dependent row, one more
-    # is built
-    real = linalg._null_basis
-    calls = []
-    monkeypatch.setattr(linalg, "_null_basis",
-                        lambda *args: calls.append(1) or real(*args))
-    for rows, extra in ((_SPAN_ROWS, 0), (_SPAN_ROWS[:4], 1), ([_U, _V], 1)):
-        calls.clear()
-        pivots, red, null = rref_dense(rows)
-        inside = len(calls)
-        assert (null is None) == bool(extra)
-        calls.clear()
-        got = nullspace_int(rows, 5)
-        assert len(calls) == inside + extra
-        assert got == real(pivots, red, 5)
-        assert all(sum(map(lambda a, b: a * b, v, r)) == 0
-                   for v in got for r in rows)
-
-
 def test_linalg_against_sympy():
     for m in _shapes():
         cols = len(m[0])
         M = sympy.Matrix(m)
         assert len(rref_dense(m)[0]) == M.rank()
-        piv, red, _ = rref_dense(m)
+        piv, red = rref_dense(m)
         assert _rational_rref(piv, red) == _sympy_rref(m)
         ours = nullspace_int(m, cols)
         theirs = M.nullspace()
@@ -325,13 +283,32 @@ def test_nullspaces_int_edge_cases(monkeypatch):
     first, second = [[1, 0]], [[1, P]]
     assert _fallbacks(monkeypatch, [first, second], 2) == [second]
     assert nullspaces_int([first, second], 2) == [[(0, 1)], [(P, -1)]]
-    # an entry past int64 goes to nullspace_int; an entry of -2^63 and a
-    # null vector too long for an int64 product are checked in Python ints
+    # an entry past int64 makes an object array, an entry of -2^63 and a
+    # null vector too long for an int64 product are checked in Python ints,
+    # and none of them goes to nullspace_int
     wide = [[2**70, 1, 0]]
     edge = [[-2**63, 1, 0]]
     long = [[3**25, -2**40, 0], [0, 0, 1]]
-    assert _fallbacks(monkeypatch, [wide, edge, long, [[1, 1, 1]]], 3) == \
-        [wide]
+    assert _fallbacks(monkeypatch, [wide, edge, long, [[1, 1, 1]]], 3) == []
+    # 2^63 - 1 and -2^63 fit an int64, 2^63 and -2^63 - 1 do not; on
+    # either side the rows are reduced mod P in the same stacks and a
+    # right basis is kept without nullspace_int
+    mats = []
+    for top, dtype in ((2**63 - 1, np.int64), (-2**63, np.int64),
+                       (2**63, object), (-2**63 - 1, object)):
+        for m in ([[top, 1, 0], [0, 0, 0], [top, 1, 0]],
+                  [[1, 2, 3], [top, 0, 1]]):
+            assert linalg._int_rows(m, 3).dtype == dtype
+            mats.append(m)
+    assert _fallbacks(monkeypatch, mats, 3) == []
+    # 2^63 = 2 (mod P): an int64 matrix and an object one share a reduced
+    # form mod P, and the object one is rejected by its exact check; so is
+    # an object matrix whose last row vanishes mod P
+    small, big = [[2, 1, 0]], [[2**63, 1, 0]]
+    hidden = [[1, 0, 0], [0, 1, 0], [0, 0, P << 40]]
+    assert _fallbacks(monkeypatch, [small, big, hidden], 3) == [big, hidden]
+    assert nullspaces_int([small, big, hidden], 3) == [
+        [(1, -2, 0), (0, 0, 1)], [(1, -2**63, 0), (0, 0, 1)], []]
 
 
 def test_nullspaces_int_one_rref_per_row_space(monkeypatch):
@@ -412,10 +389,9 @@ def test_row_spaces_span_each_matrix():
         arrays.append(np.array([[t * x for x in first]
                                 for t in range(1, height)] + [last],
                                dtype=np.int64))
-    arrays.append(None)
     reduced = linalg._row_spaces(arrays, ncols)
-    assert sorted(reduced) == list(range(len(arrays) - 1))
-    for i, (rows, key) in reduced.items():
+    assert len(reduced) == len(arrays)
+    for i, (rows, key) in enumerate(reduced):
         rank, _, form = echelon_mod(arrays[i][None])
         got, _, got_form = echelon_mod(arrays[i][rows][None])
         assert len(set(rows.tolist())) == len(rows) == got[0] == rank[0]
