@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -27,7 +26,8 @@ from .enumeration import (CountSeries, count_affine_surface,
 from .exact import CertificateError, valuation
 from .geometry import (build_projection_setup, find_projection_center,
                        sample_birationality_check)
-from .harness import ExperimentConfig, fit_exponent, run_experiment
+from .harness import (ExperimentConfig, fit_exponent, render_json,
+                      run_experiment)
 from .poly import IntPoly, format_poly, parse_poly
 
 
@@ -39,11 +39,7 @@ def _read_poly_arg(text: str) -> str:
 
 
 def _emit(obj, out=None):
-    rendered = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(rendered)
-    sys.stdout.write(rendered)
+    sys.stdout.write(render_json(obj, out))
 
 
 @functools.cache
@@ -149,7 +145,7 @@ def _cmd_count(args) -> int:
                 fh.write(",".join(str(c) for c in pt) + "\n")
     else:
         report = run_experiment(config)
-    _emit(report)
+    sys.stdout.write(report)
     return 0
 
 

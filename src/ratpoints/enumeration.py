@@ -3,61 +3,52 @@
 The driving strategy: iterate over all but the last variable and count the
 integer roots of the residual univariate polynomial exactly, falling back
 to a full range when the residual vanishes identically.  Two solvers do
-this.  The numpy kernel evaluates the residual coefficients on int64
-chunks of cells, tiles over two coordinates or slices of a list of cells,
-solves linear, quadratic and pure-power residuals in closed form and
-scans the rest over the whole box by Horner.  A pure power c t^k = rhs
-takes the rounded float root of rhs / c as its one candidate and keeps
-it where c t^k == rhs holds exactly, with no integer division, after
-Heath-Brown, Lioen and te Riele (Math. Comp. 1993).  The kernel runs
-whenever an a priori bound proves that no intermediate value can overflow
-(for the scan, the value bound of the form itself).  Otherwise the
-pure-Python big-int reference takes over.  Both are exact, and the tests
-cross-check them against each other and against full lattice scans.
+this.  The numpy kernel evaluates the residual coefficients on chunks of
+cells, tiles over two coordinates or slices of a list of cells, solves
+linear, quadratic and pure-power residuals in closed form (divisibility
+before the bound; a pure power's rounded float root kept where
+c t^k == rhs holds exactly) and scans the rest over the whole box by
+Horner.  As in Heath-Brown, Lioen and te Riele (Math. Comp. 1993) it
+runs in the narrowest machine word, one code for int32 and int64: int32
+when a priori bounds (for the scan, the value bound of the form) keep
+every value below 2^31, int64 below 2^63, and past that the pure-Python
+big-int reference takes over.  Both are exact, and the tests cross-check
+them against each other and against full lattice scans.
 
 A variety of any codimension is enumerated on the same solvers: an
 integer point is a zero of every generator g_i exactly when it is a zero
 of the single polynomial sum g_i^2.  Generators free of the last variable
-are solved first, and their zeros become a cell list, int64 coordinate
-arrays, on which the numpy kernel solves the last variable under the
-box's int64 guard (the big-int reference past it).  That keeps curves
-such as the twisted cubic at O(B^2) cells.
+are solved first, and the numpy kernel solves the last variable on their
+zeros, a cell list, under the box's guard (the big-int reference past
+it).  That keeps curves such as the twisted cubic at O(B^2) cells.
 
-The solvers count every zero, primitive or not.  Projective zeros are
-primitive, and one rule selects them: the zeros of a form are a cone,
-each one d times a primitive zero, so the zeros Z[h] and primitive zeros
-P[h] of height h satisfy Z[h] = sum_{d | h} P[h / d], and Moebius
-inversion of the height histogram gives P.  Collected points are kept by
-their gcd in the same step.
+The solvers count every zero, primitive or not.  The zeros of a form are
+a cone, each one d times a primitive zero, so Moebius inversion of the
+height histogram gives the primitive ones, and collected points are kept
+by their gcd in the same step.
 
-Projective zeros are solved on half the box.  Every caller passes a form,
-or a sum of squares of forms, so all term degrees share one parity and
-x is a zero exactly when -x is: N(F; B) is twice the primitive zeros with
-1 <= x0 <= B plus N(F(0, x1, ..., xn); B), the slice found by recursion.
-The zeros with x0 >= 1 are a cone too, so each level inverts its own half
-box before the mirror.  The first free coordinate (the outer loop's, the
-tile's rows, the scalar prefixes') starts at 1.  Affine zeros keep the
-full box.
+Projective zeros are solved on half the box: every caller passes a form,
+or a sum of squares of forms, so x is a zero exactly when -x is, and
+N(F; B) is twice the primitive zeros with 1 <= x0 <= B, inverted before
+the mirror, plus N(F(0, x1, ..., xn); B), found by recursion.  The first
+free coordinate (the outer loop's, the tile's rows, the scalar
+prefixes') starts at 1.  Affine zeros keep the full box.
 
 A quaternary form that splits as G(x0, xi) - H(xj, xk), every term inside
 one of the two pairs, takes a third path instead, after D. J. Bernstein,
 "Enumerating solutions to p(a) + q(b) = r(c) + s(d)" (Math. Comp. 2001):
-its zeros are the pairs of points of [-B, B]^2 with G = H.  The keys
-value * (B + 1) + height of both sides, tagged with their side, are
-sorted together once, and every count is read off that one order in
-O(B^2 log B) rather than the kernel's O(B^3) cells; keys alone in their
-value are dropped before any per-key arithmetic.  The join covers the
-whole box at once, so it needs neither the mirror nor the slice, and the
-inversion runs once on the whole box.  It runs when its int64 keys
-provably fit, and every other form takes the paths above.
+its zeros are the pairs of points of [-B, B]^2 with G = H, counted off
+one sorted array of both sides' keys in O(B^2 log B) rather than the
+kernel's O(B^3) cells.  The join covers the whole box at once, so it
+needs neither the mirror nor the slice, and inverts once.  It runs when
+its int64 keys provably fit, and every other form takes the paths above.
 
 Solved points are tallied as a histogram of heights max |x_i| over
 0..B, so one enumeration at B gives the count at every b <= B as a prefix
-sum; the harness samples a whole B-grid from one pass that way.  A
-prefix completed by every value of the last variable is only noted by its
-height, and all of them are spread over the histogram at the end in one
-O(B) pass.  Collected coordinates stay in int64 arrays until the points
-are listed.
+sum, and the harness samples a whole B-grid from one pass.  A prefix
+completed by every value of the last variable is noted by its height
+alone, spread over the histogram in one O(B) pass at the end.  Collected
+coordinates stay in int64 arrays until the points are listed.
 
 Counts of projective zeros include x and -x separately; point lists are
 returned in lexicographic order.
@@ -125,10 +116,6 @@ class ResidueFilter:
         if any(not 0 <= r < self.p for r in self.residues):
             raise ValueError("residues must be reduced mod p")
 
-    def accepts(self, point) -> bool:
-        # point is (1, x1, x2, x3); residues constrain the affine part
-        return all(x % self.p == r for x, r in zip(point[1:], self.residues))
-
 
 # ---------------------------------------------------------------------
 # core solver
@@ -153,10 +140,10 @@ def _poly_value_bound(f: IntPoly, B: int) -> int:
 
 def _np_kth_roots(rhs, k: int, B: int, c=1):
     """Vectorized exact roots t in [-B, B] of c * t^k = rhs, for k >= 2,
-    int64 arrays or numpy scalars rhs and nonzero c that broadcast
+    integer arrays or numpy scalars rhs and nonzero c that broadcast
     together: (count, root), each of their broadcast shape, with count 0,
     1 or 2 and root 0 where count is 0; for even k, count 2 means roots
-    +-root.  c * B^k must fit in int64.
+    +-root.  c * B^k must fit in int64, where c t^k is compared.
 
     The float root of rhs / c, rounded, is the only candidate.  A root r
     of |rhs / c| = r^k has r < 2^32 (r <= B, and B^k < 2^63).  Converting
@@ -168,7 +155,7 @@ def _np_kth_roots(rhs, k: int, B: int, c=1):
     candidate, clipped to [-B, B], is a root exactly when c * t^k == rhs,
     a product bounded by |c| * B^k, so the check is exact in int64.  In
     the kernel that bound holds: for k >= 3, |c_k| B^k is at most the
-    value bound of the form, which ``_fits_int64`` keeps below 2^62, and
+    value bound of the form, which ``_kernel_dtype`` keeps below 2^62, and
     the quadratic branch's discriminant has c = 1 and B^2 = 2^62.
     """
     x = np.divide(rhs, c, out=np.empty(np.broadcast_shapes(np.shape(rhs),
@@ -277,6 +264,20 @@ class _Hits:
                                       axis=0)[0]
             self._blocks = [cols[:, lead > 0]]
 
+    def keep_residues(self, filters):
+        """Keep and tally only the collected zeros x with x_i = r_i mod p
+        for every filter (p, r); [-B, B] meets r's class mod p > 2B at r or
+        r - p alone, compared exactly past int64."""
+        cols = self.block
+        if cols is not None:  # else there is no zero to keep
+            cols = cols[:, np.logical_and.reduce([
+                (x == r) | (x == r - flt.p) if flt.p > 2 * self.B
+                else x % flt.p == r
+                for flt in filters for x, r in zip(cols, flt.residues)])]
+            self._blocks = [cols]
+            self._hist = np.bincount(np.abs(cols).max(axis=0, initial=0),
+                                     minlength=self.B + 1)
+
     def add_scalar(self, prefix, v):
         point = prefix + (v,)
         self._hist[max(map(abs, point))] += 1
@@ -284,14 +285,14 @@ class _Hits:
             self._scalar.append(point)
 
     def _add_block(self, loop_prefix, cols):
-        """Collect the zeros loop_prefix + row over the rows of cols."""
+        """Collect loop_prefix + row over the rows of cols, as int64."""
         n = len(cols[0])
-        self._blocks.append(np.array(
-            [np.full(n, x, dtype=np.int64) for x in loop_prefix] + list(cols)))
+        self._blocks.append(np.array([np.full(n, x) for x in loop_prefix]
+                                     + list(cols), dtype=np.int64))
 
     def add_full_range(self, loop_prefix, *cols):
         """Every v in [-B, B] completes each prefix loop_prefix + row, for
-        the rows of the equal-length int64 arrays cols (loop_prefix alone
+        the rows of the equal-length integer arrays cols (loop_prefix alone
         without them)."""
         n = len(cols[0]) if cols else 1
         height = np.full(n, max(map(abs, loop_prefix), default=0),
@@ -316,7 +317,7 @@ class _Hits:
         self._hist += np.diff(upto, prepend=0)
 
     def add_solved(self, loop_prefix, *cols):
-        """cols: equal-length int64 arrays, one per solved trailing
+        """cols: equal-length integer arrays, one per solved trailing
         coordinate, each row one point."""
         if len(cols[0]) == 0:
             return
@@ -473,18 +474,27 @@ def _solve_box(f: IntPoly, B: int, first: int, hits):
         _solve_box(coeffs[0], B, first, sub)
         hits.add_free_last(sub)
         return
-    if _fits_int64(f, coeffs, B):
-        _solve_tiles(coeffs, B, _tiles(nv - 1, B, first), hits)
+    if dtype := _kernel_dtype(f, coeffs, B):
+        _solve_tiles(coeffs, B, _tiles(nv - 1, B, first, dtype), hits)
     else:
         _solve_scalar(coeffs, _iter_loop(nv - 1, B, first), B, hits)
 
 
-def _fits_int64(f: IntPoly, coeffs, B: int) -> bool:
-    """Whether the numpy kernel solves f, split by its last variable into
-    coeffs, in int64 at every point of the box |x| <= B: no coefficient
-    value, discriminant, power (B + 1)^K or, for the scan, Horner
-    intermediate (bounded by the value bound of f) reaches INT64_LIMIT."""
+def _kernel_dtype(f: IntPoly, coeffs, B: int):
+    """The dtype of the numpy kernel for f, split by its last variable into
+    coeffs, on the box |x| <= B (bounded as B = 1 at B = 0, so that every
+    coefficient counts): np.int32 when the bound below is under L =
+    INT64_LIMIT >> 32 = 2^30, np.int64 under L = INT64_LIMIT = 2^62, and
+    None, the big-int path, past that.
+
+    Every value the kernel forms then lies below 2L, in the dtype: the
+    coefficients with their partial sums and products, the Horner
+    intermediates and the discriminant b^2 + 4 rhs c_2 with its terms are
+    below L, 2 c_2 below 2L, the root and -b +- root below sqrt(L), and
+    floor(n / d) * d, between n and n - d, at most max(|d|, 2|n|) in
+    size.  The pure powers compare c t^k in int64."""
     K = len(coeffs) - 1
+    B = max(B, 1)
     bounds = [_poly_value_bound(c, B) for c in coeffs]
     quad_bound = (
         bounds[1] ** 2 + 4 * bounds[2] * bounds[0] if K >= 2 else max(bounds)
@@ -492,8 +502,9 @@ def _fits_int64(f: IntPoly, coeffs, B: int) -> bool:
     # the kernel scans residuals of degree >= 3 by Horner, whose every
     # intermediate is bounded by sum_j bounds[j] * B^j, the value bound of f
     scan_bound = _poly_value_bound(f, B) if K >= 3 else 0
-    return (max(max(bounds), quad_bound, (B + 1) ** max(K, 1), scan_bound)
-            < INT64_LIMIT)
+    bound = max(max(bounds), quad_bound, (B + 1) ** max(K, 1), scan_bound)
+    return (np.int32 if bound < INT64_LIMIT >> 32 else
+            np.int64 if bound < INT64_LIMIT else None)
 
 
 def _iter_loop(nloop: int, B: int, first: int | None = None):
@@ -516,16 +527,16 @@ def _solve_residual(residual, prefix, B, hits):
 
 def _solve_scalar(coeffs, prefixes, B, hits):
     """Big-int loop over prefixes, tuples of values of the free variables:
-    the exact reference, and the path past the kernel's int64 guard for the
+    the exact reference, and the path past the kernel's guard for the
     box and for a variety's prefix cells alike."""
     for prefix in prefixes:
         _solve_residual([c.evaluate(prefix) for c in coeffs], prefix, B, hits)
 
 
 def _eval_on_tile(c: IntPoly, prefix, grids):
-    """c at (prefix..., grids...): an int64 array broadcasting to the tile,
-    or an int64 scalar when no term involves the tile variables."""
-    acc = np.int64(0)
+    """c at (prefix..., grids...) in the grids' dtype: an array broadcasting
+    to the tile, or a scalar when no term involves the tile variables."""
+    acc = grids[0].dtype.type(0)
     for e, coeff in c.terms.items():
         v = coeff
         for x, p in zip(prefix, e):
@@ -585,17 +596,17 @@ def _pick(a, cells, shape):
     return np.broadcast_to(a, shape)[np.unravel_index(cells, shape)]
 
 
-def _tiles(nfree, B, first):
+def _tiles(nfree, B, first, dtype):
     """The box as chunks (prefix, axes, grids, shape) for _solve_tiles.
 
     A loop runs over all but the last two free variables, the prefix, and
     each chunk is an np.ix_ tile over those two (over the only one when one
-    is free): at most TILE_CELLS cells, a slice of whole rows.  The first
+    is free): at most TILE_CELLS cells of dtype, whole rows.  The first
     free variable, the loop's outermost or else the tile's rows, runs from
     ``first`` to B.
     """
     ntile = min(nfree, 2)
-    axis = np.arange(-B, B + 1, dtype=np.int64)
+    axis = np.arange(-B, B + 1, dtype=dtype)
     rows = axis[first + B:] if nfree == ntile else axis
     step = max(1, TILE_CELLS // len(axis) ** (ntile - 1))
     for prefix in _iter_loop(nfree - ntile, B, first):
@@ -604,22 +615,22 @@ def _tiles(nfree, B, first):
             yield prefix, axes, np.ix_(*axes), tuple(map(len, axes))
 
 
-def _cell_slices(cells):
+def _cell_slices(cells, dtype):
     """A cell list as chunks (prefix, axes, grids, shape) for _solve_tiles.
 
     cells holds int64 coordinate arrays of equal length, one per free
     variable, a cell in each column.  Each chunk is a slice of at most
-    TILE_CELLS of them, with an empty prefix; its axes, which are also its
-    grids, give every cell all of its coordinates.
+    TILE_CELLS of them, with an empty prefix, in the given dtype; its axes,
+    which are also its grids, give every cell all of its coordinates.
     """
     for lo in range(0, len(cells[0]), TILE_CELLS):
-        axes = tuple(c[lo:lo + TILE_CELLS] for c in cells)
+        axes = tuple(c[lo:lo + TILE_CELLS].astype(dtype) for c in cells)
         yield (), axes, axes, (len(axes[0]),)
 
 
 def _solve_tiles(coeffs, B, chunks, hits):
-    """The numpy kernel: solve every residual sum_j c_j t^j in int64, one
-    chunk of cells at a time.
+    """The numpy kernel: solve every residual sum_j c_j t^j in the dtype of
+    the chunks, one chunk of cells at a time.
 
     A chunk is a tuple (prefix, axes, grids, shape): the values of the free
     variables that the chunk shares, one coordinate array per other free
@@ -640,8 +651,7 @@ def _solve_tiles(coeffs, B, chunks, hits):
     indices, in np.nonzero's row-major order, and the scan and the pure
     powers take coordinates only of the cells that have a root.
     """
-    axis = np.arange(-B, B + 1, dtype=np.int64)
-    scan_rows = max(1, SCAN_CELLS // len(axis))  # cells per residual scan
+    scan_rows = max(1, SCAN_CELLS // (2 * B + 1))  # cells per residual scan
     # chunks hold rhs = -c_0 and c_1, ..., c_K: sum_{j>0} c_j t^j = rhs
     polys = [-coeffs[0]] + coeffs[1:]
     # One loop body fed by a generator rather than a function per chunk: a
@@ -663,26 +673,30 @@ def _solve_tiles(coeffs, B, chunks, hits):
             ck = arrays[k]
             if np.ndim(ck):
                 ck = np.where(at, ck, 1)  # a nonzero divisor everywhere
-            if k == 1:
-                q = rhs // ck
-                good = _and(at, (q * ck == rhs) & (np.abs(q) <= B))
-                cells = _cells(shape, good)
-                hits.add_solved(prefix, *_coords(axes, shape, cells),
-                                _pick(q, cells, shape))
-            elif k == 2:
-                # quadratic formula; the discriminant's exact square root
-                # counts 1 at a double root and 2 at two roots
-                b = arrays[1]
-                cnt, root = _np_kth_roots(b * b + 4 * ck * rhs, 2,
-                                          isqrt(INT64_LIMIT))
-                for sign, square in ((1, cnt >= 1), (-1, cnt == 2)):
-                    num = -b + sign * root
-                    q = num // (2 * ck)
-                    good = _and(at, square & (q * 2 * ck == num)
-                                & (np.abs(q) <= B))
-                    cells = _cells(shape, good)
-                    hits.add_solved(prefix, *_coords(axes, shape, cells),
-                                    _pick(q, cells, shape))
+            if k <= 2:
+                # roots num / den: rhs / c_1, or (-b +- root) / (2 c_2) with
+                # the discriminant's exact root (count 1 double, 2 simple)
+                if k == 1:
+                    parts = [(rhs, ck, at)]
+                else:
+                    b = arrays[1]
+                    cnt, root = _np_kth_roots(b * b + 4 * rhs * ck, 2,
+                                              isqrt(INT64_LIMIT))
+                    parts = ((-b + sign * root, 2 * ck, _and(at, square))
+                             for sign, square in ((1, cnt >= 1),
+                                                  (-1, cnt == 2)))
+                for num, den, good in parts:
+                    # divisibility first, on floor(num / den) * den in place,
+                    # freed at once for the next chunk's to reuse unfaulted;
+                    # q and |q| <= B only where it equals num
+                    prod = num // den
+                    prod *= den
+                    cells = _cells(shape, _and(good, prod == num))
+                    del prod
+                    q = _pick(num, cells, shape) // _pick(den, cells, shape)
+                    near = np.abs(q) <= B
+                    cells, q = cells[near], q[near]
+                    hits.add_solved(prefix, *_coords(axes, shape, cells), q)
             else:
                 # pure powers c_k t^k = rhs in closed form
                 pure = at
@@ -700,6 +714,7 @@ def _solve_tiles(coeffs, B, chunks, hits):
                     # on a cells x axis array, a part at a time
                     cells = _cells(shape, rest)
                     cs = [_pick(a, cells, shape) for a in arrays[:k + 1]]
+                    axis = np.arange(-B, B + 1, dtype=rhs.dtype)
                     for lo in range(0, len(cells), scan_rows):
                         part = slice(lo, lo + scan_rows)
                         val = cs[k][part, None] * axis
@@ -812,16 +827,10 @@ def count_affine_surface(F: IntPoly, B: int, filters=(), collect: bool = True,
     # nonzero: no two terms of a form merge when x0 = 1
     hits = _solve_zeros(dehomogenize(F), B, projective=False,
                         collect=collect or bool(filters))
-    pts = [(1,) + t for t in hits.points]
-    if not filters:
-        return _result(hits.count, pts, hits.hist.tolist(), collect,
-                       by_height)
-    pts = [p for p in pts if all(flt.accepts(p) for flt in filters)]
-    hist = [0] * (B + 1)
-    if by_height:
-        for p in pts:
-            hist[max(map(abs, p[1:]))] += 1
-    return _result(len(pts), pts, hist, collect, by_height)
+    if filters:
+        hits.keep_residues(filters)
+    return _result(hits.count, [(1,) + t for t in hits.points],
+                   hits.hist.tolist(), collect, by_height)
 
 
 def count_roots_bounded(p, T: int):
@@ -892,8 +901,8 @@ def enumerate_projective_variety(gens, B: int):
                              collect=True).block
         coeffs = _last_var_coefficients(S)
         hits = _Hits(True, B)
-        if _fits_int64(S, coeffs, B):
-            _solve_tiles(coeffs, B, _cell_slices(cells), hits)
+        if dtype := _kernel_dtype(S, coeffs, B):
+            _solve_tiles(coeffs, B, _cell_slices(cells, dtype), hits)
         else:
             _solve_scalar(coeffs, zip(*cells.tolist()), B, hits)
         hits.keep_primitive()

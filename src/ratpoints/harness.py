@@ -127,9 +127,19 @@ def build_series(config: ExperimentConfig, collect: bool = False):
     return (series, result[1]) if collect else series
 
 
+def render_json(obj, path=None) -> str:
+    """obj as JSON text with sorted keys, also written to path if given."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
+
+
 def run_experiment(config: ExperimentConfig, collect: bool = False):
-    """Run the counting campaign, write series.csv and report.json; with
-    ``collect``, the pair (report, sorted points at the largest grid B).
+    """Run the counting campaign, write series.csv and report.json, and
+    return the report's JSON text, the bytes of report.json; with
+    ``collect``, the pair (text, sorted points at the largest grid B).
 
     Outputs are reproducible: same config and seed give byte-identical
     files.
@@ -156,8 +166,6 @@ def run_experiment(config: ExperimentConfig, collect: bool = False):
             fh.write("B,count\n")
             for b, c in series.entries:
                 fh.write(f"{b},{c}\n")
-        json_path = os.path.join(config.out_dir, "report.json")
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return (report, points) if collect else report
+    text = render_json(report, config.out_dir
+                       and os.path.join(config.out_dir, "report.json"))
+    return (text, points) if collect else text

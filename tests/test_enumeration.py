@@ -161,7 +161,11 @@ def test_count_affine_surface_histogram_matches_brute():
              ("x0^3 + x1^3 + x2^3 + x3^3", 6, ()),
              ("x0^3 + x1^3 - 2*x2^3 - 2*x3^3", 6, ()),
              ("x0^3 + x1^3 + x2^3 + x3^3", 6,
-              ((2, (1, 0, 1)), (3, (0, 2, 1))))]
+              ((2, (1, 0, 1)), (3, (0, 2, 1)))),
+             # moduli past 2B, one of them past int64 too, whose classes
+             # meet [-B, B] at r or r - p alone
+             ("x0*x3 - x1*x2", 4, ((11, (1, 10, 10)),)),
+             ("x0*x3 - x1*x2", 4, ((2**64 - 59, (2, 2**64 - 61, 0)),))]
     for text, B, residues in cases:
         F = parse_poly(text)
         want = [0] * (B + 1)
@@ -323,8 +327,8 @@ def test_enumerate_variety_matches_brute_force(monkeypatch):
     chunks = []
     real = enumeration._cell_slices
 
-    def spy(cells):
-        for chunk in real(cells):
+    def spy(cells, dtype):
+        for chunk in real(cells, dtype):
             chunks.append(chunk[3][0])
             yield chunk
     monkeypatch.setattr(enumeration, "_cell_slices", spy)
@@ -409,10 +413,10 @@ def test_enumerate_variety_solves_only_projected_prefixes(monkeypatch):
     cells = []
     slices = enumeration._cell_slices
 
-    def cell_spy(coords):
+    def cell_spy(coords, dtype):
         assert coords.shape[0] == 3 and coords.shape[1] < 30 * 200
         cells.extend(zip(*coords.tolist()))
-        return slices(coords)
+        return slices(coords, dtype)
 
     solved = []
     solve = enumeration._solve_residual

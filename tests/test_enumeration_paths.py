@@ -459,16 +459,125 @@ def test_cell_lists_match_the_scalar_referee(monkeypatch):
                  "x0^3 + x1^3 - x2^3 - x3^3"):
         f = parse_poly(text, num_vars=4)
         coeffs = en._last_var_coefficients(f)
-        assert en._fits_int64(f, coeffs, B), text
-        for cells in lists:
+        # the guard picks int32 here; the int64 kernel must agree too
+        assert en._kernel_dtype(f, coeffs, B) is np.int32, text
+        for dtype, cells in itertools.product((np.int32, np.int64), lists):
             got, want = en._Hits(True, B), en._Hits(True, B)
-            en._solve_tiles(coeffs, B, en._cell_slices(cells), got)
+            en._solve_tiles(coeffs, B, en._cell_slices(cells, dtype), got)
             en._solve_scalar(coeffs, zip(*cells.tolist()), B, want)
             assert got.hist.tolist() == want.hist.tolist(), text
             assert got.points == want.points, text
             if cells is box:
                 assert got.points == [x for x in itertools.product(
                     range(-B, B + 1), repeat=4) if f.evaluate(x) == 0], text
+
+
+def residual_branches(f, B):
+    """The kernel branches that the residuals of f in its last variable
+    take over the cells of [-B, B]^(n - 1), classed in Python ints."""
+    coeffs = en._last_var_coefficients(f)
+    branches = set()
+    for x in itertools.product(range(-B, B + 1), repeat=f.num_vars - 1):
+        c = [p.evaluate(x) for p in coeffs]
+        k = max((j for j, cj in enumerate(c) if cj), default=-1)
+        branches.add("full range" if k == -1 else "constant" if k == 0
+                     else "linear" if k == 1 else "quadratic" if k == 2
+                     else "scan" if any(c[1:k]) else "pure power")
+    return branches
+
+
+def check_kernel_in(dtype, f, B, monkeypatch):
+    """f's zeros in [-B, B]^n from the box tiles and from the cell slices
+    of the whole box, the kernel running in dtype, against the oracle and
+    the big-int path; each collected block is int64 either way, checked
+    before the blocks merge, where one int64 block would promote them."""
+    coeffs = en._last_var_coefficients(f)
+    assert en._kernel_dtype(f, coeffs, B) is dtype, f.to_text()
+    want = [x for x in itertools.product(range(-B, B + 1), repeat=f.num_vars)
+            if f.evaluate(x) == 0]
+    seen = set()
+    with monkeypatch.context() as m:
+        def spy(c, prefix, grids, _real=en._eval_on_tile):
+            got = _real(c, prefix, grids)
+            seen.add(got.dtype.type)
+            return got
+        m.setattr(en, "_eval_on_tile", spy)
+        hits = en._solve_zeros(f, B, projective=False, collect=True)
+        assert seen == {dtype}, f.to_text()
+        assert {b.dtype for b in hits._blocks} == {np.dtype(np.int64)}
+        assert (hits.count, hits.points) == (len(want), want), f.to_text()
+        assert hits.count == brute_affine(f, B)
+        assert (hits.count, hits.points) == forced_scalar(count_affine, f, B)
+        cells = np.array(list(itertools.product(
+            range(-B, B + 1), repeat=f.num_vars - 1)), dtype=np.int64).T
+        got, ref = en._Hits(True, B), en._Hits(True, B)
+        seen.clear()
+        en._solve_tiles(coeffs, B, en._cell_slices(cells, dtype), got)
+        assert seen == {dtype}, f.to_text()
+    en._solve_scalar(coeffs, zip(*cells.tolist()), B, ref)
+    assert {b.dtype for b in got._blocks} == {np.dtype(np.int64)}
+    assert got.hist.tolist() == ref.hist.tolist(), f.to_text()
+    assert got.points == ref.points == want, f.to_text()
+
+
+def test_int32_switch_sits_at_its_limit(monkeypatch):
+    # for each closed-form branch and the scan, a family at B = 1 whose
+    # guard is G: G = 2^30 - 1 runs in int32 and G = 2^30 in int64; the
+    # quadratic guard b1^2 + 4 b2 b0 is 0 or 1 mod 4, so its int32 side
+    # is 2^30 - 3.  At 2^30 - 1 the linear family's (-1, -1) cell forms
+    # floor(rhs / c1) * c1 = 2^31 - 4, the int32 extreme of its bound
+    limit = en.INT64_LIMIT >> 32
+    assert limit == 1 << 30
+    B = 1
+    families = {
+        "linear": lambda G: IntPoly(3, {(1, 0, 1): G - 1, (0, 1, 0): G}),
+        "quadratic": lambda G: IntPoly(3, {
+            (1, 0, 2): 1, (0, 1, 1): 1 if G < limit else 2,
+            (0, 1, 0): (1 << 28) - 1}),
+        "pure power": lambda G: IntPoly(3, {(1, 0, 3): 1, (0, 1, 0): G - 1}),
+        "scan": lambda G: IntPoly(3, {(1, 0, 3): 1, (0, 1, 1): 1,
+                                      (0, 1, 0): G - 2}),
+    }
+    for branch, family in families.items():
+        for G, dtype in ((limit - (3 if branch == "quadratic" else 1),
+                          np.int32), (limit, np.int64)):
+            f = family(G)
+            assert branch in residual_branches(f, B), (branch, G)
+            check_kernel_in(dtype, f, B, monkeypatch)
+
+
+def test_guard_bounds_every_coefficient_at_b_zero():
+    # at B = 0 every term but the constant vanishes on the box, yet the
+    # kernel still multiplies each coefficient into the tile, so the guard
+    # bounds them as at B = 1: 2^31 + 1 leaves int32, 2^63 + 1 the kernel
+    for C, dtype in ((2**31 + 1, np.int64), (2**63 + 1, None)):
+        f = IntPoly(2, {(1, 1): C, (0, 1): 1})
+        assert en._kernel_dtype(f, en._last_var_coefficients(f), 0) is dtype
+        assert count_affine(f, 0, collect=True) == (1, [(0, 0)])
+
+
+def test_linear_branch_edges_at_the_int32_boundary(monkeypatch):
+    # C * (t1*t3 - t1 - s*t2): roots t3 = 1 + s*t2/t1 reach |t3| = B and
+    # B + 1 (the latter out of the box), with negative c1 = C*t1, cells
+    # where c1 = 0 with rhs = 0 (t3 free) and rhs != 0 (no root), and rhs =
+    # 0 at c1 != 0 (the root 0).  s = 2 at B = 3 puts the guard 9C at
+    # 2^30 - 1, int32, and s = 1 at B = 4 puts 8C at 2^30, int64
+    for s, B, C, dtype in ((2, 3, ((1 << 30) - 1) // 9, np.int32),
+                           (1, 4, 1 << 27, np.int64)):
+        f = IntPoly(3, {(1, 0, 1): C, (1, 0, 0): -C, (0, 1, 0): -s * C})
+        seen = set()
+        for t1, t2 in itertools.product(range(-B, B + 1), repeat=2):
+            ck, rhs = C * t1, C * (t1 + s * t2)
+            if ck == 0:
+                seen.add("c1 = 0, rhs = 0" if rhs == 0 else "c1 = 0, rhs != 0")
+            elif rhs % ck == 0:
+                t = abs(rhs // ck)
+                seen.add(("t = 0" if t == 0 else "|t| = B" if t == B else
+                          "|t| = B + 1" if t == B + 1 else "other")
+                         + (", c1 < 0" if ck < 0 else ""))
+        assert {"c1 = 0, rhs = 0", "c1 = 0, rhs != 0", "t = 0", "|t| = B",
+                "|t| = B, c1 < 0", "|t| = B + 1"} <= seen, (s, B, seen)
+        check_kernel_in(dtype, f, B, monkeypatch)
 
 
 @pytest.fixture

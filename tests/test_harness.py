@@ -113,6 +113,7 @@ def test_cli_count_writes_outputs(tmp_path):
     assert lines[0] == "B,count" and len(lines) == 4
     rep = json.loads((out / "report.json").read_text())
     assert rep["fit"]["verdict"] in ("pass", "fail")
+    assert r.stdout == (out / "report.json").read_text()
 
 
 def test_cli_conic_param_rejection_branches():
