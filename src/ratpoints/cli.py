@@ -348,7 +348,10 @@ def _add_delta_stats(F, found):
 def _cmd_fit(args) -> int:
     entries = []
     with open(args.series) as fh:
-        header = fh.readline()
+        header = fh.readline().strip()
+        if header != "B,count":
+            raise ValueError("a series CSV starts with the header line "
+                             f"'B,count', not {header!r}")
         for line in fh:
             if line.strip():
                 b, c = line.strip().split(",")

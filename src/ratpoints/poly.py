@@ -370,7 +370,12 @@ def parse_poly(text: str, num_vars: int | None = None) -> IntPoly:
     # subexpression is an IntPoly, whose arithmetic combines like terms
     used = 1 + max((v[1] - (v[0] == "t") for kind, v, _ in tokens
                     if kind == "var"), default=-1)
-    f = _Parser(tokens, max(used, num_vars or 0)).parse()
+    parser = _Parser(tokens, max(used, num_vars or 0))
+    try:
+        f = parser.parse()
+    except RecursionError:  # the parser recurses per '(' and unary '-'
+        raise PolyParseError("expression nested too deeply",
+                             parser.peek()[2]) from None
     if num_vars is not None and num_vars < used:
         raise PolyParseError(
             f"polynomial uses {used} variables, {num_vars} declared", 0
@@ -413,7 +418,9 @@ def _tokenize(text: str):
 
 class _Parser:
     """Recursive descent over +, -, *, ^ with parentheses, building IntPoly
-    values in a ring of ``num_vars`` variables."""
+    values in a ring of ``num_vars`` variables.  ``expr`` reads its own
+    products and ``factor`` its own atoms, so a '(' costs two stack frames
+    and a unary '-' one."""
 
     def __init__(self, tokens, num_vars: int):
         self.tokens = tokens
@@ -444,34 +451,21 @@ class _Parser:
         if self.peek()[0] in "+-":
             sign = -1 if self.take()[0] == "-" else 1
         while True:
-            for e, c in self.term().terms.items():
+            f = self.factor()
+            while self.peek()[0] == "*":
+                self.take()
+                f = f * self.factor()
+            for e, c in f.terms.items():
                 out[e] = out.get(e, 0) + sign * c
             if self.peek()[0] not in "+-":
                 return IntPoly._exact(self.num_vars, out)
             sign = -1 if self.take()[0] == "-" else 1
 
-    def term(self):
-        f = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
-            f = f * self.factor()
-        return f
-
     def factor(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            kind, val, loc = self.take()
-            if kind != "int":
-                raise PolyParseError("exponent must be an integer literal", loc)
-            return base**val
-        return base
-
-    def atom(self):
         kind, val, loc = self.take()
         if kind == "int":
-            return IntPoly.constant(self.num_vars, val)
-        if kind == "var":
+            base = IntPoly.constant(self.num_vars, val)
+        elif kind == "var":
             fam, idx = val
             if self.style is None:
                 self.style = fam
@@ -481,16 +475,23 @@ class _Parser:
                 if idx < 1:
                     raise PolyParseError("t-variables start at t1", loc)
                 idx -= 1
-            return IntPoly.variable(self.num_vars, idx)
-        if kind == "(":
-            inner = self.expr()
+            base = IntPoly.variable(self.num_vars, idx)
+        elif kind == "(":
+            base = self.expr()
             kind2, _, loc2 = self.take()
             if kind2 != ")":
                 raise PolyParseError("expected ')'", loc2)
-            return inner
-        if kind == "-":
-            return -self.factor()
-        raise PolyParseError("expected a term", loc)
+        elif kind == "-":
+            base = -self.factor()
+        else:
+            raise PolyParseError("expected a term", loc)
+        if self.peek()[0] == "^":
+            self.take()
+            kind, val, loc = self.take()
+            if kind != "int":
+                raise PolyParseError("exponent must be an integer literal", loc)
+            return base**val
+        return base
 
 
 def format_poly(f: IntPoly, style: str = "x") -> str:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -101,6 +102,21 @@ def test_cli_project_and_fit(tmp_path):
     series.write_text("B,count\n10,10\n100,100\n1000,1000\n")
     r2 = run_cli("fit", "--series", str(series), "--target", "1.0")
     assert json.loads(r2.stdout)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("text", ["10,10\n100,100\n1000,1000\n",
+                                  "b,count\n10,10\n100,100\n", ""])
+def test_cli_fit_rejects_a_series_without_its_header(tmp_path, text):
+    # the first line is the header that count writes; a first data row in
+    # its place would otherwise be dropped without a word
+    series = tmp_path / "s.csv"
+    series.write_text(text)
+    r = run_cli("fit", "--series", str(series), "--target", "1.0")
+    assert r.returncode == 2 and r.stdout == ""
+    first = text.partition("\n")[0]
+    assert r.stderr.splitlines() == [
+        "ratpoints: error: a series CSV starts with the header line "
+        f"'B,count', not {first!r}"]
 
 
 def test_cli_count_writes_outputs(tmp_path):
@@ -224,6 +240,23 @@ def test_cli_parse_error_is_one_line():
     assert r.returncode == 2
     assert r.stderr.splitlines() == [
         "ratpoints: error: expected a term at position 5"]
+
+
+def test_cli_deep_nesting_is_one_line():
+    # the parser recurses once per '(' and once per unary '-'; past the
+    # interpreter's recursion limit that is a parse error, not a traceback
+    n = 3000
+    for form in ["(" * n + "x0" + ")" * n, "x1 + " + "-" * n + "x0"]:
+        r = run_cli("slice", "--form", form, "--b", "1")
+        assert r.returncode == 2 and r.stdout == ""
+        assert re.fullmatch(r"ratpoints: error: expression nested too deeply "
+                            r"at position \d+\n", r.stderr), r.stderr[-300:]
+    n = 300
+    r = run_cli("slice", "--form", "(" * n + "x0*x2" + ")" * n + " - x1^2",
+                "--b", "1")
+    assert r.returncode == 0 and r.stdout.strip() == "-t1^2 + t2"
+    r = run_cli("slice", "--form", "x0*x2 + " + "-" * n + "x1^2", "--b", "1")
+    assert r.returncode == 0 and r.stdout.strip() == "t1^2 + t2"
 
 
 def test_cli_bad_filter_is_one_line():

@@ -88,32 +88,130 @@ def test_errors():
 
 
 def test_isolation_finds_all_real_roots():
-    # (t^2 - 2)(t - 3): irrational pair plus an integer root
+    # (t^2 - 2)(t - 3): irrational pair plus an integer root; squarefree,
+    # so its chain ends in a constant and is the one the pieces use
     coeffs = [6, -2, -3, 1]
-    sf = U.squarefree_part(coeffs)
-    chain = U.sturm_chain(sf)
-    M = U.root_bound(sf)
+    chain = U.sturm_chain(coeffs)
+    assert len(chain[-1]) == 1
+    M = U.root_bound(chain[0])
     assert U.sign_variations(chain, -M) - U.sign_variations(chain, M) == 3
     assert U.integer_roots(coeffs) == [3]
+    # times (t - 3): the chain ends in gcd(q, q') = t - 3 up to sign, and
+    # the chain of the exact quotient counts the same three roots
+    chain = U.sturm_chain(U.poly_mul(coeffs, [-3, 1]))
+    assert chain[-1] in ([-3, 1], [3, -1])
+    quotient = U.divexact_poly(chain[0], chain[-1])
+    assert quotient in (coeffs, [-x for x in coeffs])
+    chain = U.sturm_chain(quotient)
+    assert U.sign_variations(chain, -M) - U.sign_variations(chain, M) == 3
+    assert U.integer_roots(U.poly_mul(coeffs, [-3, 1])) == [3]
 
 
 def test_sturm_data_computed_once_per_call(monkeypatch):
-    # the squarefree part and its Sturm chain are built once and shared
-    # with root isolation, not rebuilt inside it
+    # one chain per squarefree query, shared by the root bound and the
+    # pieces; a second, of the exact quotient, only at a multiple root
     calls = []
-    for name in ("squarefree_part", "sturm_chain"):
+    for name in ("sturm_chain", "divexact_poly"):
         real = getattr(U, name)
 
-        def spy(coeffs, real=real, name=name):
+        def spy(*args, real=real, name=name):
             calls.append(name)
-            return real(coeffs)
+            return real(*args)
         monkeypatch.setattr(U, name, spy)
-    for run in (lambda: U.count_abs_le([3, -1, 4, 1, 5], 10**6),
-                lambda: U.integer_roots([-6, 11, -6, 1])):
+    double = U.poly_mul([4, -4, 1], [1, 0, 1])  # (t - 2)^2 (t^2 + 1)
+    for run, expected in (
+            (lambda: U.count_abs_le([3, -1, 4, 1, 5], 10**6), 1),
+            (lambda: U.integer_roots([-6, 11, -6, 1]), 1),
+            (lambda: U.integer_roots(double), 2),
+            # p - 7 is double, so p^2 - 7^2 has a double root at 2
+            (lambda: U.count_abs_le([double[0] + 7] + double[1:], 7), 2)):
         calls.clear()
         run()
-        assert sorted(calls) == ["squarefree_part", "sturm_chain"]
+        assert calls.count("sturm_chain") == expected
+        assert calls.count("divexact_poly") == expected - 1
     assert U.integer_roots([-6, 11, -6, 1]) == [1, 2, 3]
+
+
+def _scan(coeffs, T):
+    """(t, p(t)) for every t strictly inside the root bound of p^2 - T^2,
+    outside which |p(t)| > T."""
+    q = U.poly_mul([coeffs[0] - T] + coeffs[1:], [coeffs[0] + T] + coeffs[1:])
+    M = U.root_bound(q)
+    return [(t, U.evaluate(coeffs, t)) for t in range(-M + 1, M)]
+
+
+def _check_against_scan(coeffs, T):
+    values = _scan(coeffs, T)
+    assert U.abs_le_intervals(coeffs, T) == U.abs_le_intervals(
+        [-x for x in coeffs], T)
+    assert [t for lo, hi in U.abs_le_intervals(coeffs, T)
+            for t in range(lo, hi + 1)] == [t for t, v in values if abs(v) <= T]
+    assert U.count_abs_le(coeffs, T) == sum(1 for _, v in values if abs(v) <= T)
+    if T == 0:
+        assert U.integer_roots(coeffs) == [t for t, v in values if v == 0]
+
+
+def test_multiple_integer_roots_against_a_scan(monkeypatch):
+    t = [0, 1]
+
+    def prod(*factors):
+        out = [1]
+        for f in factors:
+            out = U.poly_mul(out, f)
+        return out
+
+    def plus(p, k):
+        return [p[0] + k] + p[1:]
+    cases = [
+        # T = 0: p itself has the multiple roots
+        (prod([-3, 1], [-3, 1], [1, 1], [1, 0, 1]), 0),
+        (prod([2, 1], [2, 1], [2, 1]), 0),
+        (prod(t, t, [-5, 1], [2, 1]), 0),  # 0 is the first midpoint
+        (prod([-1, 1], [-1, 1], [1, 1], [1, 1], [3, 0, 1]), 0),
+        (prod([-3], t, t, t, t, [7, 1]), 0),
+        # T > 0: p - T or p + T has a double or triple integer root
+        (plus(prod([-2, 1], [-2, 1], [1, 0, 1]), 7), 7),
+        (plus(prod(t, t, [-4, 1]), -5), 5),
+        (plus(prod([1, 1], [1, 1], [1, 1], [-6, 1]), 9), 9),
+    ]
+    points = []
+    real = U.sign_variations
+
+    def spy(chain, x):
+        points.append(x)
+        return real(chain, x)
+    monkeypatch.setattr(U, "sign_variations", spy)
+    for coeffs, T in cases:
+        points.clear()
+        _check_against_scan(coeffs, T)
+        # the double roots of p^2 - T^2 are the integers where |p| = T and
+        # p' = 0; some of them end a bisection piece, where V is evaluated
+        doubles = [x for x in range(-50, 51)
+                   if abs(U.evaluate(coeffs, x)) == T
+                   and U.evaluate(U.derivative(coeffs), x) == 0]
+        assert doubles and set(doubles) & set(points), (coeffs, T)
+
+
+def test_random_polynomials_with_repeated_factors_against_a_scan():
+    rng = random.Random(43)
+    repeated = 0
+    for i in range(2000):
+        if i % 2:  # a repeated integer factor (t - r)^k, k >= 2
+            r, k = rng.randint(-6, 6), rng.randint(2, 3)
+            coeffs = [1]
+            for _ in range(k):
+                coeffs = U.poly_mul(coeffs, [-r, 1])
+            rest = [rng.randint(-9, 9) for _ in range(rng.randint(3 - k, 6 - k))]
+            coeffs = U.poly_mul(coeffs, rest + [rng.choice([1, -1, 2, -3])])
+            repeated += 1
+        else:
+            coeffs = [rng.randint(-30, 30) for _ in range(rng.randint(3, 6))]
+            coeffs.append(rng.choice([c for c in range(-9, 10) if c]))
+        T = 0 if i % 4 < 2 else rng.randint(1, 2000)
+        if T and i % 2:  # shift so that p - T has the repeated factor
+            coeffs[0] += T
+        _check_against_scan(coeffs, T)
+    assert repeated * 3 >= 2000
 
 
 def test_fujiwara_bound_holds_every_real_root_strictly_inside():
@@ -213,3 +311,28 @@ def test_count_abs_le_certificate_survives_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "raised: p stays within T outside the root bound of p^2 - T^2\n"
+
+
+def test_inexact_division_raises_under_python_O():
+    # the last chain member always divides the first; a chain whose last
+    # member does not must raise, also under python -O (the script's own
+    # assert fails unless -O has stripped it)
+    script = (
+        "import ratpoints.uniroots as U\n"
+        "assert False, 'asserts are live'\n"
+        "real = U.sturm_chain\n"
+        "U.sturm_chain = lambda coeffs: real(coeffs) + [[1, 0, 1]]\n"
+        "try:\n"
+        "    U.count_abs_le([-2, 0, 0, 1], 0)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+        "try:\n"
+        "    U.divexact_poly([1, 0, 1], [1, 1])\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ratpoints.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "raised: inexact polynomial division\n" * 2
