@@ -352,10 +352,15 @@ def _cmd_fit(args) -> int:
         if header != "B,count":
             raise ValueError("a series CSV starts with the header line "
                              f"'B,count', not {header!r}")
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             if line.strip():
-                b, c = line.strip().split(",")
-                entries.append((int(b), int(c)))
+                try:
+                    b, c = map(int, line.split(","))
+                except ValueError:
+                    raise ValueError(f"line {number} of the series CSV is "
+                                     f"not 'B,count': {line.strip()!r}"
+                                     ) from None
+                entries.append((b, c))
     series = CountSeries(tag=args.series, entries=entries)
     _emit(fit_exponent(series, args.target, args.tol).record())
     return 0

@@ -27,12 +27,18 @@ a cone, each one d times a primitive zero, so Moebius inversion of the
 height histogram gives the primitive ones, and collected points are kept
 by their gcd in the same step.
 
-Projective zeros are solved on half the box: every caller passes a form,
-or a sum of squares of forms, so x is a zero exactly when -x is, and
-N(F; B) is twice the primitive zeros with 1 <= x0 <= B, inverted before
-the mirror, plus N(F(0, x1, ..., xn); B), found by recursion.  The first
-free coordinate (the outer loop's, the tile's rows, the scalar
-prefixes') starts at 1.  Affine zeros keep the full box.
+Signs are folded, as by Heath-Brown, Lioen and te Riele: the height does
+not change with the sign of a coordinate.  Projective zeros are solved on
+half the box: every caller passes a form, or a sum of squares of forms,
+so x is a zero exactly when -x is, and N(F; B) is twice the primitive
+zeros with 1 <= x0 <= B, inverted before the mirror, plus
+N(F(0, x1, ..., xn); B), found by recursion.  A free variable x_j whose
+exponent is even in every term folds alone, for affine zeros too: the
+zeros with x_j = -t are those with x_j = t, so the box is solved with
+1 <= x_j <= B, mirrored in x_j, and joined by the slice x_j = 0.  The
+conic x0 x2 = x1^2 is thus tiled on x0, x1 >= 1.  Each free coordinate
+(the outer loop's, the tile's rows and columns, the scalar prefixes')
+starts at -B or at 1.
 
 A quaternary form that splits as G(x0, xi) - H(xj, xk), every term inside
 one of the two pairs, takes a third path instead, after D. J. Bernstein,
@@ -40,8 +46,13 @@ one of the two pairs, takes a third path instead, after D. J. Bernstein,
 its zeros are the pairs of points of [-B, B]^2 with G = H, counted off
 one sorted array of both sides' keys in O(B^2 log B) rather than the
 kernel's O(B^3) cells.  The join covers the whole box at once, so it
-needs neither the mirror nor the slice, and inverts once.  It runs when
+needs no mirror, fold or slice, and inverts once.  It runs when
 its int64 keys provably fit, and every other form takes the paths above.
+
+The numpy kernel runs with a ufunc buffer of 1024 elements rather than
+numpy's 8192: a buffer that holds three tile rows joins them in one inner
+loop, and a row's division by its scalar coefficient then leaves numpy's
+fast path and runs about 9 times slower per cell.
 
 Solved points are tallied as a histogram of heights max |x_i| over
 0..B, so one enumeration at B gives the count at every b <= B as a prefix
@@ -80,6 +91,7 @@ SCAN_CELLS = 1 << 14
 # slower; 2^15 keys ran no faster on it and the diagonal cubics and raised
 # its traced peak from 2.4 to 3.7 MB
 JOIN_KEYS = 1 << 14
+KERNEL_BUFFER = 1 << 10  # numpy ufunc buffer elements in _solve_tiles
 
 
 @dataclass
@@ -177,14 +189,25 @@ def _np_kth_roots(rhs, k: int, B: int, c=1):
 
 
 @lru_cache(maxsize=16)
-def _primes_upto(B: int):
-    """The primes p <= B, ascending, sieved once per B."""
+def _moebius_steps(B: int):
+    """The steps of ``_Hits.keep_primitive`` at B, sieved once per B: the
+    primes p <= sqrt(B), ascending, and read-only index arrays (p * j, j)
+    over the primes p > sqrt(B) and 1 <= j <= B // p."""
+    root = isqrt(B)
     prime = np.ones(B + 1, dtype=bool)
     prime[:2] = False
-    for p in range(2, isqrt(B) + 1):
+    for p in range(2, root + 1):
         if prime[p]:
             prime[p * p::p] = False
-    return tuple(np.flatnonzero(prime).tolist())
+    large = np.flatnonzero(prime[root + 1:]) + root + 1
+    count = B // large
+    # j = 1, ..., B // p for each large prime p in turn
+    j = np.arange(1, count.sum() + 1) - np.repeat(np.cumsum(count) - count,
+                                                  count)
+    steps = np.repeat(large, count) * j, j
+    for a in steps:
+        a.flags.writeable = False
+    return tuple(np.flatnonzero(prime[:root + 1]).tolist()), *steps
 
 
 class _Hits:
@@ -245,11 +268,17 @@ class _Hits:
     def keep_primitive(self):
         """Keep only the primitive zeros, those of gcd 1.  The zeros held
         must form a cone, each one d times a primitive zero of height h / d,
-        so that Z[h] = sum_{d | h} P[h / d]; Moebius inversion, one prime at
-        a time, recovers P from Z."""
+        so that Z[h] = sum_{d | h} P[h / d]; Moebius inversion recovers P
+        from Z by the steps h[p j] -= h[j] for each prime p, which commute.
+        The primes p <= sqrt(B) take one slice each.  The primes above take
+        one indexed step together, which is exact: two of them multiply
+        past B, so no source j <= B // p < p is the target of another, and
+        their targets p j are distinct."""
         h = self.hist
-        for p in _primes_upto(self.B):
+        small, targets, sources = _moebius_steps(self.B)
+        for p in small:
             h[p::p] -= h[1:self.B // p + 1].copy()
+        h[targets] -= h[sources]
         h[0] = 0  # the zero vector, when a zero, is not primitive
         self._blocks = [b[:, np.gcd.reduce(b, axis=0, initial=0) == 1]
                         for b in self._blocks]
@@ -328,19 +357,23 @@ class _Hits:
         if self.collect:
             self._add_block(loop_prefix, cols)
 
-    def add_slice(self, sub):
-        """The points of sub, the zeros of the slice x0 = 0, with x0 put
-        back in front."""
+    def add_slice(self, sub, j):
+        """The points of sub, the zeros of the slice x_j = 0, with x_j = 0
+        put back at row j."""
         self._hist += sub.hist
         if self.collect:
-            self._blocks += [np.insert(b, 0, 0, axis=0) for b in sub._blocks]
+            self._blocks += [np.insert(b, j, 0, axis=0) for b in sub._blocks]
 
-    def mirror(self):
-        """Add -x for every point x held: the points of the half box x0 >= 1
-        become those of both halves."""
+    def mirror(self, j=None):
+        """Add the image of every point x held under x -> -x, or with j
+        under the negation of x_j alone: the points of the half box x0 >= 1
+        or x_j >= 1 become those of both halves, at the same heights."""
         self._settle()
         self._hist *= 2
-        self._blocks += [-b for b in self._blocks]
+        if self._blocks:  # one block, once settled
+            image = self._blocks[0].copy()
+            image[slice(None) if j is None else j] *= -1
+            self._blocks.append(image)
 
 
 def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
@@ -357,7 +390,7 @@ def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
     """
     hits = _Hits(collect, B)
     if not projective:
-        _solve_box(f, B, -B, hits)
+        _solve_box(f, B, (-B,) * f.num_vars, hits)
         return hits
     if len({sum(e) % 2 for e in f.terms}) > 1:
         raise ValueError("projective zeros need term degrees of one parity, "
@@ -367,11 +400,12 @@ def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
         _solve_split(*split, B, hits)
         hits.keep_primitive()
         return hits
-    _solve_box(f, B, 1, hits)
+    _solve_box(f, B, (1,) + (-B,) * (f.num_vars - 1), hits)
     hits.keep_primitive()
     hits.mirror()
     if f.num_vars > 1:
-        hits.add_slice(_solve_zeros(f.substitute_value(0, 0), B, True, collect))
+        sub = _solve_zeros(f.substitute_value(0, 0), B, True, collect)
+        hits.add_slice(sub, 0)
     return hits
 
 
@@ -453,16 +487,25 @@ def _solve_split(order, G, H, B: int, hits):
             hits._blocks.append(pts[np.argsort(order)] - B)
 
 
-def _solve_box(f: IntPoly, B: int, first: int, hits):
-    """Add the zeros of f with first <= x0 <= B and every other coordinate
-    in [-B, B] to hits."""
+def _solve_box(f: IntPoly, B: int, lows, hits):
+    """Add the zeros of f with lows[i] <= x_i <= B for every i to hits,
+    which holds none yet.  Each low is -B, or 1 for a half box; only a
+    free variable, or the one variable of f, starts at 1.
+
+    A free variable x_j of range [-B, B] whose exponent is even in every
+    term is folded before a solver is chosen: the zeros with 1 <= x_j <= B
+    are mirrored in x_j, and the slice x_j = 0 is solved by recursion, as
+    are further even variables.  x_j is not folded when its slice drops the
+    last variable, whose solver would then take an earlier variable, which
+    may start at 1.
+    """
     nv = f.num_vars
     if nv == 1:
         coeffs = [f.terms.get((j,), 0) for j in range(max(f.degree, 0) + 1)]
         deg = uniroots.degree(coeffs)
-        roots = (range(first, B + 1) if deg == -1 else [] if deg == 0 else
+        roots = (range(lows[0], B + 1) if deg == -1 else [] if deg == 0 else
                  [r for r in uniroots.integer_roots_in_box(coeffs, B)
-                  if r >= first])
+                  if r >= lows[0]])
         hits.add_solved((), np.array(roots, dtype=np.int64))
         return
 
@@ -471,13 +514,23 @@ def _solve_box(f: IntPoly, B: int, first: int, hits):
         # f does not involve its last variable: solve the smaller problem
         # and let that variable range over the full box
         sub = _Hits(hits.collect, B)
-        _solve_box(coeffs[0], B, first, sub)
+        _solve_box(coeffs[0], B, lows[:-1], sub)
         hits.add_free_last(sub)
         return
+    for j in range(nv - 1):
+        if (lows[j] == -B < 0 and all(e[j] % 2 == 0 for e in f.terms)
+                and any(e[-1] and not e[j] for e in f.terms)):
+            _solve_box(f, B, lows[:j] + (1,) + lows[j + 1:], hits)
+            hits.mirror(j)
+            sub = _Hits(hits.collect, B)
+            _solve_box(f.substitute_value(j, 0), B, lows[:j] + lows[j + 1:],
+                       sub)
+            hits.add_slice(sub, j)
+            return
     if dtype := _kernel_dtype(f, coeffs, B):
-        _solve_tiles(coeffs, B, _tiles(nv - 1, B, first, dtype), hits)
+        _solve_tiles(coeffs, B, _tiles(lows[:-1], B, dtype), hits)
     else:
-        _solve_scalar(coeffs, _iter_loop(nv - 1, B, first), B, hits)
+        _solve_scalar(coeffs, _iter_loop(lows[:-1], B), B, hits)
 
 
 def _kernel_dtype(f: IntPoly, coeffs, B: int):
@@ -507,12 +560,9 @@ def _kernel_dtype(f: IntPoly, coeffs, B: int):
             np.int64 if bound < INT64_LIMIT else None)
 
 
-def _iter_loop(nloop: int, B: int, first: int | None = None):
-    """Prefixes in [-B, B]^nloop whose first coordinate is >= first."""
-    ranges = [range(-B, B + 1)] * nloop
-    if nloop and first is not None:
-        ranges[0] = range(first, B + 1)
-    return itertools.product(*ranges)
+def _iter_loop(lows, B: int):
+    """Prefixes x with lows[i] <= x_i <= B for every i."""
+    return itertools.product(*(range(low, B + 1) for low in lows))
 
 
 def _solve_residual(residual, prefix, B, hits):
@@ -596,22 +646,21 @@ def _pick(a, cells, shape):
     return np.broadcast_to(a, shape)[np.unravel_index(cells, shape)]
 
 
-def _tiles(nfree, B, first, dtype):
-    """The box as chunks (prefix, axes, grids, shape) for _solve_tiles.
+def _tiles(lows, B, dtype):
+    """The box lows[i] <= x_i <= B of the free variables as chunks
+    (prefix, axes, grids, shape) for _solve_tiles.
 
     A loop runs over all but the last two free variables, the prefix, and
     each chunk is an np.ix_ tile over those two (over the only one when one
-    is free): at most TILE_CELLS cells of dtype, whole rows.  The first
-    free variable, the loop's outermost or else the tile's rows, runs from
-    ``first`` to B.
+    is free): at most TILE_CELLS cells of dtype, whole rows.
     """
-    ntile = min(nfree, 2)
+    ntile = min(len(lows), 2)
     axis = np.arange(-B, B + 1, dtype=dtype)
-    rows = axis[first + B:] if nfree == ntile else axis
-    step = max(1, TILE_CELLS // len(axis) ** (ntile - 1))
-    for prefix in _iter_loop(nfree - ntile, B, first):
+    rows, *cols = (axis[low + B:] for low in lows[-ntile:])
+    step = max(1, TILE_CELLS // max(map(len, cols), default=1))
+    for prefix in _iter_loop(lows[:-ntile], B):
         for start in range(0, len(rows), step):
-            axes = (rows[start:start + step],) + (axis,) * (ntile - 1)
+            axes = (rows[start:start + step], *cols)
             yield prefix, axes, np.ix_(*axes), tuple(map(len, axes))
 
 
@@ -650,6 +699,18 @@ def _solve_tiles(coeffs, B, chunks, hits):
     Coordinates (``_coords``) and entries (``_pick``) are read at those
     indices, in np.nonzero's row-major order, and the scan and the pure
     powers take coordinates only of the cells that have a root.
+
+    The loop runs with numpy's ufunc buffer at KERNEL_BUFFER = 1024
+    elements, restored on exit.  A tile row of n cells divided by its
+    row's scalar, as the linear and quadratic branches do, takes numpy's
+    fast scalar-divisor path only while 3n exceeds the buffer size: a
+    buffer that holds three rows joins them in one inner loop whose
+    divisor is no longer a scalar.  In int32 (numpy 2.4, rows of 33 to
+    8193 cells, buffers of 16 to 8192) the fast path took 0.21-0.46 ns a
+    cell from 129 cells up, the joined rows 2.0-2.5, and rows of 33 cells
+    1.8-2.5 at every size.  So 1024 keeps rows of 342 cells or more fast,
+    where the default 8192 needs 2731; buffered casts ran as fast as at
+    8192, and 256 slowed the dense cubic's scan by a fifth.
     """
     scan_rows = max(1, SCAN_CELLS // (2 * B + 1))  # cells per residual scan
     # chunks hold rhs = -c_0 and c_1, ..., c_K: sum_{j>0} c_j t^j = rhs
@@ -659,77 +720,81 @@ def _solve_tiles(coeffs, B, chunks, hits):
     # allocator reuses their memory instead of trimming it after every
     # chunk and faulting it back in; with a function per tile, page faults
     # doubled the time of the Fermat cubic at B=128.
-    for prefix, axes, grids, shape in chunks:
-        arrays = [_eval_on_tile(c, prefix, grids) for c in polys]
-        rhs = arrays[0]
-        # masks stay numpy scalars while the coefficients that decide them
-        # are constant on the chunk, or once they hold nowhere
-        open_ = np.True_
-        for k in range(len(arrays) - 1, 0, -1):
-            at = _and(open_, arrays[k] != 0)  # cells of effective degree k
-            if not at.any():
-                continue
-            open_ = _and(open_, ~at)
-            ck = arrays[k]
-            if np.ndim(ck):
-                ck = np.where(at, ck, 1)  # a nonzero divisor everywhere
-            if k <= 2:
-                # roots num / den: rhs / c_1, or (-b +- root) / (2 c_2) with
-                # the discriminant's exact root (count 1 double, 2 simple)
-                if k == 1:
-                    parts = [(rhs, ck, at)]
+    old = np.setbufsize(KERNEL_BUFFER)
+    try:
+        for prefix, axes, grids, shape in chunks:
+            arrays = [_eval_on_tile(c, prefix, grids) for c in polys]
+            rhs = arrays[0]
+            # masks stay numpy scalars while the coefficients that decide them
+            # are constant on the chunk, or once they hold nowhere
+            open_ = np.True_
+            for k in range(len(arrays) - 1, 0, -1):
+                at = _and(open_, arrays[k] != 0)  # cells of effective degree k
+                if not at.any():
+                    continue
+                open_ = _and(open_, ~at)
+                ck = arrays[k]
+                if np.ndim(ck):
+                    ck = np.where(at, ck, 1)  # a nonzero divisor everywhere
+                if k <= 2:
+                    # roots num / den: rhs / c_1, or (-b +- root) / (2 c_2) with
+                    # the discriminant's exact root (count 1 double, 2 simple)
+                    if k == 1:
+                        parts = [(rhs, ck, at)]
+                    else:
+                        b = arrays[1]
+                        cnt, root = _np_kth_roots(b * b + 4 * rhs * ck, 2,
+                                                  isqrt(INT64_LIMIT))
+                        parts = ((-b + sign * root, 2 * ck, _and(at, square))
+                                 for sign, square in ((1, cnt >= 1),
+                                                      (-1, cnt == 2)))
+                    for num, den, good in parts:
+                        # divisibility first, on floor(num / den) * den in place,
+                        # freed at once for the next chunk's to reuse unfaulted;
+                        # q and |q| <= B only where it equals num
+                        prod = num // den
+                        prod *= den
+                        cells = _cells(shape, _and(good, prod == num))
+                        del prod
+                        q = _pick(num, cells, shape) // _pick(den, cells, shape)
+                        near = np.abs(q) <= B
+                        cells, q = cells[near], q[near]
+                        hits.add_solved(prefix, *_coords(axes, shape, cells), q)
                 else:
-                    b = arrays[1]
-                    cnt, root = _np_kth_roots(b * b + 4 * rhs * ck, 2,
-                                              isqrt(INT64_LIMIT))
-                    parts = ((-b + sign * root, 2 * ck, _and(at, square))
-                             for sign, square in ((1, cnt >= 1),
-                                                  (-1, cnt == 2)))
-                for num, den, good in parts:
-                    # divisibility first, on floor(num / den) * den in place,
-                    # freed at once for the next chunk's to reuse unfaulted;
-                    # q and |q| <= B only where it equals num
-                    prod = num // den
-                    prod *= den
-                    cells = _cells(shape, _and(good, prod == num))
-                    del prod
-                    q = _pick(num, cells, shape) // _pick(den, cells, shape)
-                    near = np.abs(q) <= B
-                    cells, q = cells[near], q[near]
-                    hits.add_solved(prefix, *_coords(axes, shape, cells), q)
-            else:
-                # pure powers c_k t^k = rhs in closed form
-                pure = at
-                for j in range(1, k):
-                    pure = _and(pure, arrays[j] == 0)
-                if pure.any():
-                    cnt, root = _np_kth_roots(rhs, k, B, ck)
-                    for sign, got in ((1, cnt >= 1), (-1, cnt == 2)):
-                        cells = _cells(shape, _and(pure, got))
-                        hits.add_solved(prefix, *_coords(axes, shape, cells),
-                                        sign * _pick(root, cells, shape))
-                rest = _and(at, ~pure)
-                if rest.any():
-                    # scan t over the axis: sum_j c_j t^j - rhs by Horner
-                    # on a cells x axis array, a part at a time
-                    cells = _cells(shape, rest)
-                    cs = [_pick(a, cells, shape) for a in arrays[:k + 1]]
-                    axis = np.arange(-B, B + 1, dtype=rhs.dtype)
-                    for lo in range(0, len(cells), scan_rows):
-                        part = slice(lo, lo + scan_rows)
-                        val = cs[k][part, None] * axis
-                        for j in range(k - 1, 0, -1):
-                            val += cs[j][part, None]
-                            val *= axis
-                        val -= cs[0][part, None]
-                        i, t = np.divmod(np.flatnonzero(val == 0), len(axis))
-                        hits.add_solved(prefix,
-                                        *_coords(axes, shape, cells[part][i]),
-                                        axis[t])
-        zero = _and(open_, rhs == 0)  # a zero residual leaves t free
-        if zero.any():
-            hits.add_full_range(prefix,
-                                *_coords(axes, shape, _cells(shape, zero)))
+                    # pure powers c_k t^k = rhs in closed form
+                    pure = at
+                    for j in range(1, k):
+                        pure = _and(pure, arrays[j] == 0)
+                    if pure.any():
+                        cnt, root = _np_kth_roots(rhs, k, B, ck)
+                        for sign, got in ((1, cnt >= 1), (-1, cnt == 2)):
+                            cells = _cells(shape, _and(pure, got))
+                            hits.add_solved(prefix, *_coords(axes, shape, cells),
+                                            sign * _pick(root, cells, shape))
+                    rest = _and(at, ~pure)
+                    if rest.any():
+                        # scan t over the axis: sum_j c_j t^j - rhs by Horner
+                        # on a cells x axis array, a part at a time
+                        cells = _cells(shape, rest)
+                        cs = [_pick(a, cells, shape) for a in arrays[:k + 1]]
+                        axis = np.arange(-B, B + 1, dtype=rhs.dtype)
+                        for lo in range(0, len(cells), scan_rows):
+                            part = slice(lo, lo + scan_rows)
+                            val = cs[k][part, None] * axis
+                            for j in range(k - 1, 0, -1):
+                                val += cs[j][part, None]
+                                val *= axis
+                            val -= cs[0][part, None]
+                            i, t = np.divmod(np.flatnonzero(val == 0), len(axis))
+                            hits.add_solved(prefix,
+                                            *_coords(axes, shape, cells[part][i]),
+                                            axis[t])
+            zero = _and(open_, rhs == 0)  # a zero residual leaves t free
+            if zero.any():
+                hits.add_full_range(prefix,
+                                    *_coords(axes, shape, _cells(shape, zero)))
+    finally:
+        np.setbufsize(old)
 
 
 # ---------------------------------------------------------------------

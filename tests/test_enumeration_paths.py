@@ -11,7 +11,8 @@ import pytest
 import ratpoints.enumeration as en
 from oracles import (brute_affine, brute_projective, brute_projective_points,
                      brute_variety_points)
-from ratpoints.enumeration import (_and, _cells, _coords, _pick, count_affine,
+from ratpoints.enumeration import (ResidueFilter, _and, _cells, _coords, _pick,
+                                   count_affine, count_affine_surface,
                                    count_projective)
 from ratpoints.poly import IntPoly, monomials_of_degree, parse_poly
 
@@ -848,3 +849,204 @@ def test_split_guard_sits_at_its_limit(splits):
         n, pts = count_projective(F, B, collect=True)
         assert bool(splits) is split
         assert (n, pts) == (len(pts), brute_projective_points(F, B))
+
+
+def fold_forms():
+    """(text, num_vars, B): forms with a free variable of even exponent in
+    every term, in each role it can take.  The last variable is solved for;
+    of the others, in four variables x0 is the loop prefix, x1 the tile rows
+    and x2 the tile columns, and in three x0 is the rows and x1 the
+    columns.  x0 of a form is the half box x0 >= 1 of count_projective, so
+    it folds only in count_affine and count_affine_surface."""
+    return [
+        ("x0*x2 - x1^2", 3, 6),  # columns
+        ("x0^2 + x1^2 - x2^2", 3, 6),  # rows and columns
+        ("x0*x3 - x1^2 + x2*x3", 4, 3),  # rows
+        ("x0*x3 + x1*x3 - x2^2", 4, 3),  # columns
+        ("x0^2 - x1*x3 + x2*x3", 4, 3),  # the loop prefix
+        ("x0*x4 - x1^2 + x2*x3", 5, 2),  # prefix, beside x0 of the half box
+        ("x0^2 + x1^2 + x2^2 - x3^2", 4, 3),  # three even variables
+        ("x1^2*x2^2 + x0^3*x3 - x3^4", 4, 3),  # two, of degree 4
+        ("x0^3 + x1^2*x3 - x3^3", 4, 3),  # x2, absent, folds too
+        ("x1^2 + x0*x3 - x3^2 + x2^2", 4, 3),  # quadratic residuals
+        ("x3^3 + x0*x3^2 + x1^2*x3 - x2^2*x0", 4, 3),  # scanned residuals
+        ("x0*x2 - x1^2", 4, 3),  # x3 free, absent from the form
+        # an even last variable is solved, never folded
+        ("x0*x1 - x2^2", 3, 6), ("x0^2 - x1^2", 2, 8),
+        # x2 does not fold: the slice x2 = 0 no longer involves x3, and
+        # the slice's solved variable would be x1, folded or not
+        ("x0 + x1^2 + x2^2*x3", 4, 3), ("x0 + x2^2 + x1^2*x3", 4, 3),
+    ]
+
+
+@pytest.fixture
+def boxes(monkeypatch):
+    """The (num_vars, lows, B) of every _solve_box call, in call order."""
+    calls = []
+
+    def call(f, B, lows, hits, _real=en._solve_box):
+        calls.append((f.num_vars, lows, B))
+        return _real(f, B, lows, hits)
+    monkeypatch.setattr(en, "_solve_box", call)
+    return calls
+
+
+def brute_zeros(F, B):
+    """Integer zeros of F in [-B, B]^n, lexicographic, and their height
+    histogram."""
+    pts = [t for t in itertools.product(range(-B, B + 1), repeat=F.num_vars)
+           if F.evaluate(t) == 0]
+    hist = [0] * (B + 1)
+    for t in pts:
+        hist[max(map(abs, t), default=0)] += 1
+    return pts, hist
+
+
+def test_folded_counts_match_oracles_and_the_big_int_path(monkeypatch, boxes):
+    # counting and collecting, with height histograms, at B = 0, 1 and a
+    # larger B, on the numpy kernel and on the forced big-int path
+    monkeypatch.setattr(en, "_split_halves", lambda f, B: None)
+    folds = []
+
+    def mirror(hits, j=None, _real=en._Hits.mirror):
+        folds.append(j)
+        return _real(hits, j)
+    monkeypatch.setattr(en._Hits, "mirror", mirror)
+    folded = set()
+    for text, nv, B in fold_forms():
+        F = parse_poly(text, num_vars=nv)
+        for b in (0, 1, B):
+            boxes.clear()
+            folds.clear()
+            pts, hist = brute_zeros(F, b)
+            got = count_affine(F, b, collect=True, by_height=True)
+            assert got == (len(pts), pts, hist), (text, b)
+            if any(j is not None for j in folds):
+                folded.add(text)
+            assert count_affine(F, b, by_height=True) == (len(pts), hist)
+            assert forced_scalar(count_affine, F, b, by_height=True) == got
+            if b and F.is_homogeneous():
+                want = brute_projective_points(F, b)
+                got = count_projective(F, b, collect=True)
+                assert got == (len(want), want), (text, b)
+                assert count_projective(F, b) == len(want)
+                assert forced_scalar(count_projective, F, b) == got
+            # the variable solved for always spans the box
+            assert all(n == 1 or lows[-1] == -B_ for n, lows, B_ in boxes)
+    # every form but the one with no even free variable folds in the
+    # affine count, from B = 1 on
+    assert folded == {text for text, _, _ in fold_forms()} - {"x0*x1 - x2^2"}
+
+
+def test_folded_affine_surface_matches_a_scan(monkeypatch):
+    # the chart x0 = 1 moves x1, x2, x3 to the affine x0, x1, x2: x0 folds
+    # there too; with filters, counting and collecting
+    filters = [ResidueFilter(3, (1, 0, 2)), ResidueFilter(5, (4, 0, 0))]
+    counted = []
+    for text, nv, B in fold_forms():
+        F = parse_poly(text, num_vars=nv)
+        if nv != 4 or not F.is_homogeneous():
+            continue
+        for flt in ([], filters[:1], filters):
+            want = [(1,) + t for t in itertools.product(range(-B, B + 1),
+                                                        repeat=3)
+                    if F.evaluate((1,) + t) == 0
+                    and all(x % f.p == r for f in flt
+                            for x, r in zip(t, f.residues))]
+            hist = [0] * (B + 1)
+            for t in want:
+                hist[max(map(abs, t[1:]))] += 1
+            got = count_affine_surface(F, B, flt, collect=True,
+                                       by_height=True)
+            assert got == (len(want), want, hist), (text, flt)
+            assert count_affine_surface(F, B, flt, collect=False,
+                                        by_height=True) == (len(want), hist)
+            assert forced_scalar(count_affine_surface, F, B, flt,
+                                 by_height=True) == got
+            counted.append(len(want))
+    assert len(counted) == 27 and min(counted[::3]) > 0
+
+
+def test_folds_on_ragged_tiles(monkeypatch):
+    # chunks two folded rows high (one row where the rows span the box);
+    # B and B - 1 end the rows 1..B in a one-row chunk at one of them
+    monkeypatch.setattr(en, "_split_halves", lambda f, B: None)
+    for text, nv, B in fold_forms():
+        F = parse_poly(text, num_vars=nv)
+        for b in (B, B - 1):
+            monkeypatch.setattr(en, "TILE_CELLS", 2 * b if nv >= 3 else 2)
+            monkeypatch.setattr(en, "SCAN_CELLS", 2 * (2 * b + 1))
+            pts, hist = brute_zeros(F, b)
+            assert count_affine(F, b, collect=True, by_height=True) == (
+                len(pts), pts, hist), (text, b)
+            if F.is_homogeneous():
+                want = brute_projective_points(F, b)
+                assert count_projective(F, b, collect=True) == (
+                    len(want), want), (text, b)
+
+
+def test_conic_tiles_start_at_x1_one(monkeypatch):
+    # x1 of x0*x2 - x1^2 is even, so its tiles hold x0 >= 1 and x1 >= 1
+    # only, B cells a row; x1 = 0 is a slice of one free variable
+    tiles = []
+    real = en._eval_on_tile
+
+    def spy(c, prefix, grids):
+        if len(grids) == 2:
+            tiles.append((grids[0].ravel().tolist(), grids[1].ravel().tolist()))
+        return real(c, prefix, grids)
+    monkeypatch.setattr(en, "_eval_on_tile", spy)
+    B = 24
+    conic = parse_poly("x0*x2 - x1^2")
+    assert count_projective(conic, B) == brute_projective(conic, B)
+    assert tiles and all(rows[0] >= 1 and cols == list(range(1, B + 1))
+                         for rows, cols in tiles)
+    assert sorted({x for rows, _ in tiles for x in rows}) == list(
+        range(1, B + 1))
+
+
+def test_kernel_buffer_is_scoped_to_the_chunk_loop():
+    # the kernel's ufunc buffer holds in the loop and is restored when it
+    # returns or raises
+    conic = parse_poly("x0*x2 - x1^2")
+    coeffs = en._last_var_coefficients(conic)
+    before = np.getbufsize()
+    inside = []
+
+    def chunks(fail):
+        for chunk in en._tiles((1, -5), 5, np.int32):
+            inside.append(np.getbufsize())
+            yield chunk
+        if fail:
+            raise RuntimeError("chunk source failed")
+    hits = en._Hits(False, 5)
+    en._solve_tiles(coeffs, 5, chunks(False), hits)
+    assert np.getbufsize() == before
+    with pytest.raises(RuntimeError, match="chunk source"):
+        en._solve_tiles(coeffs, 5, chunks(True), en._Hits(False, 5))
+    assert np.getbufsize() == before
+    assert inside and set(inside) == {en.KERNEL_BUFFER} != {before}
+
+
+def test_large_primes_invert_in_one_step():
+    # keep_primitive against one slice step per prime, for every B up to
+    # 400: B = p^2 - 1 leaves p to the indexed step, B = p^2 to the slices
+    def per_prime(h, B):
+        h = h.copy()
+        for p in range(2, B + 1):
+            if all(p % d for d in range(2, math.isqrt(p) + 1)):
+                h[p::p] -= h[1:B // p + 1].copy()
+        h[0] = 0
+        return h
+    rng = np.random.default_rng(8)
+    bounds = range(0, 401)
+    assert {48, 49, 120, 121, 35, 143, 391} <= set(bounds)  # p^2 - 1, p^2, pq
+    for B in bounds:
+        hits = en._Hits(False, B)
+        z = rng.integers(0, 1000, size=B + 1)
+        hits._hist += z
+        hits.keep_primitive()
+        assert hits.hist.tolist() == per_prime(z, B).tolist(), B
+    small, targets, sources = en._moebius_steps(400)
+    assert max(small) == 19 and len(set(targets.tolist())) == len(targets)
+    assert not targets.flags.writeable

@@ -119,6 +119,18 @@ def test_cli_fit_rejects_a_series_without_its_header(tmp_path, text):
         f"'B,count', not {first!r}"]
 
 
+@pytest.mark.parametrize("row", ["10,10,3", "abc,3", "7"])
+def test_cli_fit_names_a_malformed_row(tmp_path, row):
+    # a row that is not two integers is named by its line and text, in one
+    # line, rather than by Python's unpacking or int() message
+    series = tmp_path / "s.csv"
+    series.write_text(f"B,count\n10,10\n\n{row}\n1000,1000\n")
+    r = run_cli("fit", "--series", str(series), "--target", "1.0")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"ratpoints: error: line 4 of the series CSV is not 'B,count': {row!r}"]
+
+
 def test_cli_count_writes_outputs(tmp_path):
     out = tmp_path / "out"
     r = run_cli("count", "--variety", "x0*x2 - x1^2", "--function", "N",
