@@ -38,6 +38,19 @@ def _read_poly_arg(text: str) -> str:
     return text
 
 
+def _ints(option, form, value, text=None, size=None):
+    """The comma-separated integers of text, a part of the value of option
+    (the whole value when text is None), size of them when size is given;
+    a malformed value is reported by its option and the form it takes."""
+    try:
+        ints = [int(v) for v in (value if text is None else text).split(",")]
+    except ValueError:
+        ints = None
+    if ints is None or size not in (None, len(ints)):
+        raise ValueError(f"{option} takes {form}, not {value!r}")
+    return ints
+
+
 def _emit(obj, out=None):
     sys.stdout.write(render_json(obj, out))
 
@@ -109,6 +122,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"ratpoints: error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:  # numpy's names the array it could not make
+        detail = f": {err}" if str(err) else ""
+        print(f"ratpoints: error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 def _cmd_count(args) -> int:
@@ -118,14 +135,14 @@ def _cmd_count(args) -> int:
     grid_count = 5
     if args.grid:
         kind, _, num = args.grid.partition(":")
-        if kind != "geometric":
-            raise ValueError(f"unsupported grid {args.grid!r}")
-        grid_count = int(num or 5)
+        # a kind other than geometric reads as a count that is no integer
+        [grid_count] = _ints("--grid", "geometric:k", args.grid,
+                             num or "5" if kind == "geometric" else "", 1)
     filters = []
     for spec in args.filter:
         p, _, rest = spec.partition(":")
-        residues = tuple(int(r) for r in rest.split(","))
-        filters.append((int(p), residues))
+        [p] = _ints("--filter", "p:r1,r2,r3", spec, p, 1)
+        filters.append((p, tuple(_ints("--filter", "p:r1,r2,r3", spec, rest))))
     config = ExperimentConfig(
         poly=_read_poly_arg(args.variety),
         function=args.function,
@@ -159,7 +176,7 @@ def _cmd_slice(args) -> int:
 def _cmd_conic(args) -> int:
     if args.bound < 0:
         raise ValueError(f"--bound must be >= 0, got {args.bound}")
-    plane = tuple(int(v) for v in args.plane.split(","))
+    plane = tuple(_ints("--plane", "a0,a1,a2,a3", args.plane))
     Q = parse_poly(_read_poly_arg(args.quadric))
     data = plane_eliminate(plane, Q)
     out = {
@@ -212,7 +229,7 @@ def _cmd_project(args) -> int:
     gens = [parse_poly(g, num_vars=4) for g in _read_poly_arg(args.gens).split(";")]
     center = None
     if args.center:  # checked before the enumeration, which may be long
-        center = tuple(int(v) for v in args.center.split(","))
+        center = tuple(_ints("--center", "c0,c1,...", args.center))
         if len(center) != gens[0].num_vars:
             raise ValueError(f"--center needs {gens[0].num_vars} coordinates, "
                              f"got {len(center)}")

@@ -28,17 +28,17 @@ height histogram gives the primitive ones, and collected points are kept
 by their gcd in the same step.
 
 Signs are folded, as by Heath-Brown, Lioen and te Riele: the height does
-not change with the sign of a coordinate.  Projective zeros are solved on
-half the box: every caller passes a form, or a sum of squares of forms,
-so x is a zero exactly when -x is, and N(F; B) is twice the primitive
-zeros with 1 <= x0 <= B, inverted before the mirror, plus
-N(F(0, x1, ..., xn); B), found by recursion.  A free variable x_j whose
-exponent is even in every term folds alone, for affine zeros too: the
-zeros with x_j = -t are those with x_j = t, so the box is solved with
-1 <= x_j <= B, mirrored in x_j, and joined by the slice x_j = 0.  The
-conic x0 x2 = x1^2 is thus tiled on x0, x1 >= 1.  Each free coordinate
-(the outer loop's, the tile's rows and columns, the scalar prefixes')
-starts at -B or at 1.
+not change with the sign of a coordinate.  One rule folds a variable x_j
+of range [-B, B]: the zeros with 1 <= x_j <= B are solved and mirrored,
+and the slice x_j = 0 is solved by recursion.  On the whole box, a form
+of one degree parity (every projective caller passes a form, or a sum of
+squares of forms) has -x as a zero with x, so x0 folds under x -> -x, in
+affine counts too; otherwise x_j folds alone under x_j -> -x_j when its
+exponent is even in every term.  The conic x0 x2 = x1^2 is thus tiled on
+x0, x1 >= 1.  Free coordinates (the outer loop's, the tile's rows and
+columns, the scalar prefixes') start at -B or at 1, and the solved one
+spans [-B, B].  The pieces partition the box, so projective zeros are
+inverted once, on the whole box's histogram.
 
 A quaternary form that splits as G(x0, xi) - H(xj, xk), every term inside
 one of the two pairs, takes a third path instead, after D. J. Bernstein,
@@ -46,8 +46,8 @@ one of the two pairs, takes a third path instead, after D. J. Bernstein,
 its zeros are the pairs of points of [-B, B]^2 with G = H, counted off
 one sorted array of both sides' keys in O(B^2 log B) rather than the
 kernel's O(B^3) cells.  The join covers the whole box at once, so it
-needs no mirror, fold or slice, and inverts once.  It runs when
-its int64 keys provably fit, and every other form takes the paths above.
+needs no mirror, fold or slice.  It runs when its int64 keys provably
+fit, and every other form takes the paths above.
 
 The numpy kernel runs with a ufunc buffer of 1024 elements rather than
 numpy's 8192: a buffer that holds three tile rows joins them in one inner
@@ -105,6 +105,9 @@ class CountSeries:
         bs = [b for b, _ in self.entries]
         if bs != sorted(set(bs)):
             raise ValueError("bounds must be strictly increasing")
+        low = [b for b in bs if b < 1]
+        if low:  # the fit takes log B
+            raise ValueError(f"bounds must be >= 1, got {low}")
         counts = [c for _, c in self.entries]
         if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
@@ -222,21 +225,16 @@ class _Hits:
         self._hist = np.zeros(B + 1, dtype=np.int64)
         self._full = []  # heights of the full-range prefixes
         self._blocks = []  # collected zeros, (num_vars, n) arrays
-        self._scalar = []  # collected zeros found one at a time, as tuples
 
     def _settle(self):
         """Fold in what is pending: a full-range prefix of height h has
         2h + 1 completions of height h and 2 of each height k > h, and the
-        collected zeros, those found one at a time included, merge into one
-        block."""
+        collected zeros merge into one block."""
         if self._full:
             n = np.bincount(np.concatenate(self._full), minlength=self.B + 1)
             self._hist += n * np.arange(1, 2 * self.B + 2, 2)
             self._hist += 2 * (np.cumsum(n) - n)
             self._full.clear()
-        if self._scalar:
-            self._blocks.append(np.array(self._scalar, dtype=np.int64).T)
-            self._scalar.clear()
         if len(self._blocks) > 1:
             self._blocks = [np.concatenate(self._blocks, axis=1)]
 
@@ -307,12 +305,6 @@ class _Hits:
             self._hist = np.bincount(np.abs(cols).max(axis=0, initial=0),
                                      minlength=self.B + 1)
 
-    def add_scalar(self, prefix, v):
-        point = prefix + (v,)
-        self._hist[max(map(abs, point))] += 1
-        if self.collect:
-            self._scalar.append(point)
-
     def _add_block(self, loop_prefix, cols):
         """Collect loop_prefix + row over the rows of cols, as int64."""
         n = len(cols[0])
@@ -380,32 +372,22 @@ def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
     """Count (and optionally list) integer zeros of f in the box |x| <= B,
     the primitive ones only if projective.
 
-    Projective zeros come from half the box.  All term degrees of f share
-    one parity, so f(-x) = +-f(x) and the primitive zeros with x0 != 0 are
-    twice those with 1 <= x0 <= B, which keep_primitive selects from all
-    the zeros there; the rest are the primitive zeros of the slice
-    f(0, x1, ..., xn), found by recursion.  In one variable only x0 = +-1
-    is primitive, a zero exactly when f vanishes identically.  A separable
-    quaternary form takes the sorted join on the whole box instead.
+    A separable quaternary form takes the sorted join, any other f
+    ``_solve_box`` on the whole box; then keep_primitive inverts all the
+    zeros at once when projective, which needs the term degrees of f to
+    share one parity, so that x and -x are zeros together.
     """
     hits = _Hits(collect, B)
-    if not projective:
-        _solve_box(f, B, (-B,) * f.num_vars, hits)
-        return hits
-    if len({sum(e) % 2 for e in f.terms}) > 1:
+    if projective and len({sum(e) % 2 for e in f.terms}) > 1:
         raise ValueError("projective zeros need term degrees of one parity, "
                          "so that x and -x are zeros together")
-    split = _split_halves(f, B)
+    split = _split_halves(f, B) if projective else None
     if split is not None:
         _solve_split(*split, B, hits)
+    else:
+        _solve_box(f, B, (-B,) * f.num_vars, hits)
+    if projective:
         hits.keep_primitive()
-        return hits
-    _solve_box(f, B, (1,) + (-B,) * (f.num_vars - 1), hits)
-    hits.keep_primitive()
-    hits.mirror()
-    if f.num_vars > 1:
-        sub = _solve_zeros(f.substitute_value(0, 0), B, True, collect)
-        hits.add_slice(sub, 0)
     return hits
 
 
@@ -489,27 +471,20 @@ def _solve_split(order, G, H, B: int, hits):
 
 def _solve_box(f: IntPoly, B: int, lows, hits):
     """Add the zeros of f with lows[i] <= x_i <= B for every i to hits,
-    which holds none yet.  Each low is -B, or 1 for a half box; only a
-    free variable, or the one variable of f, starts at 1.
+    which holds none yet.  Each low is -B, or 1 for a half box; the last
+    variable, the one solved for, always starts at -B.
 
-    A free variable x_j of range [-B, B] whose exponent is even in every
-    term is folded before a solver is chosen: the zeros with 1 <= x_j <= B
-    are mirrored in x_j, and the slice x_j = 0 is solved by recursion, as
-    are further even variables.  x_j is not folded when its slice drops the
-    last variable, whose solver would then take an earlier variable, which
-    may start at 1.
+    One variable of range [-B, B] is folded first, by the module's rule: on
+    the whole box, x0 under x -> -x when the term degrees of f share one
+    parity, else x_j alone when its exponent is even in every term and its
+    slice keeps the last variable (the slice's solver would else take an
+    earlier variable, which may start at 1).
     """
     nv = f.num_vars
-    if nv == 1:
-        coeffs = [f.terms.get((j,), 0) for j in range(max(f.degree, 0) + 1)]
-        deg = uniroots.degree(coeffs)
-        roots = (range(lows[0], B + 1) if deg == -1 else [] if deg == 0 else
-                 [r for r in uniroots.integer_roots_in_box(coeffs, B)
-                  if r >= lows[0]])
-        hits.add_solved((), np.array(roots, dtype=np.int64))
-        return
-
     coeffs = _last_var_coefficients(f)
+    if nv == 1:
+        _solve_scalar(coeffs, [()], B, hits)
+        return
     if len(coeffs) == 1:
         # f does not involve its last variable: solve the smaller problem
         # and let that variable range over the full box
@@ -517,11 +492,13 @@ def _solve_box(f: IntPoly, B: int, lows, hits):
         _solve_box(coeffs[0], B, lows[:-1], sub)
         hits.add_free_last(sub)
         return
+    whole = set(lows) == {-B} and len({sum(e) % 2 for e in f.terms}) == 1
     for j in range(nv - 1):
-        if (lows[j] == -B < 0 and all(e[j] % 2 == 0 for e in f.terms)
-                and any(e[-1] and not e[j] for e in f.terms)):
+        if lows[j] == -B < 0 and (whole or (
+                all(e[j] % 2 == 0 for e in f.terms)
+                and any(e[-1] and not e[j] for e in f.terms))):
             _solve_box(f, B, lows[:j] + (1,) + lows[j + 1:], hits)
-            hits.mirror(j)
+            hits.mirror(None if whole else j)
             sub = _Hits(hits.collect, B)
             _solve_box(f.substitute_value(j, 0), B, lows[:j] + lows[j + 1:],
                        sub)
@@ -565,22 +542,24 @@ def _iter_loop(lows, B: int):
     return itertools.product(*(range(low, B + 1) for low in lows))
 
 
-def _solve_residual(residual, prefix, B, hits):
-    """Solve the last variable once all the others are fixed to prefix."""
-    if uniroots.degree(residual) < 1:
-        if uniroots.degree(residual) == -1:
-            hits.add_full_range(prefix)
-        return
-    for r in uniroots.integer_roots_in_box(residual, B):
-        hits.add_scalar(prefix, r)
-
-
 def _solve_scalar(coeffs, prefixes, B, hits):
     """Big-int loop over prefixes, tuples of values of the free variables:
     the exact reference, and the path past the kernel's guard for the
-    box and for a variety's prefix cells alike."""
+    box and for a variety's prefix cells alike.  The roots of each residual
+    and the prefixes whose residual vanishes are gathered and added once."""
+    roots, free = [], []
     for prefix in prefixes:
-        _solve_residual([c.evaluate(prefix) for c in coeffs], prefix, B, hits)
+        residual = [c.evaluate(prefix) for c in coeffs]
+        if uniroots.degree(residual) == -1:
+            free.append(prefix)
+        elif uniroots.degree(residual) > 0:
+            roots += [prefix + (r,)
+                      for r in uniroots.integer_roots_in_box(residual, B)]
+    n = coeffs[0].num_vars
+    hits.add_solved((), *np.array(roots, dtype=np.int64).reshape(-1, n + 1).T)
+    if free:
+        hits.add_full_range((), *np.array(free, dtype=np.int64).reshape(
+            len(free), n).T)
 
 
 def _eval_on_tile(c: IntPoly, prefix, grids):

@@ -419,16 +419,21 @@ def test_enumerate_variety_solves_only_projected_prefixes(monkeypatch):
         return slices(coords, dtype)
 
     solved = []
-    solve = enumeration._solve_residual
+    solve = enumeration._solve_scalar
 
-    def residual_spy(residual, prefix, bound, hits):
-        solved.append(prefix)
-        # fail at once rather than walk the box
-        assert len(solved) < 30 * bound
-        solve(residual, prefix, bound, hits)
+    def scalar_spy(coeffs, prefixes, bound, hits):
+        def spied():
+            for prefix in prefixes:
+                solved.append(prefix)
+                # fail at once rather than walk the box
+                assert len(solved) < 30 * bound
+                yield prefix
+        # the prefixes of S, not of the generator free of x3
+        solve(coeffs, spied() if coeffs[0].num_vars == 3 else prefixes,
+              bound, hits)
 
     monkeypatch.setattr(enumeration, "_cell_slices", cell_spy)
-    monkeypatch.setattr(enumeration, "_solve_residual", residual_spy)
+    monkeypatch.setattr(enumeration, "_solve_scalar", scalar_spy)
     for B, prefixes in ((200, cells), (1000, solved)):
         pts = enumerate_projective_variety(tc, B)
         assert prefixes

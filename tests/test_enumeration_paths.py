@@ -35,8 +35,8 @@ def test_keep_primitive_inverts_over_divisors():
                 [[rng.randint(-B, B) for _ in range(points)]
                  for _ in range(3)], dtype=np.int64).reshape(3, points))
             hits.add_full_range((rng.randint(-B, B), rng.randint(-B, B)))
-            hits.add_scalar((rng.randint(-B, B), rng.randint(-B, B)),
-                            rng.randint(-B, B))
+            hits.add_solved((rng.randint(-B, B), rng.randint(-B, B)),
+                            np.array([rng.randint(-B, B)]))
             hits._hist += np.array([rng.randint(0, 50) for _ in range(B + 1)])
             Z = hits.hist.tolist()
             want = sorted(p for p in hits.points if math.gcd(*p) == 1)
@@ -585,7 +585,7 @@ def test_linear_branch_edges_at_the_int32_boundary(monkeypatch):
 def taken(monkeypatch):
     """Names of the enumeration solvers called, in call order."""
     names = []
-    for name in ("_solve_tiles", "_solve_scalar", "_solve_residual"):
+    for name in ("_solve_tiles", "_solve_scalar"):
         def call(*args, _real=getattr(en, name), _name=name):
             names.append(_name)
             return _real(*args)
@@ -608,7 +608,7 @@ def test_int64_scan_switch_sits_at_the_value_bound(taken):
         assert bound == (en.INT64_LIMIT if C == at else en.INT64_LIMIT - B - 1)
         taken.clear()
         n = count_affine(f, B)
-        assert [name for name in taken if name != "_solve_residual"] == [path]
+        assert taken == [path]
         assert n == brute_affine(f, B)
         assert n == 3
 
@@ -617,9 +617,10 @@ def test_generic_cubic_is_scanned_on_the_tile(taken):
     # every residual of this cubic is a non-pure cubic in x3
     F = parse_poly("x0^3 + 2*x1^3 + 3*x2^2*x3 - x1*x2*x3 + x3^3")
     assert [count_projective(F, B) for B in (16, 32)] == [62, 122]
-    # per count: the half box x0 >= 1, then the slices x0 = 0 and
-    # x0 = x1 = 0; the last slice, x3^3, is solved without a tile
-    assert taken == ["_solve_tiles"] * 6
+    # per count: the half boxes x0 >= 1, x1 >= 1 of the slice x0 = 0 and
+    # x2 >= 1 of x0 = x1 = 0 on the tile; the last slice, x3^3, on the
+    # big-int loop
+    assert taken == (["_solve_tiles"] * 3 + ["_solve_scalar"]) * 2
 
 
 def random_form(rng, nv, degree, drop=()):
@@ -856,8 +857,9 @@ def fold_forms():
     every term, in each role it can take.  The last variable is solved for;
     of the others, in four variables x0 is the loop prefix, x1 the tile rows
     and x2 the tile columns, and in three x0 is the rows and x1 the
-    columns.  x0 of a form is the half box x0 >= 1 of count_projective, so
-    it folds only in count_affine and count_affine_surface."""
+    columns.  x0 of a form of one degree parity takes the half box
+    x0 >= 1 of the fold x -> -x instead, in count_affine as in
+    count_projective, so it folds alone only in forms of mixed parity."""
     return [
         ("x0*x2 - x1^2", 3, 6),  # columns
         ("x0^2 + x1^2 - x2^2", 3, 6),  # rows and columns
@@ -921,8 +923,7 @@ def test_folded_counts_match_oracles_and_the_big_int_path(monkeypatch, boxes):
             pts, hist = brute_zeros(F, b)
             got = count_affine(F, b, collect=True, by_height=True)
             assert got == (len(pts), pts, hist), (text, b)
-            if any(j is not None for j in folds):
-                folded.add(text)
+            folded |= {(text, j is None) for j in folds}
             assert count_affine(F, b, by_height=True) == (len(pts), hist)
             assert forced_scalar(count_affine, F, b, by_height=True) == got
             if b and F.is_homogeneous():
@@ -932,10 +933,33 @@ def test_folded_counts_match_oracles_and_the_big_int_path(monkeypatch, boxes):
                 assert count_projective(F, b) == len(want)
                 assert forced_scalar(count_projective, F, b) == got
             # the variable solved for always spans the box
-            assert all(n == 1 or lows[-1] == -B_ for n, lows, B_ in boxes)
-    # every form but the one with no even free variable folds in the
-    # affine count, from B = 1 on
-    assert folded == {text for text, _, _ in fold_forms()} - {"x0*x1 - x2^2"}
+            assert all(lows[-1] == -B_ for _, lows, B_ in boxes)
+    # every form folds in the affine count, from B = 1 on: under x -> -x
+    # where it or a slice of it has one degree parity, and in an even x_j
+    # alone elsewhere; three forms have no even variable but x0 of the half
+    # box, or none at all
+    forms = {text for text, _, _ in fold_forms()}
+    assert {text for text, whole in folded if whole} == forms
+    assert {text for text, whole in folded if not whole} == forms - {
+        "x0*x1 - x2^2", "x0^2 - x1^2", "x0^2 - x1*x3 + x2*x3"}
+
+
+def test_affine_forms_of_one_parity_fold_under_minus_x(boxes):
+    # M of forms of one degree parity takes the half box x0 >= 1, its
+    # mirror x -> -x and the slice x0 = 0, which is the zero polynomial for
+    # x0*x1; counting and collecting, on the kernel and the big-int path
+    for text in ("x0*x2 - x1^2", "x0*x1"):
+        F = parse_poly(text)
+        for B in (0, 1, 5):
+            boxes.clear()
+            pts, hist = brute_zeros(F, B)
+            got = count_affine(F, B, collect=True, by_height=True)
+            assert got == (len(pts), pts, hist), (text, B)
+            assert ((F.num_vars, (1,) + (-B,) * (F.num_vars - 1), B) in boxes
+                    ) is (B > 0), (text, B)
+            assert count_affine(F, B, by_height=True) == (len(pts), hist)
+            assert forced_scalar(count_affine, F, B, by_height=True) == got
+    assert boxes[-1] == (1, (-5,), 5)  # the slice x0 = 0 of x0*x1
 
 
 def test_folded_affine_surface_matches_a_scan(monkeypatch):

@@ -131,6 +131,33 @@ def test_cli_fit_names_a_malformed_row(tmp_path, row):
         f"ratpoints: error: line 4 of the series CSV is not 'B,count': {row!r}"]
 
 
+def test_cli_fit_names_bounds_below_one(tmp_path):
+    # log B is taken of every bound, so B = 0 is named rather than failing
+    # as a math domain error
+    series = tmp_path / "s.csv"
+    series.write_text("B,count\n-1,0\n0,1\n1,3\n2,5\n")
+    r = run_cli("fit", "--series", str(series))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "ratpoints: error: bounds must be >= 1, got [-1, 0]"]
+
+
+def test_cli_out_of_memory_is_one_line(monkeypatch, capsys):
+    # a box too large for the machine ends in one line and status 2, with
+    # numpy's message when it gives one; nothing is allocated here
+    for err, line in ((MemoryError(), "out of memory"),
+                      (MemoryError("Unable to allocate 7.28 PiB"),
+                       "out of memory: Unable to allocate 7.28 PiB")):
+        def fail(*args, **kwargs):
+            raise err
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert cli.main(["count", "--variety", "x0*x2 - x1^2",
+                         "--bmax", "10000000000000"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.splitlines() == [
+            f"ratpoints: error: {line}"]
+
+
 def test_cli_count_writes_outputs(tmp_path):
     out = tmp_path / "out"
     r = run_cli("count", "--variety", "x0*x2 - x1^2", "--function", "N",
@@ -239,6 +266,23 @@ FERMAT_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
      "below 3317044064679887385961981"),
     (["conic-param", "--plane", "0,0,0,0", "--quadric", "x0*x1 - x2^2"],
      "plane is the zero vector, which defines no plane"),
+    # malformed integer lists name their option and its form, not int()
+    (["count", "--variety", FERMAT_TEXT, "--function", "Naff", "--bmax", "8",
+      "--filter", "5"], "--filter takes p:r1,r2,r3, not '5'"),
+    (["count", "--variety", FERMAT_TEXT, "--function", "Naff", "--bmax", "8",
+      "--filter", "x:1,2,3"], "--filter takes p:r1,r2,r3, not 'x:1,2,3'"),
+    (["count", "--variety", FERMAT_TEXT, "--function", "Naff", "--bmax", "8",
+      "--filter", "5:1,,3"], "--filter takes p:r1,r2,r3, not '5:1,,3'"),
+    (["count", "--variety", FERMAT_TEXT, "--bmax", "8", "--grid",
+      "geometric:x"], "--grid takes geometric:k, not 'geometric:x'"),
+    (["count", "--variety", FERMAT_TEXT, "--bmax", "8", "--grid",
+      "geometric:3,4"], "--grid takes geometric:k, not 'geometric:3,4'"),
+    (["count", "--variety", FERMAT_TEXT, "--bmax", "8", "--grid",
+      "linear:3"], "--grid takes geometric:k, not 'linear:3'"),
+    (["conic-param", "--plane", "1,0,a,1", "--quadric", "x0*x1 - x2^2"],
+     "--plane takes a0,a1,a2,a3, not '1,0,a,1'"),
+    (["project", "--gens", "x0*x2 - x1^2", "--center", "1,,2"],
+     "--center takes c0,c1,..., not '1,,2'"),
 ])
 def test_cli_bad_numbers_are_one_line(capsys, argv, message):
     assert cli.main(argv) == 2
