@@ -138,6 +138,11 @@ def _cmd_count(args) -> int:
         # a kind other than geometric reads as a count that is no integer
         [grid_count] = _ints("--grid", "geometric:k", args.grid,
                              num or "5" if kind == "geometric" else "", 1)
+        if grid_count < 1:
+            raise ValueError(f"--grid takes geometric:k with k >= 1, "
+                             f"not {args.grid!r}")
+    if args.bmax < 1:
+        raise ValueError(f"--bmax takes B >= 1, not {args.bmax}")
     filters = []
     for spec in args.filter:
         p, _, rest = spec.partition(":")
@@ -378,7 +383,7 @@ def _cmd_fit(args) -> int:
                                      f"not 'B,count': {line.strip()!r}"
                                      ) from None
                 entries.append((b, c))
-    series = CountSeries(tag=args.series, entries=entries)
+    series = CountSeries(entries)
     _emit(fit_exponent(series, args.target, args.tol).record())
     return 0
 

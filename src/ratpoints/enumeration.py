@@ -18,9 +18,9 @@ them against each other and against full lattice scans.
 A variety of any codimension is enumerated on the same solvers: an
 integer point is a zero of every generator g_i exactly when it is a zero
 of the single polynomial sum g_i^2.  Generators free of the last variable
-are solved first, and the numpy kernel solves the last variable on their
-zeros, a cell list, under the box's guard (the big-int reference past
-it).  That keeps curves such as the twisted cubic at O(B^2) cells.
+are solved first, by the same rule, and the numpy kernel solves the last
+variable on their zeros, a cell list, under the box's guard (the big-int
+reference past it).  That keeps the twisted cubic at O(B^2) cells.
 
 The solvers count every zero, primitive or not.  The zeros of a form are
 a cone, each one d times a primitive zero, so Moebius inversion of the
@@ -40,14 +40,15 @@ columns, the scalar prefixes') start at -B or at 1, and the solved one
 spans [-B, B].  The pieces partition the box, so projective zeros are
 inverted once, on the whole box's histogram.
 
-A quaternary form that splits as G(x0, xi) - H(xj, xk), every term inside
-one of the two pairs, takes a third path instead, after D. J. Bernstein,
-"Enumerating solutions to p(a) + q(b) = r(c) + s(d)" (Math. Comp. 2001):
-its zeros are the pairs of points of [-B, B]^2 with G = H, counted off
-one sorted array of both sides' keys in O(B^2 log B) rather than the
-kernel's O(B^3) cells.  The join covers the whole box at once, so it
-needs no mirror, fold or slice.  It runs when its int64 keys provably
-fit, and every other form takes the paths above.
+A quaternary polynomial that splits as G(x0, xi) - H(xj, xk), every term
+inside one of the two pairs, takes a third path instead, after D. J.
+Bernstein, "Enumerating solutions to p(a) + q(b) = r(c) + s(d)" (Math.
+Comp. 2001): its zeros are the pairs of points of [-B, B]^2 with G = H,
+counted off one sorted array of both sides' keys in O(B^2 log B) rather
+than the kernel's O(B^3) cells.  The join covers the whole box at once,
+so it needs no mirror, fold or slice, and it serves affine and projective
+counts alike.  It runs when its int64 keys provably fit, and every other
+polynomial takes the paths above.
 
 The numpy kernel runs with a ufunc buffer of 1024 elements rather than
 numpy's 8192: a buffer that holds three tile rows joins them in one inner
@@ -56,9 +57,9 @@ fast path and runs about 9 times slower per cell.
 
 Solved points are tallied as a histogram of heights max |x_i| over
 0..B, so one enumeration at B gives the count at every b <= B as a prefix
-sum, and the harness samples a whole B-grid from one pass.  A prefix
-completed by every value of the last variable is noted by its height
-alone, spread over the histogram in one O(B) pass at the end.  Collected
+sum, and the harness samples a whole B-grid from one pass.  Prefixes
+completed by every value of the last variable have a histogram of their
+own, spread over the first in one O(B) pass at the end.  Collected
 coordinates stay in int64 arrays until the points are listed.
 
 Counts of projective zeros include x and -x separately; point lists are
@@ -98,7 +99,6 @@ KERNEL_BUFFER = 1 << 10  # numpy ufunc buffer elements in _solve_tiles
 class CountSeries:
     """A counting function sampled on an increasing grid of bounds."""
 
-    tag: str
     entries: list = field(default_factory=list)  # list of (B, count)
 
     def __post_init__(self):
@@ -223,18 +223,18 @@ class _Hits:
         self.collect = collect
         self.B = B
         self._hist = np.zeros(B + 1, dtype=np.int64)
-        self._full = []  # heights of the full-range prefixes
+        self._full = np.zeros(B + 1, dtype=np.int64)  # of full-range prefixes
         self._blocks = []  # collected zeros, (num_vars, n) arrays
 
     def _settle(self):
         """Fold in what is pending: a full-range prefix of height h has
         2h + 1 completions of height h and 2 of each height k > h, and the
         collected zeros merge into one block."""
-        if self._full:
-            n = np.bincount(np.concatenate(self._full), minlength=self.B + 1)
+        n = self._full
+        if n.any():
             self._hist += n * np.arange(1, 2 * self.B + 2, 2)
             self._hist += 2 * (np.cumsum(n) - n)
-            self._full.clear()
+            n[:] = 0
         if len(self._blocks) > 1:
             self._blocks = [np.concatenate(self._blocks, axis=1)]
 
@@ -265,9 +265,11 @@ class _Hits:
 
     def keep_primitive(self):
         """Keep only the primitive zeros, those of gcd 1.  The zeros held
-        must form a cone, each one d times a primitive zero of height h / d,
-        so that Z[h] = sum_{d | h} P[h / d]; Moebius inversion recovers P
-        from Z by the steps h[p j] -= h[j] for each prime p, which commute.
+        must form a cone, as the zeros of forms do (the entry points check
+        that their input is homogeneous): each is d times a primitive zero
+        of height h / d, so that Z[h] = sum_{d | h} P[h / d]; Moebius
+        inversion recovers P from Z by the steps h[p j] -= h[j] for each
+        prime p, which commute.
         The primes p <= sqrt(B) take one slice each.  The primes above take
         one indexed step together, which is exact: two of them multiply
         past B, so no source j <= B // p < p is the target of another, and
@@ -311,41 +313,40 @@ class _Hits:
         self._blocks.append(np.array([np.full(n, x) for x in loop_prefix]
                                      + list(cols), dtype=np.int64))
 
+    def _tally(self, hist, n, loop_prefix, cols):
+        """Add to hist the heights of the n rows loop_prefix + row of
+        cols."""
+        height = np.full(n, max(map(abs, loop_prefix), default=0),
+                         dtype=np.int64)
+        for col in cols:
+            np.maximum(height, np.abs(col), out=height)
+        hist += np.bincount(height, minlength=self.B + 1)
+
     def add_full_range(self, loop_prefix, *cols):
         """Every v in [-B, B] completes each prefix loop_prefix + row, for
         the rows of the equal-length integer arrays cols (loop_prefix alone
         without them)."""
         n = len(cols[0]) if cols else 1
-        height = np.full(n, max(map(abs, loop_prefix), default=0),
-                         dtype=np.int64)
-        for col in cols:
-            np.maximum(height, np.abs(col), out=height)
-        self._full.append(height)
+        self._tally(self._full, n, loop_prefix, cols)
         if self.collect:
             width = 2 * self.B + 1
             self._add_block(loop_prefix, [np.repeat(c, width) for c in cols]
                             + [np.tile(np.arange(-self.B, self.B + 1), n)])
 
     def add_free_last(self, sub):
-        """A free last variable on every point of sub: with S(k) of them of
-        height <= k, (2k + 1) * S(k) points of height <= k."""
-        if sub.collect:
-            block = sub.block
-            if block is not None:
-                self.add_full_range((), *block)
-            return
-        upto = np.cumsum(sub.hist) * np.arange(1, 2 * self.B + 2, 2)
-        self._hist += np.diff(upto, prepend=0)
+        """A free last variable on every point of sub: each is a prefix
+        that every v in [-B, B] completes."""
+        if not sub.collect:
+            self._full += sub.hist
+        elif (block := sub.block) is not None:
+            self.add_full_range((), *block)
 
     def add_solved(self, loop_prefix, *cols):
         """cols: equal-length integer arrays, one per solved trailing
         coordinate, each row one point."""
         if len(cols[0]) == 0:
             return
-        height = np.full(len(cols[0]), max(map(abs, loop_prefix), default=0))
-        for col in cols:
-            np.maximum(height, np.abs(col), out=height)
-        self._hist += np.bincount(height, minlength=self.B + 1)
+        self._tally(self._hist, len(cols[0]), loop_prefix, cols)
         if self.collect:
             self._add_block(loop_prefix, cols)
 
@@ -368,35 +369,50 @@ class _Hits:
             self._blocks.append(image)
 
 
-def _solve_zeros(f: IntPoly, B: int, projective: bool, collect: bool):
-    """Count (and optionally list) integer zeros of f in the box |x| <= B,
-    the primitive ones only if projective.
+def _solve_zeros(gens, B: int, collect: bool):
+    """The common integer zeros of the polynomials gens, primitive or not,
+    in the box |x| <= B, as a _Hits that lists them with ``collect``: the
+    zeros of S = sum g_i^2 (of g itself when there is one).
 
-    A separable quaternary form takes the sorted join, any other f
-    ``_solve_box`` on the whole box; then keep_primitive inverts all the
-    zeros at once when projective, which needs the term degrees of f to
-    share one parity, so that x and -x are zeros together.
+    When some generators, but not all, are free of the last variable, this
+    solver finds their common zeros first, and S is solved for the last
+    variable on those cells alone.  Otherwise S takes the separable join
+    when it splits, and ``_solve_box`` on the whole box when it does not.
     """
     hits = _Hits(collect, B)
-    if projective and len({sum(e) % 2 for e in f.terms}) > 1:
-        raise ValueError("projective zeros need term degrees of one parity, "
-                         "so that x and -x are zeros together")
-    split = _split_halves(f, B) if projective else None
-    if split is not None:
+    S = _sum_of_squares(gens)
+    inner = [c[0] for c in map(_last_var_coefficients, gens) if len(c) == 1]
+    if S.num_vars > 1 and 0 < len(inner) < len(gens):
+        cells = _solve_zeros(inner, B, True).block
+        if cells is None:  # the inner generators have no common zero
+            return hits
+        coeffs = _last_var_coefficients(S)
+        if dtype := _kernel_dtype(S, coeffs, B):
+            _solve_tiles(coeffs, B, _cell_slices(cells, dtype), hits)
+        else:
+            _solve_scalar(coeffs, zip(*cells.tolist()), B, hits)
+    elif split := _split_halves(S, B):
         _solve_split(*split, B, hits)
     else:
-        _solve_box(f, B, (-B,) * f.num_vars, hits)
-    if projective:
-        hits.keep_primitive()
+        _solve_box(S, B, (-B,) * S.num_vars, hits)
     return hits
+
+
+def _sum_of_squares(polys):
+    """A polynomial whose integer zeros are the common zeros of polys."""
+    if len(polys) == 1:
+        return polys[0]
+    return sum((g * g for g in polys[1:]), polys[0] * polys[0])
 
 
 def _split_halves(f: IntPoly, B: int):
     """(order, G, H) with f(x) = G(x_a, x_b) - H(x_c, x_d) for the variable
     order (a, b, c, d) of a pairing {0, i} | rest that holds every term of
-    a quaternary form in one half; None when there is none, or when a key
-    value * (B + 1) + height of the join could leave int64."""
-    if f.num_vars != 4 or not f.is_homogeneous():
+    a quaternary polynomial in one half; None when there is none, or when
+    a key value * (B + 1) + height of the join could leave int64.  The
+    values are bounded as at B = 1 when B = 0, since every coefficient is
+    multiplied into the keys."""
+    if f.num_vars != 4:
         return None
     for i in (1, 2, 3):
         order = (0, i) + tuple(j for j in (1, 2, 3) if j != i)
@@ -411,7 +427,7 @@ def _split_halves(f: IntPoly, B: int):
                 break
         else:
             G, H = (IntPoly(2, h) for h in halves)
-            bound = max(_poly_value_bound(G, B), _poly_value_bound(H, B))
+            bound = max(_poly_value_bound(p, max(B, 1)) for p in (G, H))
             if (bound + 1) * (B + 1) >= INT64_LIMIT:
                 return None
             return order, G, H
@@ -804,7 +820,7 @@ def count_affine(f: IntPoly, B: int, collect: bool = False,
         raise ValueError("a polynomial in no variables has no zeros to count")
     if B < 0:
         raise ValueError("B must be >= 0")
-    hits = _solve_zeros(f, B, projective=False, collect=collect)
+    hits = _solve_zeros([f], B, collect)
     return _result(hits.count, hits.points, hits.hist.tolist(), collect,
                    by_height)
 
@@ -825,7 +841,8 @@ def count_projective(F: IntPoly, B: int, collect: bool = False,
         raise ValueError("form must be homogeneous")
     if B < 1:
         raise ValueError("B must be >= 1")
-    hits = _solve_zeros(F, B, projective=True, collect=collect)
+    hits = _solve_zeros([F], B, collect)
+    hits.keep_primitive()
     return _result(hits.count, hits.points, hits.hist.tolist(), collect,
                    by_height)
 
@@ -869,8 +886,7 @@ def count_affine_surface(F: IntPoly, B: int, filters=(), collect: bool = True,
     if B < 0:
         raise ValueError("B must be >= 0")
     # nonzero: no two terms of a form merge when x0 = 1
-    hits = _solve_zeros(dehomogenize(F), B, projective=False,
-                        collect=collect or bool(filters))
+    hits = _solve_zeros([dehomogenize(F)], B, collect or bool(filters))
     if filters:
         hits.keep_residues(filters)
     return _result(hits.count, [(1,) + t for t in hits.points],
@@ -906,25 +922,14 @@ def count_roots_bounded(p, T: int):
     return exact, delta * (3.0 + 2.0 * radius)
 
 
-def _sum_of_squares(polys):
-    """A polynomial whose integer zeros are the common zeros of polys."""
-    if len(polys) == 1:
-        return polys[0]
-    return sum((g * g for g in polys[1:]), polys[0] * polys[0])
-
-
 def enumerate_projective_variety(gens, B: int):
     """All projective points of height <= B on the common zero locus.
 
-    An integer point is a zero of every generator exactly when it is a zero
-    of S = sum g_i^2 (of g itself when there is one), so the points are the
-    primitive zeros of S, found exactly by the enumeration solvers; S need
-    not be homogeneous.  Generators free of the last variable are solved
-    first and S only at their zeros, a cell list for the numpy kernel: the
-    twisted cubic then takes O(B^2) cells rather than the whole box's
-    O(B^3).  Points come back as primitive tuples, first nonzero coordinate
-    positive, in lexicographic order; S(-x) = S(x), so of each pair x, -x
-    of primitive zeros a mask keeps the one of positive sign.
+    The points are the primitive common zeros of the generators, found
+    exactly by ``_solve_zeros``.  They come back as primitive tuples, first
+    nonzero coordinate positive, in lexicographic order: forms vanish at x
+    and -x together, and of each such pair a mask keeps the one of
+    positive sign.
     """
     gens = list(gens)
     if not gens or any(g.is_zero() for g in gens):
@@ -936,22 +941,8 @@ def enumerate_projective_variety(gens, B: int):
         raise ValueError("generators must be homogeneous")
     if B < 1:
         raise ValueError("B must be >= 1")
-    S = _sum_of_squares(gens)
-    # generators free of the last variable, in the other variables
-    inner = [c[0] for c in map(_last_var_coefficients, gens) if len(c) == 1]
-    if inner and nv > 1:
-        # the origin is a zero of every form, so the block is not None
-        cells = _solve_zeros(_sum_of_squares(inner), B, projective=False,
-                             collect=True).block
-        coeffs = _last_var_coefficients(S)
-        hits = _Hits(True, B)
-        if dtype := _kernel_dtype(S, coeffs, B):
-            _solve_tiles(coeffs, B, _cell_slices(cells, dtype), hits)
-        else:
-            _solve_scalar(coeffs, zip(*cells.tolist()), B, hits)
-        hits.keep_primitive()
-    else:
-        hits = _solve_zeros(S, B, projective=True, collect=True)
-    # S(-x) = S(x), and every zero held is primitive, so not 0
+    hits = _solve_zeros(gens, B, True)
+    hits.keep_primitive()
+    # every zero held is primitive, so not 0
     hits.keep_positive()
     return hits.points

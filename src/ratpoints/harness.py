@@ -49,7 +49,6 @@ class ExperimentConfig:
 
 @dataclass
 class FitReport:
-    tag: str
     slope: float
     intercept: float
     residual: float
@@ -88,8 +87,8 @@ def fit_exponent(series: CountSeries, target: float | None = None,
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
     residual = sum((y - slope * x - intercept) ** 2 for x, y in data)
-    report = FitReport(tag=series.tag, slope=slope, intercept=intercept,
-                       residual=residual, points_used=n)
+    report = FitReport(slope=slope, intercept=intercept, residual=residual,
+                       points_used=n)
     if target is not None:
         report.target = target
         report.margin = abs(slope - target)
@@ -122,8 +121,7 @@ def build_series(config: ExperimentConfig, collect: bool = False):
     grid = config.resolved_grid()
     result = _count_one(config, F, grid[-1], collect=collect)
     upto = list(itertools.accumulate(result[-1]))
-    series = CountSeries(tag=f"{config.function}:{config.poly}",
-                         entries=[(b, upto[b]) for b in grid])
+    series = CountSeries([(b, upto[b]) for b in grid])
     return (series, result[1]) if collect else series
 
 

@@ -197,7 +197,7 @@ def test_criterion_9_exponent_fits():
     start = time.time()
     fits = {}
 
-    series_a = CountSeries("N:fermat", [
+    series_a = CountSeries([
         (B, count_projective(FERMAT, B)) for B in (16, 32, 64, 128, 256)])
     slope_a = fit_exponent(series_a).slope
     assert 1.7 <= slope_a <= 2.3, slope_a
@@ -206,14 +206,14 @@ def test_criterion_9_exponent_fits():
     assert elapsed_a < 600, f"took {elapsed_a:.1f}s"
 
     ext = parse_poly("t1 - t2^2", num_vars=3)
-    series_b = CountSeries("M:extremal", [
+    series_b = CountSeries([
         (B, count_affine(ext, B)) for B in (100, 1000, 10000)])
     slope_b = fit_exponent(series_b).slope
     assert 1.35 <= slope_b <= 1.65, slope_b
     fits["extremal"] = round(slope_b, 3)
 
     conic = parse_poly("x0*x2 - x1^2")
-    series_c = CountSeries("N:conic", [
+    series_c = CountSeries([
         (B, count_projective(conic, B)) for B in (100, 1000, 10000)])
     slope_c = fit_exponent(series_c).slope
     assert 0.85 <= slope_c <= 1.15, slope_c

@@ -248,11 +248,11 @@ def test_count_roots_bounded_random_certified():
 
 
 def test_count_series_invariants():
-    CountSeries("ok", [(1, 2), (2, 2), (4, 5)])
+    CountSeries([(1, 2), (2, 2), (4, 5)])
     with pytest.raises(ValueError):
-        CountSeries("bad", [(2, 1), (1, 2)])
+        CountSeries([(2, 1), (1, 2)])
     with pytest.raises(ValueError):
-        CountSeries("bad", [(1, 5), (2, 3)])
+        CountSeries([(1, 5), (2, 3)])
 
 
 def test_monotone_in_B():

@@ -503,7 +503,7 @@ def check_kernel_in(dtype, f, B, monkeypatch):
             seen.add(got.dtype.type)
             return got
         m.setattr(en, "_eval_on_tile", spy)
-        hits = en._solve_zeros(f, B, projective=False, collect=True)
+        hits = en._solve_zeros([f], B, True)
         assert seen == {dtype}, f.to_text()
         assert {b.dtype for b in hits._blocks} == {np.dtype(np.int64)}
         assert (hits.count, hits.points) == (len(want), want), f.to_text()
@@ -711,14 +711,13 @@ def test_full_range_heights_match_brute_counts(monkeypatch):
                            if f.evaluate(t) == 0], (text, limit)
 
 
-def test_projective_zeros_need_one_degree_parity():
-    with pytest.raises(ValueError, match="parity"):
-        en._solve_zeros(parse_poly("x0^2 - x1"), 3, projective=True,
-                        collect=False)
-    # even sums of squares of forms keep one parity
+def test_primitive_zeros_of_a_square_match_the_form():
+    # S*S, the sum of squares of the one generator S, has S's zeros, a
+    # cone, and so S's primitive zeros once keep_primitive inverts them
     S = parse_poly("x0^2 + x1^2 - x2^2")
-    assert en._solve_zeros(S * S, 3, projective=True, collect=False).count == (
-        count_projective(S, 3))
+    hits = en._solve_zeros([S * S], 3, False)
+    hits.keep_primitive()
+    assert hits.count == count_projective(S, 3)
 
 
 @pytest.fixture
@@ -850,6 +849,75 @@ def test_split_guard_sits_at_its_limit(splits):
         n, pts = count_projective(F, B, collect=True)
         assert bool(splits) is split
         assert (n, pts) == (len(pts), brute_projective_points(F, B))
+
+
+def test_affine_separable_polynomials_take_the_join(monkeypatch, splits):
+    # M of quaternary polynomials G(x0, xi) = H(rest), forms or not, takes
+    # the join: against the scan, the tile path and the big-int path,
+    # counting and collecting, with height histograms
+    texts = ["x0^3 + x1^3 + x2^3 + x3^3", "x0*x2 - x1*x3",  # forms
+             "x0^3 + x1^2 - x2 - x3^3", "x0*x3 + x0 - x1^2 - x2",  # mixed
+             "x0^2 + x1^2 - x2^2 - x3^2 + 7",  # a constant term
+             "x0^2 - 4", "x0*x1 - 6", "x2*x3 + 4"]  # an empty half
+    for text in texts:
+        f = parse_poly(text, num_vars=4)
+        for B in (0, 1, 5):
+            pts, hist = brute_zeros(f, B)
+            splits.clear()
+            got = count_affine(f, B, collect=True, by_height=True)
+            assert got == (len(pts), pts, hist), (text, B)
+            assert count_affine(f, B, by_height=True) == (len(pts), hist)
+            assert len(splits) == 2, (text, B)
+            assert forced_scalar(count_affine, f, B, by_height=True) == got
+            with monkeypatch.context() as m:
+                m.setattr(en, "_split_halves", lambda f, B: None)
+                assert count_affine(f, B, collect=True, by_height=True) == (
+                    got), (text, B)
+            assert len(splits) == 2, (text, B)
+    # at B = 0 the keys hold the constant term alone, but every coefficient
+    # is multiplied into them: 2^70 leaves int64, so the join is skipped
+    f = IntPoly(4, {(1, 1, 0, 0): 1 << 70, (0, 0, 1, 1): -1})
+    splits.clear()
+    assert count_affine(f, 0, collect=True) == (1, [(0, 0, 0, 0)])
+    assert splits == []
+
+
+def test_nested_systems_solve_inner_generators_first(monkeypatch):
+    # the generators free of the last variable are solved first, by
+    # _solve_zeros one variable down and so on, so the innermost
+    # generator's zeros are the first cell list: for the first system the
+    # 2B + 1 cells x0 = x1, then the 4B + 1 cells x2 = +-x0 over them
+    systems = [("x1 - x0; x2^2 - x0*x1; x3 - x2", 4, 6),
+               ("x0^2 - x1^2; x0*x2 - x1^2; x3^2 - x0*x2", 4, 6),
+               ("x1 - x0; x2 - x1; x0*x3 - x2^2; x4^2 - x3*x1", 5, 3)]
+    shapes, seen = [], {}
+
+    def spy(cells, dtype, _real=en._cell_slices):
+        shapes.append(cells.shape)
+        return _real(cells, dtype)
+    monkeypatch.setattr(en, "_cell_slices", spy)
+    for texts, nv, B in systems:
+        gens = [parse_poly(t, num_vars=nv) for t in texts.split(";")]
+        shapes.clear()
+        want = brute_variety_points(gens, B)
+        assert want and en.enumerate_projective_variety(gens, B) == want
+        seen[texts] = list(shapes)
+        assert [rows for rows, _ in shapes] == list(range(2, nv)), texts
+        with monkeypatch.context() as m:
+            m.setattr(en, "INT64_LIMIT", 0)
+            assert en.enumerate_projective_variety(gens, B) == want, texts
+    assert seen[systems[0][0]] == [(2, 2 * 6 + 1), (3, 4 * 6 + 1)]
+    # systems that are not forms, through _solve_zeros itself: the inner
+    # generator x0^2 + 1 has no zero, and x0 - 2 the cells (2, x1)
+    for texts, n in (("x0^2 + 1; x2 - x1", 0),
+                     ("x0 - 2; x1 - x2^2; x1*x2 - 4*x0", 1)):
+        gens = [parse_poly(t, num_vars=3) for t in texts.split(";")]
+        pts = [x for x in itertools.product(range(-4, 5), repeat=3)
+               if all(g.evaluate(x) == 0 for g in gens)]
+        hits = en._solve_zeros(gens, 4, True)
+        assert (hits.count, hits.points) == (n, pts), texts
+        assert en._solve_zeros(gens, 4, False).hist.tolist() == (
+            hits.hist.tolist()), texts
 
 
 def fold_forms():

@@ -12,16 +12,16 @@ from ratpoints.harness import ExperimentConfig, build_series, fit_exponent, run_
 
 
 def test_fit_examples():
-    s = CountSeries("t", [(10, 10), (100, 100), (1000, 1000)])
+    s = CountSeries([(10, 10), (100, 100), (1000, 1000)])
     assert abs(fit_exponent(s).slope - 1.0) < 1e-12
-    s2 = CountSeries("t", [(10, 100), (100, 10000), (1000, 1000000)])
+    s2 = CountSeries([(10, 100), (100, 10000), (1000, 1000000)])
     assert abs(fit_exponent(s2).slope - 2.0) < 1e-12
     with pytest.raises(ValueError, match="insufficient"):
-        fit_exponent(CountSeries("t", [(10, 5), (100, 7)]))
+        fit_exponent(CountSeries([(10, 5), (100, 7)]))
 
 
 def test_fit_skips_zero_counts():
-    s = CountSeries("t", [(1, 0), (10, 10), (100, 100), (1000, 1000)])
+    s = CountSeries([(1, 0), (10, 10), (100, 100), (1000, 1000)])
     fr = fit_exponent(s)
     assert fr.points_used == 3
     assert abs(fr.slope - 1.0) < 1e-12
@@ -32,13 +32,13 @@ def test_fit_closed_form_parabola_counts():
     from math import isqrt
 
     entries = [(B, 2 * isqrt(B) + 1) for B in (100, 1000, 10000)]
-    fr = fit_exponent(CountSeries("parabola", entries))
+    fr = fit_exponent(CountSeries(entries))
     assert abs(fr.slope - 0.5) < 0.02
 
 
 def test_fit_rescale_invariance():
-    s = CountSeries("t", [(10, 7), (100, 53), (1000, 431), (10000, 3701)])
-    s10 = CountSeries("t", [(b, 10 * c) for b, c in s.entries])
+    s = CountSeries([(10, 7), (100, 53), (1000, 431), (10000, 3701)])
+    s10 = CountSeries([(b, 10 * c) for b, c in s.entries])
     assert abs(fit_exponent(s).slope - fit_exponent(s10).slope) < 1e-9
 
 
@@ -283,6 +283,17 @@ FERMAT_TEXT = "x0^3 + x1^3 + x2^3 + x3^3"
      "--plane takes a0,a1,a2,a3, not '1,0,a,1'"),
     (["project", "--gens", "x0*x2 - x1^2", "--center", "1,,2"],
      "--center takes c0,c1,..., not '1,,2'"),
+    # a grid of no bound names its option, not the empty grid it makes
+    (["count", "--variety", FERMAT_TEXT, "--bmax", "8", "--grid",
+      "geometric:0"], "--grid takes geometric:k with k >= 1, not "
+     "'geometric:0'"),
+    (["count", "--variety", FERMAT_TEXT, "--bmax", "8", "--grid",
+      "geometric:-2"], "--grid takes geometric:k with k >= 1, not "
+     "'geometric:-2'"),
+    (["count", "--variety", FERMAT_TEXT, "--bmax", "0"],
+     "--bmax takes B >= 1, not 0"),
+    (["count", "--variety", FERMAT_TEXT, "--function", "M", "--bmax", "-3"],
+     "--bmax takes B >= 1, not -3"),
 ])
 def test_cli_bad_numbers_are_one_line(capsys, argv, message):
     assert cli.main(argv) == 2
