@@ -1,26 +1,32 @@
 """Exact enumeration of bounded integer points on hypersurfaces.
 
-The driving strategy: iterate over all but the last variable and count the
+The driving strategy: iterate over all but one variable and count the
 integer roots of the residual univariate polynomial exactly, falling back
-to a full range when the residual vanishes identically.  Two solvers do
-this.  The numpy kernel evaluates the residual coefficients on chunks of
-cells, tiles over two coordinates or slices of a list of cells, solves
-linear, quadratic and pure-power residuals in closed form (divisibility
-before the bound; a pure power's rounded float root kept where
-c t^k == rhs holds exactly) and scans the rest over the whole box by
-Horner.  As in Heath-Brown, Lioen and te Riele (Math. Comp. 1993) it
-runs in the narrowest machine word, one code for int32 and int64: int32
-when a priori bounds (for the scan, the value bound of the form) keep
-every value below 2^31, int64 below 2^63, and past that the pure-Python
-big-int reference takes over.  Both are exact, and the tests cross-check
-them against each other and against full lattice scans.
+to a full range when the residual vanishes identically.  The variable
+solved for is the cheapest by one rule (``_solve_zeros``): the one that
+the most generators are free of, then the one of least degree, then one
+that the polynomial is a pure power in, then the later; it is swapped
+with the last variable, and the zeros found are swapped back.
+
+Two solvers do this.  The numpy kernel evaluates the residual
+coefficients on chunks of cells, tiles over two coordinates or slices of
+a list of cells, solves linear, quadratic and pure-power residuals in
+closed form (divisibility before the bound; a pure power's rounded float
+root kept where c t^k == rhs holds exactly) and scans the rest over the
+whole box by Horner.  As in Heath-Brown, Lioen and te Riele (Math. Comp.
+1993) it runs in the narrowest machine word, one code for int32 and
+int64: int32 when a priori bounds (for the scan, the value bound of the
+form) keep every value below 2^31, int64 below 2^63, and past that the
+pure-Python big-int reference takes over.  Both are exact, and the tests
+cross-check them against each other and against full lattice scans.
 
 A variety of any codimension is enumerated on the same solvers: an
 integer point is a zero of every generator g_i exactly when it is a zero
-of the single polynomial sum g_i^2.  Generators free of the last variable
-are solved first, by the same rule, and the numpy kernel solves the last
-variable on their zeros, a cell list, under the box's guard (the big-int
-reference past it).  That keeps the twisted cubic at O(B^2) cells.
+of the single polynomial sum g_i^2.  Generators free of the variable
+solved for are solved first, by the same rule, and the numpy kernel
+solves that variable on their zeros, a cell list, under the box's guard
+(the big-int reference past it).  That keeps the twisted cubic at O(B^2)
+cells, in any order of its variables.
 
 The solvers count every zero, primitive or not.  The zeros of a form are
 a cone, each one d times a primitive zero, so Moebius inversion of the
@@ -357,6 +363,11 @@ class _Hits:
         if self.collect:
             self._blocks += [np.insert(b, j, 0, axis=0) for b in sub._blocks]
 
+    def permute(self, order):
+        """Move coordinate order[i] of every collected zero to slot i; the
+        histogram, of heights, is left as it is."""
+        self._blocks = [b[order] for b in self._blocks]
+
     def mirror(self, j=None):
         """Add the image of every point x held under x -> -x, or with j
         under the negation of x_j alone: the points of the half box x0 >= 1
@@ -374,13 +385,51 @@ def _solve_zeros(gens, B: int, collect: bool):
     in the box |x| <= B, as a _Hits that lists them with ``collect``: the
     zeros of S = sum g_i^2 (of g itself when there is one).
 
-    When some generators, but not all, are free of the last variable, this
-    solver finds their common zeros first, and S is solved for the last
-    variable on those cells alone.  Otherwise S takes the separable join
-    when it splits, and ``_solve_box`` on the whole box when it does not.
+    S is solved for the variable x_j that ranks first by one rule: most
+    generators free of x_j, then the least degree of S in x_j, then S a
+    pure power in x_j (c x_j^k plus terms free of x_j), then the later
+    index, so that a polynomial already in that order keeps its path.
+    x_j is swapped with the last variable, ``_solve_in_order`` solves for
+    the last, and the collected zeros are swapped back.
+    """
+    S = _sum_of_squares(gens)
+    last = S.num_vars - 1
+    j = max(range(S.num_vars), key=lambda j: _solve_rank(gens, S, j),
+            default=last)
+    if j == last:
+        return _solve_in_order(gens, S, B, collect)
+    swap = [*range(j), last, *range(j + 1, last), j]
+    hits = _solve_in_order([_permuted(g, swap) for g in gens],
+                           _permuted(S, swap), B, collect)
+    hits.permute(swap)
+    return hits
+
+
+def _solve_rank(gens, S: IntPoly, j: int):
+    """The rank of x_j as the variable to solve S for; higher is cheaper."""
+    free = sum(all(e[j] == 0 for e in g.terms) for g in gens)
+    terms = [e for e in S.terms if e[j]]
+    degree = max((e[j] for e in terms), default=0)
+    pure = len(terms) == 1 and sum(terms[0]) == degree
+    return free, -degree, pure, j
+
+
+def _permuted(f: IntPoly, order) -> IntPoly:
+    """f with variable order[i] moved to slot i."""
+    return IntPoly._exact(f.num_vars, {tuple(e[i] for i in order): c
+                                       for e, c in f.terms.items()})
+
+
+def _solve_in_order(gens, S: IntPoly, B: int, collect: bool):
+    """``_solve_zeros`` for the last variable, S being sum g_i^2.
+
+    When some generators, but not all, are free of the last variable,
+    ``_solve_zeros`` finds their common zeros first, and S is solved for
+    the last variable on those cells alone.  Otherwise S takes the
+    separable join when it splits, and ``_solve_box`` on the whole box
+    when it does not.
     """
     hits = _Hits(collect, B)
-    S = _sum_of_squares(gens)
     inner = [c[0] for c in map(_last_var_coefficients, gens) if len(c) == 1]
     if S.num_vars > 1 and 0 < len(inner) < len(gens):
         cells = _solve_zeros(inner, B, True).block
@@ -810,9 +859,10 @@ def count_affine(f: IntPoly, B: int, collect: bool = False,
                  by_height: bool = False):
     """M(f; B): integer zeros of f in the box |t| <= B.
 
-    All but the last coordinate are iterated and the residual in the last
-    one is solved exactly.  ``by_height`` appends the histogram of heights
-    max |t_i|, from which M(f; b) for every b <= B is a prefix sum.
+    All but one coordinate, the cheapest to solve for, are iterated and
+    the residual in that one is solved exactly.  ``by_height`` appends
+    the histogram of heights max |t_i|, from which M(f; b) for every
+    b <= B is a prefix sum.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")

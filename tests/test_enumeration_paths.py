@@ -411,7 +411,8 @@ def test_prefix_int64_switch_sits_at_its_limit(monkeypatch):
     # S = a^2 (x0 - x1)^2 + b^2 x2^2 + c^2 x2^4 + x3^4, with
     # 4a^2 + b^2 + c^2 = 2^62 - 2: at B = 1 the scan bound, the value bound
     # of S, is the guard's maximum, 2^62 - 1, and the cell list stays on
-    # the kernel; the generator x2^3 adds 1 and sends it to _solve_scalar
+    # the kernel; the generator x2^3 adds 1 and sends it to _solve_scalar.
+    # S is solved for x3 as written, where _solve_zeros would take x1
     a, b, c = 2**30 - 1, 82919, 41405
     assert 4 * a * a + b * b + c * c == en.INT64_LIMIT - 2
     base = [IntPoly(4, {(1, 0, 0, 0): a, (0, 1, 0, 0): -a}),
@@ -437,9 +438,12 @@ def test_prefix_int64_switch_sits_at_its_limit(monkeypatch):
         assert en._poly_value_bound(S, B) == guard
         assert max(bounds) < guard and (B + 1) ** 4 < guard
         taken.clear()
-        pts = en.enumerate_projective_variety(gens, B)
+        hits = en._solve_in_order(gens, S, B, True)
         assert taken == [path]
-        assert pts == brute_variety_points(gens, B) == [(1, 1, 0, 0)]
+        hits.keep_primitive()
+        hits.keep_positive()
+        assert hits.points == brute_variety_points(gens, B) == [(1, 1, 0, 0)]
+        assert en.enumerate_projective_variety(gens, B) == hits.points
 
 
 def test_cell_lists_match_the_scalar_referee(monkeypatch):
@@ -488,10 +492,11 @@ def residual_branches(f, B):
 
 
 def check_kernel_in(dtype, f, B, monkeypatch):
-    """f's zeros in [-B, B]^n from the box tiles and from the cell slices
-    of the whole box, the kernel running in dtype, against the oracle and
-    the big-int path; each collected block is int64 either way, checked
-    before the blocks merge, where one int64 block would promote them."""
+    """f's zeros in [-B, B]^n, solved for the last variable, from the box
+    tiles and from the cell slices of the whole box, the kernel running in
+    dtype, against the oracle and the big-int path; each collected block
+    is int64 either way, checked before the blocks merge, where one int64
+    block would promote them."""
     coeffs = en._last_var_coefficients(f)
     assert en._kernel_dtype(f, coeffs, B) is dtype, f.to_text()
     want = [x for x in itertools.product(range(-B, B + 1), repeat=f.num_vars)
@@ -503,7 +508,7 @@ def check_kernel_in(dtype, f, B, monkeypatch):
             seen.add(got.dtype.type)
             return got
         m.setattr(en, "_eval_on_tile", spy)
-        hits = en._solve_zeros([f], B, True)
+        hits = en._solve_in_order([f], f, B, True)
         assert seen == {dtype}, f.to_text()
         assert {b.dtype for b in hits._blocks} == {np.dtype(np.int64)}
         assert (hits.count, hits.points) == (len(want), want), f.to_text()
@@ -595,7 +600,8 @@ def taken(monkeypatch):
 
 def test_int64_scan_switch_sits_at_the_value_bound(taken):
     # a non-pure cubic residual is scanned by Horner, so the numpy kernel
-    # also needs the value bound of the whole form below 2^62
+    # also needs the value bound of the whole form below 2^62; f is solved
+    # for t2 as written, where _solve_zeros would take t1, of degree 1
     B = 2
     at = (en.INT64_LIMIT - B - B**3) // (B + 1)
     for C, path in ((at - 1, "_solve_tiles"), (at, "_solve_scalar")):
@@ -607,20 +613,26 @@ def test_int64_scan_switch_sits_at_the_value_bound(taken):
         bound = en._poly_value_bound(f, B)
         assert bound == (en.INT64_LIMIT if C == at else en.INT64_LIMIT - B - 1)
         taken.clear()
-        n = count_affine(f, B)
+        n = en._solve_in_order([f], f, B, False).count
         assert taken == [path]
-        assert n == brute_affine(f, B)
+        assert n == count_affine(f, B) == brute_affine(f, B)
         assert n == 3
 
 
 def test_generic_cubic_is_scanned_on_the_tile(taken):
-    # every residual of this cubic is a non-pure cubic in x3
+    # the residuals of this cubic in x3 are cubics, scanned where they are
+    # not pure powers when x3 is solved for, as written; _solve_zeros
+    # takes x2 instead, of degree 2
     F = parse_poly("x0^3 + 2*x1^3 + 3*x2^2*x3 - x1*x2*x3 + x3^3")
-    assert [count_projective(F, B) for B in (16, 32)] == [62, 122]
+    for B, n in ((16, 62), (32, 122)):
+        hits = en._solve_in_order([F], F, B, False)
+        hits.keep_primitive()
+        assert hits.count == n
     # per count: the half boxes x0 >= 1, x1 >= 1 of the slice x0 = 0 and
     # x2 >= 1 of x0 = x1 = 0 on the tile; the last slice, x3^3, on the
     # big-int loop
     assert taken == (["_solve_tiles"] * 3 + ["_solve_scalar"]) * 2
+    assert [count_projective(F, B) for B in (16, 32)] == [62, 122]
 
 
 def random_form(rng, nv, degree, drop=()):
@@ -974,7 +986,9 @@ def brute_zeros(F, B):
 
 def test_folded_counts_match_oracles_and_the_big_int_path(monkeypatch, boxes):
     # counting and collecting, with height histograms, at B = 0, 1 and a
-    # larger B, on the numpy kernel and on the forced big-int path
+    # larger B, on the numpy kernel and on the forced big-int path; the
+    # folds are those of each form solved for its last variable, as
+    # written, which _solve_zeros need not choose
     monkeypatch.setattr(en, "_split_halves", lambda f, B: None)
     folds = []
 
@@ -989,9 +1003,11 @@ def test_folded_counts_match_oracles_and_the_big_int_path(monkeypatch, boxes):
             boxes.clear()
             folds.clear()
             pts, hist = brute_zeros(F, b)
-            got = count_affine(F, b, collect=True, by_height=True)
+            hits = en._solve_in_order([F], F, b, True)
+            got = (hits.count, hits.points, hits.hist.tolist())
             assert got == (len(pts), pts, hist), (text, b)
             folded |= {(text, j is None) for j in folds}
+            assert count_affine(F, b, collect=True, by_height=True) == got
             assert count_affine(F, b, by_height=True) == (len(pts), hist)
             assert forced_scalar(count_affine, F, b, by_height=True) == got
             if b and F.is_homogeneous():
